@@ -172,31 +172,28 @@ def summand_is_centered(spec) -> bool:
     return True
 
 
-def summand_second_moments(spec) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (E[S S*], E[S* S]) for one summand."""
-    d1, d2 = summand_shape(spec)
+def _basis_second_moment(spec):
+    """(row, col, E c^2) for a one-entry summand S = c * E_{row,col}, else None.
+
+    Then E[S S*] = E c^2 * E_{row,row} and E[S* S] = E c^2 * E_{col,col}.
+    """
+    if isinstance(spec, ScaledBasisRademacher):
+        return spec.index, spec.index, spec.scale**2
+    if isinstance(spec, CenteredBernoulliBasis):
+        return spec.index, spec.index, spec.prob * (1.0 - spec.prob)
+    if isinstance(spec, RademacherEntry):
+        return spec.row, spec.col, 1.0
+    if isinstance(spec, ParetoDiagonal):
+        return spec.index, spec.index, 2.0  # E P^2 = integral of 4 t^-3 from 1 = 2
+    return None
+
+
+def _dense_second_moments(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (E[S S*], E[S* S]) for a fixed-matrix or finite-support summand."""
     if isinstance(spec, (FixedRademacher, FixedGaussian)):
         h = spec.matrix.array
         sq = h @ h  # E eps^2 = E g^2 = 1
         return sq, sq
-    if isinstance(spec, ScaledBasisRademacher):
-        m = np.zeros((d1, d2), dtype=np.complex128)
-        m[spec.index, spec.index] = spec.scale**2
-        return m, m.copy()
-    if isinstance(spec, CenteredBernoulliBasis):
-        m = np.zeros((d1, d2), dtype=np.complex128)
-        m[spec.index, spec.index] = spec.prob * (1.0 - spec.prob)
-        return m, m.copy()
-    if isinstance(spec, RademacherEntry):
-        left = np.zeros((d1, d1), dtype=np.complex128)
-        right = np.zeros((d2, d2), dtype=np.complex128)
-        left[spec.row, spec.row] = 1.0
-        right[spec.col, spec.col] = 1.0
-        return left, right
-    if isinstance(spec, ParetoDiagonal):
-        m = np.zeros((d1, d2), dtype=np.complex128)
-        m[spec.index, spec.index] = 2.0  # E P^2 = integral of 4 t^-3 from 1 = 2
-        return m, m.copy()
     if isinstance(spec, Finite):
         probs = spec.support.probabilities
         mats = spec.support.matrices
@@ -349,17 +346,34 @@ def analytic_second_moments(model: IndependentSumModel):
     """Exact (E[ZZ*], E[Z*Z]) for a centered model, as Hermitian matrices.
 
     Independence and zero means make the second moment of the sum the sum of
-    per-summand second moments.  Returns None if any summand lacks a closed
-    form (none of the built-in families do).
+    per-summand second moments.  One-entry summands only add E c^2 to one
+    diagonal cell on each side; those are summed by index and added once, so
+    the cost is O(N + d^2) plus the dense terms of the other families.
+    Returns None if any summand lacks a closed form (none of the built-in
+    families do).
     """
     if not model.centered:
         raise ValueError("model is not centered; center() it first")
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
+    rows, cols, weights = [], [], []
     for s in model.summands:
-        a, b = summand_second_moments(s)
-        left += a
-        right += b
+        entry = _basis_second_moment(s)
+        if entry is None:
+            a, b = _dense_second_moments(s)
+            left += a
+            right += b
+        else:
+            rows.append(entry[0])
+            cols.append(entry[1])
+            weights.append(entry[2])
+    if weights:
+        left[np.diag_indices(model.d1)] += np.bincount(
+            rows, weights=weights, minlength=model.d1
+        )
+        right[np.diag_indices(model.d2)] += np.bincount(
+            cols, weights=weights, minlength=model.d2
+        )
     return HermitianMatrix(left), HermitianMatrix(right)
 
 
@@ -441,8 +455,24 @@ class _Bucket:
         self.norms = kw.get("norms")
 
 
+# bytes the stacked matrices of one fixed-matrix family may take in a plan
+_STACK_BYTES = 1 << 27
+
+
+def _scatter(coef: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
+    """Row s of the (k, width) result sums coef[s, g] into column cells[g],
+    adding the terms of each cell in summand order."""
+    k, g = coef.shape
+    flat = np.repeat(np.arange(k), g) * width + np.tile(cells, k)
+    return np.bincount(flat, weights=coef.ravel(), minlength=k * width).reshape(k, width)
+
+
 class SamplerPlan:
-    """Precompiled vectorized sampler for one model."""
+    """Precompiled vectorized sampler for one model.
+
+    `diagonal` is true when every realization of Z is a diagonal matrix:
+    Z is square and every summand is a one-entry family on the diagonal.
+    """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
@@ -499,6 +529,12 @@ class SamplerPlan:
                 )
             elif fam in (FixedRademacher, FixedGaussian):
                 kind = "fixed_sign" if fam is FixedRademacher else "fixed_gaussian"
+                nbytes = len(specs) * model.d1 * model.d2 * 16
+                if nbytes > _STACK_BYTES:
+                    raise ValueError(
+                        f"{len(specs)} fixed {model.d1}x{model.d2} matrices take "
+                        f"{nbytes} bytes, over the {_STACK_BYTES}-byte plan budget"
+                    )
                 mats = np.stack([s.matrix.array for s in specs])
                 norms = np.array([spectral_norm(s.matrix) for s in specs])
                 self.buckets.append(
@@ -506,6 +542,33 @@ class SamplerPlan:
                 )
             else:  # pragma: no cover - exhaustive over families
                 raise TypeError(f"unhandled family {fam}")
+        self.diagonal = (
+            model.d1 == model.d2
+            and not self.finite
+            and all(
+                b.mats is None and np.array_equal(b.rows, b.cols) for b in self.buckets
+            )
+        )
+
+    def _coefficients(self, seed: int, idx: np.ndarray):
+        """Yield each bucket with its (k, g) coefficient draws; the fixed
+        matrix or entry of summand g is multiplied by coef[:, g]."""
+        col = idx[:, None]
+        for b in self.buckets:
+            pos = b.positions[None, :]
+            if b.kind == "scaled_sign":
+                coef = rng.signs(seed, col, pos, 0) * b.scales[None, :]
+            elif b.kind == "bernoulli":
+                u = rng.uniform_halfopen(seed, col, pos, 0)
+                coef = (u < b.probs[None, :]).astype(np.float64) - b.probs[None, :]
+            elif b.kind in ("entry_sign", "fixed_sign"):
+                coef = rng.signs(seed, col, pos, 0)
+            elif b.kind == "pareto":
+                u = rng.uniform_positive(seed, col, pos, 0)
+                coef = rng.signs(seed, col, pos, 1) * u**-0.25
+            else:  # fixed_gaussian
+                coef = rng.gaussians(seed, col, pos, 0)
+            yield b, coef
 
     def realize(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
         """Realizations Z and max_i ||S_i||^2 for a batch of sample indices."""
@@ -515,34 +578,10 @@ class SamplerPlan:
         d1, d2 = self.model.d1, self.model.d2
         z = np.zeros((k, d1, d2), dtype=np.complex128)
         max_sq = np.zeros(k)
-        col = idx[:, None]
 
-        for b in self.buckets:
-            pos = b.positions[None, :]
-            if b.kind == "scaled_sign":
-                coef = rng.signs(seed, col, pos, 0) * b.scales[None, :]
-            elif b.kind == "bernoulli":
-                u = rng.uniform_halfopen(seed, col, pos, 0)
-                coef = (u < b.probs[None, :]).astype(np.float64) - b.probs[None, :]
-            elif b.kind == "entry_sign":
-                coef = rng.signs(seed, col, pos, 0)
-            elif b.kind == "pareto":
-                u = rng.uniform_positive(seed, col, pos, 0)
-                coef = rng.signs(seed, col, pos, 1) * u**-0.25
-            elif b.kind == "fixed_sign":
-                coef = rng.signs(seed, col, pos, 0)
-            else:  # fixed_gaussian
-                coef = rng.gaussians(seed, col, pos, 0)
-
+        for b, coef in self._coefficients(seed, idx):
             if b.mats is None:
-                flat = (
-                    np.repeat(np.arange(k), coef.shape[1]) * (d1 * d2)
-                    + np.tile(b.rows * d2 + b.cols, k)
-                )
-                summed = np.bincount(
-                    flat, weights=coef.ravel(), minlength=k * d1 * d2
-                ).reshape(k, d1, d2)
-                z += summed
+                z += _scatter(coef, b.rows * d2 + b.cols, d1 * d2).reshape(k, d1, d2)
                 np.maximum(max_sq, (coef**2).max(axis=1), out=max_sq)
             else:
                 z += np.einsum("kg,gab->kab", coef, b.mats, optimize=False)
@@ -559,6 +598,22 @@ class SamplerPlan:
             np.maximum(max_sq, norms[j] ** 2, out=max_sq)
 
         return z, max_sq
+
+    def realize_diagonal(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
+        """For a diagonal plan: the real diagonals (k, d) of the realizations
+        and max_i ||S_i||^2.  Each entry sums the same terms in the same order
+        as the matching entry of `realize`, so the values are identical."""
+        if not self.diagonal:
+            raise ValueError("realize_diagonal needs a diagonal plan")
+        seed = seed_value(seed)
+        idx = np.asarray(indices, dtype=np.uint64)
+        k = idx.shape[0]
+        diag = np.zeros((k, self.model.d1))
+        max_sq = np.zeros(k)
+        for b, coef in self._coefficients(seed, idx):
+            diag += _scatter(coef, b.rows, self.model.d1)
+            np.maximum(max_sq, (coef**2).max(axis=1), out=max_sq)
+        return diag, max_sq
 
 
 def sample_summands(model: IndependentSumModel, seed, index: int) -> list[RectMatrix]:

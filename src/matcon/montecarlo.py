@@ -34,6 +34,8 @@ MEDIAN_OF_MEANS = "median_of_means"
 # coefficient cells (samples x summands) alloted to one chunk
 _CHUNK_BUDGET = 1 << 21
 _MAX_CHUNK = 128
+# bytes one chunk of realizations may take
+_CHUNK_BYTES = 1 << 27
 
 
 def default_blocks(samples: int) -> int:
@@ -93,22 +95,43 @@ def _thread_count() -> int:
     return count
 
 
-def _chunk_size(n_summands: int) -> int:
-    return max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // max(1, n_summands)))
+def _chunk_size(model: IndependentSumModel, diagonal: bool) -> int:
+    """Samples per chunk, within the coefficient-cell budget and the byte
+    budget for the realized chunk: d real diagonal entries per sample on the
+    diagonal route, d1*d2 complex entries otherwise."""
+    shape, itemsize = ((model.d1,), 8) if diagonal else ((model.d1, model.d2), 16)
+    sample_bytes = math.prod(shape) * itemsize
+    if sample_bytes > _CHUNK_BYTES:
+        raise ValueError(
+            f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
+            f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
+        )
+    cells = _CHUNK_BUDGET // max(1, model.n_summands)
+    return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
 
 
 def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order."""
+    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order.
+
+    ||Z|| is max_i |z_ii| when every realization is diagonal, and the root of
+    the top eigenvalue of the Gram matrix of the smaller side otherwise.
+    """
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     samples = cfg.samples
-    chunk = _chunk_size(model.n_summands)
+    chunk = _chunk_size(model, plan.diagonal)
     norms = np.empty(samples)
     max_sq = np.empty(samples)
 
     def run(start: int) -> None:
         stop = min(start + chunk, samples)
-        z, m = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
+        idx = np.arange(start, stop, dtype=np.uint64)
+        if plan.diagonal:
+            diag, m = plan.realize_diagonal(seed, idx)
+            norms[start:stop] = np.abs(diag).max(axis=1)
+            max_sq[start:stop] = m
+            return
+        z, m = plan.realize(seed, idx)
         if model.d1 <= model.d2:
             gram = z @ z.conj().transpose(0, 2, 1)
         else:
@@ -185,7 +208,7 @@ def empirical_second_moments(model: IndependentSumModel, cfg: MCConfig):
         raise ValueError("model is not centered; apply center() first")
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
-    chunk = _chunk_size(model.n_summands)
+    chunk = _chunk_size(model, diagonal=False)
     starts = list(range(0, cfg.samples, chunk))
     partials: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(starts)
 

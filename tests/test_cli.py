@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from matcon import Finite, FiniteSummand, make_model, model_to_json
+from matcon import Finite, FiniteSummand, FixedRademacher, make_model, model_to_json
 from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, main
 
 
@@ -128,6 +128,34 @@ class TestReport:
         assert "||E R||" in err
         assert "envelope" in err
         assert len(out.strip().split("\n")[1].split(",")) == len(REPORT_COLUMNS)
+
+
+class TestMemoryGuard:
+    def test_realization_over_budget_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr("matcon.montecarlo._CHUNK_BYTES", 1000)
+        code, out, err = run_cli(
+            ["report", "--model", "sec73", "--d", "16", "--samples", "8", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "one 16x16 realization takes 4096 bytes" in err
+        assert "1000-byte chunk budget" in err
+
+    def test_fixed_matrices_over_budget_exit_2(self, monkeypatch, tmp_path, capsys):
+        model = make_model(
+            [FixedRademacher(np.diag([1.0, -1.0])), FixedRademacher(np.eye(2))], name="pair"
+        )
+        f = tmp_path / "pair.json"
+        f.write_text(json.dumps(model_to_json(model)))
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 100)
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "2 fixed 2x2 matrices take 128 bytes" in err
+        assert "100-byte plan budget" in err
 
 
 class TestVerify:

@@ -185,6 +185,90 @@ class TestMoments:
             analytic_second_moments(model)
 
 
+def _unit(i, j, d):
+    e = np.zeros((d, d), dtype=np.complex128)
+    e[i, j] = 1.0
+    return e
+
+
+def _hand_moments(model):
+    """sum over summands of E c^2 (A A*, A* A), or sum_k p_k (M_k M_k*,
+    M_k* M_k) for finite support, with E c^2 taken from each law."""
+    left = np.zeros((model.d1, model.d1), dtype=np.complex128)
+    right = np.zeros((model.d2, model.d2), dtype=np.complex128)
+    for s in model.summands:
+        if isinstance(s, Finite):
+            terms = list(s.support.outcomes())
+        elif isinstance(s, (FixedRademacher, FixedGaussian)):
+            terms = [(1.0, s.matrix.array)]  # E eps^2 = E g^2 = 1
+        elif isinstance(s, ScaledBasisRademacher):
+            terms = [(s.scale**2, _unit(s.index, s.index, s.dim))]
+        elif isinstance(s, CenteredBernoulliBasis):
+            p = s.prob
+            ec2 = p * (1.0 - p) ** 2 + (1.0 - p) * p**2
+            terms = [(ec2, _unit(s.index, s.index, s.dim))]
+        elif isinstance(s, RademacherEntry):
+            terms = [(1.0, _unit(s.row, s.col, s.dim))]
+        else:  # ParetoDiagonal: E P^2 = E u^(-1/2) = 1 / (1 - 1/2)
+            terms = [(2.0, _unit(s.index, s.index, s.dim))]
+        for w, a in terms:
+            left += w * (a @ a.conj().T)
+            right += w * (a.conj().T @ a)
+    return left, right
+
+
+def _moment_cases():
+    rng = np.random.default_rng(30)
+    hs = [rand_hermitian(rng, 3) for _ in range(3)]
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    finite = Finite(FiniteSummand([(0.25, a), (0.25, b), (0.5, -(a + b) / 2.0)]))
+    return {
+        "fixed_rademacher": [FixedRademacher(h) for h in hs],
+        "fixed_gaussian": [FixedGaussian(h) for h in hs],
+        "scaled_basis": [
+            ScaledBasisRademacher(index=i, scale=0.5 + i + j, dim=3)
+            for i in (0, 2, 2)
+            for j in range(2)
+        ],
+        "bernoulli": [
+            CenteredBernoulliBasis(index=i, prob=p, dim=3)
+            for i, p in ((0, 0.1), (1, 1.0), (1, 0.3), (0, 0.5))
+        ],
+        "entry": [
+            RademacherEntry(row=r, col=c, dim=3) for r, c in ((0, 1), (2, 1), (0, 1))
+        ],
+        "pareto": [ParetoDiagonal(index=i, dim=3) for i in (0, 2, 2)],
+        "finite": [finite, finite],
+        "mixed": [
+            ScaledBasisRademacher(index=1, scale=3.0, dim=3),
+            FixedRademacher(hs[0]),
+            RademacherEntry(row=2, col=0, dim=3),
+            finite,
+            ParetoDiagonal(index=0, dim=3),
+            FixedRademacher(hs[1]),
+        ],
+        # first four entries of the 3x3 full sign matrix: (0,0), (0,1), (0,2),
+        # (1,0), so E[ZZ*] = diag(3, 1, 0) differs from E[Z*Z] = diag(2, 1, 1)
+        "sec73_rows": list(make_example("sec73", d=3).summands[:4]),
+    }
+
+
+class TestMomentsAgainstHand:
+    @pytest.mark.parametrize("case", sorted(_moment_cases()))
+    def test_matches_dense_reference(self, case):
+        model = make_model(_moment_cases()[case])
+        left, right = analytic_second_moments(model)
+        want_left, want_right = _hand_moments(model)
+        assert np.allclose(left.array, want_left, rtol=0.0, atol=1e-12)
+        assert np.allclose(right.array, want_right, rtol=0.0, atol=1e-12)
+
+    def test_sec73_sides_differ(self):
+        left, right = analytic_second_moments(make_model(_moment_cases()["sec73_rows"]))
+        assert np.array_equal(np.diag(left.array).real, [3.0, 1.0, 0.0])
+        assert np.array_equal(np.diag(right.array).real, [2.0, 1.0, 1.0])
+
+
 class TestExactMaxSq:
     def test_sec71(self):
         # every summand has norm n^{-1/2} exactly

@@ -23,7 +23,8 @@ from matcon import (
     make_model,
     spectral_norm,
 )
-from matcon.montecarlo import default_blocks
+from matcon.models import SamplerPlan
+from matcon.montecarlo import _chunk_size, default_blocks
 
 
 def rand_hermitian(rng, d):
@@ -124,9 +125,59 @@ class TestMaxSummandSq:
         assert 2.0 <= est.mean <= 6.0
 
 
+def dense_route(model, cfg):
+    """(||Z||, max_sq) from the dense realizations: top eigenvalue of the
+    Gram matrix of the smaller side."""
+    z, max_sq = SamplerPlan(model).realize(cfg.seed, np.arange(cfg.samples, dtype=np.uint64))
+    if model.d1 <= model.d2:
+        gram = z @ z.conj().transpose(0, 2, 1)
+    else:
+        gram = z.conj().transpose(0, 2, 1) @ z
+    gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.clip(top, 0.0, None)), max_sq
+
+
+class TestDiagonalKernel:
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74"])
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_matches_dense_route_bitwise(self, name, d):
+        model = make_example(name, d=d, n=5)
+        assert SamplerPlan(model).diagonal
+        for seed in (0, 1, 2):
+            cfg = MCConfig(samples=150, seed=seed)
+            norms, max_sq = collect_samples(model, cfg)
+            want_norms, want_max_sq = dense_route(model, cfg)
+            assert np.array_equal(norms, want_norms)
+            assert np.array_equal(max_sq, want_max_sq)
+
+    def test_non_diagonal_models(self):
+        rng = np.random.default_rng(22)
+        coin = FiniteSummand([(0.5, np.eye(2)), (0.5, -np.eye(2))])
+        for model in (
+            make_example("sec73", d=3),
+            make_model([FixedRademacher(as_hermitian(basis_diag(0, 3)))]),
+            make_model([FixedRademacher(rand_hermitian(rng, 2))]),
+            make_model([Finite(coin)]),
+        ):
+            assert not SamplerPlan(model).diagonal
+
+    def test_realize_diagonal_rejects_dense_plan(self):
+        plan = SamplerPlan(make_example("sec73", d=2))
+        with pytest.raises(ValueError):
+            plan.realize_diagonal(0, np.arange(2, dtype=np.uint64))
+
+
 class TestThreading:
     def test_worker_count_does_not_change_output(self, monkeypatch):
-        model = make_example("sec73", d=4)
+        self.check_worker_counts(monkeypatch, make_example("sec73", d=4))
+
+    @pytest.mark.parametrize("name", ["sec71", "sec74"])
+    def test_worker_count_does_not_change_diagonal_route(self, monkeypatch, name):
+        self.check_worker_counts(monkeypatch, make_example(name, d=8, n=3))
+
+    @staticmethod
+    def check_worker_counts(monkeypatch, model):
         cfg = MCConfig(samples=1000, seed=8)
         monkeypatch.setenv("MATCON_THREADS", "1")
         n1, m1 = collect_samples(model, cfg)
@@ -135,11 +186,53 @@ class TestThreading:
         assert np.array_equal(n1, n4)
         assert np.array_equal(m1, m4)
 
+    @pytest.mark.parametrize("name", ["sec73", "sec71", "sec74"])
+    def test_prefix_and_chunking_do_not_change_output(self, monkeypatch, name):
+        model = make_example(name, d=8, n=3)
+        # 300 samples run as chunks of 128; the first 100 alone as one chunk
+        n_all, m_all = collect_samples(model, MCConfig(samples=300, seed=9))
+        n_pre, m_pre = collect_samples(model, MCConfig(samples=100, seed=9))
+        assert np.array_equal(n_all[:100], n_pre)
+        assert np.array_equal(m_all[:100], m_pre)
+        monkeypatch.setattr("matcon.montecarlo._MAX_CHUNK", 7)
+        n_7, m_7 = collect_samples(model, MCConfig(samples=300, seed=9))
+        assert np.array_equal(n_all, n_7)
+        assert np.array_equal(m_all, m_7)
+
     def test_bad_thread_count_rejected(self, monkeypatch):
         model = make_example("sec73", d=2)
         monkeypatch.setenv("MATCON_THREADS", "0")
         with pytest.raises(ValueError):
             collect_samples(model, MCConfig(samples=10, seed=0))
+
+
+class TestMemoryGuard:
+    def test_byte_budget_shrinks_chunk_without_changing_output(self, monkeypatch):
+        model = make_example("sec73", d=4)
+        cfg = MCConfig(samples=50, seed=23)
+        want = collect_samples(model, cfg)
+        # room for three 4x4 complex realizations per chunk
+        monkeypatch.setattr("matcon.montecarlo._CHUNK_BYTES", 3 * 4 * 4 * 16)
+        assert _chunk_size(model, diagonal=False) == 3
+        got = collect_samples(model, cfg)
+        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want[1], got[1])
+
+    def test_sample_over_budget_rejected(self, monkeypatch):
+        monkeypatch.setattr("matcon.montecarlo._CHUNK_BYTES", 1000)
+        with pytest.raises(ValueError, match="4096 bytes"):
+            collect_samples(make_example("sec73", d=16), MCConfig(samples=4, seed=0))
+        with pytest.raises(ValueError, match="4096 bytes"):
+            empirical_second_moments(make_example("sec73", d=16), MCConfig(samples=4, seed=0))
+        # the diagonal route needs only 16 * 8 bytes per sample
+        collect_samples(make_example("sec71", d=16, n=1), MCConfig(samples=4, seed=0))
+
+    def test_fixed_matrix_stack_over_budget_rejected(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        model = make_model([FixedRademacher(rand_hermitian(rng, 4)) for _ in range(3)])
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 2 * 4 * 4 * 16)
+        with pytest.raises(ValueError, match="768 bytes"):
+            SamplerPlan(model)
 
 
 class TestEmpiricalMoments:
