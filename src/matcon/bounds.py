@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_hermitian, spectral_norm
+from .linalg import as_stack, hermitian_stack, spectral_norm
 from .models import IndependentSumModel, analytic_max_sq, analytic_second_moments
 from .oracles import FiniteSummand, brute_force_expected_norm, odd_double_factorial
 
@@ -126,17 +126,23 @@ def main_interval(inputs: BoundInputs) -> BoundInterval:
     return BoundInterval(lower=lower, upper=upper, constant=C)
 
 
+def _sum_of_squares(H_list) -> np.ndarray | None:
+    """sum_i H_i^2 of a Hermitian family validated as one stack, with the
+    terms added in list order; None for an empty family."""
+    H_list = list(H_list)
+    if not H_list:
+        return None
+    stack = hermitian_stack(as_stack(H_list, "matrices must share one dimension"))[0]
+    return sum(stack @ stack)
+
+
 def rademacher_bound(H_list) -> float:
     """sqrt(1 + 2 ceil(log d)) ||sum H_i^2||^(1/2): an upper bound on
     (E||sum eps_i H_i||^2)^(1/2) for fixed Hermitian H_i and fair signs."""
-    mats = [as_hermitian(h) for h in H_list]
-    if not mats:
+    total = _sum_of_squares(H_list)
+    if total is None:
         return 0.0
-    d = mats[0].dim
-    if any(m.dim != d for m in mats):
-        raise ValueError("matrices must share one dimension")
-    total = sum(m.array @ m.array for m in mats)
-    factor = math.sqrt(1.0 + 2.0 * math.ceil(math.log(d)))
+    factor = math.sqrt(1.0 + 2.0 * math.ceil(math.log(total.shape[0])))
     return factor * math.sqrt(spectral_norm(total))
 
 
@@ -151,13 +157,10 @@ def trace_moment_bound(H_list, p: int) -> float:
         raise ValueError("p must be >= 0")
     if p == 0:
         return math.inf
-    mats = [as_hermitian(h) for h in H_list]
-    if not mats:
+    total = _sum_of_squares(H_list)
+    if total is None:
         return 0.0
-    d = mats[0].dim
-    if any(m.dim != d for m in mats):
-        raise ValueError("matrices must share one dimension")
-    total = sum(m.array @ m.array for m in mats)
+    d = total.shape[0]
     norm = spectral_norm(total)
     return (d * odd_double_factorial(p)) ** (1.0 / (2.0 * p)) * math.sqrt(norm)
 

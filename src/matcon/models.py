@@ -570,6 +570,20 @@ class SamplerPlan:
                 coef = rng.gaussians(seed, col, pos, 0)
             yield b, coef
 
+    def _finite_choices(self, seed: int, idx: np.ndarray):
+        """Yield each Finite summand's outcome matrices and norms with the
+        (k,) outcome indices drawn for the batch."""
+        for pos, cums, mats, norms in self.finite:
+            u = rng.uniform_halfopen(seed, idx, pos, 0)
+            j = np.minimum(np.searchsorted(cums, u, side="right"), len(cums) - 1)
+            yield mats, norms, j
+
+    @staticmethod
+    def _bucket_max_sq(b: _Bucket, coef: np.ndarray) -> np.ndarray:
+        if b.mats is None:
+            return (coef**2).max(axis=1)
+        return ((coef * b.norms[None, :]) ** 2).max(axis=1)
+
     def realize(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
         """Realizations Z and max_i ||S_i||^2 for a batch of sample indices."""
         seed = seed_value(seed)
@@ -582,22 +596,27 @@ class SamplerPlan:
         for b, coef in self._coefficients(seed, idx):
             if b.mats is None:
                 z += _scatter(coef, b.rows * d2 + b.cols, d1 * d2).reshape(k, d1, d2)
-                np.maximum(max_sq, (coef**2).max(axis=1), out=max_sq)
             else:
                 z += np.einsum("kg,gab->kab", coef, b.mats, optimize=False)
-                np.maximum(
-                    max_sq, ((coef * b.norms[None, :]) ** 2).max(axis=1), out=max_sq
-                )
+            np.maximum(max_sq, self._bucket_max_sq(b, coef), out=max_sq)
 
-        for pos, cums, mats, norms in self.finite:
-            u = rng.uniform_halfopen(seed, idx, pos, 0)
-            j = np.minimum(
-                np.searchsorted(cums, u, side="right"), len(cums) - 1
-            )
+        for mats, norms, j in self._finite_choices(seed, idx):
             z += mats[j]
             np.maximum(max_sq, norms[j] ** 2, out=max_sq)
 
         return z, max_sq
+
+    def realize_max_sq(self, seed, indices) -> np.ndarray:
+        """max_i ||S_i||^2 alone for a batch of sample indices, identical to
+        the second output of `realize` without building Z."""
+        seed = seed_value(seed)
+        idx = np.asarray(indices, dtype=np.uint64)
+        max_sq = np.zeros(idx.shape[0])
+        for b, coef in self._coefficients(seed, idx):
+            np.maximum(max_sq, self._bucket_max_sq(b, coef), out=max_sq)
+        for _, norms, j in self._finite_choices(seed, idx):
+            np.maximum(max_sq, norms[j] ** 2, out=max_sq)
+        return max_sq
 
     def realize_diagonal(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
         """For a diagonal plan: the real diagonals (k, d) of the realizations
@@ -612,7 +631,7 @@ class SamplerPlan:
         max_sq = np.zeros(k)
         for b, coef in self._coefficients(seed, idx):
             diag += _scatter(coef, b.rows, self.model.d1)
-            np.maximum(max_sq, (coef**2).max(axis=1), out=max_sq)
+            np.maximum(max_sq, self._bucket_max_sq(b, coef), out=max_sq)
         return diag, max_sq
 
 

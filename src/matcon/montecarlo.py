@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundInputs, main_interval
-from .linalg import HermitianMatrix, spectral_norm
+from .linalg import HermitianMatrix, spectral_norm, spectral_norms
 from .models import (
     IndependentSumModel,
     SamplerPlan,
@@ -110,6 +110,19 @@ def _chunk_size(model: IndependentSumModel, diagonal: bool) -> int:
     return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
 
 
+def _for_chunks(samples: int, chunk: int, run) -> None:
+    """Call run(start, stop) for each chunk of the sample range, on up to
+    MATCON_THREADS threads; every call writes only its own slice."""
+    starts = range(0, samples, chunk)
+    threads = _thread_count()
+    if threads <= 1:
+        for s in starts:
+            run(s, min(s + chunk, samples))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda s: run(s, min(s + chunk, samples)), starts))
+
+
 def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order.
 
@@ -118,37 +131,20 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarr
     """
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
-    samples = cfg.samples
-    chunk = _chunk_size(model, plan.diagonal)
-    norms = np.empty(samples)
-    max_sq = np.empty(samples)
+    norms = np.empty(cfg.samples)
+    max_sq = np.empty(cfg.samples)
 
-    def run(start: int) -> None:
-        stop = min(start + chunk, samples)
+    def run(start: int, stop: int) -> None:
         idx = np.arange(start, stop, dtype=np.uint64)
         if plan.diagonal:
             diag, m = plan.realize_diagonal(seed, idx)
             norms[start:stop] = np.abs(diag).max(axis=1)
-            max_sq[start:stop] = m
-            return
-        z, m = plan.realize(seed, idx)
-        if model.d1 <= model.d2:
-            gram = z @ z.conj().transpose(0, 2, 1)
         else:
-            gram = z.conj().transpose(0, 2, 1) @ z
-        gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0
-        top = np.linalg.eigvalsh(gram)[:, -1]
-        norms[start:stop] = np.sqrt(np.clip(top, 0.0, None))
+            z, m = plan.realize(seed, idx)
+            norms[start:stop] = spectral_norms(z)
         max_sq[start:stop] = m
 
-    starts = range(0, samples, chunk)
-    threads = _thread_count()
-    if threads <= 1:
-        for s in starts:
-            run(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
+    _for_chunks(cfg.samples, _chunk_size(model, plan.diagonal), run)
     return norms, max_sq
 
 
@@ -197,8 +193,16 @@ def estimate_norm_moment(model: IndependentSumModel, r: int, cfg: MCConfig) -> E
 
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:
     """Estimate of E max_i ||S_i||^2, the square of the large-deviation
-    parameter."""
-    _, max_sq = collect_samples(model, cfg)
+    parameter; samples max_i ||S_i||^2 alone, never Z."""
+    plan = SamplerPlan(model)
+    seed = seed_value(cfg.seed)
+    max_sq = np.empty(cfg.samples)
+
+    def run(start: int, stop: int) -> None:
+        idx = np.arange(start, stop, dtype=np.uint64)
+        max_sq[start:stop] = plan.realize_max_sq(seed, idx)
+
+    _for_chunks(cfg.samples, _chunk_size(model, plan.diagonal), run)
     return _estimate(max_sq, cfg)
 
 
@@ -209,24 +213,16 @@ def empirical_second_moments(model: IndependentSumModel, cfg: MCConfig):
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     chunk = _chunk_size(model, diagonal=False)
-    starts = list(range(0, cfg.samples, chunk))
+    starts = range(0, cfg.samples, chunk)
     partials: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(starts)
 
-    def run(slot: int) -> None:
-        start = starts[slot]
-        stop = min(start + chunk, cfg.samples)
+    def run(start: int, stop: int) -> None:
         z, _ = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
         left = np.einsum("kab,kcb->ac", z, z.conj(), optimize=False)
         right = np.einsum("kba,kbc->ac", z.conj(), z, optimize=False)
-        partials[slot] = (left, right)
+        partials[start // chunk] = (left, right)
 
-    threads = _thread_count()
-    if threads <= 1:
-        for i in range(len(starts)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(starts))))
+    _for_chunks(cfg.samples, chunk, run)
 
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)

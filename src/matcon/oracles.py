@@ -27,7 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HermitianMatrix, as_hermitian, as_rect, dilation, spectral_norm
+from .linalg import (
+    as_hermitian,
+    as_rect,
+    as_stack,
+    dilation_stack,
+    frobenius_norms,
+    gram_top_eigenvalues,
+    hermitian_stack,
+    require_finite,
+    spectral_norms,
+)
 
 KINDS = (
     "heinz",
@@ -45,7 +55,10 @@ _REL_TOL = 1e-9
 _PSD_TOL_REL = 1e-10
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
+# combinations whose probability-weighted values are summed at a time
 _ENUM_CHUNK = 1 << 14
+# bytes of outcome sums whose Gram matrices are formed at a time
+_GRAM_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class FiniteSummand:
     """A random matrix with finite support: outcomes [(probability, matrix)].
 
     Probabilities must be positive and sum to 1 within 1e-12; all outcome
-    matrices share one shape.
+    matrices share one shape.  The outcomes are validated as one stack.
     """
 
     __slots__ = ("probabilities", "matrices")
@@ -80,13 +93,20 @@ class FiniteSummand:
         if not pairs:
             raise ValueError("FiniteSummand needs at least one outcome")
         probs = np.array([float(p) for p, _ in pairs], dtype=np.float64)
-        if np.any(probs <= 0.0):
+        mats = as_stack((m for _, m in pairs), "outcome matrices must share one shape")
+        self._set(probs, mats)
+
+    @classmethod
+    def _of_stack(cls, probs: np.ndarray, mats: np.ndarray) -> "FiniteSummand":
+        out = cls.__new__(cls)
+        out._set(probs, require_finite(mats))
+        return out
+
+    def _set(self, probs: np.ndarray, mats: np.ndarray) -> None:
+        if (probs <= 0.0).any():
             raise ValueError("outcome probabilities must be positive")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        mats = np.stack([as_rect(m).array for _, m in pairs])
-        if mats.ndim != 3:
-            raise ValueError("outcome matrices must share one shape")
         probs.setflags(write=False)
         mats.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
@@ -110,32 +130,99 @@ class FiniteSummand:
         return np.tensordot(self.probabilities, self.matrices, axes=(0, 0))
 
     def outcome_norms(self) -> np.ndarray:
-        return np.array([spectral_norm(m) for m in self.matrices])
+        return spectral_norms(self.matrices)
 
     def centered(self) -> "FiniteSummand":
-        mu = self.mean()
-        return FiniteSummand(
-            [(p, m - mu) for p, m in zip(self.probabilities, self.matrices)]
-        )
+        return FiniteSummand._of_stack(self.probabilities, self.matrices - self.mean())
 
     def sign_modulated(self) -> "FiniteSummand":
-        """Support of eps * S for an independent fair sign eps."""
-        out = []
-        for p, m in zip(self.probabilities, self.matrices):
-            out.append((p / 2.0, m))
-            out.append((p / 2.0, -m))
-        return FiniteSummand(out)
+        """Support of eps * S for an independent fair sign eps: the outcomes
+        m_1 .. m_k, then -m_k .. -m_1, each with half its probability, so the
+        support read backwards is its own negation."""
+        half = self.probabilities / 2.0
+        return FiniteSummand._of_stack(
+            np.concatenate([half, half[::-1]]),
+            np.concatenate([self.matrices, -self.matrices[::-1]]),
+        )
 
 
 def as_finite_summand(s) -> FiniteSummand:
     return s if isinstance(s, FiniteSummand) else FiniteSummand(s)
 
 
+# ---------------------------------------------------------------------------
+# Fact cases.  A *batch* holds k cases of one kind as a dict of stacked
+# arrays keyed like the FactCase payload: (k, d, d) for a matrix field,
+# (k, n, d, d) for sum_squares' matrices, (k,) for a scalar.  Validation and
+# evaluation work on batches; FactCase and verify_fact use batches of one,
+# the sweeps batches of every case with the same shapes.  Stacked matmul,
+# eigvalsh and trace give bit-identical values to the per-matrix calls, so a
+# case's result does not depend on the batch it is evaluated in.
+# ---------------------------------------------------------------------------
+
+# payload fields that hold Hermitian matrices, in constructor order
+_HERMITIAN_FIELDS = {
+    "gm_am_trace": ("H", "W", "Y"),
+    "sum_squares": ("mats",),
+    "trace_product": ("H", "A"),
+    "monotonicity": ("A", "H"),
+    "diff_powers": ("W", "Y"),
+}
+
+
+def _require(ok: np.ndarray, message: str) -> None:
+    if not np.all(ok):
+        raise ValueError(message)
+
+
 def _require_psd(a: np.ndarray, what: str) -> None:
-    smallest = float(np.linalg.eigvalsh(a)[0])
-    limit = _PSD_TOL_REL * max(1.0, float(np.linalg.norm(a, ord="fro")))
-    if smallest < -limit:
-        raise ValueError(f"{what} must be PSD; smallest eigenvalue {smallest:.3e}")
+    """Raise for the first matrix of a (k, d, d) or (k, n, d, d) stack whose
+    smallest eigenvalue is below -1e-10 * max(1, ||M||_F); in a (k, n, d, d)
+    stack the message names the matrix's index within its case."""
+    flat = a.reshape((-1,) + a.shape[-2:])
+    smallest = np.linalg.eigvalsh(flat)[:, 0]
+    limit = _PSD_TOL_REL * np.maximum(1.0, frobenius_norms(flat))
+    bad = np.flatnonzero(smallest < -limit)
+    if bad.size:
+        i = bad[0]
+        if a.ndim == 4:
+            what = f"{what} {i % a.shape[1]}"
+        raise ValueError(f"{what} must be PSD; smallest eigenvalue {smallest[i]:.3e}")
+
+
+def _check_hypotheses(kind: str, b: dict) -> None:
+    """Raise for a case of batch `b` that violates a hypothesis of `kind`
+    (Hermitian structure is checked when the matrices are symmetrized)."""
+    if kind == "heinz":
+        _require(~((b["lam"] < 0) | (b["mu"] < 0)), "heinz needs lam, mu >= 0")
+        _require((0.0 <= b["theta"]) & (b["theta"] <= 1.0), "heinz needs theta in [0, 1]")
+    elif kind == "gm_am_trace":
+        r, q = b["r"], b["q"]
+        _require((r >= 0) & (0 <= q) & (q <= 2 * r),
+                 "gm_am_trace needs r >= 0 and 0 <= q <= 2r")
+    elif kind == "sum_squares":
+        _require_psd(b["mats"], "sum_squares matrix")
+    elif kind == "trace_product":
+        _require_psd(b["A"], "trace_product right factor")
+    elif kind == "monotonicity":
+        _require_psd(b["H"] - b["A"], "monotonicity difference H - A")
+    elif kind == "diff_powers":
+        _require(b["p"] >= 1, "diff_powers needs p >= 1")
+    elif kind == "double_factorial":
+        _require(b["p"] >= 0, "double_factorial needs p >= 0")
+
+
+def _validated(kind: str, b: dict) -> dict:
+    """Batch `b` of raw draws checked as the FactCase constructor of `kind`
+    checks one case, with its Hermitian fields symmetrized."""
+    b = dict(b)
+    for key in _HERMITIAN_FIELDS.get(kind, ()):
+        a = require_finite(b[key])
+        b[key] = hermitian_stack(a.reshape((-1,) + a.shape[-2:]))[0].reshape(a.shape)
+    if kind == "dilation_square":
+        require_finite(b["B"])
+    _check_hypotheses(kind, b)
+    return b
 
 
 @dataclass(frozen=True)
@@ -151,71 +238,70 @@ class FactCase:
     payload: dict
 
     @classmethod
+    def _checked(cls, kind: str, payload: dict) -> "FactCase":
+        case = cls(kind, payload)
+        _check_hypotheses(kind, case._batch())
+        return case
+
+    def _batch(self) -> dict:
+        """The payload as a batch of one case."""
+        out = {}
+        for key, value in self.payload.items():
+            if isinstance(value, tuple):
+                value = np.stack([m.array for m in value])
+            out[key] = np.asarray(getattr(value, "array", value))[None]
+        return out
+
+    @classmethod
     def heinz(cls, lam: float, mu: float, theta: float) -> "FactCase":
-        lam, mu, theta = float(lam), float(mu), float(theta)
-        if lam < 0 or mu < 0:
-            raise ValueError("heinz needs lam, mu >= 0")
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("heinz needs theta in [0, 1]")
-        return cls("heinz", {"lam": lam, "mu": mu, "theta": theta})
+        payload = {"lam": float(lam), "mu": float(mu), "theta": float(theta)}
+        return cls._checked("heinz", payload)
 
     @classmethod
     def gm_am_trace(cls, H, W, Y, r: int, q: int) -> "FactCase":
         H, W, Y = as_hermitian(H), as_hermitian(W), as_hermitian(Y)
         if not (H.dim == W.dim == Y.dim):
             raise ValueError("gm_am_trace needs equal dimensions")
-        r, q = int(r), int(q)
-        if r < 0 or not 0 <= q <= 2 * r:
-            raise ValueError("gm_am_trace needs r >= 0 and 0 <= q <= 2r")
-        return cls("gm_am_trace", {"H": H, "W": W, "Y": Y, "r": r, "q": q})
+        payload = {"H": H, "W": W, "Y": Y, "r": int(r), "q": int(q)}
+        return cls._checked("gm_am_trace", payload)
 
     @classmethod
     def sum_squares(cls, mats) -> "FactCase":
-        ms = [as_hermitian(m) for m in mats]
+        ms = tuple(as_hermitian(m) for m in mats)
         if not ms:
             raise ValueError("sum_squares needs at least one matrix")
         if len({m.dim for m in ms}) != 1:
             raise ValueError("sum_squares needs equal dimensions")
-        for k, m in enumerate(ms):
-            _require_psd(m.array, f"sum_squares matrix {k}")
-        return cls("sum_squares", {"mats": tuple(ms)})
+        return cls._checked("sum_squares", {"mats": ms})
 
     @classmethod
     def trace_product(cls, H, A) -> "FactCase":
         H, A = as_hermitian(H), as_hermitian(A)
         if H.dim != A.dim:
             raise ValueError("trace_product needs equal dimensions")
-        _require_psd(A.array, "trace_product right factor")
-        return cls("trace_product", {"H": H, "A": A})
+        return cls._checked("trace_product", {"H": H, "A": A})
 
     @classmethod
     def monotonicity(cls, A, H) -> "FactCase":
         A, H = as_hermitian(A), as_hermitian(H)
         if A.dim != H.dim:
             raise ValueError("monotonicity needs equal dimensions")
-        _require_psd(H.array - A.array, "monotonicity difference H - A")
-        return cls("monotonicity", {"A": A, "H": H})
+        return cls._checked("monotonicity", {"A": A, "H": H})
 
     @classmethod
     def diff_powers(cls, W, Y, p: int) -> "FactCase":
         W, Y = as_hermitian(W), as_hermitian(Y)
         if W.dim != Y.dim:
             raise ValueError("diff_powers needs equal dimensions")
-        p = int(p)
-        if p < 1:
-            raise ValueError("diff_powers needs p >= 1")
-        return cls("diff_powers", {"W": W, "Y": Y, "p": p})
+        return cls._checked("diff_powers", {"W": W, "Y": Y, "p": int(p)})
 
     @classmethod
     def double_factorial(cls, p: int) -> "FactCase":
-        p = int(p)
-        if p < 0:
-            raise ValueError("double_factorial needs p >= 0")
-        return cls("double_factorial", {"p": p})
+        return cls._checked("double_factorial", {"p": int(p)})
 
     @classmethod
     def dilation_square(cls, B) -> "FactCase":
-        return cls("dilation_square", {"B": as_rect(B)})
+        return cls._checked("dilation_square", {"B": as_rect(B)})
 
 
 def odd_double_factorial(p: int) -> int:
@@ -223,44 +309,143 @@ def odd_double_factorial(p: int) -> int:
     return math.prod(range(1, 2 * p, 2))
 
 
-def _npow(a: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(a.shape[0], dtype=np.complex128)
-    for _ in range(k):
-        out = out @ a
+def _power_table(a: np.ndarray, top: int) -> np.ndarray:
+    """(top + 1, k, d, d) table of the powers a^0 .. a^top of each matrix of
+    a (k, d, d) stack, by repeated right multiplication from the identity."""
+    out = np.empty((top + 1,) + a.shape, dtype=np.complex128)
+    out[0] = np.eye(a.shape[-1])
+    for j in range(top):
+        out[j + 1] = out[j] @ a
     return out
 
 
-def _power_list(a: np.ndarray, top: int) -> list[np.ndarray]:
-    powers = [np.eye(a.shape[0], dtype=np.complex128)]
-    for _ in range(top):
-        powers.append(powers[-1] @ a)
-    return powers
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=1, axis2=2).real
 
 
-def _ineq_result(kind: str, lhs: float, rhs: float, detail=None) -> CheckResult:
-    tol = _REL_TOL * max(1.0, abs(rhs))
-    return CheckResult(
-        holds=bool(lhs <= rhs + tol),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(rhs - lhs),
-        tolerance=tol,
-        kind=kind,
-        detail=detail or {},
-    )
+# Evaluators: batch -> (lhs, rhs) for inequalities, (deviation, scale,
+# detail arrays) for identities.
 
 
-def _identity_result(kind: str, deviation: float, scale: float, detail=None) -> CheckResult:
-    tol = _REL_TOL * max(1.0, scale)
-    return CheckResult(
-        holds=bool(abs(deviation) <= tol),
-        lhs=float(deviation),
-        rhs=0.0,
-        slack=float(-deviation),
-        tolerance=tol,
-        kind=kind,
-        detail=detail or {},
-    )
+def _heinz(b):
+    lhs = [
+        lam**t * mu ** (1.0 - t) + lam ** (1.0 - t) * mu**t
+        for lam, mu, t in zip(b["lam"].tolist(), b["mu"].tolist(), b["theta"].tolist())
+    ]
+    return np.array(lhs), b["lam"] + b["mu"]
+
+
+def _gm_am_trace(b):
+    H, W, Y, r, q = b["H"], b["W"], b["Y"], b["r"], b["q"]
+    top = int(2 * r.max())
+    wp, yp = _power_table(W, top), _power_table(Y, top)
+    at = np.arange(len(r))
+    wq, w2rq, w2r = wp[q, at], wp[2 * r - q, at], wp[2 * r, at]
+    yq, y2rq, y2r = yp[q, at], yp[2 * r - q, at], yp[2 * r, at]
+    lhs = _trace(H @ wq @ H @ y2rq) + _trace(H @ w2rq @ H @ yq)
+    return lhs, _trace(H @ H @ (w2r + y2r))
+
+
+def _sum_squares(b):
+    mats = b["mats"]
+    k, n, d, _ = mats.shape
+    squares = mats @ mats
+    lhs = spectral_norms(sum(squares[:, j] for j in range(n)))
+    largest = spectral_norms(mats.reshape(-1, d, d)).reshape(k, n).max(axis=1)
+    return lhs, largest * spectral_norms(sum(mats[:, j] for j in range(n)))
+
+
+def _trace_product(b):
+    H, A = b["H"], b["A"]
+    return _trace(H @ A), spectral_norms(H) * _trace(A)
+
+
+def _monotonicity(b):
+    return np.linalg.eigvalsh(b["A"])[:, -1], np.linalg.eigvalsh(b["H"])[:, -1]
+
+
+def _diff_powers(b):
+    W, Y, p = b["W"], b["Y"], b["p"]
+    top = 2 * p - 2
+    most = int(top.max())
+    wp, yp = _power_table(W, most + 1), _power_table(Y, most + 1)
+    at = np.arange(len(p))
+    left = wp[top + 1, at] - yp[top + 1, at]
+    diff = W - Y
+    right = np.zeros_like(left)
+    for j in range(most + 1):
+        s = np.flatnonzero(top >= j)
+        right[s] += wp[j, s] @ diff[s] @ yp[top[s] - j, s]
+    scale = np.maximum(frobenius_norms(left), frobenius_norms(right))
+    return frobenius_norms(left - right), scale, {}
+
+
+def _double_factorial(b):
+    ps = b["p"].tolist()
+    lhs = [float(odd_double_factorial(p)) for p in ps]
+    return np.array(lhs), np.array([((2.0 * p + 1.0) / math.e) ** p for p in ps])
+
+
+def _dilation_square(b):
+    B = b["B"]
+    d1 = B.shape[1]
+    Bh = B.conj().transpose(0, 2, 1)
+    D = hermitian_stack(dilation_stack(B))[0]
+    square = D @ D
+    target = np.zeros_like(square)
+    target[:, :d1, :d1] = B @ Bh
+    target[:, d1:, d1:] = Bh @ B
+    scale = np.maximum(frobenius_norms(square), frobenius_norms(target))
+    detail = {
+        "upper_block_deviation": frobenius_norms(square[:, :d1, :d1] - target[:, :d1, :d1]),
+        "lower_block_deviation": frobenius_norms(square[:, d1:, d1:] - target[:, d1:, d1:]),
+        "offdiagonal_mass": frobenius_norms(square[:, :d1, d1:])
+        + frobenius_norms(square[:, d1:, :d1]),
+    }
+    return frobenius_norms(square - target), scale, detail
+
+
+_EVALUATORS = {
+    "heinz": _heinz,
+    "gm_am_trace": _gm_am_trace,
+    "sum_squares": _sum_squares,
+    "trace_product": _trace_product,
+    "monotonicity": _monotonicity,
+    "diff_powers": _diff_powers,
+    "double_factorial": _double_factorial,
+    "dilation_square": _dilation_square,
+}
+
+
+def _evaluate(kind: str, b: dict, inject_fault: bool = False):
+    """(holds, result) for batch `b`: the verdict of each case, and a function
+    building the CheckResult of case i."""
+    detail = {}
+    if kind in _IDENTITY_KINDS:
+        lhs, scale, detail = _EVALUATORS[kind](b)
+        rhs, slack = np.zeros_like(lhs), -lhs
+        tol = _REL_TOL * np.maximum(1.0, scale)
+        holds = np.abs(lhs) <= tol
+    else:
+        lhs, rhs = _EVALUATORS[kind](b)
+        if inject_fault and kind == "gm_am_trace":
+            rhs = rhs / 2.0  # the planted fault of verify_fact's docstring
+        slack = rhs - lhs
+        tol = _REL_TOL * np.maximum(1.0, np.abs(rhs))
+        holds = lhs <= rhs + tol
+
+    def result(i: int) -> CheckResult:
+        return CheckResult(
+            holds=bool(holds[i]),
+            lhs=float(lhs[i]),
+            rhs=float(rhs[i]),
+            slack=float(slack[i]),
+            tolerance=float(tol[i]),
+            kind=kind,
+            detail={key: float(v[i]) for key, v in detail.items()},
+        )
+
+    return holds, result
 
 
 def verify_fact(case: FactCase, inject_fault: bool = False) -> CheckResult:
@@ -270,90 +455,9 @@ def verify_fact(case: FactCase, inject_fault: bool = False) -> CheckResult:
     gm_am_trace right-hand side (halving it, as if the two-term sum had been
     averaged) so harnesses can confirm they detect planted violations.
     """
-    p = case.payload
-    if case.kind == "heinz":
-        lam, mu, theta = p["lam"], p["mu"], p["theta"]
-        lhs = lam**theta * mu ** (1.0 - theta) + lam ** (1.0 - theta) * mu**theta
-        return _ineq_result(case.kind, lhs, lam + mu)
-
-    if case.kind == "gm_am_trace":
-        H, W, Y = p["H"].array, p["W"].array, p["Y"].array
-        r, q = p["r"], p["q"]
-        wq, w2rq, w2r = _npow(W, q), _npow(W, 2 * r - q), _npow(W, 2 * r)
-        yq, y2rq, y2r = _npow(Y, q), _npow(Y, 2 * r - q), _npow(Y, 2 * r)
-        lhs = float(np.trace(H @ wq @ H @ y2rq).real)
-        lhs += float(np.trace(H @ w2rq @ H @ yq).real)
-        rhs = float(np.trace(H @ H @ (w2r + y2r)).real)
-        if inject_fault:
-            rhs = rhs / 2.0
-        return _ineq_result(case.kind, lhs, rhs)
-
-    if case.kind == "sum_squares":
-        mats = [m.array for m in p["mats"]]
-        lhs = spectral_norm(sum(m @ m for m in mats))
-        rhs = max(spectral_norm(m) for m in mats) * spectral_norm(sum(mats))
-        return _ineq_result(case.kind, lhs, rhs)
-
-    if case.kind == "trace_product":
-        H, A = p["H"].array, p["A"].array
-        lhs = float(np.trace(H @ A).real)
-        rhs = spectral_norm(H) * float(np.trace(A).real)
-        return _ineq_result(case.kind, lhs, rhs)
-
-    if case.kind == "monotonicity":
-        lhs = float(np.linalg.eigvalsh(p["A"].array)[-1])
-        rhs = float(np.linalg.eigvalsh(p["H"].array)[-1])
-        return _ineq_result(case.kind, lhs, rhs)
-
-    if case.kind == "diff_powers":
-        W, Y, pw = p["W"].array, p["Y"].array, p["p"]
-        top = 2 * pw - 2
-        wpows = _power_list(W, top + 1)
-        ypows = _power_list(Y, top + 1)
-        left = wpows[2 * pw - 1] - ypows[2 * pw - 1]
-        diff = W - Y
-        right = np.zeros_like(left)
-        for k in range(top + 1):
-            right += wpows[k] @ diff @ ypows[top - k]
-        scale = max(
-            float(np.linalg.norm(left, ord="fro")),
-            float(np.linalg.norm(right, ord="fro")),
-        )
-        deviation = float(np.linalg.norm(left - right, ord="fro"))
-        return _identity_result(case.kind, deviation, scale)
-
-    if case.kind == "double_factorial":
-        pw = p["p"]
-        lhs = float(odd_double_factorial(pw))
-        rhs = ((2.0 * pw + 1.0) / math.e) ** pw
-        return _ineq_result(case.kind, lhs, rhs)
-
-    if case.kind == "dilation_square":
-        B = p["B"].array
-        d1, d2 = B.shape
-        D = dilation(B).array
-        square = D @ D
-        target = np.zeros_like(square)
-        target[:d1, :d1] = B @ B.conj().T
-        target[d1:, d1:] = B.conj().T @ B
-        deviation = float(np.linalg.norm(square - target, ord="fro"))
-        scale = max(
-            float(np.linalg.norm(square, ord="fro")),
-            float(np.linalg.norm(target, ord="fro")),
-        )
-        detail = {
-            "upper_block_deviation": float(
-                np.linalg.norm(square[:d1, :d1] - target[:d1, :d1], ord="fro")
-            ),
-            "lower_block_deviation": float(
-                np.linalg.norm(square[d1:, d1:] - target[d1:, d1:], ord="fro")
-            ),
-            "offdiagonal_mass": float(np.linalg.norm(square[:d1, d1:], ord="fro"))
-            + float(np.linalg.norm(square[d1:, :d1], ord="fro")),
-        }
-        return _identity_result(case.kind, deviation, scale, detail)
-
-    raise ValueError(f"unknown fact kind: {case.kind!r}")
+    if case.kind not in _EVALUATORS:
+        raise ValueError(f"unknown fact kind: {case.kind!r}")
+    return _evaluate(case.kind, case._batch(), inject_fault)[1](0)
 
 
 def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -362,6 +466,8 @@ def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_C
     Summands must have finite support and equal shapes; the total number of
     outcome combinations must not exceed cap.  Enumeration follows a
     mixed-radix counter over outcome indices (row-major, last summand fastest).
+    ||z||^2 is the top eigenvalue of the Gram matrix of the smaller side; the
+    enumeration holds one such value per combination.
     """
     ss = [as_finite_summand(s) for s in summands]
     if not ss:
@@ -376,17 +482,29 @@ def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_C
         raise ValueError(f"enumeration needs {total} combinations, cap is {cap}")
 
     d1, d2 = ss[0].shape
+    # When every support read backwards is its own negation, rank total-1-q
+    # sums the negated outcomes of rank q and has the same norm, so only the
+    # first half of the ranks needs a Gram eigenvalue.
+    mirrored = all(np.array_equal(s.matrices[::-1], -s.matrices) for s in ss)
+    half = (total + 1) // 2 if mirrored else total
+    step = max(1, _GRAM_BYTES // (d1 * d2 * 16))
+    sq_norms = np.empty(total)
+    for start in range(0, half, step):
+        ranks = np.arange(start, min(start + step, half))
+        z = np.zeros((len(ranks), d1, d2), dtype=np.complex128)
+        for s, ix in zip(ss, np.unravel_index(ranks, counts)):
+            z += s.matrices[ix]
+        sq_norms[start : start + len(ranks)] = gram_top_eigenvalues(z)
+    sq_norms[half:] = sq_norms[: total - half][::-1]
+    sq_norms = np.maximum(sq_norms, 0.0)
+    values = sq_norms if r == 2 else np.sqrt(sq_norms) ** int(r)
     acc = 0.0
     for start in range(0, total, _ENUM_CHUNK):
         ranks = np.arange(start, min(start + _ENUM_CHUNK, total))
-        idx = np.unravel_index(ranks, counts)
-        z = np.zeros((len(ranks), d1, d2), dtype=np.complex128)
         probs = np.ones(len(ranks))
-        for s, ix in zip(ss, idx):
-            z += s.matrices[ix]
+        for s, ix in zip(ss, np.unravel_index(ranks, counts)):
             probs *= s.probabilities[ix]
-        norms = np.linalg.svd(z, compute_uv=False)[:, 0]
-        acc += float(np.dot(probs, norms ** int(r)))
+        acc += float(np.dot(probs, values[start : start + len(ranks)]))
     return acc
 
 
@@ -431,6 +549,52 @@ def random_psd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarr
     return np.asarray(scale * (g @ g.conj().T) / d)
 
 
+def _draw_case(
+    kind: str, rng: np.random.Generator, max_dim: int = 6, max_r: int = 3, max_p: int = 6
+) -> dict:
+    """The raw draws of one random case of `kind`, as the keyword arguments
+    of its FactCase constructor."""
+    if kind == "heinz":
+        lam = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 10.0))
+        mu = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 10.0))
+        u = rng.random()
+        theta = 0.0 if u < 0.05 else 1.0 if u < 0.1 else float(rng.random())
+        return {"lam": lam, "mu": mu, "theta": theta}
+    if kind == "gm_am_trace":
+        d = int(rng.integers(1, max_dim + 1))
+        r = int(rng.integers(0, max_r + 1))
+        q = int(rng.integers(0, 2 * r + 1))
+        return {
+            "H": random_hermitian(rng, d),
+            "W": random_hermitian(rng, d),
+            "Y": random_hermitian(rng, d),
+            "r": r,
+            "q": q,
+        }
+    if kind == "sum_squares":
+        d = int(rng.integers(1, max_dim + 1))
+        n = int(rng.integers(1, 6))
+        return {"mats": np.stack([random_psd(rng, d) for _ in range(n)])}
+    if kind == "trace_product":
+        d = int(rng.integers(1, max_dim + 1))
+        return {"H": random_hermitian(rng, d), "A": random_psd(rng, d)}
+    if kind == "monotonicity":
+        d = int(rng.integers(1, max_dim + 1))
+        a = random_hermitian(rng, d)
+        return {"A": a, "H": a + random_psd(rng, d)}
+    if kind == "diff_powers":
+        d = int(rng.integers(1, max_dim + 1))
+        p = int(rng.integers(1, max_p + 1))
+        return {"W": random_hermitian(rng, d), "Y": random_hermitian(rng, d), "p": p}
+    if kind == "double_factorial":
+        return {"p": int(rng.integers(0, max_p + 1))}
+    if kind == "dilation_square":
+        d1 = int(rng.integers(1, max_dim + 1))
+        d2 = int(rng.integers(1, max_dim + 1))
+        return {"B": rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))}
+    raise ValueError(f"unknown fact kind: {kind!r}")
+
+
 def random_fact_case(
     kind: str,
     rng: np.random.Generator,
@@ -439,48 +603,7 @@ def random_fact_case(
     max_p: int = 6,
 ) -> FactCase:
     """One random valid case of the given kind."""
-    if kind == "heinz":
-        lam = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 10.0))
-        mu = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 10.0))
-        u = rng.random()
-        theta = 0.0 if u < 0.05 else 1.0 if u < 0.1 else float(rng.random())
-        return FactCase.heinz(lam, mu, theta)
-    if kind == "gm_am_trace":
-        d = int(rng.integers(1, max_dim + 1))
-        r = int(rng.integers(0, max_r + 1))
-        q = int(rng.integers(0, 2 * r + 1))
-        return FactCase.gm_am_trace(
-            random_hermitian(rng, d),
-            random_hermitian(rng, d),
-            random_hermitian(rng, d),
-            r,
-            q,
-        )
-    if kind == "sum_squares":
-        d = int(rng.integers(1, max_dim + 1))
-        n = int(rng.integers(1, 6))
-        return FactCase.sum_squares([random_psd(rng, d) for _ in range(n)])
-    if kind == "trace_product":
-        d = int(rng.integers(1, max_dim + 1))
-        return FactCase.trace_product(random_hermitian(rng, d), random_psd(rng, d))
-    if kind == "monotonicity":
-        d = int(rng.integers(1, max_dim + 1))
-        a = random_hermitian(rng, d)
-        return FactCase.monotonicity(a, a + random_psd(rng, d))
-    if kind == "diff_powers":
-        d = int(rng.integers(1, max_dim + 1))
-        p = int(rng.integers(1, max_p + 1))
-        return FactCase.diff_powers(
-            random_hermitian(rng, d), random_hermitian(rng, d), p
-        )
-    if kind == "double_factorial":
-        return FactCase.double_factorial(int(rng.integers(0, max_p + 1)))
-    if kind == "dilation_square":
-        d1 = int(rng.integers(1, max_dim + 1))
-        d2 = int(rng.integers(1, max_dim + 1))
-        g = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
-        return FactCase.dilation_square(g)
-    raise ValueError(f"unknown fact kind: {kind!r}")
+    return getattr(FactCase, kind)(**_draw_case(kind, rng, max_dim, max_r, max_p))
 
 
 def case_rng(seed: int, kind: str, index: int) -> np.random.Generator:
@@ -503,6 +626,40 @@ class SweepResult:
         return not self.failures
 
 
+# cases drawn and checked at a time: bounds a sweep's memory, not its results
+_SWEEP_BLOCK = 256
+
+
+def _stack(draws: list[dict]) -> dict:
+    return {key: np.stack([d[key] for d in draws]) for key in draws[0]}
+
+
+def _validated_batches(kind: str, draws: list[dict]):
+    """Yield the draws stacked by shape (dimension) and validated, as
+    (positions, batch) pairs.  An invalid draw raises, once every stack has
+    been checked, the error its FactCase constructor raises, for the first
+    invalid draw in list order."""
+    groups: dict[tuple, list[int]] = {}
+    for j, draw in enumerate(draws):
+        groups.setdefault(tuple(np.shape(v) for v in draw.values()), []).append(j)
+    first = None
+    for ix in groups.values():
+        try:
+            batch = _validated(kind, _stack([draws[j] for j in ix]))
+        except ValueError:
+            for j in ix:
+                try:
+                    _validated(kind, _stack([draws[j]]))
+                except ValueError as err:
+                    if first is None or j < first[0]:
+                        first = (j, err)
+                    break
+            continue
+        yield ix, batch
+    if first is not None:
+        raise first[1]
+
+
 def sweep_fact_kind(
     kind: str,
     cases: int,
@@ -512,14 +669,25 @@ def sweep_fact_kind(
     max_p: int = 6,
     inject_fault: bool = False,
 ) -> SweepResult:
+    """Check `cases` random cases of `kind`.
+
+    Case i is drawn from case_rng(seed, kind, i) exactly as random_fact_case
+    draws it, and checked in a batch of the cases with its shapes by the same
+    validation and evaluation that FactCase and verify_fact apply to it
+    alone, so each failure equals verify_fact on its replayed case.
+    """
     if kind not in _KIND_INDEX:
         raise ValueError(f"unknown fact kind {kind!r}; expected one of {KINDS}")
     failures = []
-    for i in range(cases):
-        case = random_fact_case(kind, case_rng(seed, kind, i), max_dim, max_r, max_p)
-        result = verify_fact(case, inject_fault=inject_fault)
-        if not result.holds:
-            failures.append((i, result))
+    for start in range(0, cases, _SWEEP_BLOCK):
+        draws = [
+            _draw_case(kind, case_rng(seed, kind, i), max_dim, max_r, max_p)
+            for i in range(start, min(start + _SWEEP_BLOCK, cases))
+        ]
+        for ix, batch in _validated_batches(kind, draws):
+            holds, result = _evaluate(kind, batch, inject_fault)
+            failures.extend((start + ix[j], result(j)) for j in np.flatnonzero(~holds))
+    failures.sort(key=lambda f: f[0])
     return SweepResult(kind=kind, cases=cases, failures=tuple(failures))
 
 

@@ -16,6 +16,13 @@ from matcon import (
     spectral_norm,
     trace,
 )
+from matcon.linalg import (
+    as_stack,
+    dilation_stack,
+    frobenius_norms,
+    hermitian_stack,
+    spectral_norms,
+)
 
 
 def rand_hermitian(rng, d):
@@ -287,3 +294,55 @@ class TestPowerTraceDilation:
         lhs = dilation(as_rect(2.0 * b - 0.5 * c)).array
         rhs = 2.0 * dilation(as_rect(b)).array - 0.5 * dilation(as_rect(c)).array
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestStacks:
+    """Stack helpers give bit-identical values to the per-matrix operations."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (6, 6), (2, 5), (7, 3)])
+    def test_norms_match_per_matrix(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(size=(40,) + shape) + 1j * rng.normal(size=(40,) + shape)
+        assert np.array_equal(
+            frobenius_norms(a), [np.linalg.norm(m, ord="fro") for m in a]
+        )
+        assert np.array_equal(spectral_norms(a), [spectral_norm(m) for m in a])
+        # a strided view, as the block norms of a dilation square take
+        view = a[:, : shape[0] // 2 + 1, 1:]
+        if view.size:
+            assert np.array_equal(
+                frobenius_norms(view), [np.linalg.norm(m, ord="fro") for m in view]
+            )
+
+    def test_hermitian_stack_matches_hermitian_matrix(self):
+        rng = np.random.default_rng(71)
+        a = np.stack([rand_hermitian(rng, 4).array for _ in range(10)])
+        a = a + 1e-14 * rng.normal(size=a.shape)
+        sym, defect = hermitian_stack(a)
+        for k in range(10):
+            h = HermitianMatrix(a[k])
+            assert np.array_equal(sym[k], h.array)
+            assert defect[k] == h.defect
+
+    def test_hermitian_stack_reports_first_bad_matrix(self):
+        a = np.zeros((4, 2, 2), dtype=np.complex128)
+        a[1, 0, 1] = 1.0
+        a[3, 0, 1] = 2.0
+        with pytest.raises(ValueError, match="defect 7.071e-01"):
+            hermitian_stack(a)
+
+    def test_dilation_stack_matches_dilation(self):
+        rng = np.random.default_rng(72)
+        b = rng.normal(size=(5, 2, 3)) + 1j * rng.normal(size=(5, 2, 3))
+        got = dilation_stack(b)
+        for k in range(5):
+            assert np.array_equal(got[k], dilation(b[k]).array)
+
+    def test_as_stack_validates_once(self):
+        assert as_stack([np.eye(2), as_hermitian(np.eye(2))]).shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="share one shape"):
+            as_stack([np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="2-d"):
+            as_stack([np.ones(3)])
+        with pytest.raises(ValueError, match="finite"):
+            as_stack([np.eye(2), np.full((2, 2), np.inf)])

@@ -24,7 +24,7 @@ from matcon import (
     spectral_norm,
 )
 from matcon.models import SamplerPlan
-from matcon.montecarlo import _chunk_size, default_blocks
+from matcon.montecarlo import _chunk_size, _estimate, default_blocks
 
 
 def rand_hermitian(rng, d):
@@ -125,6 +125,47 @@ class TestMaxSummandSq:
         assert 2.0 <= est.mean <= 6.0
 
 
+class TestMaxSummandSqSamplesOnlyMaxSq:
+    """estimate_max_summand_sq reads max_i ||S_i||^2 without building Z; its
+    output equals the estimate from the full collect_samples route."""
+
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(40)
+        coin = FiniteSummand([(0.25, np.eye(3)), (0.75, -np.eye(3) / 3.0)])
+        return {
+            "sec73": make_example("sec73", d=16),
+            "fixed_rademacher": make_model(
+                [FixedRademacher(rand_hermitian(rng, 4)) for _ in range(6)]
+            ),
+            "sec74": make_example("sec74", d=32),
+            "mixed_finite": make_model(
+                [FixedRademacher(rand_hermitian(rng, 3)), Finite(coin)]
+            ),
+        }
+
+    @pytest.mark.parametrize("name", ["sec73", "fixed_rademacher", "sec74", "mixed_finite"])
+    @pytest.mark.parametrize("estimator", [MEAN, MEDIAN_OF_MEANS])
+    def test_equals_collect_samples_route(self, name, estimator):
+        model = self.models()[name]
+        cfg = MCConfig(samples=320, seed=41, estimator=estimator)
+        got = estimate_max_summand_sq(model, cfg)
+        want = _estimate(collect_samples(model, cfg)[1], cfg)
+        assert got == want
+        plan = SamplerPlan(model)
+        idx = np.arange(200, 330, dtype=np.uint64)
+        assert np.array_equal(plan.realize_max_sq(41, idx), plan.realize(41, idx)[1])
+
+    def test_builds_no_realization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Z was realized")
+
+        monkeypatch.setattr(SamplerPlan, "realize", refuse)
+        monkeypatch.setattr(SamplerPlan, "realize_diagonal", refuse)
+        for model in self.models().values():
+            estimate_max_summand_sq(model, MCConfig(samples=64, seed=42))
+
+
 def dense_route(model, cfg):
     """(||Z||, max_sq) from the dense realizations: top eigenvalue of the
     Gram matrix of the smaller side."""
@@ -161,6 +202,22 @@ class TestDiagonalKernel:
             make_model([Finite(coin)]),
         ):
             assert not SamplerPlan(model).diagonal
+
+    def test_gram_route_matches_dense_route_bitwise(self):
+        rng = np.random.default_rng(43)
+
+        def signed(shape):
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return Finite(FiniteSummand([(0.5, m), (0.5, -m)]))
+
+        wide = make_model([signed((2, 5)) for _ in range(3)])
+        tall = make_model([signed((5, 2)) for _ in range(3)])
+        for model in (make_example("sec73", d=6), wide, tall):
+            cfg = MCConfig(samples=150, seed=44)
+            norms, max_sq = collect_samples(model, cfg)
+            want_norms, want_max_sq = dense_route(model, cfg)
+            assert np.array_equal(norms, want_norms)
+            assert np.array_equal(max_sq, want_max_sq)
 
     def test_realize_diagonal_rejects_dense_plan(self):
         plan = SamplerPlan(make_example("sec73", d=2))

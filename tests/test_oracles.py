@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from matcon import (
     symmetrization_check,
     verify_fact,
 )
-from matcon.oracles import odd_double_factorial
+from matcon import oracles
+from matcon.oracles import case_rng, odd_double_factorial, random_fact_case
 
 
 def rand_hermitian(rng, d):
@@ -287,3 +289,230 @@ class TestSweeps:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             sweep_fact_kind("no_such_fact", cases=1, seed=0)
+
+
+def _bits(result):
+    """CheckResult fields with every float as its exact bit pattern."""
+    return (
+        result.holds,
+        result.lhs.hex(),
+        result.rhs.hex(),
+        result.slack.hex(),
+        result.tolerance.hex(),
+        result.kind,
+        tuple((key, value.hex()) for key, value in sorted(result.detail.items())),
+    )
+
+
+def _replay(kind, seed, cases, inject_fault=False):
+    """verify_fact on every case, rebuilt one at a time from its generator."""
+    max_p = 12 if kind == "double_factorial" else 6
+    return [
+        verify_fact(
+            random_fact_case(kind, case_rng(seed, kind, i), max_p=max_p),
+            inject_fault=inject_fault,
+        )
+        for i in range(cases)
+    ]
+
+
+class TestBatchedSweep:
+    """The stacked sweep against case-by-case replay."""
+
+    CASES = 300  # more than one block of stacked cases
+
+    @pytest.mark.parametrize("inject_fault", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_equals_replay(self, kind, inject_fault):
+        seed = 4242
+        max_p = 12 if kind == "double_factorial" else 6
+        res = sweep_fact_kind(
+            kind, cases=self.CASES, seed=seed, max_p=max_p, inject_fault=inject_fault
+        )
+        want = _replay(kind, seed, self.CASES, inject_fault)
+        want_failed = [i for i, r in enumerate(want) if not r.holds]
+        assert [i for i, _ in res.failures] == want_failed
+        assert [_bits(r) for _, r in res.failures] == [
+            _bits(r) for r in want if not r.holds
+        ]
+        if kind == "gm_am_trace" and inject_fault:
+            assert res.failures
+
+        # every case, not only the failures: evaluate the validated stacks
+        draws = [
+            oracles._draw_case(kind, case_rng(seed, kind, i), 6, 3, max_p)
+            for i in range(self.CASES)
+        ]
+        got = [None] * self.CASES
+        for ix, batch in oracles._validated_batches(kind, draws):
+            _, result = oracles._evaluate(kind, batch, inject_fault)
+            for j, i in enumerate(ix):
+                got[i] = _bits(result(j))
+        assert got == [_bits(r) for r in want]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prefix(self, kind):
+        fault = kind == "gm_am_trace"
+        short = sweep_fact_kind(kind, cases=90, seed=17, inject_fault=fault)
+        full = sweep_fact_kind(kind, cases=self.CASES, seed=17, inject_fault=fault)
+        head = tuple((i, r) for i, r in full.failures if i < 90)
+        assert [(i, _bits(r)) for i, r in short.failures] == [
+            (i, _bits(r)) for i, r in head
+        ]
+        assert short.cases == 90 and full.cases == self.CASES
+
+    @staticmethod
+    def _patch_psd(monkeypatch, bad_calls):
+        """random_psd returns -scale * I on the listed call numbers."""
+        real = oracles.random_psd
+        calls = []
+
+        def patched(rng, d, scale=1.0):
+            out = real(rng, d, scale)
+            calls.append(d)
+            if len(calls) - 1 in bad_calls:
+                return -bad_calls[len(calls) - 1] * np.eye(d, dtype=np.complex128)
+            return out
+
+        monkeypatch.setattr(oracles, "random_psd", patched)
+        return calls
+
+    def _replay_error(self, monkeypatch, kind, seed, bad_calls, cases):
+        self._patch_psd(monkeypatch, bad_calls)
+        with pytest.raises(ValueError) as err:
+            _replay(kind, seed, cases)
+        return str(err.value)
+
+    @pytest.mark.parametrize("kind", ["sum_squares", "trace_product", "monotonicity"])
+    def test_non_psd_draw_inside_a_stack(self, monkeypatch, kind):
+        seed, cases, bad = 31, 120, {57: 1.0}
+        want = self._replay_error(monkeypatch, kind, seed, bad, cases)
+        assert "must be PSD" in want
+        self._patch_psd(monkeypatch, bad)
+        with pytest.raises(ValueError) as err:
+            sweep_fact_kind(kind, cases=cases, seed=seed)
+        assert str(err.value) == want
+
+    def test_first_offending_case_wins_across_stacks(self, monkeypatch):
+        # trace_product draws one PSD matrix per case, so call i is case i.
+        # Plant a fault at i_late in the stack checked first (the dimension
+        # of case 0) and an earlier one at i_early in a stack checked later.
+        seed, cases = 5, 200
+        draws = [
+            oracles._draw_case("trace_product", case_rng(seed, "trace_product", i))
+            for i in range(cases)
+        ]
+        dims = [draw["A"].shape[0] for draw in draws]
+        i_early = next(i for i in range(1, cases) if dims[i] != dims[0])
+        i_late = next(i for i in range(i_early + 1, cases) if dims[i] == dims[0])
+        bad = {i_early: 1.0, i_late: 2.0}
+        want = self._replay_error(monkeypatch, "trace_product", seed, bad, cases)
+        assert "-1.000e+00" in want
+        self._patch_psd(monkeypatch, bad)
+        with pytest.raises(ValueError) as err:
+            sweep_fact_kind("trace_product", cases=cases, seed=seed)
+        assert str(err.value) == want
+
+
+def _reference_expected_norm(summands, r):
+    """E||sum S_i||^r over itertools.product of the outcomes, norms by svd."""
+    total = 0.0
+    for combo in itertools.product(*(s.outcomes() for s in summands)):
+        prob = math.prod(p for p, _ in combo)
+        z = sum(m for _, m in combo)
+        total += prob * np.linalg.svd(z, compute_uv=False)[0] ** r
+    return total
+
+
+class TestEnumerationOracle:
+    @staticmethod
+    def _family(rng, n, d1, d2, hermitian):
+        out = []
+        for _ in range(n):
+            k = int(rng.integers(1, 4))
+            probs = rng.uniform(0.2, 1.0, size=k)
+            probs /= probs.sum()
+            mats = []
+            for _ in range(k):
+                g = rng.normal(size=(d1, d2)) + 1j * rng.normal(size=(d1, d2))
+                mats.append((g + g.conj().T) / 2 if hermitian else g)
+            out.append(FiniteSummand(list(zip(probs, mats))))
+        return out
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (1, 3)])
+    def test_gram_route_matches_svd_reference(self, shape, r):
+        rng = np.random.default_rng(hash(shape) % 1000 + r)
+        d1, d2 = shape
+        for trial in range(6):
+            family = self._family(rng, int(rng.integers(1, 5)), d1, d2, hermitian=d1 == d2)
+            got = brute_force_expected_norm(family, r=r)
+            want = _reference_expected_norm(family, r)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_mirrored_supports(self, r):
+        # supports whose reversal is their negation (any probabilities), with
+        # odd and even numbers of combinations: half the ranks get a Gram
+        # eigenvalue, the other half mirror it
+        rng = np.random.default_rng(60 + r)
+        m = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+        odd = [FiniteSummand([(0.3, a), (0.4, 0 * a), (0.3, -a)]) for a in m[:3]]
+        even = [FiniteSummand([(0.5, a), (0.5, -a)]).sign_modulated() for a in m]
+        skew = [FiniteSummand([(0.2, a), (0.8, -a)]) for a in m]
+        for family in (odd, even, skew, odd[:2] + even[:1] + skew[:1]):
+            assert brute_force_expected_norm(family, r=r) == pytest.approx(
+                _reference_expected_norm(family, r), rel=1e-12
+            )
+
+    def test_large_enumeration_spans_gram_blocks(self):
+        rng = np.random.default_rng(61)
+        mats = rng.normal(size=(11, 5, 6)) + 1j * rng.normal(size=(11, 5, 6))
+        family = [FiniteSummand([(0.5, m), (0.5, -m)]) for m in mats]
+        assert brute_force_expected_norm(family, r=2) == pytest.approx(
+            _reference_expected_norm(family, 2), rel=1e-12
+        )
+
+
+class TestFiniteSummandStack:
+    def test_nan_in_one_outcome_rejected(self):
+        good = np.eye(2)
+        bad = np.eye(2)
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            FiniteSummand([(0.25, good), (0.25, -good), (0.5, bad)])
+        bad[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            FiniteSummand([(0.5, good), (0.5, bad)])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            FiniteSummand([(0.5, np.eye(2)), (0.5, np.eye(3))])
+        with pytest.raises(ValueError):
+            FiniteSummand([(0.5, np.ones((2, 3))), (0.5, np.ones((3, 2)))])
+
+    def test_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            FiniteSummand([(1.0, np.ones(3))])
+
+    def test_probabilities_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError):
+            FiniteSummand([(0.5, np.eye(2)), (0.5 + 1e-9, -np.eye(2))])
+
+    def test_derived_stacks_match_outcome_lists(self):
+        rng = np.random.default_rng(62)
+        mats = rng.normal(size=(3, 2, 3)) + 1j * rng.normal(size=(3, 2, 3))
+        s = FiniteSummand([(0.2, mats[0]), (0.3, mats[1]), (0.5, mats[2])])
+        mu = s.mean()
+        centered = FiniteSummand([(p, m - mu) for p, m in s.outcomes()])
+        assert np.array_equal(s.centered().matrices, centered.matrices)
+        assert np.array_equal(s.centered().probabilities, centered.probabilities)
+        signed = FiniteSummand(
+            [(p / 2.0, m) for p, m in s.outcomes()]
+            + [(p / 2.0, -m) for p, m in reversed(s.outcomes())]
+        )
+        assert np.array_equal(s.sign_modulated().matrices, signed.matrices)
+        assert np.array_equal(s.sign_modulated().probabilities, signed.probabilities)
+        assert np.array_equal(
+            s.outcome_norms(), [spectral_norm(m) for m in s.matrices]
+        )
