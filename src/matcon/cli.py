@@ -23,13 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import sweep_rademacher_domination
-from .models import (
-    EXAMPLE_NAMES,
-    ParetoDiagonal,
-    make_example,
-    model_from_json,
-    _matrix_to_json,
-)
+from .models import EXAMPLE_NAMES, make_example, model_from_json, _matrix_to_json
 from .montecarlo import MCConfig, MEAN, MEDIAN_OF_MEANS, bound_report
 from .oracles import KINDS, case_rng, random_fact_case, sweep_fact_kind, sweep_symmetrization
 
@@ -86,7 +80,7 @@ def _resolve_estimator(flag: str | None, model) -> str:
         return MEAN
     if flag == "mom":
         return MEDIAN_OF_MEANS
-    heavy = any(isinstance(s, ParetoDiagonal) for s in model.summands)
+    heavy = any(s.heavy_tail for s in model.summands)
     return MEDIAN_OF_MEANS if heavy else MEAN
 
 

@@ -1,6 +1,6 @@
 """Dense complex matrix types and the handful of spectral operations everything
 else is built on: Hermitian eigendecomposition, spectral norm, Loewner order
-comparison, integer matrix powers, trace, and the Hermitian dilation.
+comparison, trace, and the Hermitian dilation.
 
 Conventions: complex128 throughout; eigenvalues are always reported in
 descending order; the spectral norm of a rectangular matrix is computed from
@@ -95,10 +95,6 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a complex (k, d1, d2) stack;
     each equals spectral_norm of that matrix."""
     return np.sqrt(np.maximum(gram_top_eigenvalues(a), 0.0))
-
-
-def frobenius(M) -> float:
-    return float(np.linalg.norm(_coerce_array(M), ord="fro"))
 
 
 class RectMatrix:
@@ -217,17 +213,6 @@ def loewner_leq(A, H, tol: float = 0.0) -> bool:
         raise ValueError(f"dimension mismatch: {A.dim} vs {H.dim}")
     smallest = float(np.linalg.eigvalsh(H.array - A.array)[0])
     return smallest >= -tol
-
-
-def matrix_power(H, r: int) -> HermitianMatrix:
-    """H^r by repeated multiplication; H^0 is the identity."""
-    H = as_hermitian(H)
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    out = np.eye(H.dim, dtype=np.complex128)
-    for _ in range(int(r)):
-        out = out @ H.array
-    return HermitianMatrix(out)
 
 
 def trace(M) -> complex:

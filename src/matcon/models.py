@@ -1,12 +1,20 @@
 """Descriptions and samplers for sums of independent random matrices.
 
-A model is an ordered list of summand specifications sharing one shape.
-Built-in families cover fixed-matrix sign and Gaussian series, scaled
-diagonal-basis signs, centered Bernoulli diagonals, single-entry signs,
-Pareto-weighted diagonals, and arbitrary finite-support summands.  The four
-canonical examples (sec71..sec74) assemble these into the diagonal sign
-series, the centered Bernoulli diagonal, the full sign matrix, and the
-heavy-tailed diagonal.
+A model is an ordered list of summands sharing one shape.  A summand is one
+of two kinds:
+
+- ScalarSeries: S = c * A, a scalar c drawn from a shared ScalarLaw (fair
+  sign, standard Gaussian, centered Bernoulli(p), or symmetric Pareto with
+  tail t^-4) times a fixed matrix A held as COO entries.  The six built-in
+  families FixedRademacher, FixedGaussian, ScaledBasisRademacher,
+  CenteredBernoulliBasis, RademacherEntry and ParetoDiagonal are its
+  constructors, and keep their names in model files.
+- Finite: an explicit finite-support summand.
+
+Both kinds answer the same questions: shape, mean, centering, second moments,
+the distribution of ||S||^2, and one reference draw.  The four canonical
+examples (sec71..sec74) assemble the diagonal sign series, the centered
+Bernoulli diagonal, the full sign matrix, and the heavy-tailed diagonal.
 
 Sampling is driven by the counter RNG: every coefficient is a pure function
 of (seed, sample index, summand position, slot), so realizations are
@@ -18,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -28,95 +38,241 @@ from .oracles import FiniteSummand, as_finite_summand
 _MEAN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """A 64-bit seed; plain ints are accepted anywhere a seed is expected."""
-
-    seed: int
-
-
 def seed_value(seed) -> int:
-    if isinstance(seed, RngSeed):
-        seed = seed.seed
+    """A seed as the 64-bit integer the counter RNG keys on."""
     return int(seed) % (1 << 64)
 
 
 # ---------------------------------------------------------------------------
-# Summand families
+# Scalar laws.  Draw slots per summand position: slot 0 is the primary
+# variate (sign, uniform, or first Box-Muller word), slot 1 the secondary one
+# (Gaussian second word, Pareto sign).  Positions are unique, so slots never
+# collide across summands.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FixedRademacher:
+class ScalarLaw:
+    """Distribution of the scalar c in S = c * A, identified by its name and
+    Bernoulli parameter p.
+
+    `ec2` is E c^2; `sq_support` the distribution of c^2 as sorted
+    (values, probs), None for a continuous law; `draw(seed, index, position)`
+    the vectorized draw of c, broadcasting like the counter RNG;
+    `heavy_tail` makes median-of-means the default estimator.
+    """
+
+    name: str
+    ec2: float = field(compare=False)
+    sq_support: tuple | None = field(compare=False)
+    draw: Callable = field(compare=False)
+    heavy_tail: bool = field(default=False, compare=False)
+    p: float | None = None
+
+
+def _pareto_draw(seed, index, position):
+    u = rng.uniform_positive(seed, index, position, 0)
+    return rng.signs(seed, index, position, 1) * u**-0.25
+
+
+SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0))
+GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
+# P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
+PARETO = ScalarLaw("pareto", 2.0, None, _pareto_draw, heavy_tail=True)
+
+
+def bernoulli_law(p: float) -> ScalarLaw:
+    """c = delta - p with delta ~ Bernoulli(p), 0 < p <= 1."""
+    pairs = {(1.0 - p) ** 2: p}
+    if 1.0 - p > 0.0:
+        pairs[p**2] = pairs.get(p**2, 0.0) + (1.0 - p)
+    values = tuple(sorted(pairs))
+
+    def draw(seed, index, position):
+        u = rng.uniform_halfopen(seed, index, position, 0)
+        return (u < p).astype(np.float64) - p
+
+    return ScalarLaw(
+        "bernoulli", p * (1.0 - p), (values, tuple(pairs[v] for v in values)), draw, p=p
+    )
+
+
+def _reference_coefficient(law: ScalarLaw, seed: int, index: int, pos: int) -> float:
+    """c of one summand from scalar RNG calls, written apart from the laws'
+    vectorized draws so that sample_summands is an independent check of
+    SamplerPlan."""
+    if law.name == "sign":
+        return float(rng.signs(seed, index, pos, 0))
+    if law.name == "gaussian":
+        return float(rng.gaussians(seed, index, pos, 0))
+    if law.name == "bernoulli":
+        u = float(rng.uniform_halfopen(seed, index, pos, 0))
+        return (1.0 if u < law.p else 0.0) - law.p
+    u = float(rng.uniform_positive(seed, index, pos, 0))
+    return pareto_sample(u, float(rng.signs(seed, index, pos, 1)))
+
+
+def pareto_sample(u, s):
+    """Map a uniform variate on (0, 1] and a sign to s * u^(-1/4).
+
+    The magnitude has survival function t^-4 on t >= 1; u = 0 is rejected
+    because the image would be infinite.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(u <= 0.0) or np.any(u > 1.0):
+        raise ValueError("u must lie in (0, 1]")
+    if not np.all(np.abs(s) == 1.0):
+        raise ValueError("s must be +-1")
+    out = s * u**-0.25
+    return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Summands
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class ScalarSeries:
+    """S = c * A for a scalar c ~ `law` and a fixed d1 x d2 matrix A.
+
+    A is held as COO entries A[rows[e], cols[e]] = values[e], no cell twice
+    (tuples for the one-entry families, read-only arrays for a fixed
+    matrix), with its spectral norm in `norm`.  Every law has mean zero, so
+    S is centered.  Built by the six family constructors below.
+    """
+
+    law: ScalarLaw
+    shape: tuple[int, int]
+    rows: tuple | np.ndarray
+    cols: tuple | np.ndarray
+    values: tuple | np.ndarray
+    norm: float
+
+    centered = True
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = (self.rows, self.cols, self.values), (other.rows, other.cols, other.values)
+        return (
+            self.law == other.law
+            and self.shape == other.shape
+            and all(map(np.array_equal, mine, theirs))
+        )
+
+    __hash__ = None
+
+    @property
+    def heavy_tail(self) -> bool:
+        return self.law.heavy_tail
+
+    def dense(self) -> np.ndarray:
+        a = np.zeros(self.shape, dtype=np.complex128)
+        a[np.asarray(self.rows, dtype=np.intp), np.asarray(self.cols, dtype=np.intp)] = self.values
+        return a
+
+    def mean(self) -> np.ndarray:
+        return np.zeros(self.shape, dtype=np.complex128)
+
+    def moment_cell(self):
+        """(row, col, E c^2 |a|^2) when A has the one entry a: then E[S S*] is
+        that weight at (row, row) and E[S* S] at (col, col).  None otherwise."""
+        if len(self.rows) != 1:
+            return None
+        return self.rows[0], self.cols[0], self.law.ec2 * abs(self.values[0]) ** 2
+
+    def second_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (E[S S*], E[S* S]) = E c^2 (A A*, A* A)."""
+        a = self.dense()
+        ah = np.ascontiguousarray(a.conj().T)
+        return self.law.ec2 * (a @ ah), self.law.ec2 * (ah @ a)
+
+    def sq_norm_support(self):
+        """Distribution of ||S||^2 = c^2 ||A||^2 as (values, probs), None for a
+        continuous law."""
+        if self.law.sq_support is None:
+            return None
+        values, probs = self.law.sq_support
+        norm_sq = self.norm**2
+        return tuple(v * norm_sq for v in values), probs
+
+    def sample(self, seed: int, index: int, pos: int) -> np.ndarray:
+        return _reference_coefficient(self.law, seed, index, pos) * self.dense()
+
+    def to_json(self) -> dict:
+        """The document of the family that builds this summand; a sign series
+        with one entry 1 is written as rademacher_entry, one with a single
+        diagonal entry as scaled_basis_rademacher."""
+        d = self.shape[0]
+        if len(self.rows) == 1:
+            r, c, v = int(self.rows[0]), int(self.cols[0]), float(self.values[0])
+            if self.law.name == "pareto":
+                return {"family": "pareto_diagonal", "index": r, "dim": d}
+            if self.law.name == "bernoulli":
+                p = self.law.p
+                return {"family": "centered_bernoulli_basis", "index": r, "prob": p, "dim": d}
+            if self.law.name == "sign" and v == 1.0:
+                return {"family": "rademacher_entry", "row": r, "col": c, "dim": d}
+            if self.law.name == "sign" and r == c:
+                return {"family": "scaled_basis_rademacher", "index": r, "scale": v, "dim": d}
+        family = "fixed_rademacher" if self.law.name == "sign" else "fixed_gaussian"
+        return {"family": family, "matrix": _matrix_to_json(self.dense())}
+
+
+def _check_cell(row: int, col: int, dim: int, message: str) -> None:
+    if not (0 <= row < dim and 0 <= col < dim):
+        raise ValueError(message)
+
+
+def _fixed(law: ScalarLaw, matrix) -> ScalarSeries:
+    h = as_hermitian(matrix)
+    rows, cols = np.nonzero(h.array)
+    values = h.array[rows, cols]
+    if not values.imag.any():
+        values = np.ascontiguousarray(values.real)
+    for a in (rows, cols, values):
+        a.setflags(write=False)
+    return ScalarSeries(law, h.shape, rows, cols, values, spectral_norm(h))
+
+
+def FixedRademacher(matrix) -> ScalarSeries:
     """S = eps * H for a fixed Hermitian H and a fair sign eps."""
-
-    matrix: HermitianMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_hermitian(self.matrix))
+    return _fixed(SIGN, matrix)
 
 
-@dataclass(frozen=True)
-class FixedGaussian:
+def FixedGaussian(matrix) -> ScalarSeries:
     """S = g * H for a fixed Hermitian H and a standard normal g."""
-
-    matrix: HermitianMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_hermitian(self.matrix))
+    return _fixed(GAUSSIAN, matrix)
 
 
-@dataclass(frozen=True)
-class ScaledBasisRademacher:
+def ScaledBasisRademacher(index: int, scale: float, dim: int) -> ScalarSeries:
     """S = scale * eps * E_ii inside a dim x dim matrix."""
-
-    index: int
-    scale: float
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.dim:
-            raise ValueError("index out of range")
+    _check_cell(index, index, dim, "index out of range")
+    scale = float(scale)
+    return ScalarSeries(SIGN, (dim, dim), (index,), (index,), (scale,), abs(scale))
 
 
-@dataclass(frozen=True)
-class CenteredBernoulliBasis:
+def CenteredBernoulliBasis(index: int, prob: float, dim: int) -> ScalarSeries:
     """S = (delta - p) * E_ii with delta ~ Bernoulli(p), 0 < p <= 1."""
-
-    index: int
-    prob: float
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.dim:
-            raise ValueError("index out of range")
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError("prob must satisfy 0 < p <= 1")
+    _check_cell(index, index, dim, "index out of range")
+    if not 0.0 < prob <= 1.0:
+        raise ValueError("prob must satisfy 0 < p <= 1")
+    law = bernoulli_law(float(prob))
+    return ScalarSeries(law, (dim, dim), (index,), (index,), (1.0,), 1.0)
 
 
-@dataclass(frozen=True)
-class RademacherEntry:
+def RademacherEntry(row: int, col: int, dim: int) -> ScalarSeries:
     """S = eps * E_ij inside a dim x dim matrix."""
-
-    row: int
-    col: int
-    dim: int
-
-    def __post_init__(self):
-        if not (0 <= self.row < self.dim and 0 <= self.col < self.dim):
-            raise ValueError("entry position out of range")
+    _check_cell(row, col, dim, "entry position out of range")
+    return ScalarSeries(SIGN, (dim, dim), (row,), (col,), (1.0,), 1.0)
 
 
-@dataclass(frozen=True)
-class ParetoDiagonal:
+def ParetoDiagonal(index: int, dim: int) -> ScalarSeries:
     """S = P * E_ii with P = s * u^(-1/4): symmetric, P(|P| >= t) = t^-4."""
-
-    index: int
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.dim:
-            raise ValueError("index out of range")
+    _check_cell(index, index, dim, "index out of range")
+    return ScalarSeries(PARETO, (dim, dim), (index,), (index,), (1.0,), 1.0)
 
 
 @dataclass(frozen=True)
@@ -125,112 +281,54 @@ class Finite:
 
     support: FiniteSummand
 
+    heavy_tail = False
+
     def __post_init__(self):
         object.__setattr__(self, "support", as_finite_summand(self.support))
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.support.shape
 
-SummandSpec = (
-    FixedRademacher
-    | FixedGaussian
-    | ScaledBasisRademacher
-    | CenteredBernoulliBasis
-    | RademacherEntry
-    | ParetoDiagonal
-    | Finite
-)
+    @property
+    def centered(self) -> bool:
+        scale = max(1.0, float(np.abs(self.support.matrices).max(initial=0.0)))
+        return float(np.linalg.norm(self.mean(), ord="fro")) <= _MEAN_TOL * scale
 
-_BASIS_FAMILIES = (
-    ScaledBasisRademacher,
-    CenteredBernoulliBasis,
-    RademacherEntry,
-    ParetoDiagonal,
-)
+    def mean(self) -> np.ndarray:
+        return self.support.mean()
 
+    def moment_cell(self):
+        return None
 
-def summand_shape(spec) -> tuple[int, int]:
-    if isinstance(spec, (FixedRademacher, FixedGaussian)):
-        return spec.matrix.shape
-    if isinstance(spec, _BASIS_FAMILIES):
-        return (spec.dim, spec.dim)
-    if isinstance(spec, Finite):
-        return spec.support.shape
-    raise TypeError(f"not a summand spec: {spec!r}")
-
-
-def summand_mean(spec) -> np.ndarray:
-    d1, d2 = summand_shape(spec)
-    if isinstance(spec, Finite):
-        return spec.support.mean()
-    # every other family is symmetric or explicitly centered
-    return np.zeros((d1, d2), dtype=np.complex128)
-
-
-def summand_is_centered(spec) -> bool:
-    if isinstance(spec, Finite):
-        scale = max(1.0, float(np.abs(spec.support.matrices).max(initial=0.0)))
-        return float(np.linalg.norm(spec.support.mean(), ord="fro")) <= _MEAN_TOL * scale
-    return True
-
-
-def _basis_second_moment(spec):
-    """(row, col, E c^2) for a one-entry summand S = c * E_{row,col}, else None.
-
-    Then E[S S*] = E c^2 * E_{row,row} and E[S* S] = E c^2 * E_{col,col}.
-    """
-    if isinstance(spec, ScaledBasisRademacher):
-        return spec.index, spec.index, spec.scale**2
-    if isinstance(spec, CenteredBernoulliBasis):
-        return spec.index, spec.index, spec.prob * (1.0 - spec.prob)
-    if isinstance(spec, RademacherEntry):
-        return spec.row, spec.col, 1.0
-    if isinstance(spec, ParetoDiagonal):
-        return spec.index, spec.index, 2.0  # E P^2 = integral of 4 t^-3 from 1 = 2
-    return None
-
-
-def _dense_second_moments(spec) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (E[S S*], E[S* S]) for a fixed-matrix or finite-support summand."""
-    if isinstance(spec, (FixedRademacher, FixedGaussian)):
-        h = spec.matrix.array
-        sq = h @ h  # E eps^2 = E g^2 = 1
-        return sq, sq
-    if isinstance(spec, Finite):
-        probs = spec.support.probabilities
-        mats = spec.support.matrices
+    def second_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (E[S S*], E[S* S]) = sum_k p_k (M_k M_k*, M_k* M_k)."""
+        probs, mats = self.support.probabilities, self.support.matrices
         left = np.einsum("k,kab,kcb->ac", probs, mats, mats.conj())
         right = np.einsum("k,kba,kbc->ac", probs, mats.conj(), mats)
         return left, right
-    raise TypeError(f"not a summand spec: {spec!r}")
 
-
-def summand_sq_norm_support(spec):
-    """Distribution of ||S||^2 as (values, probs) when finite, else None."""
-    if isinstance(spec, FixedRademacher):
-        return np.array([spectral_norm(spec.matrix) ** 2]), np.array([1.0])
-    if isinstance(spec, FixedGaussian):
-        return None
-    if isinstance(spec, ScaledBasisRademacher):
-        return np.array([spec.scale**2]), np.array([1.0])
-    if isinstance(spec, CenteredBernoulliBasis):
-        p = spec.prob
-        pairs = {}
-        pairs[(1.0 - p) ** 2] = pairs.get((1.0 - p) ** 2, 0.0) + p
-        if 1.0 - p > 0.0:
-            pairs[p**2] = pairs.get(p**2, 0.0) + (1.0 - p)
-        values = np.array(sorted(pairs))
-        return values, np.array([pairs[v] for v in values])
-    if isinstance(spec, RademacherEntry):
-        return np.array([1.0]), np.array([1.0])
-    if isinstance(spec, ParetoDiagonal):
-        return None
-    if isinstance(spec, Finite):
+    def sq_norm_support(self):
         agg: dict[float, float] = {}
-        for p, m in zip(spec.support.probabilities, spec.support.matrices):
-            v = spectral_norm(m) ** 2
-            agg[v] = agg.get(v, 0.0) + float(p)
+        for p, v in zip(self.support.probabilities, self.support.outcome_norms() ** 2):
+            agg[float(v)] = agg.get(float(v), 0.0) + float(p)
         values = np.array(sorted(agg))
         return values, np.array([agg[v] for v in values])
-    raise TypeError(f"not a summand spec: {spec!r}")
+
+    def sample(self, seed: int, index: int, pos: int) -> np.ndarray:
+        cums = np.cumsum(self.support.probabilities)
+        u = float(rng.uniform_halfopen(seed, index, pos, 0))
+        j = min(int(np.searchsorted(cums, u, side="right")), len(cums) - 1)
+        return self.support.matrices[j]
+
+    def to_json(self) -> dict:
+        return {
+            "family": "finite",
+            "outcomes": [
+                {"probability": float(p), "matrix": _matrix_to_json(m)}
+                for p, m in self.support.outcomes()
+            ],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +341,9 @@ class IndependentSumModel:
     """Z = sum of independent summands, all of shape (d1, d2).
 
     `centered` is computed, never trusted from the caller: it is true iff
-    every summand has zero mean (exact for the built-in families, computed
-    from the support for Finite).  `n` is the reported model size: the
-    repetition count for the built-in examples, the summand count otherwise.
+    every summand has zero mean (always for a ScalarSeries, computed from the
+    support for Finite).  `n` is the reported model size: the repetition
+    count for the built-in examples, the summand count otherwise.
     """
 
     d1: int
@@ -260,16 +358,13 @@ class IndependentSumModel:
             raise ValueError("model needs at least one summand")
         object.__setattr__(self, "summands", tuple(self.summands))
         for s in self.summands:
-            if summand_shape(s) != (self.d1, self.d2):
+            if s.shape != (self.d1, self.d2):
                 raise ValueError(
-                    f"summand shape {summand_shape(s)} != model shape "
-                    f"({self.d1}, {self.d2})"
+                    f"summand shape {s.shape} != model shape ({self.d1}, {self.d2})"
                 )
         if self.n is None:
             object.__setattr__(self, "n", len(self.summands))
-        object.__setattr__(
-            self, "centered", all(summand_is_centered(s) for s in self.summands)
-        )
+        object.__setattr__(self, "centered", all(s.centered for s in self.summands))
 
     @property
     def n_summands(self) -> int:
@@ -280,7 +375,7 @@ def make_model(summands, name: str = "custom", n: int | None = None) -> Independ
     summands = tuple(summands)
     if not summands:
         raise ValueError("model needs at least one summand")
-    d1, d2 = summand_shape(summands[0])
+    d1, d2 = summands[0].shape
     return IndependentSumModel(d1=d1, d2=d2, summands=summands, name=name, n=n)
 
 
@@ -300,57 +395,32 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
         raise ValueError("d must be >= 1")
     if key in ("sec71", "sec72") and n < 1:
         raise ValueError("n must be >= 1")
+    # summands are immutable and every position draws its own coefficient,
+    # so the n repetitions of sec71 and sec72 share one summand object
     if key == "sec71":
         scale = 1.0 / math.sqrt(n)
-        specs = [
-            ScaledBasisRademacher(index=i, scale=scale, dim=d)
-            for i in range(d)
-            for _ in range(n)
-        ]
-        return make_model(specs, name="sec71", n=n)
+        specs = [ScaledBasisRademacher(i, scale, d) for i in range(d)]
+        return make_model([s for s in specs for _ in range(n)], name="sec71", n=n)
     if key == "sec72":
-        specs = [
-            CenteredBernoulliBasis(index=i, prob=1.0 / n, dim=d)
-            for i in range(d)
-            for _ in range(n)
-        ]
-        return make_model(specs, name="sec72", n=n)
+        specs = [CenteredBernoulliBasis(i, 1.0 / n, d) for i in range(d)]
+        return make_model([s for s in specs for _ in range(n)], name="sec72", n=n)
     if key == "sec73":
-        specs = [
-            RademacherEntry(row=i, col=j, dim=d) for i in range(d) for j in range(d)
-        ]
+        specs = [RademacherEntry(i, j, d) for i in range(d) for j in range(d)]
         return make_model(specs, name="sec73", n=d * d)
     if key == "sec74":
-        specs = [ParetoDiagonal(index=i, dim=d) for i in range(d)]
+        specs = [ParetoDiagonal(i, d) for i in range(d)]
         return make_model(specs, name="sec74", n=d)
     raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
-
-
-def pareto_sample(u, s):
-    """Map a uniform variate on (0, 1] and a sign to s * u^(-1/4).
-
-    The magnitude has survival function t^-4 on t >= 1; u = 0 is rejected
-    because the image would be infinite.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u > 1.0):
-        raise ValueError("u must lie in (0, 1]")
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("s must be +-1")
-    out = s * u**-0.25
-    return float(out) if out.ndim == 0 else out
 
 
 def analytic_second_moments(model: IndependentSumModel):
     """Exact (E[ZZ*], E[Z*Z]) for a centered model, as Hermitian matrices.
 
     Independence and zero means make the second moment of the sum the sum of
-    per-summand second moments.  One-entry summands only add E c^2 to one
-    diagonal cell on each side; those are summed by index and added once, so
-    the cost is O(N + d^2) plus the dense terms of the other families.
-    Returns None if any summand lacks a closed form (none of the built-in
-    families do).
+    per-summand second moments.  A summand S = c * a E_{row,col} only adds
+    E c^2 |a|^2 to one diagonal cell on each side; those are summed by index
+    and added once, so the cost is O(N + d^2) plus the dense terms of the
+    other summands.
     """
     if not model.centered:
         raise ValueError("model is not centered; center() it first")
@@ -358,15 +428,15 @@ def analytic_second_moments(model: IndependentSumModel):
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
     rows, cols, weights = [], [], []
     for s in model.summands:
-        entry = _basis_second_moment(s)
-        if entry is None:
-            a, b = _dense_second_moments(s)
+        cell = s.moment_cell()
+        if cell is None:
+            a, b = s.second_moments()
             left += a
             right += b
         else:
-            rows.append(entry[0])
-            cols.append(entry[1])
-            weights.append(entry[2])
+            rows.append(cell[0])
+            cols.append(cell[1])
+            weights.append(cell[2])
     if weights:
         left[np.diag_indices(model.d1)] += np.bincount(
             rows, weights=weights, minlength=model.d1
@@ -382,11 +452,11 @@ def analytic_max_sq(model: IndependentSumModel):
 
     Uses the survival product: P(max <= v) is the product of per-summand
     CDFs, evaluated on the sorted union of support points.  Returns None when
-    a continuous family (FixedGaussian, ParetoDiagonal) is present.
+    a summand has a continuous law (Gaussian, Pareto).
     """
     supports = []
     for s in model.summands:
-        sup = summand_sq_norm_support(s)
+        sup = s.sq_norm_support()
         if sup is None:
             return None
         supports.append(sup)
@@ -413,20 +483,16 @@ def center(model: IndependentSumModel):
     envelope needs for uncentered reporting.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
-    changed = False
-    new_specs = []
     for s in model.summands:
-        mu = summand_mean(s)
-        mean_sum += mu
-        if isinstance(s, Finite) and not summand_is_centered(s):
-            new_specs.append(Finite(s.support.centered()))
-            changed = True
-        else:
-            new_specs.append(s)
-    if not changed:
+        mean_sum += s.mean()
+    if model.centered:
         return model, mean_sum
+    specs = tuple(
+        Finite(s.support.centered()) if isinstance(s, Finite) and not s.centered else s
+        for s in model.summands
+    )
     centered_model = IndependentSumModel(
-        d1=model.d1, d2=model.d2, summands=tuple(new_specs), name=model.name, n=model.n
+        d1=model.d1, d2=model.d2, summands=specs, name=model.name, n=model.n
     )
     return centered_model, mean_sum
 
@@ -434,141 +500,109 @@ def center(model: IndependentSumModel):
 # ---------------------------------------------------------------------------
 # Sampling engine
 # ---------------------------------------------------------------------------
-#
-# Draw-slot allocation per summand position: slot 0 is the primary variate
-# (sign, uniform, or first Box-Muller word), slot 1 the secondary one
-# (Gaussian second word, Pareto sign).  Positions are unique, so slots never
-# collide across summands.
 
-
-class _Bucket:
-    __slots__ = ("kind", "positions", "rows", "cols", "scales", "probs", "mats", "norms")
-
-    def __init__(self, kind, positions, **kw):
-        self.kind = kind
-        self.positions = np.asarray(positions, dtype=np.uint64)
-        self.rows = kw.get("rows")
-        self.cols = kw.get("cols")
-        self.scales = kw.get("scales")
-        self.probs = kw.get("probs")
-        self.mats = kw.get("mats")
-        self.norms = kw.get("norms")
-
-
-# bytes the stacked matrices of one fixed-matrix family may take in a plan
+# bytes the plan may spend on the entries of fixed matrices (summands with
+# more than one entry, which a model file describes compactly), and what one
+# entry takes: row, owner and cell indices, the real and the imaginary part
 _STACK_BYTES = 1 << 27
-
-
-def _scatter(coef: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
-    """Row s of the (k, width) result sums coef[s, g] into column cells[g],
-    adding the terms of each cell in summand order."""
-    k, g = coef.shape
-    flat = np.repeat(np.arange(k), g) * width + np.tile(cells, k)
-    return np.bincount(flat, weights=coef.ravel(), minlength=k * width).reshape(k, width)
+_ENTRY_BYTES = 40
 
 
 class SamplerPlan:
     """Precompiled vectorized sampler for one model.
 
-    `diagonal` is true when every realization of Z is a diagonal matrix:
-    Z is square and every summand is a one-entry family on the diagonal.
+    The ScalarSeries summands are grouped by law, and each law draws the
+    coefficients of all its summands at once (a draw depends only on the
+    position, so the grouping does not change it).  Every coefficient then
+    multiplies the COO values of its matrix in one scatter over all cells,
+    which adds the terms of each cell in summand order.  `diagonal` is true
+    when every realization of Z is a real diagonal matrix: Z is square, there
+    is no Finite summand, and every COO entry is real and on the diagonal.
+    `terms` counts the scattered entries and Finite choices of one sample.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
-        self.buckets: list[_Bucket] = []
         self.finite: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        groups: dict[type, list[tuple[int, object]]] = {}
+        series, positions = [], []
         for pos, s in enumerate(model.summands):
             if isinstance(s, Finite):
                 sup = s.support
                 cums = np.cumsum(sup.probabilities)
                 self.finite.append((pos, cums, sup.matrices, sup.outcome_norms()))
             else:
-                groups.setdefault(type(s), []).append((pos, s))
-        for fam, items in groups.items():
-            positions = [p for p, _ in items]
-            specs = [s for _, s in items]
-            if fam is ScaledBasisRademacher:
-                self.buckets.append(
-                    _Bucket(
-                        "scaled_sign",
-                        positions,
-                        rows=np.array([s.index for s in specs]),
-                        cols=np.array([s.index for s in specs]),
-                        scales=np.array([s.scale for s in specs]),
-                    )
-                )
-            elif fam is CenteredBernoulliBasis:
-                self.buckets.append(
-                    _Bucket(
-                        "bernoulli",
-                        positions,
-                        rows=np.array([s.index for s in specs]),
-                        cols=np.array([s.index for s in specs]),
-                        probs=np.array([s.prob for s in specs]),
-                    )
-                )
-            elif fam is RademacherEntry:
-                self.buckets.append(
-                    _Bucket(
-                        "entry_sign",
-                        positions,
-                        rows=np.array([s.row for s in specs]),
-                        cols=np.array([s.col for s in specs]),
-                    )
-                )
-            elif fam is ParetoDiagonal:
-                self.buckets.append(
-                    _Bucket(
-                        "pareto",
-                        positions,
-                        rows=np.array([s.index for s in specs]),
-                        cols=np.array([s.index for s in specs]),
-                    )
-                )
-            elif fam in (FixedRademacher, FixedGaussian):
-                kind = "fixed_sign" if fam is FixedRademacher else "fixed_gaussian"
-                nbytes = len(specs) * model.d1 * model.d2 * 16
-                if nbytes > _STACK_BYTES:
-                    raise ValueError(
-                        f"{len(specs)} fixed {model.d1}x{model.d2} matrices take "
-                        f"{nbytes} bytes, over the {_STACK_BYTES}-byte plan budget"
-                    )
-                mats = np.stack([s.matrix.array for s in specs])
-                norms = np.array([spectral_norm(s.matrix) for s in specs])
-                self.buckets.append(
-                    _Bucket(kind, positions, mats=mats, norms=norms)
-                )
-            else:  # pragma: no cover - exhaustive over families
-                raise TypeError(f"unhandled family {fam}")
+                series.append(s)
+                positions.append(pos)
+        counts = [len(s.rows) for s in series]
+        n_entries = sum(counts)
+        n_fixed = sum(c for c in counts if c > 1)
+        if n_fixed * _ENTRY_BYTES > _STACK_BYTES:
+            raise ValueError(
+                f"{n_fixed} fixed-matrix entries take {n_fixed * _ENTRY_BYTES} bytes, "
+                f"over the {_STACK_BYTES}-byte plan budget"
+            )
+        # column g of a coefficient draw belongs to the g-th ScalarSeries;
+        # equal laws form one group, compared once per law object (summands
+        # of the examples share few) rather than once per summand
+        laws = {id(s.law): s.law for s in series}
+        code = {law: i for i, law in enumerate(dict.fromkeys(laws.values()))}
+        by_id = {key: code[law] for key, law in laws.items()}
+        codes = np.array([by_id[id(s.law)] for s in series], dtype=np.intp)
+        positions = np.array(positions, dtype=np.uint64)
+        self.groups = [
+            (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
+            for law, i in code.items()
+        ]
+        self.norms = np.array([s.norm for s in series], dtype=np.float64)
+
+        def flat(attr, dtype):
+            items = chain.from_iterable([getattr(s, attr) for s in series])
+            return np.fromiter(items, dtype=dtype, count=n_entries)
+
+        # None when entry e belongs to series e, so no gather is needed
+        self.owner = None
+        if set(counts) != {1}:
+            self.owner = np.repeat(np.arange(len(series)), counts)
+        self.rows = flat("rows", np.intp)
+        cols = flat("cols", np.intp)
+        self.cells = self.rows * model.d2 + cols
+        values = flat("values", np.complex128)
+        self.real = values.real.copy()
+        self.imag = values.imag.copy() if values.imag.any() else None
+        self.terms = n_entries + len(self.finite)
         self.diagonal = (
             model.d1 == model.d2
             and not self.finite
-            and all(
-                b.mats is None and np.array_equal(b.rows, b.cols) for b in self.buckets
-            )
+            and self.imag is None
+            and np.array_equal(self.rows, cols)
         )
 
-    def _coefficients(self, seed: int, idx: np.ndarray):
-        """Yield each bucket with its (k, g) coefficient draws; the fixed
-        matrix or entry of summand g is multiplied by coef[:, g]."""
+    def _coefficients(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        """(k, number of ScalarSeries) draws of c for a batch of indices."""
         col = idx[:, None]
-        for b in self.buckets:
-            pos = b.positions[None, :]
-            if b.kind == "scaled_sign":
-                coef = rng.signs(seed, col, pos, 0) * b.scales[None, :]
-            elif b.kind == "bernoulli":
-                u = rng.uniform_halfopen(seed, col, pos, 0)
-                coef = (u < b.probs[None, :]).astype(np.float64) - b.probs[None, :]
-            elif b.kind in ("entry_sign", "fixed_sign"):
-                coef = rng.signs(seed, col, pos, 0)
-            elif b.kind == "pareto":
-                u = rng.uniform_positive(seed, col, pos, 0)
-                coef = rng.signs(seed, col, pos, 1) * u**-0.25
-            else:  # fixed_gaussian
-                coef = rng.gaussians(seed, col, pos, 0)
-            yield b, coef
+        if len(self.groups) == 1:
+            law, _, positions = self.groups[0]
+            return law.draw(seed, col, positions)
+        coef = np.empty((len(idx), len(self.norms)))
+        for law, columns, positions in self.groups:
+            coef[:, columns] = law.draw(seed, col, positions)
+        return coef
+
+    def _entry_coefficients(self, coef: np.ndarray) -> np.ndarray:
+        """(k, entries) coefficient of the series each COO entry belongs to:
+        coef itself, not a copy, when entry e belongs to series e."""
+        return coef if self.owner is None else coef[:, self.owner]
+
+    @staticmethod
+    def _scatter(weights: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
+        """Row s of the (k, width) result sums weights[s, e] into column
+        cells[e], adding the terms of each cell in entry order."""
+        k = weights.shape[0]
+        flat = (np.arange(k)[:, None] * width + cells).ravel()
+        return np.bincount(flat, weights=weights.ravel(), minlength=k * width).reshape(k, width)
+
+    def _max_sq(self, coef: np.ndarray) -> np.ndarray:
+        return ((coef * self.norms) ** 2).max(axis=1, initial=0.0)
 
     def _finite_choices(self, seed: int, idx: np.ndarray):
         """Yield each Finite summand's outcome matrices and norms with the
@@ -578,32 +612,24 @@ class SamplerPlan:
             j = np.minimum(np.searchsorted(cums, u, side="right"), len(cums) - 1)
             yield mats, norms, j
 
-    @staticmethod
-    def _bucket_max_sq(b: _Bucket, coef: np.ndarray) -> np.ndarray:
-        if b.mats is None:
-            return (coef**2).max(axis=1)
-        return ((coef * b.norms[None, :]) ** 2).max(axis=1)
-
     def realize(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
         """Realizations Z and max_i ||S_i||^2 for a batch of sample indices."""
         seed = seed_value(seed)
         idx = np.asarray(indices, dtype=np.uint64)
         k = idx.shape[0]
         d1, d2 = self.model.d1, self.model.d2
-        z = np.zeros((k, d1, d2), dtype=np.complex128)
-        max_sq = np.zeros(k)
-
-        for b, coef in self._coefficients(seed, idx):
-            if b.mats is None:
-                z += _scatter(coef, b.rows * d2 + b.cols, d1 * d2).reshape(k, d1, d2)
-            else:
-                z += np.einsum("kg,gab->kab", coef, b.mats, optimize=False)
-            np.maximum(max_sq, self._bucket_max_sq(b, coef), out=max_sq)
-
+        coef = self._coefficients(seed, idx)
+        max_sq = self._max_sq(coef)
+        terms = self._entry_coefficients(coef)
+        z = np.empty((k, d1, d2), dtype=np.complex128)
+        z.imag = 0.0
+        if self.imag is not None:
+            z.imag = self._scatter(terms * self.imag, self.cells, d1 * d2).reshape(k, d1, d2)
+        terms *= self.real  # in place: coef is not read again
+        z.real = self._scatter(terms, self.cells, d1 * d2).reshape(k, d1, d2)
         for mats, norms, j in self._finite_choices(seed, idx):
             z += mats[j]
             np.maximum(max_sq, norms[j] ** 2, out=max_sq)
-
         return z, max_sq
 
     def realize_max_sq(self, seed, indices) -> np.ndarray:
@@ -611,9 +637,7 @@ class SamplerPlan:
         the second output of `realize` without building Z."""
         seed = seed_value(seed)
         idx = np.asarray(indices, dtype=np.uint64)
-        max_sq = np.zeros(idx.shape[0])
-        for b, coef in self._coefficients(seed, idx):
-            np.maximum(max_sq, self._bucket_max_sq(b, coef), out=max_sq)
+        max_sq = self._max_sq(self._coefficients(seed, idx))
         for _, norms, j in self._finite_choices(seed, idx):
             np.maximum(max_sq, norms[j] ** 2, out=max_sq)
         return max_sq
@@ -625,57 +649,22 @@ class SamplerPlan:
         if not self.diagonal:
             raise ValueError("realize_diagonal needs a diagonal plan")
         seed = seed_value(seed)
-        idx = np.asarray(indices, dtype=np.uint64)
-        k = idx.shape[0]
-        diag = np.zeros((k, self.model.d1))
-        max_sq = np.zeros(k)
-        for b, coef in self._coefficients(seed, idx):
-            diag += _scatter(coef, b.rows, self.model.d1)
-            np.maximum(max_sq, self._bucket_max_sq(b, coef), out=max_sq)
-        return diag, max_sq
+        coef = self._coefficients(seed, np.asarray(indices, dtype=np.uint64))
+        max_sq = self._max_sq(coef)
+        terms = self._entry_coefficients(coef)
+        terms *= self.real  # in place: coef is not read again
+        return self._scatter(terms, self.rows, self.model.d1), max_sq
 
 
 def sample_summands(model: IndependentSumModel, seed, index: int) -> list[RectMatrix]:
     """One realization of every summand, in model order.
 
     Deterministic in (seed, index, summand position); the sum of the returned
-    list is the corresponding realization of Z.
+    list is the corresponding realization of Z.  Draws each coefficient with
+    scalar RNG calls, independently of SamplerPlan.
     """
     seed = seed_value(seed)
-    out = []
-    for pos, s in enumerate(model.summands):
-        d1, d2 = model.d1, model.d2
-        if isinstance(s, ScaledBasisRademacher):
-            coef = float(rng.signs(seed, index, pos, 0)) * s.scale
-            m = np.zeros((d1, d2), dtype=np.complex128)
-            m[s.index, s.index] = coef
-        elif isinstance(s, CenteredBernoulliBasis):
-            u = float(rng.uniform_halfopen(seed, index, pos, 0))
-            coef = (1.0 if u < s.prob else 0.0) - s.prob
-            m = np.zeros((d1, d2), dtype=np.complex128)
-            m[s.index, s.index] = coef
-        elif isinstance(s, RademacherEntry):
-            m = np.zeros((d1, d2), dtype=np.complex128)
-            m[s.row, s.col] = float(rng.signs(seed, index, pos, 0))
-        elif isinstance(s, ParetoDiagonal):
-            u = float(rng.uniform_positive(seed, index, pos, 0))
-            sign = float(rng.signs(seed, index, pos, 1))
-            m = np.zeros((d1, d2), dtype=np.complex128)
-            m[s.index, s.index] = pareto_sample(u, sign)
-        elif isinstance(s, FixedRademacher):
-            m = float(rng.signs(seed, index, pos, 0)) * s.matrix.array
-        elif isinstance(s, FixedGaussian):
-            m = float(rng.gaussians(seed, index, pos, 0)) * s.matrix.array
-        elif isinstance(s, Finite):
-            sup = s.support
-            cums = np.cumsum(sup.probabilities)
-            u = float(rng.uniform_halfopen(seed, index, pos, 0))
-            j = min(int(np.searchsorted(cums, u, side="right")), len(cums) - 1)
-            m = sup.matrices[j]
-        else:
-            raise TypeError(f"not a summand spec: {s!r}")
-        out.append(RectMatrix(m))
-    return out
+    return [RectMatrix(s.sample(seed, index, pos)) for pos, s in enumerate(model.summands)]
 
 
 # ---------------------------------------------------------------------------
@@ -701,72 +690,37 @@ def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[entry(e) for e in row] for row in rows], dtype=np.complex128)
 
 
-def summand_to_json(spec) -> dict:
-    if isinstance(spec, FixedRademacher):
-        return {"family": "fixed_rademacher", "matrix": _matrix_to_json(spec.matrix.array)}
-    if isinstance(spec, FixedGaussian):
-        return {"family": "fixed_gaussian", "matrix": _matrix_to_json(spec.matrix.array)}
-    if isinstance(spec, ScaledBasisRademacher):
-        return {
-            "family": "scaled_basis_rademacher",
-            "index": spec.index,
-            "scale": spec.scale,
-            "dim": spec.dim,
-        }
-    if isinstance(spec, CenteredBernoulliBasis):
-        return {
-            "family": "centered_bernoulli_basis",
-            "index": spec.index,
-            "prob": spec.prob,
-            "dim": spec.dim,
-        }
-    if isinstance(spec, RademacherEntry):
-        return {
-            "family": "rademacher_entry",
-            "row": spec.row,
-            "col": spec.col,
-            "dim": spec.dim,
-        }
-    if isinstance(spec, ParetoDiagonal):
-        return {"family": "pareto_diagonal", "index": spec.index, "dim": spec.dim}
-    if isinstance(spec, Finite):
-        return {
-            "family": "finite",
-            "outcomes": [
-                {"probability": float(p), "matrix": _matrix_to_json(m)}
-                for p, m in spec.support.outcomes()
-            ],
-        }
-    raise TypeError(f"not a summand spec: {spec!r}")
+_FAMILIES = {
+    "fixed_rademacher": lambda doc: FixedRademacher(
+        HermitianMatrix(_matrix_from_json(doc["matrix"]))
+    ),
+    "fixed_gaussian": lambda doc: FixedGaussian(
+        HermitianMatrix(_matrix_from_json(doc["matrix"]))
+    ),
+    "scaled_basis_rademacher": lambda doc: ScaledBasisRademacher(
+        int(doc["index"]), float(doc["scale"]), int(doc["dim"])
+    ),
+    "centered_bernoulli_basis": lambda doc: CenteredBernoulliBasis(
+        int(doc["index"]), float(doc["prob"]), int(doc["dim"])
+    ),
+    "rademacher_entry": lambda doc: RademacherEntry(
+        int(doc["row"]), int(doc["col"]), int(doc["dim"])
+    ),
+    "pareto_diagonal": lambda doc: ParetoDiagonal(int(doc["index"]), int(doc["dim"])),
+    "finite": lambda doc: Finite(
+        FiniteSummand(
+            (float(o["probability"]), _matrix_from_json(o["matrix"]))
+            for o in doc["outcomes"]
+        )
+    ),
+}
 
 
 def summand_from_json(doc: dict):
     family = doc.get("family")
-    if family == "fixed_rademacher":
-        return FixedRademacher(HermitianMatrix(_matrix_from_json(doc["matrix"])))
-    if family == "fixed_gaussian":
-        return FixedGaussian(HermitianMatrix(_matrix_from_json(doc["matrix"])))
-    if family == "scaled_basis_rademacher":
-        return ScaledBasisRademacher(
-            index=int(doc["index"]), scale=float(doc["scale"]), dim=int(doc["dim"])
-        )
-    if family == "centered_bernoulli_basis":
-        return CenteredBernoulliBasis(
-            index=int(doc["index"]), prob=float(doc["prob"]), dim=int(doc["dim"])
-        )
-    if family == "rademacher_entry":
-        return RademacherEntry(
-            row=int(doc["row"]), col=int(doc["col"]), dim=int(doc["dim"])
-        )
-    if family == "pareto_diagonal":
-        return ParetoDiagonal(index=int(doc["index"]), dim=int(doc["dim"]))
-    if family == "finite":
-        outcomes = [
-            (float(o["probability"]), _matrix_from_json(o["matrix"]))
-            for o in doc["outcomes"]
-        ]
-        return Finite(FiniteSummand(outcomes))
-    raise ValueError(f"unknown summand family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown summand family {family!r}")
+    return _FAMILIES[family](doc)
 
 
 def model_to_json(model: IndependentSumModel) -> dict:
@@ -775,7 +729,7 @@ def model_to_json(model: IndependentSumModel) -> dict:
         "d1": model.d1,
         "d2": model.d2,
         "n": model.n,
-        "summands": [summand_to_json(s) for s in model.summands],
+        "summands": [s.to_json() for s in model.summands],
     }
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, main_interval
+from .bounds import BoundInputs, main_interval, variance_param
 from .linalg import HermitianMatrix, spectral_norm, spectral_norms
 from .models import (
     IndependentSumModel,
@@ -31,7 +31,7 @@ from .models import (
 MEAN = "mean"
 MEDIAN_OF_MEANS = "median_of_means"
 
-# coefficient cells (samples x summands) alloted to one chunk
+# scattered terms (samples x terms per sample) alloted to one chunk
 _CHUNK_BUDGET = 1 << 21
 _MAX_CHUNK = 128
 # bytes one chunk of realizations may take
@@ -95,10 +95,12 @@ def _thread_count() -> int:
     return count
 
 
-def _chunk_size(model: IndependentSumModel, diagonal: bool) -> int:
-    """Samples per chunk, within the coefficient-cell budget and the byte
-    budget for the realized chunk: d real diagonal entries per sample on the
-    diagonal route, d1*d2 complex entries otherwise."""
+def _chunk_size(plan: SamplerPlan, diagonal: bool) -> int:
+    """Samples per chunk, within the budget of scattered terms (COO entries
+    and Finite choices) and the byte budget for the realized chunk: d real
+    diagonal entries per sample on the diagonal route, d1*d2 complex entries
+    otherwise."""
+    model = plan.model
     shape, itemsize = ((model.d1,), 8) if diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
     if sample_bytes > _CHUNK_BYTES:
@@ -106,7 +108,7 @@ def _chunk_size(model: IndependentSumModel, diagonal: bool) -> int:
             f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
             f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
         )
-    cells = _CHUNK_BUDGET // max(1, model.n_summands)
+    cells = _CHUNK_BUDGET // max(1, plan.terms)
     return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
 
 
@@ -144,7 +146,7 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarr
             norms[start:stop] = spectral_norms(z)
         max_sq[start:stop] = m
 
-    _for_chunks(cfg.samples, _chunk_size(model, plan.diagonal), run)
+    _for_chunks(cfg.samples, _chunk_size(plan, plan.diagonal), run)
     return norms, max_sq
 
 
@@ -202,7 +204,7 @@ def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estima
         idx = np.arange(start, stop, dtype=np.uint64)
         max_sq[start:stop] = plan.realize_max_sq(seed, idx)
 
-    _for_chunks(cfg.samples, _chunk_size(model, plan.diagonal), run)
+    _for_chunks(cfg.samples, _chunk_size(plan, plan.diagonal), run)
     return _estimate(max_sq, cfg)
 
 
@@ -212,7 +214,7 @@ def empirical_second_moments(model: IndependentSumModel, cfg: MCConfig):
         raise ValueError("model is not centered; apply center() first")
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
-    chunk = _chunk_size(model, diagonal=False)
+    chunk = _chunk_size(plan, diagonal=False)
     starts = range(0, cfg.samples, chunk)
     partials: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(starts)
 
@@ -272,9 +274,9 @@ class BoundReport:
 def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
     """Assemble parameters, interval, and Monte Carlo estimates.
 
-    v comes from the exact per-summand moments (all built-in families have
-    them); L is exact when every summand has finite ||S||^2 support and
-    Monte Carlo otherwise; sandwich_ok checks
+    v comes from the exact per-summand moments; L is exact
+    when every summand has finite ||S||^2 support and Monte Carlo otherwise;
+    sandwich_ok checks
     lower - k*spread <= sqrt(mc_sqnorm.mean) <= upper + k*spread.
     """
     work = model
@@ -283,14 +285,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         work, mean_sum = center(model)
         mean_norm = spectral_norm(mean_sum)
 
-    moments = analytic_second_moments(work)
-    if moments is not None:
-        v = max(spectral_norm(moments[0]), spectral_norm(moments[1]))
-        v_prov = "analytic"
-    else:  # no built-in family hits this; kept for future summand kinds
-        v = max(map(spectral_norm, empirical_second_moments(work, cfg)))
-        v_prov = "empirical"
-
+    v = variance_param(work, analytic_second_moments(work))
     norms, max_sq = collect_samples(work, cfg)
     exact_max = analytic_max_sq(work)
     if exact_max is not None:
@@ -318,7 +313,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         d2=work.d2,
         n=model.n,
         v=v,
-        v_provenance=v_prov,
+        v_provenance="analytic",
         L=L,
         L_provenance=L_prov,
         C=interval.constant,

@@ -103,9 +103,10 @@ class FiniteSummand:
         return out
 
     def _set(self, probs: np.ndarray, mats: np.ndarray) -> None:
-        if (probs <= 0.0).any():
+        # written so that a NaN probability fails both tests
+        if not (probs > 0.0).all():
             raise ValueError("outcome probabilities must be positive")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
         probs.setflags(write=False)
         mats.setflags(write=False)
@@ -114,6 +115,15 @@ class FiniteSummand:
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSummand is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.probabilities, other.probabilities) and np.array_equal(
+            self.matrices, other.matrices
+        )
+
+    __hash__ = None
 
     @property
     def support_size(self) -> int:

@@ -34,7 +34,6 @@ from matcon.bounds import sweep_rademacher_domination
 from matcon.cli import main
 from matcon.models import (
     FixedRademacher,
-    ParetoDiagonal,
     make_example,
     make_model,
     pareto_sample,
@@ -98,7 +97,7 @@ def desk_reports():
     t0 = time.monotonic()
     reports = []
     for label, model in desk_models():
-        heavy = any(isinstance(s, ParetoDiagonal) for s in model.summands)
+        heavy = any(s.heavy_tail for s in model.summands)
         cfg = MCConfig(
             samples=DESK_SAMPLES,
             seed=SEED,

@@ -114,6 +114,27 @@ class TestReport:
         assert row[0] == "coin"
         assert float(row[REPORT_COLUMNS.index("v")]) == pytest.approx(1.0)
 
+    def test_nan_probability_in_model_file_exit_2(self, tmp_path, capsys):
+        doc = {
+            "summands": [
+                {
+                    "family": "finite",
+                    "outcomes": [
+                        {"probability": 0.5, "matrix": [[1.0]]},
+                        {"probability": float("nan"), "matrix": [[-1.0]]},
+                    ],
+                }
+            ]
+        }
+        f = tmp_path / "nan.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "probabilities" in err
+
     def test_uncentered_model_note_on_stderr(self, tmp_path, capsys):
         point = FiniteSummand([(1.0, np.diag([3.0, 0.0]))])
         spin = FiniteSummand([(0.5, np.eye(2)), (0.5, -np.eye(2))])
@@ -154,7 +175,8 @@ class TestMemoryGuard:
         )
         assert code == 2
         assert out == ""
-        assert "2 fixed 2x2 matrices take 128 bytes" in err
+        # two diagonal 2x2 matrices: 4 entries of 40 bytes each
+        assert "4 fixed-matrix entries take 160 bytes" in err
         assert "100-byte plan budget" in err
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -27,7 +28,7 @@ from matcon import (
     sample_summands,
     brute_force_expected_norm,
 )
-from matcon.models import SamplerPlan, summand_mean
+from matcon.models import PARETO, SIGN, SamplerPlan
 
 
 def rand_hermitian(rng, d):
@@ -41,26 +42,34 @@ class TestExamples:
         assert len(m.summands) == 8
         assert m.d1 == m.d2 == 2
         assert m.centered
-        assert all(isinstance(s, ScaledBasisRademacher) for s in m.summands)
-        assert all(s.scale == pytest.approx(0.5) for s in m.summands)
+        # fair sign times 0.5 * E_ii
+        assert all(s.law is SIGN and s.rows == s.cols for s in m.summands)
+        assert all(s.values == pytest.approx((0.5,)) for s in m.summands)
 
     def test_sec72_structure(self):
         m = make_example("sec72", d=2, n=3)
         assert len(m.summands) == 6
-        assert all(isinstance(s, CenteredBernoulliBasis) for s in m.summands)
-        assert all(s.prob == pytest.approx(1.0 / 3.0) for s in m.summands)
+        # centered Bernoulli(1/3) times E_ii
+        assert all(s.law.name == "bernoulli" for s in m.summands)
+        assert all(s.law.p == pytest.approx(1.0 / 3.0) for s in m.summands)
+        assert all(s.rows == s.cols and s.values == (1.0,) for s in m.summands)
 
     def test_sec73_structure(self):
         m = make_example("sec73", d=3)
         assert len(m.summands) == 9
-        assert all(isinstance(s, RademacherEntry) for s in m.summands)
-        positions = {(s.row, s.col) for s in m.summands}
+        # fair sign times E_ij
+        assert all(s.law is SIGN and s.values == (1.0,) for s in m.summands)
+        positions = {(s.rows[0], s.cols[0]) for s in m.summands}
         assert positions == {(i, j) for i in range(3) for j in range(3)}
 
     def test_sec74_structure(self):
         m = make_example("sec74", d=5)
         assert len(m.summands) == 5
-        assert all(isinstance(s, ParetoDiagonal) for s in m.summands)
+        # symmetric Pareto times E_ii
+        assert all(s.law is PARETO for s in m.summands)
+        assert [(s.rows, s.cols, s.values) for s in m.summands] == [
+            ((i,), (i,), (1.0,)) for i in range(5)
+        ]
         assert m.centered
 
     def test_unknown_name_rejected(self):
@@ -185,10 +194,13 @@ class TestMoments:
             analytic_second_moments(model)
 
 
-def _unit(i, j, d):
-    e = np.zeros((d, d), dtype=np.complex128)
-    e[i, j] = 1.0
-    return e
+def _hand_ec2(law):
+    """E c^2 of each law, written out here rather than read from the law."""
+    if law.name == "bernoulli":
+        p = law.p
+        return p * (1.0 - p) ** 2 + (1.0 - p) * p**2
+    # E eps^2 = E g^2 = 1; E P^2 = E u^(-1/2) = 1 / (1 - 1/2)
+    return {"sign": 1.0, "gaussian": 1.0, "pareto": 2.0}[law.name]
 
 
 def _hand_moments(model):
@@ -199,18 +211,11 @@ def _hand_moments(model):
     for s in model.summands:
         if isinstance(s, Finite):
             terms = list(s.support.outcomes())
-        elif isinstance(s, (FixedRademacher, FixedGaussian)):
-            terms = [(1.0, s.matrix.array)]  # E eps^2 = E g^2 = 1
-        elif isinstance(s, ScaledBasisRademacher):
-            terms = [(s.scale**2, _unit(s.index, s.index, s.dim))]
-        elif isinstance(s, CenteredBernoulliBasis):
-            p = s.prob
-            ec2 = p * (1.0 - p) ** 2 + (1.0 - p) * p**2
-            terms = [(ec2, _unit(s.index, s.index, s.dim))]
-        elif isinstance(s, RademacherEntry):
-            terms = [(1.0, _unit(s.row, s.col, s.dim))]
-        else:  # ParetoDiagonal: E P^2 = E u^(-1/2) = 1 / (1 - 1/2)
-            terms = [(2.0, _unit(s.index, s.index, s.dim))]
+        else:
+            a = np.zeros(s.shape, dtype=np.complex128)
+            for i, j, v in zip(s.rows, s.cols, s.values):
+                a[i, j] += v
+            terms = [(_hand_ec2(s.law), a)]
         for w, a in terms:
             left += w * (a @ a.conj().T)
             right += w * (a.conj().T @ a)
@@ -410,7 +415,7 @@ class TestJsonRoundTrip:
         back = model_from_json(json.loads(json.dumps(doc)))
         assert back.d1 == 2 and back.d2 == 2
         assert back.name == "mixed"
-        assert [type(s) for s in back.summands] == [type(s) for s in model.summands]
+        assert back.summands == model.summands
         a = sample_summands(model, seed=9, index=3)
         b = sample_summands(back, seed=9, index=3)
         assert all(np.array_equal(x.array, y.array) for x, y in zip(a, b))
@@ -444,7 +449,7 @@ class TestAgainstBruteForce:
         outcomes = []
         for s in model.summands:
             e = np.zeros((d, d))
-            e[s.row, s.col] = 1.0
+            e[s.rows[0], s.cols[0]] = s.values[0]
             outcomes.append(FiniteSummand([(0.5, e), (0.5, -e)]))
         exact = brute_force_expected_norm(outcomes, r=2)
         plan = SamplerPlan(model)
@@ -455,6 +460,96 @@ class TestAgainstBruteForce:
         assert abs(vals.mean() - exact) <= 3.5 * se
 
     def test_summand_mean_helper(self):
-        assert np.all(
-            summand_mean(CenteredBernoulliBasis(index=0, prob=0.5, dim=2)) == 0.0
+        mean = CenteredBernoulliBasis(index=0, prob=0.5, dim=2).mean()
+        assert mean.shape == (2, 2)
+        assert np.all(mean == 0.0)
+
+
+# A mixed model in the model-file format: one summand of each built-in family,
+# with entries that share cells, complex fixed matrices and a centered Finite
+# summand in the middle.  The digests below were recorded from this document
+# with the per-family implementation that preceded the single ScalarSeries
+# representation; they pin the draws across versions, which a round trip
+# within one version cannot.
+GOLDEN_SEED = 2028
+GOLDEN_DOC = {
+    "name": "golden",
+    "d1": 3,
+    "d2": 3,
+    "summands": [
+        {
+            "family": "fixed_rademacher",
+            "matrix": [
+                [[0.75, 0.0], [0.5, -1.25], [-0.3, 0.2]],
+                [[0.5, 1.25], [-1.1, 0.0], [0.0, 0.9]],
+                [[-0.3, -0.2], [0.0, -0.9], [0.4, 0.0]],
+            ],
+        },
+        {"family": "scaled_basis_rademacher", "index": 0, "scale": 0.7, "dim": 3},
+        {
+            "family": "finite",
+            "outcomes": [
+                {
+                    "probability": 0.5,
+                    "matrix": [
+                        [[0.2, 0.1], [-0.6, 0.0], [0.0, 0.35]],
+                        [[1.3, -0.4], [0.05, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.8, 0.25], [-0.15, 0.6]],
+                    ],
+                },
+                {
+                    "probability": 0.5,
+                    "matrix": [
+                        [[-0.2, -0.1], [0.6, 0.0], [0.0, -0.35]],
+                        [[-1.3, 0.4], [-0.05, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [-0.8, -0.25], [0.15, -0.6]],
+                    ],
+                },
+            ],
+        },
+        {
+            "family": "fixed_gaussian",
+            "matrix": [[1.5, -0.25, 0.0], [-0.25, 0.0, 0.6], [0.0, 0.6, -0.45]],
+        },
+        {"family": "centered_bernoulli_basis", "index": 1, "prob": 0.3, "dim": 3},
+        {"family": "rademacher_entry", "row": 0, "col": 2, "dim": 3},
+        {"family": "pareto_diagonal", "index": 0, "dim": 3},
+    ],
+}
+GOLDEN_REALIZE_SHA256 = "4e8ea51ddcddc6149e8bbded27c24c9cc15f300bd2c91ddef591083489122e33"
+GOLDEN_MAX_SQ_SHA256 = "7eb6950bb9090d09bcf3fc357bfd8b2015c39496eca18c42a64fc5d16b556e1a"
+GOLDEN_MOMENTS_SHA256 = "6d28a72a809745948c4faebc8d620a1342db97a638c94f59ded1018634c8ec0e"
+GOLDEN_DISCRETE_MAX_SQ = 4.554714395052703
+
+
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestGoldenSamples:
+    """Draws, moments and E max ||S_i||^2 of GOLDEN_DOC, pinned across versions."""
+
+    def model(self, doc=GOLDEN_DOC):
+        return model_from_json(json.loads(json.dumps(doc)))
+
+    def test_realize(self):
+        z, max_sq = SamplerPlan(self.model()).realize(
+            GOLDEN_SEED, np.arange(64, dtype=np.uint64)
         )
+        assert _sha256(z, max_sq) == GOLDEN_REALIZE_SHA256
+
+    def test_realize_max_sq(self):
+        max_sq = SamplerPlan(self.model()).realize_max_sq(
+            GOLDEN_SEED, np.arange(64, dtype=np.uint64)
+        )
+        assert _sha256(max_sq) == GOLDEN_MAX_SQ_SHA256
+
+    def test_analytic_second_moments(self):
+        left, right = analytic_second_moments(self.model())
+        assert _sha256(left.array, right.array) == GOLDEN_MOMENTS_SHA256
+
+    def test_analytic_max_sq_of_discrete_families(self):
+        continuous = ("fixed_gaussian", "pareto_diagonal")
+        doc = dict(GOLDEN_DOC)
+        doc["summands"] = [s for s in doc["summands"] if s["family"] not in continuous]
+        assert analytic_max_sq(self.model(doc)) == GOLDEN_DISCRETE_MAX_SQ

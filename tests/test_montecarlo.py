@@ -8,6 +8,7 @@ import pytest
 from matcon import (
     Finite,
     FiniteSummand,
+    FixedGaussian,
     FixedRademacher,
     MCConfig,
     MEAN,
@@ -192,12 +193,29 @@ class TestDiagonalKernel:
             assert np.array_equal(norms, want_norms)
             assert np.array_equal(max_sq, want_max_sq)
 
+    def test_diagonal_fixed_matrices_match_dense_route_bitwise(self):
+        # a fixed matrix with only diagonal entries is a diagonal summand too
+        rng = np.random.default_rng(23)
+        for model in (
+            make_model([FixedRademacher(as_hermitian(basis_diag(0, 3)))]),
+            make_model(
+                [FixedRademacher(np.diag(rng.normal(size=4))) for _ in range(3)]
+                + [FixedGaussian(np.diag(rng.normal(size=4)))]
+                + list(make_example("sec74", d=4).summands)
+            ),
+        ):
+            assert SamplerPlan(model).diagonal
+            cfg = MCConfig(samples=150, seed=45)
+            norms, max_sq = collect_samples(model, cfg)
+            want_norms, want_max_sq = dense_route(model, cfg)
+            assert np.array_equal(norms, want_norms)
+            assert np.array_equal(max_sq, want_max_sq)
+
     def test_non_diagonal_models(self):
         rng = np.random.default_rng(22)
         coin = FiniteSummand([(0.5, np.eye(2)), (0.5, -np.eye(2))])
         for model in (
             make_example("sec73", d=3),
-            make_model([FixedRademacher(as_hermitian(basis_diag(0, 3)))]),
             make_model([FixedRademacher(rand_hermitian(rng, 2))]),
             make_model([Finite(coin)]),
         ):
@@ -270,7 +288,7 @@ class TestMemoryGuard:
         want = collect_samples(model, cfg)
         # room for three 4x4 complex realizations per chunk
         monkeypatch.setattr("matcon.montecarlo._CHUNK_BYTES", 3 * 4 * 4 * 16)
-        assert _chunk_size(model, diagonal=False) == 3
+        assert _chunk_size(SamplerPlan(model), diagonal=False) == 3
         got = collect_samples(model, cfg)
         assert np.array_equal(want[0], got[0])
         assert np.array_equal(want[1], got[1])
@@ -288,8 +306,15 @@ class TestMemoryGuard:
         rng = np.random.default_rng(24)
         model = make_model([FixedRademacher(rand_hermitian(rng, 4)) for _ in range(3)])
         monkeypatch.setattr("matcon.models._STACK_BYTES", 2 * 4 * 4 * 16)
-        with pytest.raises(ValueError, match="768 bytes"):
+        # 3 x 16 entries of 40 bytes each
+        with pytest.raises(ValueError, match="48 fixed-matrix entries take 1920 bytes"):
             SamplerPlan(model)
+
+    def test_one_entry_summands_outside_plan_budget(self, monkeypatch):
+        # each one-entry summand is already an object of the model, so only
+        # fixed matrices, which expand into many entries, count
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 100)
+        assert SamplerPlan(make_example("sec73", d=4)).terms == 16
 
 
 class TestEmpiricalMoments:

@@ -495,6 +495,16 @@ class TestFiniteSummandStack:
         with pytest.raises(ValueError):
             FiniteSummand([(1.0, np.ones(3))])
 
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_probability_rejected(self, where):
+        probs = [0.25, 0.25, 0.5]
+        probs[where] = math.nan
+        outcomes = [(p, s * np.eye(2)) for p, s in zip(probs, (1.0, -1.0, 0.0))]
+        with pytest.raises(ValueError, match="probabilities"):
+            FiniteSummand(outcomes)
+        with pytest.raises(ValueError, match="probabilities"):
+            FiniteSummand([(math.nan, np.eye(2))])
+
     def test_probabilities_not_summing_to_one_rejected(self):
         with pytest.raises(ValueError):
             FiniteSummand([(0.5, np.eye(2)), (0.5 + 1e-9, -np.eye(2))])
