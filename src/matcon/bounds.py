@@ -22,7 +22,14 @@ import numpy as np
 
 from .linalg import as_stack, hermitian_stack, spectral_norm
 from .models import IndependentSumModel, analytic_max_sq, analytic_second_moments
-from .oracles import FiniteSummand, brute_force_expected_norm, odd_double_factorial
+from .oracles import (
+    FiniteSummand,
+    _blocks,
+    brute_force_expected_norm,
+    case_rng,
+    odd_double_factorial,
+    random_hermitian_family,
+)
 
 SECOND_MOMENT = "second"
 FIRST_MOMENT = "first"
@@ -278,22 +285,24 @@ class DominationRecord:
     rel_slack: float  # (bound - exact) / max(bound, tiny)
 
 
+_HALVES = np.array([0.5, 0.5])
+
+
 def sweep_rademacher_domination(
     cases: int, seed: int, max_n: int = 10, max_dim: int = 6
 ) -> list[DominationRecord]:
     """Check the sign-series bound against exact enumeration on random
-    families; rel_slack < -1e-9 on any record is a violation."""
-    from .oracles import random_hermitian_family
-
+    families, case i drawn from the "rademacher" case stream (8); rel_slack
+    < -1e-9 on any record is a violation."""
     records = []
-    for i in range(cases):
-        g = np.random.default_rng([int(seed) % (1 << 64), 8, int(i)])
-        family = random_hermitian_family(g, max_n=max_n, max_dim=max_dim)
-        bound = rademacher_bound(family)
-        summands = [FiniteSummand([(0.5, h), (0.5, -h)]) for h in family]
-        exact = math.sqrt(brute_force_expected_norm(summands, r=2))
-        rel = (bound - exact) / max(bound, 1e-300)
-        records.append(
-            DominationRecord(index=i, bound=bound, exact=exact, rel_slack=rel)
-        )
+    for index in _blocks(cases):
+        key = case_rng(seed, "rademacher", index)
+        families = random_hermitian_family(key, max_n=max_n, max_dim=max_dim)
+        for i, family in zip(index.tolist(), families):
+            bound = rademacher_bound(family)
+            pairs = np.stack([family, -family], axis=1)
+            summands = [FiniteSummand._of_stack(_HALVES, pair) for pair in pairs]
+            exact = math.sqrt(brute_force_expected_norm(summands, r=2))
+            rel = (bound - exact) / max(bound, 1e-300)
+            records.append(DominationRecord(index=i, bound=bound, exact=exact, rel_slack=rel))
     return records

@@ -25,7 +25,7 @@ from . import __version__
 from .bounds import sweep_rademacher_domination
 from .models import EXAMPLE_NAMES, make_example, model_from_json, _matrix_to_json
 from .montecarlo import MCConfig, MEAN, MEDIAN_OF_MEANS, bound_report
-from .oracles import KINDS, case_rng, random_fact_case, sweep_fact_kind, sweep_symmetrization
+from .oracles import KINDS, replay_fact_case, sweep_fact_kind, sweep_symmetrization
 
 REPORT_COLUMNS = (
     "model,d1,d2,n,v,v_provenance,L,L_provenance,C,lower,upper,"
@@ -176,11 +176,7 @@ def _payload_json(case) -> dict:
 
 
 def _print_fact_failure(seed: int, kind: str, index: int, result) -> None:
-    case = random_fact_case(
-        kind,
-        case_rng(seed, kind, index),
-        max_p=12 if kind == "double_factorial" else 6,
-    )
+    case = replay_fact_case(seed, kind, index, max_p=12 if kind == "double_factorial" else 6)
     print(
         f"FAIL facts/{kind} case {index} "
         f"(replay: --seed {seed}, kind {kind}, index {index})"

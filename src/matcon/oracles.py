@@ -38,6 +38,7 @@ from .linalg import (
     require_finite,
     spectral_norms,
 )
+from .rng import gaussians, integers, uniform_halfopen
 
 KINDS = (
     "heinz",
@@ -542,83 +543,165 @@ def symmetrization_check(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -
 
 
 # ---------------------------------------------------------------------------
-# Seeded random case generation for the sweep suites.  Every case is keyed by
-# (seed, kind, case index) so any failure replays from the printed triple.
+# Seeded random case generation for the sweep suites.  Every variate of case
+# i of a sweep is the counter-RNG draw keyed by (seed, stream, i, slot), so a
+# block of cases is drawn as whole stacks and any case replays alone, bit
+# for bit, from (seed, stream, i).  The streams are the fact kinds 0-7 (in
+# KINDS order), the sign-series domination sweep 8 and symmetrization 9.
+# Slots 0-15 hold a case's scalars; matrix m of a case owns the slots
+# 16 + 4 (m 2^32 + e): entry e = 0 holds up to four scalars of the matrix,
+# entry e = 1 + row * cols + col the Gaussian real part (at +0, +1) and
+# imaginary part (at +2, +3) of that matrix entry.
 # ---------------------------------------------------------------------------
 
-_KIND_INDEX = {k: i for i, k in enumerate(KINDS)}
+_STREAMS = {**{k: i for i, k in enumerate(KINDS)}, "rademacher": 8, "symmetrization": 9}
+_MATRIX_SLOT = 16
+
+# cases drawn and checked at a time: bounds a sweep's memory, not its results
+_SWEEP_BLOCK = 4096
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return np.asarray(scale * (g + g.conj().T) / 2.0)
+class CaseKey:
+    """The cases at indices `index` (a 1-d int64 array) of one sweep stream."""
+
+    __slots__ = ("seed", "stream", "index")
+
+    def __init__(self, seed: int, stream: int, index: np.ndarray):
+        self.seed, self.stream, self.index = seed, stream, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, positions) -> "CaseKey":
+        return CaseKey(self.seed, self.stream, self.index[positions])
+
+    def uniform(self, slot: int) -> np.ndarray:
+        return uniform_halfopen(self.seed, self.stream, self.index, slot)
+
+    def integers(self, slot: int, low: int, high) -> np.ndarray:
+        return integers(self.seed, self.stream, self.index, slot, low, high)
+
+    def matrix_uniform(self, count: int, part: int) -> np.ndarray:
+        """(k, count) uniforms in [0, 1): scalar `part` of matrices
+        0 .. count - 1 of each case."""
+        m = np.arange(count, dtype=np.uint64)
+        slot = _MATRIX_SLOT + 4 * (m << np.uint64(32)) + np.uint64(part)
+        return uniform_halfopen(self.seed, self.stream, self.index[:, None], slot)
+
+    def gaussian_matrices(self, first: int, count: int, rows: int, cols: int) -> np.ndarray:
+        """(k, count, rows, cols) complex matrices of independent standard
+        normal real and imaginary parts: matrices first .. first + count - 1
+        of each case."""
+        m = np.arange(first, first + count, dtype=np.uint64)[:, None]
+        entry = np.arange(1, rows * cols + 1, dtype=np.uint64)
+        base = _MATRIX_SLOT + 4 * ((m << np.uint64(32)) + entry)
+        slot = base[..., None] + np.array([0, 2], dtype=np.uint64)
+        at = self.index[:, None, None, None]
+        g = gaussians(self.seed, self.stream, at, slot)
+        return g.view(np.complex128).reshape(len(self), count, rows, cols)
 
 
-def random_psd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return np.asarray(scale * (g @ g.conj().T) / d)
+def case_rng(seed: int, stream: str, index) -> CaseKey:
+    """The key of sweep cases `index` (an int or a sequence of ints) of
+    `stream`: a fact kind, "rademacher" or "symmetrization"."""
+    index = np.atleast_1d(np.asarray(index, dtype=np.int64))
+    return CaseKey(int(seed) % (1 << 64), _STREAMS[stream], index)
 
 
-def _draw_case(
-    kind: str, rng: np.random.Generator, max_dim: int = 6, max_r: int = 3, max_p: int = 6
-) -> dict:
-    """The raw draws of one random case of `kind`, as the keyword arguments
-    of its FactCase constructor."""
-    if kind == "heinz":
-        lam = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 10.0))
-        mu = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 10.0))
-        u = rng.random()
-        theta = 0.0 if u < 0.05 else 1.0 if u < 0.1 else float(rng.random())
-        return {"lam": lam, "mu": mu, "theta": theta}
-    if kind == "gm_am_trace":
-        d = int(rng.integers(1, max_dim + 1))
-        r = int(rng.integers(0, max_r + 1))
-        q = int(rng.integers(0, 2 * r + 1))
-        return {
-            "H": random_hermitian(rng, d),
-            "W": random_hermitian(rng, d),
-            "Y": random_hermitian(rng, d),
-            "r": r,
-            "q": q,
-        }
-    if kind == "sum_squares":
-        d = int(rng.integers(1, max_dim + 1))
-        n = int(rng.integers(1, 6))
-        return {"mats": np.stack([random_psd(rng, d) for _ in range(n)])}
-    if kind == "trace_product":
-        d = int(rng.integers(1, max_dim + 1))
-        return {"H": random_hermitian(rng, d), "A": random_psd(rng, d)}
-    if kind == "monotonicity":
-        d = int(rng.integers(1, max_dim + 1))
-        a = random_hermitian(rng, d)
-        return {"A": a, "H": a + random_psd(rng, d)}
-    if kind == "diff_powers":
-        d = int(rng.integers(1, max_dim + 1))
-        p = int(rng.integers(1, max_p + 1))
-        return {"W": random_hermitian(rng, d), "Y": random_hermitian(rng, d), "p": p}
-    if kind == "double_factorial":
-        return {"p": int(rng.integers(0, max_p + 1))}
-    if kind == "dilation_square":
-        d1 = int(rng.integers(1, max_dim + 1))
-        d2 = int(rng.integers(1, max_dim + 1))
-        return {"B": rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))}
-    raise ValueError(f"unknown fact kind: {kind!r}")
+def symmetrization_rng(seed: int, index) -> CaseKey:
+    """The key of symmetrization sweep cases `index` (stream 9)."""
+    return case_rng(seed, "symmetrization", index)
+
+
+def _blocks(cases: int):
+    """The case indices 0 .. cases - 1, _SWEEP_BLOCK at a time."""
+    for start in range(0, cases, _SWEEP_BLOCK):
+        yield np.arange(start, min(start + _SWEEP_BLOCK, cases))
+
+
+def _by_shape(key: CaseKey, *dims: np.ndarray):
+    """(positions, sub-key, shape) for each distinct tuple of `dims` among
+    the cases of `key`, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for j, shape in enumerate(zip(*(d.tolist() for d in dims))):
+        groups.setdefault(shape, []).append(j)
+    for shape, positions in groups.items():
+        positions = np.array(positions)
+        yield positions, key.take(positions), shape
+
+
+def random_hermitian(key: CaseKey, first: int, count: int, d: int) -> np.ndarray:
+    """(k, count, d, d) Hermitian matrices (G + G*)/2 of Gaussian G."""
+    g = key.gaussian_matrices(first, count, d, d)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+def random_psd(key: CaseKey, first: int, count: int, d: int) -> np.ndarray:
+    """(k, count, d, d) PSD matrices G G* / d of Gaussian G."""
+    g = key.gaussian_matrices(first, count, d, d)
+    return (g @ g.conj().swapaxes(-1, -2)) / d
 
 
 def random_fact_case(
-    kind: str,
-    rng: np.random.Generator,
-    max_dim: int = 6,
-    max_r: int = 3,
-    max_p: int = 6,
+    kind: str, key: CaseKey, max_dim: int = 6, max_r: int = 3, max_p: int = 6
+) -> list[tuple[np.ndarray, dict]]:
+    """The random valid cases of `kind` at the indices of `key`, grouped by
+    shape, as (positions, batch) pairs: positions index key.index, and the
+    batch stacks the raw draws of those cases as the keyword arguments of
+    the FactCase constructor of `kind`."""
+    every = np.arange(len(key))
+    if kind == "heinz":
+        u = [key.uniform(slot) for slot in range(6)]
+        lam = np.where(u[0] < 0.1, 0.0, 10.0 * u[1])
+        mu = np.where(u[2] < 0.1, 0.0, 10.0 * u[3])
+        theta = np.where(u[4] < 0.05, 0.0, np.where(u[4] < 0.1, 1.0, u[5]))
+        return [(every, {"lam": lam, "mu": mu, "theta": theta})]
+    if kind == "double_factorial":
+        return [(every, {"p": key.integers(0, 0, max_p)})]
+    if kind not in _EVALUATORS:
+        raise ValueError(f"unknown fact kind: {kind!r}")
+    d = key.integers(0, 1, max_dim)
+    if kind == "dilation_square":
+        d2 = key.integers(1, 1, max_dim)
+        return [
+            (ix, {"B": sub.gaussian_matrices(0, 1, rows, cols)[:, 0]})
+            for ix, sub, (rows, cols) in _by_shape(key, d, d2)
+        ]
+    if kind == "sum_squares":
+        n = key.integers(1, 1, 5)
+        return [
+            (ix, {"mats": random_psd(sub, 0, count, dim)})
+            for ix, sub, (dim, count) in _by_shape(key, d, n)
+        ]
+    if kind == "gm_am_trace":
+        r = key.integers(1, 0, max_r)
+        q = key.integers(2, 0, 2 * r)
+    elif kind == "diff_powers":
+        p = key.integers(1, 1, max_p)
+    groups = []
+    for ix, sub, (dim,) in _by_shape(key, d):
+        if kind == "gm_am_trace":
+            H, W, Y = random_hermitian(sub, 0, 3, dim).swapaxes(0, 1)
+            batch = {"H": H, "W": W, "Y": Y, "r": r[ix], "q": q[ix]}
+        elif kind == "trace_product":
+            batch = {"H": random_hermitian(sub, 0, 1, dim)[:, 0],
+                     "A": random_psd(sub, 1, 1, dim)[:, 0]}
+        elif kind == "monotonicity":
+            a = random_hermitian(sub, 0, 1, dim)[:, 0]
+            batch = {"A": a, "H": a + random_psd(sub, 1, 1, dim)[:, 0]}
+        else:
+            W, Y = random_hermitian(sub, 0, 2, dim).swapaxes(0, 1)
+            batch = {"W": W, "Y": Y, "p": p[ix]}
+        groups.append((ix, batch))
+    return groups
+
+
+def replay_fact_case(
+    seed: int, kind: str, index: int, max_dim: int = 6, max_r: int = 3, max_p: int = 6
 ) -> FactCase:
-    """One random valid case of the given kind."""
-    return getattr(FactCase, kind)(**_draw_case(kind, rng, max_dim, max_r, max_p))
-
-
-def case_rng(seed: int, kind: str, index: int) -> np.random.Generator:
-    """The generator that (re)produces sweep case `index` of `kind`."""
-    return np.random.default_rng([int(seed) % (1 << 64), _KIND_INDEX[kind], int(index)])
+    """Sweep case `index` of `kind`, drawn alone by the sweep's own code."""
+    [(_, batch)] = random_fact_case(kind, case_rng(seed, kind, index), max_dim, max_r, max_p)
+    return getattr(FactCase, kind)(**{key: value[0] for key, value in batch.items()})
 
 
 @dataclass(frozen=True)
@@ -636,33 +719,22 @@ class SweepResult:
         return not self.failures
 
 
-# cases drawn and checked at a time: bounds a sweep's memory, not its results
-_SWEEP_BLOCK = 256
-
-
-def _stack(draws: list[dict]) -> dict:
-    return {key: np.stack([d[key] for d in draws]) for key in draws[0]}
-
-
-def _validated_batches(kind: str, draws: list[dict]):
-    """Yield the draws stacked by shape (dimension) and validated, as
-    (positions, batch) pairs.  An invalid draw raises, once every stack has
-    been checked, the error its FactCase constructor raises, for the first
-    invalid draw in list order."""
-    groups: dict[tuple, list[int]] = {}
-    for j, draw in enumerate(draws):
-        groups.setdefault(tuple(np.shape(v) for v in draw.values()), []).append(j)
+def _validated_batches(kind: str, groups):
+    """Yield the drawn shape groups validated, as (positions, batch) pairs.
+    An invalid case raises, once every group has been checked, the error its
+    FactCase constructor raises, for the invalid case at the lowest
+    position."""
     first = None
-    for ix in groups.values():
+    for ix, raw in groups:
         try:
-            batch = _validated(kind, _stack([draws[j] for j in ix]))
+            batch = _validated(kind, raw)
         except ValueError:
-            for j in ix:
+            for j in range(len(ix)):
                 try:
-                    _validated(kind, _stack([draws[j]]))
+                    _validated(kind, {key: value[j : j + 1] for key, value in raw.items()})
                 except ValueError as err:
-                    if first is None or j < first[0]:
-                        first = (j, err)
+                    if first is None or ix[j] < first[0]:
+                        first = (ix[j], err)
                     break
             continue
         yield ix, batch
@@ -681,73 +753,75 @@ def sweep_fact_kind(
 ) -> SweepResult:
     """Check `cases` random cases of `kind`.
 
-    Case i is drawn from case_rng(seed, kind, i) exactly as random_fact_case
-    draws it, and checked in a batch of the cases with its shapes by the same
-    validation and evaluation that FactCase and verify_fact apply to it
-    alone, so each failure equals verify_fact on its replayed case.
+    The cases are drawn a block at a time by random_fact_case and checked in
+    stacks of equal shape by the same validation and evaluation that
+    FactCase and verify_fact apply to one case, so each failure equals
+    verify_fact on replay_fact_case of its index.
     """
-    if kind not in _KIND_INDEX:
+    if kind not in KINDS:
         raise ValueError(f"unknown fact kind {kind!r}; expected one of {KINDS}")
     failures = []
-    for start in range(0, cases, _SWEEP_BLOCK):
-        draws = [
-            _draw_case(kind, case_rng(seed, kind, i), max_dim, max_r, max_p)
-            for i in range(start, min(start + _SWEEP_BLOCK, cases))
-        ]
-        for ix, batch in _validated_batches(kind, draws):
+    for index in _blocks(cases):
+        key = case_rng(seed, kind, index)
+        groups = random_fact_case(kind, key, max_dim, max_r, max_p)
+        for ix, batch in _validated_batches(kind, groups):
             holds, result = _evaluate(kind, batch, inject_fault)
-            failures.extend((start + ix[j], result(j)) for j in np.flatnonzero(~holds))
+            failures.extend((int(key.index[ix[j]]), result(j)) for j in np.flatnonzero(~holds))
     failures.sort(key=lambda f: f[0])
     return SweepResult(kind=kind, cases=cases, failures=tuple(failures))
 
 
 def random_zero_mean_summands(
-    rng: np.random.Generator, max_n: int = 5, max_dim: int = 3
-) -> list[FiniteSummand]:
-    """A random family of centered two-outcome summands with a common shape.
+    key: CaseKey, max_n: int = 5, max_dim: int = 3
+) -> list[list[FiniteSummand]]:
+    """For each case of `key`, a random family of centered two-outcome
+    summands with a common shape.
 
     Outcomes are {(p, A), (1-p, -p/(1-p) A)}, which has mean exactly zero;
     the two-sided symmetrization comparison is false for uncentered summands
     (a deterministic nonzero summand already breaks the lower half), so the
-    sweep generates mean-zero instances by construction.
+    sweep generates mean-zero instances by construction.  Summand j takes p
+    and a zero-matrix coin from the scalars of matrix j.
     """
-    n = int(rng.integers(1, max_n + 1))
-    d1 = int(rng.integers(1, max_dim + 1))
-    d2 = int(rng.integers(1, max_dim + 1))
-    out = []
-    for _ in range(n):
-        p = float(rng.uniform(0.1, 0.9))
-        a = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
-        if rng.random() < 0.2:
-            a = np.zeros((d1, d2), dtype=np.complex128)
-        out.append(FiniteSummand([(p, a), (1.0 - p, -(p / (1.0 - p)) * a)]))
+    n = key.integers(0, 1, max_n)
+    d1 = key.integers(1, 1, max_dim)
+    d2 = key.integers(2, 1, max_dim)
+    out = [None] * len(key)
+    for ix, sub, (count, rows, cols) in _by_shape(key, n, d1, d2):
+        p = 0.1 + 0.8 * sub.matrix_uniform(count, 0)
+        zero = sub.matrix_uniform(count, 1) < 0.2
+        a = np.where(zero[..., None, None], 0.0, sub.gaussian_matrices(0, count, rows, cols))
+        scaled = -(p / (1.0 - p))[..., None, None] * a
+        probs = np.stack([p, 1.0 - p], axis=-1)
+        mats = np.stack([a, scaled], axis=2)
+        for j, i in enumerate(ix.tolist()):
+            out[i] = [FiniteSummand._of_stack(probs[j, s], mats[j, s]) for s in range(count)]
     return out
 
 
-def random_hermitian_family(
-    rng: np.random.Generator, max_n: int = 10, max_dim: int = 6
-) -> list[np.ndarray]:
-    """Random fixed Hermitian family with a common dimension."""
-    n = int(rng.integers(1, max_n + 1))
-    d = int(rng.integers(1, max_dim + 1))
-    return [random_hermitian(rng, d) for _ in range(n)]
-
-
-def symmetrization_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for symmetrization sweep instance `index` (stream 9; fact
-    kinds occupy streams 0-7 and the domination sweep stream 8)."""
-    return np.random.default_rng([int(seed) % (1 << 64), 9, int(index)])
+def random_hermitian_family(key: CaseKey, max_n: int = 10, max_dim: int = 6) -> list[np.ndarray]:
+    """For each case of `key`, a random fixed Hermitian family with a common
+    dimension, as an (n, d, d) stack."""
+    n = key.integers(0, 1, max_n)
+    d = key.integers(1, 1, max_dim)
+    out = [None] * len(key)
+    for ix, sub, (count, dim) in _by_shape(key, n, d):
+        stacks = random_hermitian(sub, 0, count, dim)
+        for j, i in enumerate(ix.tolist()):
+            out[i] = stacks[j]
+    return out
 
 
 def sweep_symmetrization(cases: int, seed: int, max_n: int = 5) -> SweepResult:
     """Exact two-sided symmetrization comparison on random centered
-    two-outcome instances, r alternating between 1 and 2."""
+    two-outcome instances, r = 1 or 2 from slot 3 of each case."""
     failures = []
-    for i in range(cases):
-        g = symmetrization_rng(seed, i)
-        summands = random_zero_mean_summands(g, max_n=max_n)
-        r = 1 + int(g.integers(0, 2))
-        result = symmetrization_check(summands, r)
-        if not result.holds:
-            failures.append((i, result))
+    for index in _blocks(cases):
+        key = symmetrization_rng(seed, index)
+        rs = (1 + key.integers(3, 0, 1)).tolist()
+        families = random_zero_mean_summands(key, max_n=max_n)
+        for i, summands, r in zip(index.tolist(), families, rs):
+            result = symmetrization_check(summands, r)
+            if not result.holds:
+                failures.append((i, result))
     return SweepResult(kind="symmetrization", cases=cases, failures=tuple(failures))

@@ -1,7 +1,8 @@
 """Counter-based random number generation.
 
 Every variate is a pure function of a 64-bit key tuple
-(seed, sample index, summand position, draw slot).  No stream state exists,
+(seed, sample index, summand position, draw slot); the oracle sweeps use
+(seed, stream, case index, slot).  No stream state exists,
 so draws can be produced in any order, in parallel, and one at a time, with
 bit-identical results.  The mixer is a splitmix-style 64-bit finalizer
 applied to a chained key.
@@ -62,6 +63,17 @@ def uniform_positive(seed, index, position, slot) -> np.ndarray:
     """Uniform variates in (0, 1]; never zero, safe under log and power laws."""
     w = counter_words(seed, index, position, slot)
     return ((w >> np.uint64(11)) + _ONE).astype(np.float64) * 2.0**-53
+
+
+def integers(seed, index, position, slot, low: int, high) -> np.ndarray:
+    """int64 variates uniform on low..high inclusive; `high` may be an array
+    broadcasting with the key.  Multiply-shift on the top 32 bits of the
+    word, so the bias is below (high - low + 1) / 2^32."""
+    span = np.asarray(high, dtype=np.int64) - low + 1
+    if np.any(span < 1) or np.any(span > 1 << 32):
+        raise ValueError("need 1 <= high - low + 1 <= 2^32")
+    top = counter_words(seed, index, position, slot) >> np.uint64(32)
+    return low + ((top * span.astype(np.uint64)) >> np.uint64(32)).astype(np.int64)
 
 
 def signs(seed, index, position, slot) -> np.ndarray:

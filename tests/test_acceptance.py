@@ -45,12 +45,7 @@ from matcon.montecarlo import (
     bound_report,
     estimate_max_summand_sq,
 )
-from matcon.oracles import (
-    KINDS,
-    random_hermitian_family,
-    sweep_fact_kind,
-    sweep_symmetrization,
-)
+from matcon.oracles import KINDS, sweep_fact_kind, sweep_symmetrization
 from matcon.rng import uniform_positive
 
 SEED = 2028
@@ -76,6 +71,19 @@ def parse_csv(data: bytes) -> list[dict]:
     return list(csv.DictReader(io.StringIO(data.decode())))
 
 
+def generator_hermitian_family(rng, max_n: int, max_dim: int) -> list[np.ndarray]:
+    """A fixed Hermitian family drawn from a numpy Generator: n in 1..max_n,
+    d in 1..max_dim, then n matrices (G + G*)/2 of complex Gaussian G.  The
+    fixed-sign desk models of check 4 are pinned to these draws."""
+    n = int(rng.integers(1, max_n + 1))
+    d = int(rng.integers(1, max_dim + 1))
+    family = []
+    for _ in range(n):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        family.append((g + g.conj().T) / 2.0)
+    return family
+
+
 def desk_models() -> list[tuple[str, object]]:
     entries = []
     for name in ("sec71", "sec72"):
@@ -86,7 +94,7 @@ def desk_models() -> list[tuple[str, object]]:
             entries.append((f"{name} d={d}", make_example(name, d=d)))
     for i in range(20):
         g = np.random.default_rng([SEED, 40, i])
-        family = random_hermitian_family(g, max_n=10, max_dim=6)
+        family = generator_hermitian_family(g, max_n=10, max_dim=6)
         model = make_model([FixedRademacher(h) for h in family])
         entries.append((f"fixed-sign {i} (n={len(family)}, d={model.d1})", model))
     return entries

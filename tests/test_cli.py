@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from matcon import Finite, FiniteSummand, FixedRademacher, make_model, model_to_json
+from matcon import oracles
 from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, main
+from matcon.models import _matrix_from_json
 
 
 def run_cli(argv, capsys):
@@ -225,6 +227,36 @@ class TestVerify:
         doc = json.loads(payload_line)
         assert doc["kind"] == "gm_am_trace"
         assert "payload" in doc
+
+    def test_fault_payload_is_the_case_drawn_in_the_sweep(self, capsys, monkeypatch):
+        real = oracles.random_fact_case
+        drawn = []
+
+        def recording(kind, key, *args):
+            groups = real(kind, key, *args)
+            if kind == "gm_am_trace" and len(key) > 1:
+                drawn.append((key, groups))
+            return groups
+
+        monkeypatch.setattr(oracles, "random_fact_case", recording)
+        code, out, _ = run_cli(
+            ["verify", "--suite", "facts", "--cases", "25", "--seed", "3", "--inject-fault"],
+            capsys,
+        )
+        assert code == 1
+        doc = json.loads(next(line for line in out.split("\n") if line.startswith("{")))
+        index = doc["index"]
+        assert f"FAIL facts/gm_am_trace case {index} " in out
+        [(key, groups)] = drawn
+        [(j, batch)] = [
+            (int(np.flatnonzero(key.index[ix] == index)[0]), batch)
+            for ix, batch in groups
+            if index in key.index[ix]
+        ]
+        for field in ("H", "W", "Y"):
+            printed = _matrix_from_json(doc["payload"][field])
+            assert printed.tobytes() == np.ascontiguousarray(batch[field][j]).tobytes()
+        assert (doc["payload"]["r"], doc["payload"]["q"]) == (batch["r"][j], batch["q"][j])
 
     def test_missing_seed(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "facts"], capsys)

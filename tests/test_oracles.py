@@ -20,7 +20,8 @@ from matcon import (
     verify_fact,
 )
 from matcon import oracles
-from matcon.oracles import case_rng, odd_double_factorial, random_fact_case
+from matcon.bounds import sweep_rademacher_domination
+from matcon.oracles import case_rng, odd_double_factorial, random_fact_case, replay_fact_case
 
 
 def rand_hermitian(rng, d):
@@ -305,13 +306,10 @@ def _bits(result):
 
 
 def _replay(kind, seed, cases, inject_fault=False):
-    """verify_fact on every case, rebuilt one at a time from its generator."""
+    """verify_fact on every case, drawn one at a time from its key."""
     max_p = 12 if kind == "double_factorial" else 6
     return [
-        verify_fact(
-            random_fact_case(kind, case_rng(seed, kind, i), max_p=max_p),
-            inject_fault=inject_fault,
-        )
+        verify_fact(replay_fact_case(seed, kind, i, max_p=max_p), inject_fault=inject_fault)
         for i in range(cases)
     ]
 
@@ -339,12 +337,9 @@ class TestBatchedSweep:
             assert res.failures
 
         # every case, not only the failures: evaluate the validated stacks
-        draws = [
-            oracles._draw_case(kind, case_rng(seed, kind, i), 6, 3, max_p)
-            for i in range(self.CASES)
-        ]
+        groups = random_fact_case(kind, case_rng(seed, kind, range(self.CASES)), 6, 3, max_p)
         got = [None] * self.CASES
-        for ix, batch in oracles._validated_batches(kind, draws):
+        for ix, batch in oracles._validated_batches(kind, groups):
             _, result = oracles._evaluate(kind, batch, inject_fault)
             for j, i in enumerate(ix):
                 got[i] = _bits(result(j))
@@ -362,23 +357,22 @@ class TestBatchedSweep:
         assert short.cases == 90 and full.cases == self.CASES
 
     @staticmethod
-    def _patch_psd(monkeypatch, bad_calls):
-        """random_psd returns -scale * I on the listed call numbers."""
+    def _patch_psd(monkeypatch, bad_cases):
+        """random_psd returns -scale * I for every PSD matrix of the cases
+        at the listed indices."""
         real = oracles.random_psd
-        calls = []
 
-        def patched(rng, d, scale=1.0):
-            out = real(rng, d, scale)
-            calls.append(d)
-            if len(calls) - 1 in bad_calls:
-                return -bad_calls[len(calls) - 1] * np.eye(d, dtype=np.complex128)
+        def patched(key, first, count, d):
+            out = real(key, first, count, d)
+            for j, i in enumerate(key.index.tolist()):
+                if i in bad_cases:
+                    out[j] = -bad_cases[i] * np.eye(d, dtype=np.complex128)
             return out
 
         monkeypatch.setattr(oracles, "random_psd", patched)
-        return calls
 
-    def _replay_error(self, monkeypatch, kind, seed, bad_calls, cases):
-        self._patch_psd(monkeypatch, bad_calls)
+    def _replay_error(self, monkeypatch, kind, seed, bad_cases, cases):
+        self._patch_psd(monkeypatch, bad_cases)
         with pytest.raises(ValueError) as err:
             _replay(kind, seed, cases)
         return str(err.value)
@@ -394,15 +388,14 @@ class TestBatchedSweep:
         assert str(err.value) == want
 
     def test_first_offending_case_wins_across_stacks(self, monkeypatch):
-        # trace_product draws one PSD matrix per case, so call i is case i.
         # Plant a fault at i_late in the stack checked first (the dimension
         # of case 0) and an earlier one at i_early in a stack checked later.
         seed, cases = 5, 200
-        draws = [
-            oracles._draw_case("trace_product", case_rng(seed, "trace_product", i))
-            for i in range(cases)
-        ]
-        dims = [draw["A"].shape[0] for draw in draws]
+        dims = [0] * cases
+        key = case_rng(seed, "trace_product", range(cases))
+        for ix, batch in random_fact_case("trace_product", key):
+            for i in ix.tolist():
+                dims[i] = batch["A"].shape[-1]
         i_early = next(i for i in range(1, cases) if dims[i] != dims[0])
         i_late = next(i for i in range(i_early + 1, cases) if dims[i] == dims[0])
         bad = {i_early: 1.0, i_late: 2.0}
@@ -412,6 +405,109 @@ class TestBatchedSweep:
         with pytest.raises(ValueError) as err:
             sweep_fact_kind("trace_product", cases=cases, seed=seed)
         assert str(err.value) == want
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCaseStreams:
+    """Cases drawn as whole stacks from the counter RNG, keyed by (seed,
+    stream, index, slot): a one-element draw is its row of the block draw."""
+
+    CASES = 120
+    SEED = 808
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_element_draw_is_its_block_row(self, kind):
+        block = random_fact_case(kind, case_rng(self.SEED, kind, range(self.CASES)), max_p=12)
+        seen = 0
+        for ix, batch in block:
+            for j, i in enumerate(ix.tolist()):
+                [(pos, alone)] = random_fact_case(kind, case_rng(self.SEED, kind, i), max_p=12)
+                assert pos.tolist() == [0] and alone.keys() == batch.keys()
+                for field, value in batch.items():
+                    assert _same_bits(alone[field][0], value[j]), (i, field)
+                seen += 1
+        assert seen == self.CASES
+
+    def test_symmetrization_one_element_draw_is_its_block_row(self):
+        block = oracles.random_zero_mean_summands(
+            oracles.symmetrization_rng(self.SEED, range(self.CASES))
+        )
+        for i, family in enumerate(block):
+            [alone] = oracles.random_zero_mean_summands(oracles.symmetrization_rng(self.SEED, i))
+            assert len(alone) == len(family) >= 1
+            for a, b in zip(alone, family):
+                assert _same_bits(a.probabilities, b.probabilities)
+                assert _same_bits(a.matrices, b.matrices)
+                assert np.abs(a.mean()).max() <= 1e-12 * max(1.0, np.abs(a.matrices).max())
+
+    def test_domination_one_element_draw_is_its_block_row(self):
+        key = case_rng(self.SEED, "rademacher", range(self.CASES))
+        block = oracles.random_hermitian_family(key)
+        for i, family in enumerate(block):
+            [alone] = oracles.random_hermitian_family(case_rng(self.SEED, "rademacher", i))
+            assert _same_bits(alone, family)
+            assert np.array_equal(family, family.conj().swapaxes(1, 2))
+
+    def test_streams_differ(self):
+        index = range(50)
+        words = {
+            stream: oracles.case_rng(self.SEED, stream, index).uniform(0).tobytes()
+            for stream in (*KINDS, "rademacher", "symmetrization")
+        }
+        assert len(set(words.values())) == 10
+        assert [oracles._STREAMS[s] for s in words] == list(range(10))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_size_does_not_change_failures(self, monkeypatch, kind):
+        fault = kind == "gm_am_trace"
+        max_p = 12 if kind == "double_factorial" else 6
+        default = sweep_fact_kind(kind, cases=100, seed=17, max_p=max_p, inject_fault=fault)
+        monkeypatch.setattr(oracles, "_SWEEP_BLOCK", 7)
+        small = sweep_fact_kind(kind, cases=100, seed=17, max_p=max_p, inject_fault=fault)
+        assert [(i, _bits(r)) for i, r in small.failures] == [
+            (i, _bits(r)) for i, r in default.failures
+        ]
+        if fault:
+            assert default.failures
+
+    def test_block_size_does_not_change_symmetrization_or_domination(self, monkeypatch):
+        def run():
+            sym = sweep_symmetrization(cases=40, seed=17)
+            dom = sweep_rademacher_domination(cases=40, seed=17)
+            return (
+                sym.cases,
+                [(i, _bits(r)) for i, r in sym.failures],
+                [(r.index, r.bound.hex(), r.exact.hex(), r.rel_slack.hex()) for r in dom],
+            )
+
+        default = run()
+        monkeypatch.setattr(oracles, "_SWEEP_BLOCK", 7)
+        assert run() == default
+
+    def test_integer_draws_reach_both_endpoints(self):
+        # 1..max_dim, 0..max_r and 0..2r for each r, 1..max_p and 0..max_p
+        cases = 2000
+        d, r, q, p = [], [], [], []
+        for ix, b in random_fact_case("gm_am_trace", case_rng(3, "gm_am_trace", range(cases))):
+            d += [b["H"].shape[-1]] * len(ix)
+            r += b["r"].tolist()
+            q += b["q"].tolist()
+        assert (min(d), max(d)) == (1, 6)
+        assert (min(r), max(r)) == (0, 3)
+        for rr in range(4):
+            qs = [qq for qq, x in zip(q, r) if x == rr]
+            assert (min(qs), max(qs)) == (0, 2 * rr)
+        for ix, b in random_fact_case("diff_powers", case_rng(3, "diff_powers", range(cases))):
+            p += b["p"].tolist()
+        assert (min(p), max(p)) == (1, 6)
+        [(_, b)] = random_fact_case(
+            "double_factorial", case_rng(3, "double_factorial", range(cases)), max_p=12
+        )
+        assert (b["p"].min(), b["p"].max()) == (0, 12)
 
 
 def _reference_expected_norm(summands, r):
