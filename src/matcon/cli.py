@@ -80,8 +80,7 @@ def _resolve_estimator(flag: str | None, model) -> str:
         return MEAN
     if flag == "mom":
         return MEDIAN_OF_MEANS
-    heavy = any(s.heavy_tail for s in model.summands)
-    return MEDIAN_OF_MEANS if heavy else MEAN
+    return MEDIAN_OF_MEANS if model.heavy_tail else MEAN
 
 
 def _report_row(rep) -> dict:

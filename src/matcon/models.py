@@ -344,6 +344,11 @@ class IndependentSumModel:
     every summand has zero mean (always for a ScalarSeries, computed from the
     support for Finite).  `n` is the reported model size: the repetition
     count for the built-in examples, the summand count otherwise.
+
+    The summand objects may repeat (make_example shares one object among the
+    n repetitions of an entry).  The model keeps the distinct objects in
+    order of first appearance and, for each position, the index of its
+    object among them, so that per-summand work runs once per object.
     """
 
     d1: int
@@ -352,23 +357,41 @@ class IndependentSumModel:
     name: str = "custom"
     n: int | None = None
     centered: bool = field(init=False, default=False)
+    _distinct: tuple = field(init=False, default=(), repr=False, compare=False)
+    _inverse: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.summands:
             raise ValueError("model needs at least one summand")
-        object.__setattr__(self, "summands", tuple(self.summands))
-        for s in self.summands:
+        summands = tuple(self.summands)
+        object.__setattr__(self, "summands", summands)
+        # dicts keep first insertion order, so the keys of by_id list the
+        # objects in order of first appearance
+        ids = list(map(id, summands))
+        by_id = dict(zip(ids, summands))
+        rank = dict(zip(by_id, range(len(by_id))))
+        inverse = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+        inverse.setflags(write=False)
+        distinct = tuple(by_id.values())
+        for s in distinct:
             if s.shape != (self.d1, self.d2):
                 raise ValueError(
                     f"summand shape {s.shape} != model shape ({self.d1}, {self.d2})"
                 )
         if self.n is None:
-            object.__setattr__(self, "n", len(self.summands))
-        object.__setattr__(self, "centered", all(s.centered for s in self.summands))
+            object.__setattr__(self, "n", len(summands))
+        object.__setattr__(self, "_distinct", distinct)
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "centered", all(s.centered for s in distinct))
 
     @property
     def n_summands(self) -> int:
         return len(self.summands)
+
+    @property
+    def heavy_tail(self) -> bool:
+        """True when some summand has a heavy-tailed law."""
+        return any(s.heavy_tail for s in self._distinct)
 
 
 def make_model(summands, name: str = "custom", n: int | None = None) -> IndependentSumModel:
@@ -395,6 +418,13 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
         raise ValueError("d must be >= 1")
     if key in ("sec71", "sec72") and n < 1:
         raise ValueError("n must be >= 1")
+    positions = {"sec71": d * n, "sec72": d * n, "sec73": d * d}.get(key, d)
+    if positions * _POSITION_BYTES > _STACK_BYTES:
+        raise ValueError(
+            f"{positions} summand positions of {key} take "
+            f"{positions * _POSITION_BYTES} bytes of plan arrays, over the "
+            f"{_STACK_BYTES}-byte plan budget"
+        )
     # summands are immutable and every position draws its own coefficient,
     # so the n repetitions of sec71 and sec72 share one summand object
     if key == "sec71":
@@ -419,25 +449,26 @@ def analytic_second_moments(model: IndependentSumModel):
     Independence and zero means make the second moment of the sum the sum of
     per-summand second moments.  A summand S = c * a E_{row,col} only adds
     E c^2 |a|^2 to one diagonal cell on each side; those are summed by index
-    and added once, so the cost is O(N + d^2) plus the dense terms of the
-    other summands.
+    in model order and added once, so the cost is O(N + d^2) plus the dense
+    terms of the other summands.  Each distinct summand object is asked once.
     """
     if not model.centered:
         raise ValueError("model is not centered; center() it first")
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
-    rows, cols, weights = [], [], []
-    for s in model.summands:
-        cell = s.moment_cell()
-        if cell is None:
-            a, b = s.second_moments()
-            left += a
-            right += b
-        else:
-            rows.append(cell[0])
-            cols.append(cell[1])
-            weights.append(cell[2])
-    if weights:
+    cells = [s.moment_cell() for s in model._distinct]
+    dense = np.array([c is None for c in cells])
+    inverse = model._inverse
+    moments = {i: model._distinct[i].second_moments() for i in np.flatnonzero(dense).tolist()}
+    for i in inverse[dense[inverse]].tolist():
+        a, b = moments[i]
+        left += a
+        right += b
+    one_entry = inverse[~dense[inverse]]
+    if one_entry.size:
+        # dense objects get a placeholder cell that no position gathers
+        table = zip(*(c if c is not None else (0, 0, 0.0) for c in cells))
+        rows, cols, weights = (np.array(column)[one_entry] for column in table)
         left[np.diag_indices(model.d1)] += np.bincount(
             rows, weights=weights, minlength=model.d1
         )
@@ -451,19 +482,20 @@ def analytic_max_sq(model: IndependentSumModel):
     """Exact E max_i ||S_i||^2 when every summand has finite ||S||^2 support.
 
     Uses the survival product: P(max <= v) is the product of per-summand
-    CDFs, evaluated on the sorted union of support points.  Returns None when
-    a summand has a continuous law (Gaussian, Pareto).
+    CDFs, evaluated on the sorted union of support points, with each
+    distinct support raised to the number of positions that carry it.
+    Returns None when a summand has a continuous law (Gaussian, Pareto).
     """
     supports = []
-    for s in model.summands:
+    for s in model._distinct:
         sup = s.sq_norm_support()
         if sup is None:
             return None
         supports.append(sup)
-    grouped = Counter(
-        (tuple(map(float, values)), tuple(map(float, probs)))
-        for values, probs in supports
-    )
+    grouped: Counter = Counter()
+    per_object = np.bincount(model._inverse, minlength=len(supports)).tolist()
+    for (values, probs), count in zip(supports, per_object):
+        grouped[tuple(map(float, values)), tuple(map(float, probs))] += count
     union = np.array(sorted({float(v) for values, _ in grouped for v in values}))
     cdf = np.ones_like(union)
     for (values, probs), count in grouped.items():
@@ -503,9 +535,13 @@ def center(model: IndependentSumModel):
 
 # bytes the plan may spend on the entries of fixed matrices (summands with
 # more than one entry, which a model file describes compactly), and what one
-# entry takes: row, owner and cell indices, the real and the imaginary part
+# entry takes: row, owner and cell indices, the real and the imaginary part.
+# The same budget bounds the summand positions of a built-in example, whose
+# plan holds six 8-byte arrays over them (codes, positions, norms, rows,
+# cells, real values); make_example checks it before building the list.
 _STACK_BYTES = 1 << 27
 _ENTRY_BYTES = 40
+_POSITION_BYTES = 48
 
 
 class SamplerPlan:
@@ -519,62 +555,82 @@ class SamplerPlan:
     when every realization of Z is a real diagonal matrix: Z is square, there
     is no Finite summand, and every COO entry is real and on the diagonal.
     `terms` counts the scattered entries and Finite choices of one sample.
+    The per-position arrays are gathered from those of the model's distinct
+    summand objects, so Python touches each object once.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
-        self.finite: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        series, positions = [], []
-        for pos, s in enumerate(model.summands):
-            if isinstance(s, Finite):
-                sup = s.support
-                cums = np.cumsum(sup.probabilities)
-                self.finite.append((pos, cums, sup.matrices, sup.outcome_norms()))
-            else:
-                series.append(s)
-                positions.append(pos)
-        counts = [len(s.rows) for s in series]
-        n_entries = sum(counts)
-        n_fixed = sum(c for c in counts if c > 1)
+        distinct, inverse = model._distinct, model._inverse
+        finite = np.array([isinstance(s, Finite) for s in distinct])
+        # per Finite object: outcome CDF, matrices and norms, shared by its positions
+        outcomes = {
+            i: (np.cumsum(distinct[i].support.probabilities),
+                distinct[i].support.matrices,
+                distinct[i].support.outcome_norms())
+            for i in np.flatnonzero(finite).tolist()
+        }
+        at = np.flatnonzero(finite[inverse])
+        self.finite: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [
+            (pos, *outcomes[i]) for pos, i in zip(at.tolist(), inverse[at].tolist())
+        ]
+        # the ScalarSeries positions in model order, and for each the index
+        # of its object among the distinct ScalarSeries
+        is_series = ~finite
+        positions = np.flatnonzero(is_series[inverse])
+        series = [distinct[i] for i in np.flatnonzero(is_series).tolist()]
+        obj = (np.cumsum(is_series) - 1)[inverse[positions]]
+
+        counts_of = np.array([len(s.rows) for s in series], dtype=np.intp)
+        counts = counts_of[obj]
+        n_entries = int(counts.sum())
+        n_fixed = int(counts[counts > 1].sum())
         if n_fixed * _ENTRY_BYTES > _STACK_BYTES:
             raise ValueError(
                 f"{n_fixed} fixed-matrix entries take {n_fixed * _ENTRY_BYTES} bytes, "
                 f"over the {_STACK_BYTES}-byte plan budget"
             )
-        # column g of a coefficient draw belongs to the g-th ScalarSeries;
-        # equal laws form one group, compared once per law object (summands
-        # of the examples share few) rather than once per summand
+        # column g of a coefficient draw belongs to the g-th ScalarSeries
+        # position; equal laws form one group, compared once per law object
+        # (summands of the examples share few) rather than once per summand
         laws = {id(s.law): s.law for s in series}
         code = {law: i for i, law in enumerate(dict.fromkeys(laws.values()))}
         by_id = {key: code[law] for key, law in laws.items()}
-        codes = np.array([by_id[id(s.law)] for s in series], dtype=np.intp)
-        positions = np.array(positions, dtype=np.uint64)
+        codes = np.array([by_id[id(s.law)] for s in series], dtype=np.intp)[obj]
+        positions = positions.astype(np.uint64)
         self.groups = [
             (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
             for law, i in code.items()
         ]
-        self.norms = np.array([s.norm for s in series], dtype=np.float64)
+        self.norms = np.array([s.norm for s in series], dtype=np.float64)[obj]
 
-        def flat(attr, dtype):
+        # the COO entries of the distinct ScalarSeries back to back: entry e
+        # of a position is entry start[obj] + e of these tables
+        n_table = int(counts_of.sum())
+
+        def table(attr, dtype):
             items = chain.from_iterable([getattr(s, attr) for s in series])
-            return np.fromiter(items, dtype=dtype, count=n_entries)
+            return np.fromiter(items, dtype=dtype, count=n_table)
 
+        start = np.cumsum(counts_of) - counts_of
+        first = np.cumsum(counts) - counts
+        entries = np.arange(n_entries) + np.repeat(start[obj] - first, counts)
         # None when entry e belongs to series e, so no gather is needed
         self.owner = None
-        if set(counts) != {1}:
-            self.owner = np.repeat(np.arange(len(series)), counts)
-        self.rows = flat("rows", np.intp)
-        cols = flat("cols", np.intp)
-        self.cells = self.rows * model.d2 + cols
-        values = flat("values", np.complex128)
-        self.real = values.real.copy()
-        self.imag = values.imag.copy() if values.imag.any() else None
+        if not (counts.size and (counts == 1).all()):
+            self.owner = np.repeat(np.arange(len(obj)), counts)
+        rows, cols = table("rows", np.intp), table("cols", np.intp)
+        values = table("values", np.complex128)
+        self.rows = rows[entries]
+        self.cells = (rows * model.d2 + cols)[entries]
+        self.real = values.real[entries]
+        self.imag = values.imag[entries] if values.imag.any() else None
         self.terms = n_entries + len(self.finite)
         self.diagonal = (
             model.d1 == model.d2
             and not self.finite
             and self.imag is None
-            and np.array_equal(self.rows, cols)
+            and np.array_equal(rows, cols)
         )
 
     def _coefficients(self, seed: int, idx: np.ndarray) -> np.ndarray:

@@ -31,8 +31,10 @@ from .models import (
 MEAN = "mean"
 MEDIAN_OF_MEANS = "median_of_means"
 
-# scattered terms (samples x terms per sample) alloted to one chunk
-_CHUNK_BUDGET = 1 << 21
+# scattered terms (samples x terms per sample) alloted to one chunk: about
+# 512 KiB per float64 temporary, so a chunk's draws, weights and scatter
+# indices stay in cache (a sweep over 2^12..2^21 was fastest at 2^16)
+_CHUNK_BUDGET = 1 << 16
 _MAX_CHUNK = 128
 # bytes one chunk of realizations may take
 _CHUNK_BYTES = 1 << 27

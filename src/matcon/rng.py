@@ -18,10 +18,14 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
+_TWO_PI = 2.0 * math.pi
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 # Modular wraparound is the whole point of the mixer; numpy warns on uint64
 # overflow when 0-d operands decay to scalars, so the arithmetic runs under
-# errstate(over="ignore").
+# errstate(over="ignore").  A draw over a (k, N) key allocates its output and
+# one scratch array of that shape; every other step runs in place.
 
 
 def _as_u64(x) -> np.ndarray:
@@ -30,39 +34,66 @@ def _as_u64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = z ^ (z >> np.uint64(30))
-        z = z * _MIX1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return z
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> None:
+    """The splitmix64 finalizer, in place on z; tmp is scratch of z's shape."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
-def counter_words(seed, index, position, slot) -> np.ndarray:
+def _scalar_if_0d(a: np.ndarray):
+    """Scalar keys give numpy scalars, array keys arrays."""
+    return a if a.ndim else a[()]
+
+
+def counter_words(seed, index, position, slot):
     """Uniform 64-bit words keyed by (seed, index, position, slot).
 
     Arguments broadcast like numpy arrays; the result carries the broadcast
     shape.  Each distinct key yields an independent-looking word.
     """
+    z = _as_u64(seed)
+    tmp = None
     with np.errstate(over="ignore"):
-        z = _finalize(_as_u64(seed) + _GOLDEN * (_as_u64(index) + _ONE))
-        z = _finalize(z + _GOLDEN * (_as_u64(position) + _ONE))
-        z = _finalize(z + _GOLDEN * (_as_u64(slot) + _ONE))
-    return z
+        for word in (index, position, slot):
+            step = _GOLDEN * (_as_u64(word) + _ONE)
+            if tmp is not None and (np.ndim(step) == 0 or step.shape == z.shape):
+                z += step
+            else:
+                # a fresh array of the broadcast shape; the caller's key is
+                # never written
+                z = np.asarray(z + step)
+                tmp = np.empty_like(z)
+            _finalize(z, tmp)
+    return _scalar_if_0d(z)
 
 
-def uniform_halfopen(seed, index, position, slot) -> np.ndarray:
+def _top_bits(seed, index, position, slot, shift: int, offset: int = 0) -> np.ndarray:
+    """(word >> shift) + offset as float64, computed in the word's buffer."""
+    w = np.asarray(counter_words(seed, index, position, slot))
+    w >>= np.uint64(shift)
+    if offset:
+        w += np.uint64(offset)
+    return w.astype(np.float64)
+
+
+def uniform_halfopen(seed, index, position, slot):
     """Uniform variates in [0, 1) with 53-bit resolution."""
-    w = counter_words(seed, index, position, slot)
-    return (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u = _top_bits(seed, index, position, slot, 11)
+    u *= 2.0**-53
+    return _scalar_if_0d(u)
 
 
-def uniform_positive(seed, index, position, slot) -> np.ndarray:
+def uniform_positive(seed, index, position, slot):
     """Uniform variates in (0, 1]; never zero, safe under log and power laws."""
-    w = counter_words(seed, index, position, slot)
-    return ((w >> np.uint64(11)) + _ONE).astype(np.float64) * 2.0**-53
+    u = _top_bits(seed, index, position, slot, 11, 1)
+    u *= 2.0**-53
+    return _scalar_if_0d(u)
 
 
 def integers(seed, index, position, slot, low: int, high) -> np.ndarray:
@@ -76,16 +107,25 @@ def integers(seed, index, position, slot, low: int, high) -> np.ndarray:
     return low + ((top * span.astype(np.uint64)) >> np.uint64(32)).astype(np.int64)
 
 
-def signs(seed, index, position, slot) -> np.ndarray:
-    """Rademacher variates, +-1.0 with equal probability (top bit of the word)."""
-    w = counter_words(seed, index, position, slot)
-    return 1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64)
+def signs(seed, index, position, slot):
+    """Rademacher variates, +-1.0 with equal probability: the top bit of the
+    word becomes the sign bit of 1.0, so a set bit gives -1.0."""
+    w = np.asarray(counter_words(seed, index, position, slot))
+    w &= _SIGN_BIT
+    w |= _ONE_BITS
+    return _scalar_if_0d(w.view(np.float64))
 
 
-def gaussians(seed, index, position, slot) -> np.ndarray:
+def gaussians(seed, index, position, slot):
     """Standard normal variates via Box-Muller; consumes slots `slot` and `slot+1`."""
-    u1 = uniform_positive(seed, index, position, slot)
+    radius = np.asarray(uniform_positive(seed, index, position, slot))
     with np.errstate(over="ignore"):
         next_slot = _as_u64(slot) + _ONE
-    u2 = uniform_halfopen(seed, index, position, next_slot)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    angle = np.asarray(uniform_halfopen(seed, index, position, next_slot))
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= _TWO_PI
+    np.cos(angle, out=angle)
+    radius *= angle
+    return _scalar_if_0d(radius)

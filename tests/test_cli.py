@@ -181,6 +181,20 @@ class TestMemoryGuard:
         assert "4 fixed-matrix entries take 160 bytes" in err
         assert "100-byte plan budget" in err
 
+    @pytest.mark.parametrize("command", ["report", "experiment"])
+    def test_too_many_summand_positions_exit_2(self, monkeypatch, capsys, command):
+        # room for the plan arrays of 100 positions; sec71 at d = 10, n = 11 has 110
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
+        code, out, err = run_cli(
+            [command, "--model", "sec71", "--d", "10", "--n", "11", "--samples", "8",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "110 summand positions of sec71 take 5280 bytes" in err
+        assert "4800-byte plan budget" in err
+
 
 class TestVerify:
     def test_facts_suite(self, capsys):

@@ -553,3 +553,101 @@ class TestGoldenSamples:
         doc = dict(GOLDEN_DOC)
         doc["summands"] = [s for s in doc["summands"] if s["family"] not in continuous]
         assert analytic_max_sq(self.model(doc)) == GOLDEN_DISCRETE_MAX_SQ
+
+
+def _mixed_summands(shared: bool) -> list:
+    """Finite, fixed-matrix and one-entry summands interleaved; with shared
+    true each repeated summand is one object, otherwise an equal copy."""
+    m = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+    h = np.array([[1.0, 0.5j, 0.0], [-0.5j, 0.0, 0.25], [0.0, 0.25, 3.0]])
+    makers = {
+        "finite": lambda: Finite(FiniteSummand([(0.25, m), (0.5, 0.0 * m), (0.25, -m)])),
+        "fixed": lambda: FixedRademacher(as_hermitian(h)),
+        "entry": lambda: RademacherEntry(0, 2, 3),
+        "basis": lambda: ScaledBasisRademacher(1, 0.7, 3),
+        "bernoulli": lambda: CenteredBernoulliBasis(2, 0.3, 3),
+    }
+    order = "entry finite basis entry fixed bernoulli entry finite fixed basis bernoulli entry"
+    one = {name: make() for name, make in makers.items()}
+    return [one[name] if shared else makers[name]() for name in order.split()]
+
+
+def _shared_and_unshared(name: str):
+    if name == "mixed":
+        return make_model(_mixed_summands(True)), make_model(_mixed_summands(False))
+    d, n = 256, 100
+    if name == "sec71":
+        scale = 1.0 / math.sqrt(n)
+        copies = [ScaledBasisRademacher(i, scale, d) for i in range(d) for _ in range(n)]
+    else:
+        copies = [CenteredBernoulliBasis(i, 1.0 / n, d) for i in range(d) for _ in range(n)]
+    return make_example(name, d=d, n=n), make_model(copies, name=name, n=n)
+
+
+class TestSharedSummands:
+    """A model whose positions share summand objects gives bitwise the same
+    moments, E max ||S_i||^2 and draws as one built from equal copies."""
+
+    @pytest.fixture(scope="class", params=["sec71", "sec72", "mixed"])
+    def pair(self, request):
+        return _shared_and_unshared(request.param)
+
+    def test_object_counts(self, pair):
+        shared, unshared = pair
+        assert shared.summands == unshared.summands
+        assert len(unshared._distinct) == unshared.n_summands
+        assert len(shared._distinct) < shared.n_summands
+
+    def test_second_moments(self, pair):
+        (a_left, a_right), (b_left, b_right) = map(analytic_second_moments, pair)
+        assert np.array_equal(a_left.array, b_left.array)
+        assert np.array_equal(a_right.array, b_right.array)
+
+    def test_max_sq(self, pair):
+        shared, unshared = pair
+        assert analytic_max_sq(shared) == analytic_max_sq(unshared)
+
+    def test_plan_draws(self, pair):
+        shared, unshared = map(SamplerPlan, pair)
+        idx = np.arange(5, 9, dtype=np.uint64)
+        for a, b in zip(shared.realize(13, idx), unshared.realize(13, idx)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(shared.realize_max_sq(13, idx), unshared.realize_max_sq(13, idx))
+        assert shared.diagonal == unshared.diagonal
+        if shared.diagonal:
+            for a, b in zip(shared.realize_diagonal(13, idx), unshared.realize_diagonal(13, idx)):
+                assert np.array_equal(a, b)
+
+    def test_mixed_plan_matches_reference_summands(self):
+        model = make_model(_mixed_summands(True))
+        z, _ = SamplerPlan(model).realize(13, np.array([6], dtype=np.uint64))
+        total = sum(s.array for s in sample_summands(model, 13, 6))
+        assert np.allclose(z[0], total, rtol=0.0, atol=1e-12)
+
+
+class TestPositionGuard:
+    @pytest.mark.parametrize(
+        "name,d,n,positions",
+        [("sec71", 10, 11, 110), ("sec72", 5, 22, 110), ("sec73", 11, 1, 121)],
+    )
+    def test_refused_before_building(self, monkeypatch, name, d, n, positions):
+        # room for the plan arrays of 100 positions, 48 bytes each
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
+        with pytest.raises(ValueError) as err:
+            make_example(name, d=d, n=n)
+        message = str(err.value)
+        assert f"{positions} summand positions of {name} take {48 * positions} bytes" in message
+        assert "4800-byte plan budget" in message
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
+        assert make_example("sec71", d=10, n=10).n_summands == 100
+        assert make_example("sec73", d=10).n_summands == 100
+
+    def test_huge_n_refused_without_allocating(self):
+        with pytest.raises(ValueError, match="2560000000 summand positions"):
+            make_example("sec71", d=256, n=10**7)
+
+    def test_benchmark_scale_models_admitted(self):
+        assert make_example("sec71", d=256, n=400).n_summands == 102_400
+        assert make_example("sec73", d=256).n_summands == 65_536

@@ -24,6 +24,7 @@ from matcon import (
     make_model,
     spectral_norm,
 )
+from matcon import montecarlo
 from matcon.models import SamplerPlan
 from matcon.montecarlo import _chunk_size, _estimate, default_blocks
 
@@ -281,6 +282,56 @@ class TestThreading:
             collect_samples(model, MCConfig(samples=10, seed=0))
 
 
+# the earlier memory-sized terms budget: 81-sample chunks for sec71 at d = 256
+_OLD_CHUNK_BUDGET = 1 << 21
+
+
+class TestChunkBudgetAtModelScale:
+    """The terms budget sets how many samples a chunk holds, never what they
+    are: the trend grid's largest model and a dense sign matrix give the
+    same bits under the old budget, the current one, a one-sample budget and
+    two worker threads."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[("sec71", 256, 100, 100), ("sec73", 64, 1, 150)],
+        ids=["sec71", "sec73"],
+    )
+    def case(self, request):
+        name, d, n, samples = request.param
+        model = make_example(name, d=d, n=n)
+        cfg = MCConfig(samples=samples, seed=31)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("matcon.montecarlo._CHUNK_BUDGET", _OLD_CHUNK_BUDGET)
+            want = collect_samples(model, cfg)
+        return model, cfg, want
+
+    def test_budgets_give_different_chunks(self, monkeypatch, case):
+        model, cfg, _ = case
+        plan = SamplerPlan(model)
+        sizes = []
+        for budget in (_OLD_CHUNK_BUDGET, montecarlo._CHUNK_BUDGET, 1):
+            monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", budget)
+            sizes.append(_chunk_size(plan, plan.diagonal))
+        assert cfg.samples > sizes[0] > sizes[1] > sizes[2] == 1
+
+    @pytest.mark.parametrize("budget", ["current", 1])
+    def test_budget_does_not_change_output(self, monkeypatch, case, budget):
+        model, cfg, want = case
+        if budget != "current":
+            monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", budget)
+        got = collect_samples(model, cfg)
+        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want[1], got[1])
+
+    def test_two_threads_do_not_change_output(self, monkeypatch, case):
+        model, cfg, want = case
+        monkeypatch.setenv("MATCON_THREADS", "2")
+        got = collect_samples(model, cfg)
+        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want[1], got[1])
+
+
 class TestMemoryGuard:
     def test_byte_budget_shrinks_chunk_without_changing_output(self, monkeypatch):
         model = make_example("sec73", d=4)
@@ -312,9 +363,11 @@ class TestMemoryGuard:
 
     def test_one_entry_summands_outside_plan_budget(self, monkeypatch):
         # each one-entry summand is already an object of the model, so only
-        # fixed matrices, which expand into many entries, count
+        # fixed matrices, which expand into many entries, count (the model is
+        # built first: make_example checks its positions against the budget)
+        model = make_example("sec73", d=4)
         monkeypatch.setattr("matcon.models._STACK_BYTES", 100)
-        assert SamplerPlan(make_example("sec73", d=4)).terms == 16
+        assert SamplerPlan(model).terms == 16
 
 
 class TestEmpiricalMoments:
