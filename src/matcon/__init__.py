@@ -11,24 +11,11 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    EigDecomposition,
-    HermitianMatrix,
-    RectMatrix,
-    as_hermitian,
-    as_rect,
-    dilation,
-    eig_hermitian,
-    loewner_leq,
-    spectral_norm,
-    trace,
-)
+from .linalg import HermitianMatrix, as_hermitian, spectral_norm
 from .oracles import (
     KINDS,
-    CheckResult,
     FactCase,
     FiniteSummand,
-    as_finite_summand,
     brute_force_expected_norm,
     sweep_fact_kind,
     sweep_symmetrization,
@@ -36,15 +23,12 @@ from .oracles import (
     verify_fact,
 )
 from .models import (
-    EXAMPLE_NAMES,
     CenteredBernoulliBasis,
     Finite,
     FixedGaussian,
     FixedRademacher,
-    IndependentSumModel,
     ParetoDiagonal,
     RademacherEntry,
-    ScalarSeries,
     ScaledBasisRademacher,
     analytic_max_sq,
     analytic_second_moments,
@@ -59,22 +43,17 @@ from .models import (
 from .bounds import (
     BoundInputs,
     BoundInterval,
-    HermitianStats,
-    PsdStats,
-    RectangularStats,
-    case_lower,
-    case_upper,
     dimensional_constant,
+    hermitian_case_interval,
     large_dev_param,
     main_interval,
+    psd_case_interval,
     rademacher_bound,
     sweep_rademacher_domination,
     trace_moment_bound,
     variance_param,
 )
 from .montecarlo import (
-    BoundReport,
-    Estimate,
     MCConfig,
     MEAN,
     MEDIAN_OF_MEANS,
@@ -88,37 +67,25 @@ from .montecarlo import (
 __all__ = [
     "__version__",
     # linalg
-    "EigDecomposition",
     "HermitianMatrix",
-    "RectMatrix",
     "as_hermitian",
-    "as_rect",
-    "dilation",
-    "eig_hermitian",
-    "loewner_leq",
     "spectral_norm",
-    "trace",
     # oracles
     "KINDS",
-    "CheckResult",
     "FactCase",
     "FiniteSummand",
-    "as_finite_summand",
     "brute_force_expected_norm",
     "sweep_fact_kind",
     "sweep_symmetrization",
     "symmetrization_check",
     "verify_fact",
     # models
-    "EXAMPLE_NAMES",
     "CenteredBernoulliBasis",
     "Finite",
     "FixedGaussian",
     "FixedRademacher",
-    "IndependentSumModel",
     "ParetoDiagonal",
     "RademacherEntry",
-    "ScalarSeries",
     "ScaledBasisRademacher",
     "analytic_max_sq",
     "analytic_second_moments",
@@ -132,21 +99,16 @@ __all__ = [
     # bounds
     "BoundInputs",
     "BoundInterval",
-    "HermitianStats",
-    "PsdStats",
-    "RectangularStats",
-    "case_lower",
-    "case_upper",
     "dimensional_constant",
+    "hermitian_case_interval",
     "large_dev_param",
     "main_interval",
+    "psd_case_interval",
     "rademacher_bound",
     "sweep_rademacher_domination",
     "trace_moment_bound",
     "variance_param",
     # montecarlo
-    "BoundReport",
-    "Estimate",
     "MCConfig",
     "MEAN",
     "MEDIAN_OF_MEANS",

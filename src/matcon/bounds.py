@@ -9,8 +9,8 @@ second-moment estimates are
 with the dimensional constant C = 4 (1 + 2 ceil(log(d1 + d2))), natural log.
 The first-moment lower bound replaces both 1/4 factors by 1/8.  Also provided:
 the sign-series bound sqrt(1 + 2 ceil(log d)) ||sum H_i^2||^(1/2), the
-trace-moment bound it derives from, and the per-case (PSD / Hermitian /
-rectangular) upper and lower estimates.
+trace-moment bound it derives from, and the PSD and Hermitian case
+intervals (the rectangular case is the Hermitian one on the dilation).
 """
 
 from __future__ import annotations
@@ -95,30 +95,17 @@ def variance_param(model: IndependentSumModel, moments=None) -> float:
     return max(spectral_norm(left), spectral_norm(right))
 
 
-def large_dev_param(model: IndependentSumModel, mode: str = "analytic", cfg=None) -> float:
-    """L = (E max_i ||S_i||^2)^(1/2).
-
-    mode "analytic" uses the exact survival-product expectation, available
-    whenever every summand has finite ||S||^2 support; mode "montecarlo"
-    averages max_i ||S_i||^2 over cfg.samples realizations.
-    """
-    mode = str(mode).lower()
-    if mode == "analytic":
-        value = analytic_max_sq(model)
-        if value is None:
-            raise ValueError(
-                "no closed form for E max ||S_i||^2 (continuous summands); "
-                "use mode='montecarlo'"
-            )
-        return math.sqrt(max(value, 0.0))
-    if mode == "montecarlo":
-        if cfg is None:
-            raise ValueError("montecarlo mode needs an MCConfig")
-        from .montecarlo import estimate_max_summand_sq
-
-        est = estimate_max_summand_sq(model, cfg)
-        return math.sqrt(max(est.mean, 0.0))
-    raise ValueError(f"unknown mode {mode!r}")
+def large_dev_param(model: IndependentSumModel) -> float:
+    """L = (E max_i ||S_i||^2)^(1/2) by the exact survival-product
+    expectation, available whenever every summand has finite ||S||^2
+    support (estimate_max_summand_sq gives the Monte Carlo value)."""
+    value = analytic_max_sq(model)
+    if value is None:
+        raise ValueError(
+            "no closed form for E max ||S_i||^2 (continuous summands); "
+            "use estimate_max_summand_sq"
+        )
+    return math.sqrt(max(value, 0.0))
 
 
 def main_interval(inputs: BoundInputs) -> BoundInterval:
@@ -173,103 +160,41 @@ def trace_moment_bound(H_list, p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Case bounds: PSD, Hermitian, rectangular
+# Case bounds: PSD and Hermitian (rectangular: Hermitian on the dilation)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PsdStats:
-    """W = sum T_i of independent PSD summands: ||E W|| and E max_i ||T_i||."""
-
-    mean_norm: float
-    expected_max_norm: float
-    dim: int
-
-    def __post_init__(self):
-        if self.mean_norm < 0 or self.expected_max_norm < 0:
-            raise ValueError("stats must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+def _case_constant(a: float, b: float, dim: int) -> float:
+    if a < 0 or b < 0:
+        raise ValueError("stats must be nonnegative")
+    return _constant_from_total(dim)
 
 
-@dataclass(frozen=True)
-class HermitianStats:
-    """X = sum Y_i, centered Hermitian: ||E X^2|| and E max_i ||Y_i||^2."""
-
-    second_moment_norm: float
-    expected_max_sq: float
-    dim: int
-
-    def __post_init__(self):
-        if self.second_moment_norm < 0 or self.expected_max_sq < 0:
-            raise ValueError("stats must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+def psd_case_interval(mean_norm: float, expected_max_norm: float, dim: int) -> BoundInterval:
+    """Estimates of E||W|| for W = sum T_i of independent PSD summands, from
+    ||E W|| and E max_i ||T_i||: 1/4 (sqrt(||E W||) + sqrt(E max))^2 below,
+    (sqrt(||E W||) + sqrt(C E max))^2 above."""
+    C = _case_constant(mean_norm, expected_max_norm, dim)
+    return BoundInterval(
+        lower=0.25 * (math.sqrt(mean_norm) + math.sqrt(expected_max_norm)) ** 2,
+        upper=(math.sqrt(mean_norm) + math.sqrt(C * expected_max_norm)) ** 2,
+        constant=C,
+    )
 
 
-@dataclass(frozen=True)
-class RectangularStats:
-    """Z = sum S_i, centered rectangular: max of the two second-moment norms
-    and E max_i ||S_i||^2."""
-
-    variance: float
-    expected_max_sq: float
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        if self.variance < 0 or self.expected_max_sq < 0:
-            raise ValueError("stats must be nonnegative")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("dimensions must be >= 1")
-
-
-def case_upper(stats) -> float:
-    """Upper estimate for E||sum|| in the PSD case, or (E||sum||^2)^(1/2) in
-    the centered Hermitian/rectangular cases."""
-    if isinstance(stats, PsdStats):
-        C = _constant_from_total(stats.dim)
-        return (
-            math.sqrt(stats.mean_norm) + math.sqrt(C * stats.expected_max_norm)
-        ) ** 2
-    if isinstance(stats, HermitianStats):
-        C = _constant_from_total(stats.dim)
-        return math.sqrt(C * stats.second_moment_norm) + C * math.sqrt(
-            stats.expected_max_sq
-        )
-    if isinstance(stats, RectangularStats):
-        # identical arithmetic to the Hermitian case on the dilation, whose
-        # square stacks the two Gram matrices: variance = max of their norms
-        return case_upper(
-            HermitianStats(
-                second_moment_norm=stats.variance,
-                expected_max_sq=stats.expected_max_sq,
-                dim=stats.d1 + stats.d2,
-            )
-        )
-    raise TypeError(f"unknown stats type: {stats!r}")
-
-
-def case_lower(stats) -> float:
-    """Matching lower estimate; constants 1/4 (PSD, as a square) and
-    1/2, 1/4 (Hermitian/rectangular)."""
-    if isinstance(stats, PsdStats):
-        return 0.25 * (
-            math.sqrt(stats.mean_norm) + math.sqrt(stats.expected_max_norm)
-        ) ** 2
-    if isinstance(stats, HermitianStats):
-        return 0.5 * math.sqrt(stats.second_moment_norm) + 0.25 * math.sqrt(
-            stats.expected_max_sq
-        )
-    if isinstance(stats, RectangularStats):
-        return case_lower(
-            HermitianStats(
-                second_moment_norm=stats.variance,
-                expected_max_sq=stats.expected_max_sq,
-                dim=stats.d1 + stats.d2,
-            )
-        )
-    raise TypeError(f"unknown stats type: {stats!r}")
+def hermitian_case_interval(
+    second_moment_norm: float, expected_max_sq: float, dim: int
+) -> BoundInterval:
+    """Estimates of (E||X||^2)^(1/2) for X = sum Y_i, centered Hermitian,
+    from ||E X^2|| and E max_i ||Y_i||^2: constants 1/2, 1/4 below and
+    sqrt(C), C above.  The rectangular case Z = sum S_i is this one with
+    ||E X^2|| = max(||E ZZ*||, ||E Z*Z||) and dim = d1 + d2."""
+    C = _case_constant(second_moment_norm, expected_max_sq, dim)
+    return BoundInterval(
+        lower=0.5 * math.sqrt(second_moment_norm) + 0.25 * math.sqrt(expected_max_sq),
+        upper=math.sqrt(C * second_moment_norm) + C * math.sqrt(expected_max_sq),
+        constant=C,
+    )
 
 
 # ---------------------------------------------------------------------------

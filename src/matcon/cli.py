@@ -37,6 +37,8 @@ EXPERIMENT_COLUMNS = (
 EXPERIMENTS = ("sec71", "sec72", "sec73", "sec74", "rademacher_sharpness")
 
 _REL_SLACK_LIMIT = -1e-9
+# largest p the fact sweeps draw: 12 for double_factorial, 6 for the others
+_MAX_P = {kind: 12 if kind == "double_factorial" else 6 for kind in KINDS}
 
 
 def fmt(value) -> str:
@@ -164,18 +166,19 @@ def cmd_report(args) -> int:
 
 def _payload_json(case) -> dict:
     out = {}
-    for key, value in case.payload.items():
-        if hasattr(value, "array"):
-            out[key] = _matrix_to_json(value.array)
-        elif isinstance(value, tuple):
-            out[key] = [_matrix_to_json(v.array) for v in value]
+    for key, value in case.batch.items():
+        value = value[0]
+        if value.ndim == 3:
+            out[key] = [_matrix_to_json(m) for m in value]
+        elif value.ndim == 2:
+            out[key] = _matrix_to_json(value)
         else:
-            out[key] = value
+            out[key] = value.item()
     return out
 
 
 def _print_fact_failure(seed: int, kind: str, index: int, result) -> None:
-    case = replay_fact_case(seed, kind, index, max_p=12 if kind == "double_factorial" else 6)
+    case = replay_fact_case(seed, kind, index, max_p=_MAX_P[kind])
     print(
         f"FAIL facts/{kind} case {index} "
         f"(replay: --seed {seed}, kind {kind}, index {index})"
@@ -196,6 +199,8 @@ def _print_fact_failure(seed: int, kind: str, index: int, result) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases must be >= 1, got {args.cases}")
     suites = ("facts", "symmetrization", "rademacher") if args.suite == "all" else (args.suite,)
     failed = False
     for suite in suites:
@@ -205,7 +210,7 @@ def cmd_verify(args) -> int:
                     kind,
                     cases=args.cases,
                     seed=args.seed,
-                    max_p=12 if kind == "double_factorial" else 6,
+                    max_p=_MAX_P[kind],
                     inject_fault=args.inject_fault,
                 )
                 print(f"facts/{kind}: {res.passed}/{res.cases} passed")
@@ -330,6 +335,8 @@ def cmd_experiment(args) -> int:
             f"unknown experiment {args.model!r}; expected one of {EXPERIMENTS}"
         )
     grid = _parse_d_grid(args.d)
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"--d values must be distinct, got {args.d}")
     needs_n = experiment in ("sec71", "sec72", "rademacher_sharpness")
     if needs_n and args.n is None:
         raise ValueError(f"--n is required for {experiment}")

@@ -1,17 +1,14 @@
-"""Dense complex matrix types and the handful of spectral operations everything
-else is built on: Hermitian eigendecomposition, spectral norm, Loewner order
-comparison, trace, and the Hermitian dilation.
+"""The dense complex matrix layer everything else is built on: validated
+2-d matrices and equal-shape stacks, the immutable HermitianMatrix, the
+spectral norm and the Hermitian dilation.
 
-Conventions: complex128 throughout; eigenvalues are always reported in
-descending order; the spectral norm of a rectangular matrix is computed from
-the Gram matrix of the smaller dimension.  The *_stack / *_norms helpers work
-on (k, d1, d2) stacks; each of their results is bit-identical to the
-single-matrix operation on that matrix.
+Conventions: complex128 throughout; the spectral norm of a rectangular
+matrix is computed from the Gram matrix of the smaller dimension.  The
+*_stack / *_norms helpers work on (k, d1, d2) stacks; each of their results
+is bit-identical to the single-matrix operation on that matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +22,8 @@ def require_finite(a: np.ndarray) -> np.ndarray:
 
 
 def _coerce_array(data) -> np.ndarray:
+    """A 2-d matrix (array or matrix object) as complex128, with finite
+    entries."""
     a = np.asarray(getattr(data, "array", data), dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
@@ -97,35 +96,6 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(gram_top_eigenvalues(a), 0.0))
 
 
-class RectMatrix:
-    """Immutable d1 x d2 complex matrix."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, data):
-        a = _coerce_array(data).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "array", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RectMatrix is immutable")
-
-    @property
-    def d1(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.array.shape
-
-    def __repr__(self) -> str:
-        return f"RectMatrix(shape={self.array.shape})"
-
-
 class HermitianMatrix:
     """Immutable Hermitian matrix.
 
@@ -149,87 +119,17 @@ class HermitianMatrix:
         raise AttributeError("HermitianMatrix is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.array.shape
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim}, defect={self.defect:.2e})"
-
-
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Eigenvalues in descending order; basis columns are the eigenvectors."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
-
-
-def as_rect(M) -> RectMatrix:
-    return M if isinstance(M, RectMatrix) else RectMatrix(M)
 
 
 def as_hermitian(M) -> HermitianMatrix:
     return M if isinstance(M, HermitianMatrix) else HermitianMatrix(M)
 
 
-def eig_hermitian(H) -> EigDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    H = as_hermitian(H)
-    w, V = np.linalg.eigh(H.array)
-    order = slice(None, None, -1)
-    return EigDecomposition(
-        eigenvalues=np.ascontiguousarray(w[order]),
-        basis=np.ascontiguousarray(V[:, order]),
-    )
-
-
 def spectral_norm(M) -> float:
     """Largest singular value, via the Gram matrix of the smaller dimension."""
     return float(spectral_norms(_coerce_array(M)[None])[0])
-
-
-def loewner_leq(A, H, tol: float = 0.0) -> bool:
-    """True iff A is below H in the Loewner order: lambda_min(H - A) >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    A = as_hermitian(A)
-    H = as_hermitian(H)
-    if A.dim != H.dim:
-        raise ValueError(f"dimension mismatch: {A.dim} vs {H.dim}")
-    smallest = float(np.linalg.eigvalsh(H.array - A.array)[0])
-    return smallest >= -tol
-
-
-def trace(M) -> complex:
-    """Sum of diagonal entries of a square matrix.
-
-    The imaginary part is exactly zero for HermitianMatrix inputs because
-    symmetrization makes the diagonal real.
-    """
-    A = _coerce_array(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {A.shape}")
-    return complex(np.trace(A))
-
-
-def dilation(B) -> HermitianMatrix:
-    """Hermitian dilation [[0, B], [B*, 0]]; norm-preserving embedding."""
-    return HermitianMatrix(dilation_stack(as_rect(B).array[None])[0])
 
 
 def dilation_stack(b: np.ndarray) -> np.ndarray:

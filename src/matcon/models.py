@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .linalg import HermitianMatrix, RectMatrix, as_hermitian, spectral_norm
+from .linalg import HermitianMatrix, _coerce_array, as_hermitian, spectral_norm
 from .oracles import FiniteSummand, as_finite_summand
 
 _MEAN_TOL = 1e-12
@@ -454,6 +454,12 @@ def analytic_second_moments(model: IndependentSumModel):
     """
     if not model.centered:
         raise ValueError("model is not centered; center() it first")
+    nbytes = 16 * (model.d1**2 + model.d2**2)
+    if nbytes > _STACK_BYTES:
+        raise ValueError(
+            f"the {model.d1}x{model.d1} and {model.d2}x{model.d2} second-moment "
+            f"matrices take {nbytes} bytes, over the {_STACK_BYTES}-byte budget"
+        )
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
     cells = [s.moment_cell() for s in model._distinct]
@@ -539,6 +545,7 @@ def center(model: IndependentSumModel):
 # The same budget bounds the summand positions of a built-in example, whose
 # plan holds six 8-byte arrays over them (codes, positions, norms, rows,
 # cells, real values); make_example checks it before building the list.
+# It also bounds the two dense complex second-moment matrices.
 _STACK_BYTES = 1 << 27
 _ENTRY_BYTES = 40
 _POSITION_BYTES = 48
@@ -712,15 +719,15 @@ class SamplerPlan:
         return self._scatter(terms, self.rows, self.model.d1), max_sq
 
 
-def sample_summands(model: IndependentSumModel, seed, index: int) -> list[RectMatrix]:
-    """One realization of every summand, in model order.
+def sample_summands(model: IndependentSumModel, seed, index: int) -> list[np.ndarray]:
+    """One complex128 realization of every summand, in model order.
 
     Deterministic in (seed, index, summand position); the sum of the returned
     list is the corresponding realization of Z.  Draws each coefficient with
     scalar RNG calls, independently of SamplerPlan.
     """
     seed = seed_value(seed)
-    return [RectMatrix(s.sample(seed, index, pos)) for pos, s in enumerate(model.summands)]
+    return [_coerce_array(s.sample(seed, index, pos)) for pos, s in enumerate(model.summands)]
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +754,8 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 
 _FAMILIES = {
-    "fixed_rademacher": lambda doc: FixedRademacher(
-        HermitianMatrix(_matrix_from_json(doc["matrix"]))
-    ),
-    "fixed_gaussian": lambda doc: FixedGaussian(
-        HermitianMatrix(_matrix_from_json(doc["matrix"]))
-    ),
+    "fixed_rademacher": lambda doc: FixedRademacher(_matrix_from_json(doc["matrix"])),
+    "fixed_gaussian": lambda doc: FixedGaussian(_matrix_from_json(doc["matrix"])),
     "scaled_basis_rademacher": lambda doc: ScaledBasisRademacher(
         int(doc["index"]), float(doc["scale"]), int(doc["dim"])
     ),

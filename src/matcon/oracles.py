@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    as_hermitian,
-    as_rect,
+    _coerce_array,
     as_stack,
     dilation_stack,
     frobenius_norms,
@@ -163,15 +162,16 @@ def as_finite_summand(s) -> FiniteSummand:
 
 # ---------------------------------------------------------------------------
 # Fact cases.  A *batch* holds k cases of one kind as a dict of stacked
-# arrays keyed like the FactCase payload: (k, d, d) for a matrix field,
-# (k, n, d, d) for sum_squares' matrices, (k,) for a scalar.  Validation and
-# evaluation work on batches; FactCase and verify_fact use batches of one,
-# the sweeps batches of every case with the same shapes.  Stacked matmul,
-# eigvalsh and trace give bit-identical values to the per-matrix calls, so a
-# case's result does not depend on the batch it is evaluated in.
+# arrays keyed by the FactCase constructor's arguments: (k, d, d) for a
+# matrix field, (k, n, d, d) for sum_squares' matrices, (k,) for a scalar.
+# Validation and evaluation work on batches; FactCase and verify_fact use
+# batches of one, the sweeps batches of every case with the same shapes.
+# Stacked matmul, eigvalsh and trace give bit-identical values to the
+# per-matrix calls, so a case's result does not depend on the batch it is
+# evaluated in.
 # ---------------------------------------------------------------------------
 
-# payload fields that hold Hermitian matrices, in constructor order
+# batch fields that hold Hermitian matrices, in constructor order
 _HERMITIAN_FIELDS = {
     "gm_am_trace": ("H", "W", "Y"),
     "sum_squares": ("mats",),
@@ -224,8 +224,9 @@ def _check_hypotheses(kind: str, b: dict) -> None:
 
 
 def _validated(kind: str, b: dict) -> dict:
-    """Batch `b` of raw draws checked as the FactCase constructor of `kind`
-    checks one case, with its Hermitian fields symmetrized."""
+    """Batch `b` of raw draws with its Hermitian fields symmetrized and the
+    hypotheses of `kind` checked: the one validation of FactCase and the
+    sweeps."""
     b = dict(b)
     for key in _HERMITIAN_FIELDS.get(kind, ()):
         a = require_finite(b[key])
@@ -236,83 +237,62 @@ def _validated(kind: str, b: dict) -> dict:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactCase:
-    """One concrete instance of a checkable fact.
+    """One concrete instance of a checkable fact, held as its validated
+    batch of one case.
 
     Build through the named constructors, which validate the hypotheses each
-    fact actually needs; violated hypotheses raise instead of producing a
-    false CheckResult.
+    fact actually needs by the routine the sweeps use; violated hypotheses
+    raise instead of producing a false CheckResult.
     """
 
     kind: str
-    payload: dict
+    batch: dict
 
     @classmethod
-    def _checked(cls, kind: str, payload: dict) -> "FactCase":
-        case = cls(kind, payload)
-        _check_hypotheses(kind, case._batch())
-        return case
-
-    def _batch(self) -> dict:
-        """The payload as a batch of one case."""
-        out = {}
-        for key, value in self.payload.items():
-            if isinstance(value, tuple):
-                value = np.stack([m.array for m in value])
-            out[key] = np.asarray(getattr(value, "array", value))[None]
-        return out
+    def _checked(cls, kind: str, **fields) -> "FactCase":
+        return cls(kind, _validated(kind, {k: np.array(v)[None] for k, v in fields.items()}))
 
     @classmethod
     def heinz(cls, lam: float, mu: float, theta: float) -> "FactCase":
-        payload = {"lam": float(lam), "mu": float(mu), "theta": float(theta)}
-        return cls._checked("heinz", payload)
+        return cls._checked("heinz", lam=float(lam), mu=float(mu), theta=float(theta))
 
     @classmethod
     def gm_am_trace(cls, H, W, Y, r: int, q: int) -> "FactCase":
-        H, W, Y = as_hermitian(H), as_hermitian(W), as_hermitian(Y)
-        if not (H.dim == W.dim == Y.dim):
-            raise ValueError("gm_am_trace needs equal dimensions")
-        payload = {"H": H, "W": W, "Y": Y, "r": int(r), "q": int(q)}
-        return cls._checked("gm_am_trace", payload)
+        H, W, Y = as_stack((H, W, Y), "gm_am_trace needs equal dimensions")
+        return cls._checked("gm_am_trace", H=H, W=W, Y=Y, r=int(r), q=int(q))
 
     @classmethod
     def sum_squares(cls, mats) -> "FactCase":
-        ms = tuple(as_hermitian(m) for m in mats)
-        if not ms:
+        mats = list(mats)
+        if not mats:
             raise ValueError("sum_squares needs at least one matrix")
-        if len({m.dim for m in ms}) != 1:
-            raise ValueError("sum_squares needs equal dimensions")
-        return cls._checked("sum_squares", {"mats": ms})
+        mats = as_stack(mats, "sum_squares needs equal dimensions")
+        return cls._checked("sum_squares", mats=mats)
 
     @classmethod
     def trace_product(cls, H, A) -> "FactCase":
-        H, A = as_hermitian(H), as_hermitian(A)
-        if H.dim != A.dim:
-            raise ValueError("trace_product needs equal dimensions")
-        return cls._checked("trace_product", {"H": H, "A": A})
+        H, A = as_stack((H, A), "trace_product needs equal dimensions")
+        return cls._checked("trace_product", H=H, A=A)
 
     @classmethod
     def monotonicity(cls, A, H) -> "FactCase":
-        A, H = as_hermitian(A), as_hermitian(H)
-        if A.dim != H.dim:
-            raise ValueError("monotonicity needs equal dimensions")
-        return cls._checked("monotonicity", {"A": A, "H": H})
+        A, H = as_stack((A, H), "monotonicity needs equal dimensions")
+        return cls._checked("monotonicity", A=A, H=H)
 
     @classmethod
     def diff_powers(cls, W, Y, p: int) -> "FactCase":
-        W, Y = as_hermitian(W), as_hermitian(Y)
-        if W.dim != Y.dim:
-            raise ValueError("diff_powers needs equal dimensions")
-        return cls._checked("diff_powers", {"W": W, "Y": Y, "p": int(p)})
+        W, Y = as_stack((W, Y), "diff_powers needs equal dimensions")
+        return cls._checked("diff_powers", W=W, Y=Y, p=int(p))
 
     @classmethod
     def double_factorial(cls, p: int) -> "FactCase":
-        return cls._checked("double_factorial", {"p": int(p)})
+        return cls._checked("double_factorial", p=int(p))
 
     @classmethod
     def dilation_square(cls, B) -> "FactCase":
-        return cls._checked("dilation_square", {"B": as_rect(B)})
+        return cls._checked("dilation_square", B=_coerce_array(B))
 
 
 def odd_double_factorial(p: int) -> int:
@@ -468,7 +448,7 @@ def verify_fact(case: FactCase, inject_fault: bool = False) -> CheckResult:
     """
     if case.kind not in _EVALUATORS:
         raise ValueError(f"unknown fact kind: {case.kind!r}")
-    return _evaluate(case.kind, case._batch(), inject_fault)[1](0)
+    return _evaluate(case.kind, case.batch, inject_fault)[1](0)
 
 
 def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -701,7 +681,7 @@ def replay_fact_case(
 ) -> FactCase:
     """Sweep case `index` of `kind`, drawn alone by the sweep's own code."""
     [(_, batch)] = random_fact_case(kind, case_rng(seed, kind, index), max_dim, max_r, max_p)
-    return getattr(FactCase, kind)(**{key: value[0] for key, value in batch.items()})
+    return FactCase(kind, _validated(kind, batch))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,16 @@ from matcon import (
     BoundInterval,
     FiniteSummand,
     FixedRademacher,
-    HermitianStats,
-    PsdStats,
-    RectangularStats,
     as_hermitian,
     brute_force_expected_norm,
-    case_lower,
-    case_upper,
     dimensional_constant,
+    estimate_max_summand_sq,
+    hermitian_case_interval,
     large_dev_param,
     main_interval,
     make_example,
     make_model,
+    psd_case_interval,
     rademacher_bound,
     spectral_norm,
     sweep_rademacher_domination,
@@ -29,6 +27,7 @@ from matcon import (
     variance_param,
 )
 from matcon.bounds import FIRST_MOMENT, SECOND_MOMENT
+from matcon.linalg import dilation_stack
 
 
 def rand_hermitian(rng, d):
@@ -97,14 +96,14 @@ class TestLargeDevParam:
     def test_analytic_unavailable_raises(self):
         model = make_example("sec74", d=3)
         with pytest.raises(ValueError):
-            large_dev_param(model, mode="analytic")
+            large_dev_param(model)
 
     def test_monte_carlo_mode(self):
         from matcon import MCConfig
 
         model = make_example("sec74", d=3)
         cfg = MCConfig(samples=4000, seed=3, estimator="median_of_means")
-        L = large_dev_param(model, mode="montecarlo", cfg=cfg)
+        L = math.sqrt(estimate_max_summand_sq(model, cfg).mean)
         # E max_i P_i^2 for 3 iid quartic-tail variables is a bit above E P^2 = 2
         assert 1.2 <= L <= 3.5
 
@@ -227,55 +226,62 @@ class TestTraceMomentBound:
 
 class TestCaseBounds:
     def test_psd_upper_collapses_for_deterministic(self):
-        stats = PsdStats(mean_norm=3.5, expected_max_norm=0.0, dim=4)
-        assert case_upper(stats) == pytest.approx(3.5)
+        iv = psd_case_interval(mean_norm=3.5, expected_max_norm=0.0, dim=4)
+        assert iv.upper == pytest.approx(3.5)
 
     def test_hermitian_upper_documented_point(self):
-        stats = HermitianStats(second_moment_norm=1.0, expected_max_sq=0.0, dim=2)
-        assert case_upper(stats) == pytest.approx(math.sqrt(12.0))
+        iv = hermitian_case_interval(second_moment_norm=1.0, expected_max_sq=0.0, dim=2)
+        assert iv.upper == pytest.approx(math.sqrt(12.0))
 
     def test_psd_lower_documented_point(self):
-        stats = PsdStats(mean_norm=4.0, expected_max_norm=1.0, dim=3)
-        assert case_lower(stats) == pytest.approx(2.25)
+        iv = psd_case_interval(mean_norm=4.0, expected_max_norm=1.0, dim=3)
+        assert iv.lower == pytest.approx(2.25)
 
     def test_zero_stats(self):
-        assert case_lower(HermitianStats(0.0, 0.0, dim=2)) == 0.0
-        assert case_lower(PsdStats(0.0, 0.0, dim=2)) == 0.0
+        assert hermitian_case_interval(0.0, 0.0, dim=2).lower == 0.0
+        assert psd_case_interval(0.0, 0.0, dim=2).lower == 0.0
 
     def test_lower_at_most_upper_random_sweep(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             a, b = rng.uniform(0.0, 10.0, size=2)
             d1, d2 = (int(x) for x in rng.integers(1, 50, size=2))
-            for stats in (
-                PsdStats(a, b, dim=d1),
-                HermitianStats(a, b, dim=d1),
-                RectangularStats(a, b, d1=d1, d2=d2),
+            for iv in (
+                psd_case_interval(a, b, dim=d1),
+                hermitian_case_interval(a, b, dim=d1),
+                hermitian_case_interval(a, b, dim=d1 + d2),
             ):
-                assert case_lower(stats) <= case_upper(stats)
+                assert iv.lower <= iv.upper
 
     def test_rectangular_equals_dilated_hermitian(self):
+        # the rectangular stats of a family B_i (max of the two Gram norms,
+        # max_i ||B_i||^2, d1 + d2) are the Hermitian stats of its dilations
         rng = np.random.default_rng(8)
         for _ in range(100):
-            v, m = rng.uniform(0.0, 5.0, size=2)
-            d1, d2 = (int(x) for x in rng.integers(1, 20, size=2))
-            rect_lo = case_lower(RectangularStats(v, m, d1=d1, d2=d2))
-            rect_up = case_upper(RectangularStats(v, m, d1=d1, d2=d2))
-            herm = HermitianStats(v, m, dim=d1 + d2)
-            assert abs(rect_lo - case_lower(herm)) <= 1e-12 * max(1.0, rect_lo)
-            assert abs(rect_up - case_upper(herm)) <= 1e-12 * max(1.0, rect_up)
+            d1, d2 = (int(x) for x in rng.integers(1, 6, size=2))
+            n = int(rng.integers(1, 4))
+            b = rng.normal(size=(n, d1, d2)) + 1j * rng.normal(size=(n, d1, d2))
+            bh = b.conj().transpose(0, 2, 1)
+            v = max(spectral_norm(sum(b @ bh)), spectral_norm(sum(bh @ b)))
+            m = max(spectral_norm(x) for x in b) ** 2
+            dil = dilation_stack(b)
+            herm = hermitian_case_interval(
+                spectral_norm(sum(dil @ dil)),
+                max(spectral_norm(x) for x in dil) ** 2,
+                dim=dil.shape[-1],
+            )
+            rect = hermitian_case_interval(v, m, dim=d1 + d2)
+            rect_lo, rect_up = rect.lower, rect.upper
+            assert abs(rect_lo - herm.lower) <= 1e-12 * max(1.0, rect_lo)
+            assert abs(rect_up - herm.upper) <= 1e-12 * max(1.0, rect_up)
 
     def test_negative_stats_rejected(self):
         with pytest.raises(ValueError):
-            PsdStats(-1.0, 0.0, dim=2)
+            psd_case_interval(-1.0, 0.0, dim=2)
         with pytest.raises(ValueError):
-            HermitianStats(1.0, -2.0, dim=2)
+            hermitian_case_interval(1.0, -2.0, dim=2)
         with pytest.raises(ValueError):
-            RectangularStats(1.0, 1.0, d1=0, d2=2)
-
-    def test_unknown_stats_type_rejected(self):
-        with pytest.raises(TypeError):
-            case_upper(object())
+            hermitian_case_interval(1.0, 1.0, dim=0)
 
 
 class TestPsdComponentInequalities:

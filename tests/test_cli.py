@@ -171,7 +171,8 @@ class TestMemoryGuard:
         )
         f = tmp_path / "pair.json"
         f.write_text(json.dumps(model_to_json(model)))
-        monkeypatch.setattr("matcon.models._STACK_BYTES", 100)
+        # room for the two 2x2 second-moment matrices (128 bytes), checked first
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 150)
         code, out, err = run_cli(
             ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
         )
@@ -179,7 +180,7 @@ class TestMemoryGuard:
         assert out == ""
         # two diagonal 2x2 matrices: 4 entries of 40 bytes each
         assert "4 fixed-matrix entries take 160 bytes" in err
-        assert "100-byte plan budget" in err
+        assert "150-byte plan budget" in err
 
     @pytest.mark.parametrize("command", ["report", "experiment"])
     def test_too_many_summand_positions_exit_2(self, monkeypatch, capsys, command):
@@ -196,7 +197,32 @@ class TestMemoryGuard:
         assert "4800-byte plan budget" in err
 
 
+    def test_moment_matrices_over_budget_exit_2(self, monkeypatch, tmp_path, capsys):
+        doc = {"summands": [{"family": "rademacher_entry", "row": 0, "col": 0, "dim": 8}]}
+        f = tmp_path / "entry.json"
+        f.write_text(json.dumps(doc))
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 2000)
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        # two dense complex 8x8 matrices of 16-byte entries
+        assert "second-moment matrices take 2048 bytes" in err
+        assert "2000-byte budget" in err
+
+
 class TestVerify:
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    @pytest.mark.parametrize("suite", ["facts", "symmetrization", "rademacher", "all"])
+    def test_cases_below_one_exit_2(self, capsys, suite, cases):
+        code, out, err = run_cli(
+            ["verify", "--suite", suite, "--cases", cases, "--seed", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--cases must be >= 1, got {cases}" in err
+
     def test_facts_suite(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--suite", "facts", "--cases", "25", "--seed", "3"], capsys
@@ -271,6 +297,7 @@ class TestVerify:
             printed = _matrix_from_json(doc["payload"][field])
             assert printed.tobytes() == np.ascontiguousarray(batch[field][j]).tobytes()
         assert (doc["payload"]["r"], doc["payload"]["q"]) == (batch["r"][j], batch["q"][j])
+        assert f'"r": {batch["r"][j]}, "q": {batch["q"][j]}}}' in out  # integers
 
     def test_missing_seed(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "facts"], capsys)
@@ -341,6 +368,16 @@ class TestExperiment:
         )
         assert code == 2
 
+    def test_repeated_d_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["experiment", "--model", "sec74", "--d", "4,4", "--samples", "8",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--d values must be distinct" in err
+
     def test_svg_emitted(self, tmp_path, capsys):
         svg = tmp_path / "plot.svg"
         code, _, _ = run_cli(
@@ -364,6 +401,12 @@ class TestExperiment:
 
 
 class TestEntryPoints:
+    def test_public_names_resolve(self):
+        import matcon
+
+        for name in matcon.__all__:
+            assert getattr(matcon, name) is not None, name
+
     def test_console_script_version(self):
         proc = subprocess.run(
             ["matcon", "--version"], capture_output=True, text=True

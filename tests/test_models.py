@@ -90,13 +90,13 @@ class TestSampling:
         model = make_model([FixedRademacher(h)])
         for k in range(32):
             (s,) = sample_summands(model, seed=7, index=k)
-            assert np.allclose(s.array, h.array) or np.allclose(s.array, -h.array)
+            assert np.allclose(s, h.array) or np.allclose(s, -h.array)
 
     def test_degenerate_bernoulli_is_zero(self):
         model = make_model([CenteredBernoulliBasis(index=1, prob=1.0, dim=3)])
         for k in range(16):
             (s,) = sample_summands(model, seed=3, index=k)
-            assert np.all(s.array == 0.0)
+            assert np.all(s == 0.0)
 
     def test_sign_frequency(self):
         # the 1x1 scaled-basis model is a bare Rademacher sign
@@ -111,12 +111,12 @@ class TestSampling:
         model = make_example("sec73", d=3)
         a = sample_summands(model, seed=5, index=9)
         b = sample_summands(model, seed=5, index=9)
-        assert all(np.array_equal(x.array, y.array) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
         plan = SamplerPlan(model)
         z_all, _ = plan.realize(5, np.arange(16, dtype=np.uint64))
         z_one, _ = plan.realize(5, np.array([9], dtype=np.uint64))
         assert np.array_equal(z_all[9], z_one[0])
-        total = sum(s.array for s in a)
+        total = sum(a)
         assert np.allclose(total, z_one[0])
 
     def test_shapes_and_hermitian_families(self):
@@ -125,18 +125,18 @@ class TestSampling:
         model = make_model([FixedRademacher(h), FixedGaussian(h)])
         for k in range(8):
             for s in sample_summands(model, seed=2, index=k):
-                assert s.shape == (2, 2)
-                assert np.allclose(s.array, s.array.conj().T)
+                assert s.shape == (2, 2) and s.dtype == np.complex128
+                assert np.allclose(s, s.conj().T)
 
     def test_pareto_diagonal_support(self):
         model = make_example("sec74", d=3)
         for k in range(16):
             mats = sample_summands(model, seed=4, index=k)
             for i, s in enumerate(mats):
-                diag = np.diag(s.array)
+                diag = np.diag(s)
                 val = np.real(diag[i])
                 assert abs(val) >= 1.0 - 1e-12
-                off = s.array.copy()
+                off = s.copy()
                 off[i, i] = 0.0
                 assert np.all(off == 0.0)
 
@@ -326,7 +326,7 @@ class TestCenter:
         assert out.centered
         assert np.allclose(mean, m)
         (s,) = sample_summands(out, seed=0, index=0)
-        assert np.all(s.array == 0.0)
+        assert np.all(s == 0.0)
 
     def test_uncentered_bernoulli_support(self):
         p = 0.25
@@ -418,7 +418,7 @@ class TestJsonRoundTrip:
         assert back.summands == model.summands
         a = sample_summands(model, seed=9, index=3)
         b = sample_summands(back, seed=9, index=3)
-        assert all(np.array_equal(x.array, y.array) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_missing_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -621,7 +621,7 @@ class TestSharedSummands:
     def test_mixed_plan_matches_reference_summands(self):
         model = make_model(_mixed_summands(True))
         z, _ = SamplerPlan(model).realize(13, np.array([6], dtype=np.uint64))
-        total = sum(s.array for s in sample_summands(model, 13, 6))
+        total = sum(sample_summands(model, 13, 6))
         assert np.allclose(z[0], total, rtol=0.0, atol=1e-12)
 
 
