@@ -15,7 +15,6 @@ from .linalg import HermitianMatrix, as_hermitian, spectral_norm
 from .oracles import (
     KINDS,
     FactCase,
-    FiniteSummand,
     brute_force_expected_norm,
     sweep_fact_kind,
     sweep_symmetrization,
@@ -24,7 +23,7 @@ from .oracles import (
 )
 from .models import (
     CenteredBernoulliBasis,
-    Finite,
+    FiniteSummand,
     FixedGaussian,
     FixedRademacher,
     ParetoDiagonal,
@@ -73,7 +72,6 @@ __all__ = [
     # oracles
     "KINDS",
     "FactCase",
-    "FiniteSummand",
     "brute_force_expected_norm",
     "sweep_fact_kind",
     "sweep_symmetrization",
@@ -81,7 +79,7 @@ __all__ = [
     "verify_fact",
     # models
     "CenteredBernoulliBasis",
-    "Finite",
+    "FiniteSummand",
     "FixedGaussian",
     "FixedRademacher",
     "ParetoDiagonal",

@@ -36,10 +36,6 @@ EXPERIMENT_COLUMNS = (
 ).split(",")
 EXPERIMENTS = ("sec71", "sec72", "sec73", "sec74", "rademacher_sharpness")
 
-_REL_SLACK_LIMIT = -1e-9
-# largest p the fact sweeps draw: 12 for double_factorial, 6 for the others
-_MAX_P = {kind: 12 if kind == "double_factorial" else 6 for kind in KINDS}
-
 
 def fmt(value) -> str:
     """12-significant-digit rendering; bools as lowercase true/false."""
@@ -178,7 +174,7 @@ def _payload_json(case) -> dict:
 
 
 def _print_fact_failure(seed: int, kind: str, index: int, result) -> None:
-    case = replay_fact_case(seed, kind, index, max_p=_MAX_P[kind])
+    case = replay_fact_case(seed, kind, index)
     print(
         f"FAIL facts/{kind} case {index} "
         f"(replay: --seed {seed}, kind {kind}, index {index})"
@@ -207,11 +203,7 @@ def cmd_verify(args) -> int:
         if suite == "facts":
             for kind in KINDS:
                 res = sweep_fact_kind(
-                    kind,
-                    cases=args.cases,
-                    seed=args.seed,
-                    max_p=_MAX_P[kind],
-                    inject_fault=args.inject_fault,
+                    kind, cases=args.cases, seed=args.seed, inject_fault=args.inject_fault
                 )
                 print(f"facts/{kind}: {res.passed}/{res.cases} passed")
                 if not res.ok:
@@ -231,7 +223,7 @@ def cmd_verify(args) -> int:
                 )
         elif suite == "rademacher":
             records = sweep_rademacher_domination(cases=args.cases, seed=args.seed)
-            bad = [r for r in records if r.rel_slack < _REL_SLACK_LIMIT]
+            bad = [r for r in records if not r.holds]
             slacks = [r.rel_slack for r in records]
             print(
                 f"rademacher: {len(records) - len(bad)}/{len(records)} passed "
@@ -354,18 +346,9 @@ def cmd_experiment(args) -> int:
         all_ok = all_ok and rep.sandwich_ok
         rows.append(
             {
+                **_report_row(rep),
                 "experiment": experiment,
                 "d": d,
-                "n": rep.n,
-                "samples": rep.samples,
-                "seed": rep.seed,
-                "v": rep.v,
-                "L": rep.L,
-                "C": rep.C,
-                "lower": rep.lower,
-                "upper": rep.upper,
-                "mc_sqnorm_mean": rep.mc_sqnorm.mean,
-                "mc_se": rep.mc_sqnorm.spread,
                 "ratio": _ratio(experiment, d, rep),
             }
         )

@@ -78,7 +78,8 @@ def hermitian_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gram_top_eigenvalues(z: np.ndarray) -> np.ndarray:
     """Top eigenvalue of the symmetrized Gram matrix of the smaller side of
     each matrix of a complex (k, d1, d2) stack: its squared spectral norm,
-    up to rounding."""
+    up to rounding.  Raises when a Gram matrix overflows (entries above about
+    1e154); its diagonal suffices, as |g_ij| <= sqrt(g_ii g_jj)."""
     zh = z.conj().transpose(0, 2, 1)
     gram = z @ zh if z.shape[1] <= z.shape[2] else zh @ z
     del zh
@@ -87,6 +88,8 @@ def gram_top_eigenvalues(z: np.ndarray) -> np.ndarray:
     sym += gram
     sym /= 2.0
     del gram
+    if not np.isfinite(np.diagonal(sym, axis1=1, axis2=2)).all():
+        raise ValueError("matrix entries too large: the Gram matrix overflows")
     return np.linalg.eigvalsh(sym)[:, -1]
 
 

@@ -9,7 +9,8 @@ of two kinds:
   families FixedRademacher, FixedGaussian, ScaledBasisRademacher,
   CenteredBernoulliBasis, RademacherEntry and ParetoDiagonal are its
   constructors, and keep their names in model files.
-- Finite: an explicit finite-support summand.
+- FiniteSummand: an explicit finite-support summand, outcomes
+  [(probability, matrix)].
 
 Both kinds answer the same questions: shape, mean, centering, second moments,
 the distribution of ||S||^2, and one reference draw.  The four canonical
@@ -32,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .linalg import HermitianMatrix, _coerce_array, as_hermitian, spectral_norm
-from .oracles import FiniteSummand, as_finite_summand
+from .linalg import HermitianMatrix, _coerce_array, as_hermitian, as_stack, require_finite
+from .linalg import spectral_norm, spectral_norms
 
 _MEAN_TOL = 1e-12
 
@@ -150,7 +151,7 @@ class ScalarSeries:
     values: tuple | np.ndarray
     norm: float
 
-    centered = True
+    zero_mean = True
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -275,60 +276,124 @@ def ParetoDiagonal(index: int, dim: int) -> ScalarSeries:
     return ScalarSeries(PARETO, (dim, dim), (index,), (index,), (1.0,), 1.0)
 
 
-@dataclass(frozen=True)
-class Finite:
-    """An explicit finite-support summand."""
+class FiniteSummand:
+    """A random matrix with finite support: outcomes [(probability, matrix)].
 
-    support: FiniteSummand
+    Probabilities must be positive and sum to 1 within 1e-12; all outcome
+    matrices share one shape.  The outcomes are validated as one stack.
+    """
+
+    __slots__ = ("probabilities", "matrices")
 
     heavy_tail = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", as_finite_summand(self.support))
+    def __init__(self, outcomes):
+        pairs = list(outcomes)
+        if not pairs:
+            raise ValueError("FiniteSummand needs at least one outcome")
+        probs = np.array([float(p) for p, _ in pairs], dtype=np.float64)
+        mats = as_stack((m for _, m in pairs), "outcome matrices must share one shape")
+        self._set(probs, mats)
+
+    @classmethod
+    def _of_stack(cls, probs: np.ndarray, mats: np.ndarray) -> "FiniteSummand":
+        out = cls.__new__(cls)
+        out._set(probs, require_finite(mats))
+        return out
+
+    def _set(self, probs: np.ndarray, mats: np.ndarray) -> None:
+        # written so that a NaN probability fails both tests
+        if not (probs > 0.0).all():
+            raise ValueError("outcome probabilities must be positive")
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+        probs.setflags(write=False)
+        mats.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "matrices", mats)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteSummand is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.probabilities, other.probabilities) and np.array_equal(
+            self.matrices, other.matrices
+        )
+
+    __hash__ = None
+
+    @property
+    def support_size(self) -> int:
+        return self.matrices.shape[0]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.support.shape
+        return self.matrices.shape[1], self.matrices.shape[2]
 
     @property
-    def centered(self) -> bool:
-        scale = max(1.0, float(np.abs(self.support.matrices).max(initial=0.0)))
+    def zero_mean(self) -> bool:
+        """True when ||E S||_F <= 1e-12 * max(1, largest outcome entry)."""
+        scale = max(1.0, float(np.abs(self.matrices).max(initial=0.0)))
         return float(np.linalg.norm(self.mean(), ord="fro")) <= _MEAN_TOL * scale
 
+    def outcomes(self) -> list[tuple[float, np.ndarray]]:
+        return [(float(p), m) for p, m in zip(self.probabilities, self.matrices)]
+
     def mean(self) -> np.ndarray:
-        return self.support.mean()
+        return np.tensordot(self.probabilities, self.matrices, axes=(0, 0))
+
+    def outcome_norms(self) -> np.ndarray:
+        return spectral_norms(self.matrices)
+
+    def centered(self) -> "FiniteSummand":
+        return FiniteSummand._of_stack(self.probabilities, self.matrices - self.mean())
+
+    def sign_modulated(self) -> "FiniteSummand":
+        """Support of eps * S for an independent fair sign eps: the outcomes
+        m_1 .. m_k, then -m_k .. -m_1, each with half its probability, so the
+        support read backwards is its own negation."""
+        half = self.probabilities / 2.0
+        return FiniteSummand._of_stack(
+            np.concatenate([half, half[::-1]]),
+            np.concatenate([self.matrices, -self.matrices[::-1]]),
+        )
 
     def moment_cell(self):
         return None
 
     def second_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact (E[S S*], E[S* S]) = sum_k p_k (M_k M_k*, M_k* M_k)."""
-        probs, mats = self.support.probabilities, self.support.matrices
+        probs, mats = self.probabilities, self.matrices
         left = np.einsum("k,kab,kcb->ac", probs, mats, mats.conj())
         right = np.einsum("k,kba,kbc->ac", probs, mats.conj(), mats)
         return left, right
 
     def sq_norm_support(self):
         agg: dict[float, float] = {}
-        for p, v in zip(self.support.probabilities, self.support.outcome_norms() ** 2):
+        for p, v in zip(self.probabilities, self.outcome_norms() ** 2):
             agg[float(v)] = agg.get(float(v), 0.0) + float(p)
         values = np.array(sorted(agg))
         return values, np.array([agg[v] for v in values])
 
     def sample(self, seed: int, index: int, pos: int) -> np.ndarray:
-        cums = np.cumsum(self.support.probabilities)
+        cums = np.cumsum(self.probabilities)
         u = float(rng.uniform_halfopen(seed, index, pos, 0))
         j = min(int(np.searchsorted(cums, u, side="right")), len(cums) - 1)
-        return self.support.matrices[j]
+        return self.matrices[j]
 
     def to_json(self) -> dict:
         return {
             "family": "finite",
             "outcomes": [
-                {"probability": float(p), "matrix": _matrix_to_json(m)}
-                for p, m in self.support.outcomes()
+                {"probability": p, "matrix": _matrix_to_json(m)} for p, m in self.outcomes()
             ],
         }
+
+
+def as_finite_summand(s) -> FiniteSummand:
+    return s if isinstance(s, FiniteSummand) else FiniteSummand(s)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +407,8 @@ class IndependentSumModel:
 
     `centered` is computed, never trusted from the caller: it is true iff
     every summand has zero mean (always for a ScalarSeries, computed from the
-    support for Finite).  `n` is the reported model size: the repetition
-    count for the built-in examples, the summand count otherwise.
+    support for a FiniteSummand).  `n` is the reported model size: the
+    repetition count for the built-in examples, the summand count otherwise.
 
     The summand objects may repeat (make_example shares one object among the
     n repetitions of an entry).  The model keeps the distinct objects in
@@ -382,7 +447,7 @@ class IndependentSumModel:
             object.__setattr__(self, "n", len(summands))
         object.__setattr__(self, "_distinct", distinct)
         object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "centered", all(s.centered for s in distinct))
+        object.__setattr__(self, "centered", all(s.zero_mean for s in distinct))
 
     @property
     def n_summands(self) -> int:
@@ -525,10 +590,7 @@ def center(model: IndependentSumModel):
         mean_sum += s.mean()
     if model.centered:
         return model, mean_sum
-    specs = tuple(
-        Finite(s.support.centered()) if isinstance(s, Finite) and not s.centered else s
-        for s in model.summands
-    )
+    specs = tuple(s if s.zero_mean else s.centered() for s in model.summands)
     centered_model = IndependentSumModel(
         d1=model.d1, d2=model.d2, summands=specs, name=model.name, n=model.n
     )
@@ -560,21 +622,22 @@ class SamplerPlan:
     multiplies the COO values of its matrix in one scatter over all cells,
     which adds the terms of each cell in summand order.  `diagonal` is true
     when every realization of Z is a real diagonal matrix: Z is square, there
-    is no Finite summand, and every COO entry is real and on the diagonal.
-    `terms` counts the scattered entries and Finite choices of one sample.
-    The per-position arrays are gathered from those of the model's distinct
-    summand objects, so Python touches each object once.
+    is no FiniteSummand, and every COO entry is real and on the diagonal.
+    `terms` counts the scattered entries and FiniteSummand choices of one
+    sample.  The per-position arrays are gathered from those of the model's
+    distinct summand objects, so Python touches each object once.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
         distinct, inverse = model._distinct, model._inverse
-        finite = np.array([isinstance(s, Finite) for s in distinct])
-        # per Finite object: outcome CDF, matrices and norms, shared by its positions
+        finite = np.array([isinstance(s, FiniteSummand) for s in distinct])
+        # per FiniteSummand object: outcome CDF, matrices and norms, shared by
+        # its positions
         outcomes = {
-            i: (np.cumsum(distinct[i].support.probabilities),
-                distinct[i].support.matrices,
-                distinct[i].support.outcome_norms())
+            i: (np.cumsum(distinct[i].probabilities),
+                distinct[i].matrices,
+                distinct[i].outcome_norms())
             for i in np.flatnonzero(finite).tolist()
         }
         at = np.flatnonzero(finite[inverse])
@@ -668,7 +731,7 @@ class SamplerPlan:
         return ((coef * self.norms) ** 2).max(axis=1, initial=0.0)
 
     def _finite_choices(self, seed: int, idx: np.ndarray):
-        """Yield each Finite summand's outcome matrices and norms with the
+        """Yield each FiniteSummand's outcome matrices and norms with the
         (k,) outcome indices drawn for the batch."""
         for pos, cums, mats, norms in self.finite:
             u = rng.uniform_halfopen(seed, idx, pos, 0)
@@ -766,16 +829,15 @@ _FAMILIES = {
         int(doc["row"]), int(doc["col"]), int(doc["dim"])
     ),
     "pareto_diagonal": lambda doc: ParetoDiagonal(int(doc["index"]), int(doc["dim"])),
-    "finite": lambda doc: Finite(
-        FiniteSummand(
-            (float(o["probability"]), _matrix_from_json(o["matrix"]))
-            for o in doc["outcomes"]
-        )
+    "finite": lambda doc: FiniteSummand(
+        (float(o["probability"]), _matrix_from_json(o["matrix"])) for o in doc["outcomes"]
     ),
 }
 
 
 def summand_from_json(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError("summand document must be a JSON object")
     family = doc.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown summand family {family!r}")

@@ -38,6 +38,8 @@ _CHUNK_BUDGET = 1 << 16
 _MAX_CHUNK = 128
 # bytes one chunk of realizations may take
 _CHUNK_BYTES = 1 << 27
+# spreads of the Monte Carlo E||Z||^2 the sandwich check allows on each side
+_K = 3.0
 
 
 def default_blocks(samples: int) -> int:
@@ -53,23 +55,12 @@ class MCConfig:
     samples: int
     seed: int
     estimator: str = MEAN
-    blocks: int | None = None
-    k: float = 3.0
 
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
         if self.estimator not in (MEAN, MEDIAN_OF_MEANS):
             raise ValueError(f"estimator must be {MEAN!r} or {MEDIAN_OF_MEANS!r}")
-        if self.k < 0:
-            raise ValueError("confidence multiplier k must be nonnegative")
-        if self.estimator == MEDIAN_OF_MEANS:
-            blocks = self.blocks if self.blocks is not None else default_blocks(self.samples)
-            if blocks < 1 or self.samples % blocks:
-                raise ValueError("blocks must divide the sample count")
-            object.__setattr__(self, "blocks", blocks)
-        elif self.blocks is not None:
-            raise ValueError("blocks only apply to the median-of-means estimator")
 
 
 @dataclass(frozen=True)
@@ -99,9 +90,9 @@ def _thread_count() -> int:
 
 def _chunk_size(plan: SamplerPlan, diagonal: bool) -> int:
     """Samples per chunk, within the budget of scattered terms (COO entries
-    and Finite choices) and the byte budget for the realized chunk: d real
-    diagonal entries per sample on the diagonal route, d1*d2 complex entries
-    otherwise."""
+    and FiniteSummand choices) and the byte budget for the realized chunk: d
+    real diagonal entries per sample on the diagonal route, d1*d2 complex
+    entries otherwise."""
     model = plan.model
     shape, itemsize = ((model.d1,), 8) if diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
@@ -174,7 +165,7 @@ def _estimate(values: np.ndarray, cfg: MCConfig) -> Estimate:
     if constant:
         med, mad = float(values[0]), 0.0
     else:
-        block_means = values.reshape(cfg.blocks, -1).mean(axis=1)
+        block_means = values.reshape(default_blocks(len(values)), -1).mean(axis=1)
         med = float(np.median(block_means))
         mad = float(np.median(np.abs(block_means - med)))
     return Estimate(
@@ -279,7 +270,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
     v comes from the exact per-summand moments; L is exact
     when every summand has finite ||S||^2 support and Monte Carlo otherwise;
     sandwich_ok checks
-    lower - k*spread <= sqrt(mc_sqnorm.mean) <= upper + k*spread.
+    lower - k*spread <= sqrt(mc_sqnorm.mean) <= upper + k*spread with k = 3.
     """
     work = model
     mean_norm = None
@@ -301,7 +292,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
     mc_norm = _estimate(norms, cfg)
     mc_sqnorm = _estimate(norms**2, cfg)
     root = math.sqrt(max(mc_sqnorm.mean, 0.0))
-    slack = cfg.k * mc_sqnorm.spread
+    slack = _K * mc_sqnorm.spread
     ok = interval.lower - slack <= root <= interval.upper + slack
 
     env_lower = env_upper = None
@@ -324,7 +315,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         mc_norm=mc_norm,
         mc_sqnorm=mc_sqnorm,
         sandwich_ok=bool(ok),
-        k=cfg.k,
+        k=_K,
         samples=cfg.samples,
         seed=seed_value(cfg.seed),
         mean_norm=mean_norm,

@@ -37,6 +37,7 @@ from .linalg import (
     require_finite,
     spectral_norms,
 )
+from .models import FiniteSummand, as_finite_summand
 from .rng import gaussians, integers, uniform_halfopen
 
 KINDS = (
@@ -54,7 +55,8 @@ _IDENTITY_KINDS = frozenset({"diff_powers", "dilation_square"})
 _REL_TOL = 1e-9
 _PSD_TOL_REL = 1e-10
 
-DEFAULT_ENUMERATION_CAP = 1 << 20
+# most outcome combinations an exact enumeration may visit
+_ENUMERATION_CAP = 1 << 20
 # combinations whose probability-weighted values are summed at a time
 _ENUM_CHUNK = 1 << 14
 # bytes of outcome sums whose Gram matrices are formed at a time
@@ -77,87 +79,6 @@ class CheckResult:
     tolerance: float
     kind: str = ""
     detail: dict = field(default_factory=dict)
-
-
-class FiniteSummand:
-    """A random matrix with finite support: outcomes [(probability, matrix)].
-
-    Probabilities must be positive and sum to 1 within 1e-12; all outcome
-    matrices share one shape.  The outcomes are validated as one stack.
-    """
-
-    __slots__ = ("probabilities", "matrices")
-
-    def __init__(self, outcomes):
-        pairs = list(outcomes)
-        if not pairs:
-            raise ValueError("FiniteSummand needs at least one outcome")
-        probs = np.array([float(p) for p, _ in pairs], dtype=np.float64)
-        mats = as_stack((m for _, m in pairs), "outcome matrices must share one shape")
-        self._set(probs, mats)
-
-    @classmethod
-    def _of_stack(cls, probs: np.ndarray, mats: np.ndarray) -> "FiniteSummand":
-        out = cls.__new__(cls)
-        out._set(probs, require_finite(mats))
-        return out
-
-    def _set(self, probs: np.ndarray, mats: np.ndarray) -> None:
-        # written so that a NaN probability fails both tests
-        if not (probs > 0.0).all():
-            raise ValueError("outcome probabilities must be positive")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        probs.setflags(write=False)
-        mats.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "matrices", mats)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSummand is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.probabilities, other.probabilities) and np.array_equal(
-            self.matrices, other.matrices
-        )
-
-    __hash__ = None
-
-    @property
-    def support_size(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrices.shape[1], self.matrices.shape[2]
-
-    def outcomes(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(p), m) for p, m in zip(self.probabilities, self.matrices)]
-
-    def mean(self) -> np.ndarray:
-        return np.tensordot(self.probabilities, self.matrices, axes=(0, 0))
-
-    def outcome_norms(self) -> np.ndarray:
-        return spectral_norms(self.matrices)
-
-    def centered(self) -> "FiniteSummand":
-        return FiniteSummand._of_stack(self.probabilities, self.matrices - self.mean())
-
-    def sign_modulated(self) -> "FiniteSummand":
-        """Support of eps * S for an independent fair sign eps: the outcomes
-        m_1 .. m_k, then -m_k .. -m_1, each with half its probability, so the
-        support read backwards is its own negation."""
-        half = self.probabilities / 2.0
-        return FiniteSummand._of_stack(
-            np.concatenate([half, half[::-1]]),
-            np.concatenate([self.matrices, -self.matrices[::-1]]),
-        )
-
-
-def as_finite_summand(s) -> FiniteSummand:
-    return s if isinstance(s, FiniteSummand) else FiniteSummand(s)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +372,11 @@ def verify_fact(case: FactCase, inject_fault: bool = False) -> CheckResult:
     return _evaluate(case.kind, case.batch, inject_fault)[1](0)
 
 
-def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def brute_force_expected_norm(summands, r: int) -> float:
     """E||sum_i S_i||^r by exact enumeration of the product distribution.
 
     Summands must have finite support and equal shapes; the total number of
-    outcome combinations must not exceed cap.  Enumeration follows a
+    outcome combinations must not exceed 2^20.  Enumeration follows a
     mixed-radix counter over outcome indices (row-major, last summand fastest).
     ||z||^2 is the top eigenvalue of the Gram matrix of the smaller side; the
     enumeration holds one such value per combination.
@@ -469,8 +390,8 @@ def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_C
         raise ValueError("moment order r must be a positive integer")
     counts = [s.support_size for s in ss]
     total = math.prod(counts)
-    if total > cap:
-        raise ValueError(f"enumeration needs {total} combinations, cap is {cap}")
+    if total > _ENUMERATION_CAP:
+        raise ValueError(f"enumeration needs {total} combinations, cap is {_ENUMERATION_CAP}")
 
     d1, d2 = ss[0].shape
     # When every support read backwards is its own negation, rank total-1-q
@@ -499,7 +420,7 @@ def brute_force_expected_norm(summands, r: int, cap: int = DEFAULT_ENUMERATION_C
     return acc
 
 
-def symmetrization_check(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CheckResult:
+def symmetrization_check(summands, r: int) -> CheckResult:
     """Exact two-sided symmetrization comparison.
 
     Computes M = (E||sum (S_i - E S_i)||^r)^(1/r) on the centered summands and
@@ -507,8 +428,8 @@ def symmetrization_check(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -
     raw summands, both by full enumeration.  Holds iff R/2 - tol <= M <= 2R + tol.
     """
     ss = [as_finite_summand(s) for s in summands]
-    M = brute_force_expected_norm([s.centered() for s in ss], r, cap) ** (1.0 / r)
-    R = brute_force_expected_norm([s.sign_modulated() for s in ss], r, cap) ** (1.0 / r)
+    M = brute_force_expected_norm([s.centered() for s in ss], r) ** (1.0 / r)
+    R = brute_force_expected_norm([s.sign_modulated() for s in ss], r) ** (1.0 / r)
     violation = max(R / 2.0 - M, M - 2.0 * R)
     tol = _REL_TOL * max(1.0, R)
     return CheckResult(
@@ -536,6 +457,12 @@ def symmetrization_check(summands, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -
 
 _STREAMS = {**{k: i for i, k in enumerate(KINDS)}, "rademacher": 8, "symmetrization": 9}
 _MATRIX_SLOT = 16
+
+# inclusive (low, high) ranges of a fact case's dimension, of r, and of p
+_FACT_DIM = (1, 6)
+_GM_AM_R = (0, 3)
+_DIFF_POWERS_P = (1, 6)
+_DOUBLE_FACTORIAL_P = (0, 12)
 
 # cases drawn and checked at a time: bounds a sweep's memory, not its results
 _SWEEP_BLOCK = 4096
@@ -622,9 +549,7 @@ def random_psd(key: CaseKey, first: int, count: int, d: int) -> np.ndarray:
     return (g @ g.conj().swapaxes(-1, -2)) / d
 
 
-def random_fact_case(
-    kind: str, key: CaseKey, max_dim: int = 6, max_r: int = 3, max_p: int = 6
-) -> list[tuple[np.ndarray, dict]]:
+def random_fact_case(kind: str, key: CaseKey) -> list[tuple[np.ndarray, dict]]:
     """The random valid cases of `kind` at the indices of `key`, grouped by
     shape, as (positions, batch) pairs: positions index key.index, and the
     batch stacks the raw draws of those cases as the keyword arguments of
@@ -637,12 +562,12 @@ def random_fact_case(
         theta = np.where(u[4] < 0.05, 0.0, np.where(u[4] < 0.1, 1.0, u[5]))
         return [(every, {"lam": lam, "mu": mu, "theta": theta})]
     if kind == "double_factorial":
-        return [(every, {"p": key.integers(0, 0, max_p)})]
+        return [(every, {"p": key.integers(0, *_DOUBLE_FACTORIAL_P)})]
     if kind not in _EVALUATORS:
         raise ValueError(f"unknown fact kind: {kind!r}")
-    d = key.integers(0, 1, max_dim)
+    d = key.integers(0, *_FACT_DIM)
     if kind == "dilation_square":
-        d2 = key.integers(1, 1, max_dim)
+        d2 = key.integers(1, *_FACT_DIM)
         return [
             (ix, {"B": sub.gaussian_matrices(0, 1, rows, cols)[:, 0]})
             for ix, sub, (rows, cols) in _by_shape(key, d, d2)
@@ -654,10 +579,10 @@ def random_fact_case(
             for ix, sub, (dim, count) in _by_shape(key, d, n)
         ]
     if kind == "gm_am_trace":
-        r = key.integers(1, 0, max_r)
+        r = key.integers(1, *_GM_AM_R)
         q = key.integers(2, 0, 2 * r)
     elif kind == "diff_powers":
-        p = key.integers(1, 1, max_p)
+        p = key.integers(1, *_DIFF_POWERS_P)
     groups = []
     for ix, sub, (dim,) in _by_shape(key, d):
         if kind == "gm_am_trace":
@@ -676,11 +601,9 @@ def random_fact_case(
     return groups
 
 
-def replay_fact_case(
-    seed: int, kind: str, index: int, max_dim: int = 6, max_r: int = 3, max_p: int = 6
-) -> FactCase:
+def replay_fact_case(seed: int, kind: str, index: int) -> FactCase:
     """Sweep case `index` of `kind`, drawn alone by the sweep's own code."""
-    [(_, batch)] = random_fact_case(kind, case_rng(seed, kind, index), max_dim, max_r, max_p)
+    [(_, batch)] = random_fact_case(kind, case_rng(seed, kind, index))
     return FactCase(kind, _validated(kind, batch))
 
 
@@ -722,15 +645,7 @@ def _validated_batches(kind: str, groups):
         raise first[1]
 
 
-def sweep_fact_kind(
-    kind: str,
-    cases: int,
-    seed: int,
-    max_dim: int = 6,
-    max_r: int = 3,
-    max_p: int = 6,
-    inject_fault: bool = False,
-) -> SweepResult:
+def sweep_fact_kind(kind: str, cases: int, seed: int, inject_fault: bool = False) -> SweepResult:
     """Check `cases` random cases of `kind`.
 
     The cases are drawn a block at a time by random_fact_case and checked in
@@ -743,7 +658,7 @@ def sweep_fact_kind(
     failures = []
     for index in _blocks(cases):
         key = case_rng(seed, kind, index)
-        groups = random_fact_case(kind, key, max_dim, max_r, max_p)
+        groups = random_fact_case(kind, key)
         for ix, batch in _validated_batches(kind, groups):
             holds, result = _evaluate(kind, batch, inject_fault)
             failures.extend((int(key.index[ix[j]]), result(j)) for j in np.flatnonzero(~holds))
@@ -751,11 +666,9 @@ def sweep_fact_kind(
     return SweepResult(kind=kind, cases=cases, failures=tuple(failures))
 
 
-def random_zero_mean_summands(
-    key: CaseKey, max_n: int = 5, max_dim: int = 3
-) -> list[list[FiniteSummand]]:
-    """For each case of `key`, a random family of centered two-outcome
-    summands with a common shape.
+def random_zero_mean_summands(key: CaseKey) -> list[list[FiniteSummand]]:
+    """For each case of `key`, a random family of 1 to 5 centered
+    two-outcome summands with a common shape of 1 to 3 rows and columns.
 
     Outcomes are {(p, A), (1-p, -p/(1-p) A)}, which has mean exactly zero;
     the two-sided symmetrization comparison is false for uncentered summands
@@ -763,9 +676,9 @@ def random_zero_mean_summands(
     sweep generates mean-zero instances by construction.  Summand j takes p
     and a zero-matrix coin from the scalars of matrix j.
     """
-    n = key.integers(0, 1, max_n)
-    d1 = key.integers(1, 1, max_dim)
-    d2 = key.integers(2, 1, max_dim)
+    n = key.integers(0, 1, 5)
+    d1 = key.integers(1, 1, 3)
+    d2 = key.integers(2, 1, 3)
     out = [None] * len(key)
     for ix, sub, (count, rows, cols) in _by_shape(key, n, d1, d2):
         p = 0.1 + 0.8 * sub.matrix_uniform(count, 0)
@@ -779,11 +692,11 @@ def random_zero_mean_summands(
     return out
 
 
-def random_hermitian_family(key: CaseKey, max_n: int = 10, max_dim: int = 6) -> list[np.ndarray]:
+def random_hermitian_family(key: CaseKey) -> list[np.ndarray]:
     """For each case of `key`, a random fixed Hermitian family with a common
-    dimension, as an (n, d, d) stack."""
-    n = key.integers(0, 1, max_n)
-    d = key.integers(1, 1, max_dim)
+    dimension, as an (n, d, d) stack with n in 1..10 and d in 1..6."""
+    n = key.integers(0, 1, 10)
+    d = key.integers(1, 1, 6)
     out = [None] * len(key)
     for ix, sub, (count, dim) in _by_shape(key, n, d):
         stacks = random_hermitian(sub, 0, count, dim)
@@ -792,14 +705,14 @@ def random_hermitian_family(key: CaseKey, max_n: int = 10, max_dim: int = 6) -> 
     return out
 
 
-def sweep_symmetrization(cases: int, seed: int, max_n: int = 5) -> SweepResult:
+def sweep_symmetrization(cases: int, seed: int) -> SweepResult:
     """Exact two-sided symmetrization comparison on random centered
     two-outcome instances, r = 1 or 2 from slot 3 of each case."""
     failures = []
     for index in _blocks(cases):
         key = symmetrization_rng(seed, index)
         rs = (1 + key.integers(3, 0, 1)).tolist()
-        families = random_zero_mean_summands(key, max_n=max_n)
+        families = random_zero_mean_summands(key)
         for i, summands, r in zip(index.tolist(), families, rs):
             result = symmetrization_check(summands, r)
             if not result.holds:

@@ -26,7 +26,7 @@ from matcon import (
     trace_moment_bound,
     variance_param,
 )
-from matcon.bounds import FIRST_MOMENT, SECOND_MOMENT
+from matcon.bounds import FIRST_MOMENT, SECOND_MOMENT, DominationRecord
 from matcon.linalg import dilation_stack
 
 
@@ -65,15 +65,11 @@ class TestVarianceParam:
     def test_rectangular_takes_max_of_sides(self):
         # single deterministic-sign 1x2 summand: E SS* = [[2]], E S*S has norms 2, max picked
         s = FiniteSummand([(0.5, np.array([[1.0, 1.0]])), (0.5, -np.array([[1.0, 1.0]]))])
-        from matcon import Finite
-
-        model = make_model([Finite(s)])
+        model = make_model([s])
         assert variance_param(model) == pytest.approx(2.0)
 
     def test_uncentered_rejected(self):
-        from matcon import Finite
-
-        model = make_model([Finite(FiniteSummand([(1.0, np.eye(2))]))])
+        model = make_model([FiniteSummand([(1.0, np.eye(2))])])
         with pytest.raises(ValueError):
             variance_param(model)
 
@@ -185,6 +181,14 @@ class TestRademacherBound:
         records = sweep_rademacher_domination(cases=50, seed=20260814)
         assert len(records) == 50
         assert all(r.rel_slack >= -1e-9 for r in records)
+
+    def test_record_verdict(self):
+        def record(rel_slack):
+            return DominationRecord(index=0, bound=1.0, exact=1.0, rel_slack=rel_slack)
+
+        assert record(0.5).holds and record(-1e-9).holds
+        assert not record(-2e-9).holds
+        assert not record(math.nan).holds
 
 
 class TestTraceMomentBound:

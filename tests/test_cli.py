@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from matcon import Finite, FiniteSummand, FixedRademacher, make_model, model_to_json
+from matcon import FiniteSummand, FixedRademacher, make_model, model_to_json
 from matcon import oracles
 from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, main
 from matcon.models import _matrix_from_json
@@ -102,9 +102,7 @@ class TestReport:
 
     def test_model_file_round_trip(self, tmp_path, capsys):
         h = np.diag([1.0, -1.0])
-        model = make_model(
-            [Finite(FiniteSummand([(0.5, h), (0.5, -h)]))], name="coin"
-        )
+        model = make_model([FiniteSummand([(0.5, h), (0.5, -h)])], name="coin")
         f = tmp_path / "coin.json"
         f.write_text(json.dumps(model_to_json(model)))
         code, out, _ = run_cli(
@@ -137,10 +135,33 @@ class TestReport:
         assert out == ""
         assert "probabilities" in err
 
+    @pytest.mark.parametrize("summands", [[1], "ab"])
+    def test_summand_not_an_object_exit_2(self, tmp_path, capsys, summands):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"summands": summands}))
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "summand document must be a JSON object" in err
+
+    def test_overflowing_gram_exit_2(self, tmp_path, capsys):
+        point = {"probability": 1.0, "matrix": [[1e200, 0.0], [0.0, 1.0]]}
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"summands": [{"family": "finite", "outcomes": [point]}]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+            )
+        assert code == 2
+        assert out == ""
+        assert "Gram matrix overflows" in err
+
     def test_uncentered_model_note_on_stderr(self, tmp_path, capsys):
         point = FiniteSummand([(1.0, np.diag([3.0, 0.0]))])
         spin = FiniteSummand([(0.5, np.eye(2)), (0.5, -np.eye(2))])
-        model = make_model([Finite(point), Finite(spin)], name="shifted")
+        model = make_model([point, spin], name="shifted")
         f = tmp_path / "shifted.json"
         f.write_text(json.dumps(model_to_json(model)))
         code, out, err = run_cli(

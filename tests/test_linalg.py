@@ -92,6 +92,16 @@ class TestSpectralNorm:
         h = as_hermitian(np.diag([3.0, -4.0]))
         assert spectral_norm(h) == pytest.approx(4.0)
 
+    def test_overflowing_gram_rejected(self):
+        # squaring an entry above about 1.3e154 overflows the Gram matrix
+        stack = np.array([np.eye(2), np.diag([1e160, 2.0])], dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="Gram matrix overflows"):
+                spectral_norm(np.diag([1e200, 1.0]))
+            with pytest.raises(ValueError, match="Gram matrix overflows"):
+                spectral_norms(stack)
+        assert spectral_norm(np.diag([1e150, 1.0])) == pytest.approx(1e150)
+
 
 class TestLoewner:
     """The Loewner comparison the package keeps: FactCase.monotonicity takes

@@ -9,7 +9,6 @@ import pytest
 
 from matcon import (
     CenteredBernoulliBasis,
-    Finite,
     FiniteSummand,
     FixedGaussian,
     FixedRademacher,
@@ -189,7 +188,7 @@ class TestMoments:
 
     def test_uncentered_rejected(self):
         point = FiniteSummand([(1.0, np.eye(2))])
-        model = make_model([Finite(point)])
+        model = make_model([point])
         with pytest.raises(ValueError):
             analytic_second_moments(model)
 
@@ -209,8 +208,8 @@ def _hand_moments(model):
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
     for s in model.summands:
-        if isinstance(s, Finite):
-            terms = list(s.support.outcomes())
+        if isinstance(s, FiniteSummand):
+            terms = list(s.outcomes())
         else:
             a = np.zeros(s.shape, dtype=np.complex128)
             for i, j, v in zip(s.rows, s.cols, s.values):
@@ -227,7 +226,7 @@ def _moment_cases():
     hs = [rand_hermitian(rng, 3) for _ in range(3)]
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    finite = Finite(FiniteSummand([(0.25, a), (0.25, b), (0.5, -(a + b) / 2.0)]))
+    finite = FiniteSummand([(0.25, a), (0.25, b), (0.5, -(a + b) / 2.0)])
     return {
         "fixed_rademacher": [FixedRademacher(h) for h in hs],
         "fixed_gaussian": [FixedGaussian(h) for h in hs],
@@ -307,7 +306,7 @@ class TestExactMaxSq:
     def test_finite_family(self):
         a = FiniteSummand([(0.5, 3.0 * np.eye(1)), (0.5, -3.0 * np.eye(1))])
         b = FiniteSummand([(0.25, np.eye(1)), (0.75, -np.eye(1) / 3.0)])
-        model = make_model([Finite(a), Finite(b)])
+        model = make_model([a, b])
         # max is 9 unless both summands take small values
         assert analytic_max_sq(model) == pytest.approx(9.0)
 
@@ -321,7 +320,7 @@ class TestCenter:
 
     def test_point_mass(self):
         m = np.diag([1.0, -2.0])
-        model = make_model([Finite(FiniteSummand([(1.0, m)]))])
+        model = make_model([FiniteSummand([(1.0, m)])])
         out, mean = center(model)
         assert out.centered
         assert np.allclose(mean, m)
@@ -333,11 +332,11 @@ class TestCenter:
         e11 = np.zeros((2, 2))
         e11[1, 1] = 1.0
         raw = FiniteSummand([(p, e11), (1.0 - p, np.zeros((2, 2)))])
-        model = make_model([Finite(raw)])
+        model = make_model([raw])
         assert not model.centered
         out, mean = center(model)
         assert np.allclose(mean, p * e11)
-        outcomes = out.summands[0].support.outcomes()
+        outcomes = out.summands[0].outcomes()
         mats = sorted((np.real(m[1, 1]) for _, m in outcomes))
         assert mats == pytest.approx([-p, 1.0 - p])
 
@@ -407,7 +406,7 @@ class TestJsonRoundTrip:
                 CenteredBernoulliBasis(index=1, prob=0.25, dim=2),
                 RademacherEntry(row=0, col=1, dim=2),
                 ParetoDiagonal(index=1, dim=2),
-                Finite(fin),
+                fin,
             ],
             name="mixed",
         )
@@ -466,11 +465,11 @@ class TestAgainstBruteForce:
 
 
 # A mixed model in the model-file format: one summand of each built-in family,
-# with entries that share cells, complex fixed matrices and a centered Finite
-# summand in the middle.  The digests below were recorded from this document
-# with the per-family implementation that preceded the single ScalarSeries
-# representation; they pin the draws across versions, which a round trip
-# within one version cannot.
+# with entries that share cells, complex fixed matrices and a centered
+# FiniteSummand in the middle.  The digests below were recorded from this
+# document with the per-family implementation that preceded the single
+# ScalarSeries representation; they pin the draws across versions, which a
+# round trip within one version cannot.
 GOLDEN_SEED = 2028
 GOLDEN_DOC = {
     "name": "golden",
@@ -556,12 +555,12 @@ class TestGoldenSamples:
 
 
 def _mixed_summands(shared: bool) -> list:
-    """Finite, fixed-matrix and one-entry summands interleaved; with shared
+    """Finite-support, fixed-matrix and one-entry summands interleaved; with shared
     true each repeated summand is one object, otherwise an equal copy."""
     m = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
     h = np.array([[1.0, 0.5j, 0.0], [-0.5j, 0.0, 0.25], [0.0, 0.25, 3.0]])
     makers = {
-        "finite": lambda: Finite(FiniteSummand([(0.25, m), (0.5, 0.0 * m), (0.25, -m)])),
+        "finite": lambda: FiniteSummand([(0.25, m), (0.5, 0.0 * m), (0.25, -m)]),
         "fixed": lambda: FixedRademacher(as_hermitian(h)),
         "entry": lambda: RademacherEntry(0, 2, 3),
         "basis": lambda: ScaledBasisRademacher(1, 0.7, 3),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from matcon import (
-    Finite,
     FiniteSummand,
     FixedGaussian,
     FixedRademacher,
@@ -45,24 +44,12 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(samples=1, seed=0)
 
-    def test_blocks_must_divide(self):
-        with pytest.raises(ValueError):
-            MCConfig(samples=100, seed=0, estimator=MEDIAN_OF_MEANS, blocks=7)
-
-    def test_blocks_meaningless_for_mean(self):
-        with pytest.raises(ValueError):
-            MCConfig(samples=100, seed=0, estimator=MEAN, blocks=4)
-
     def test_default_blocks_rule(self):
         assert default_blocks(200) == 8
         assert default_blocks(400) == 16
         assert default_blocks(1000) == 8
         assert default_blocks(1_000_000) == 16
         assert default_blocks(6) == 2
-
-    def test_auto_blocks_filled(self):
-        cfg = MCConfig(samples=400, seed=0, estimator=MEDIAN_OF_MEANS)
-        assert cfg.blocks == 16
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
@@ -72,7 +59,7 @@ class TestMCConfig:
 class TestNormMoment:
     def test_deterministic_summand_exact(self):
         m = np.diag([3.0, -1.0])
-        model = make_model([Finite(FiniteSummand([(1.0, m)]))])
+        model = make_model([FiniteSummand([(1.0, m)])])
         for r in (1, 2):
             est = estimate_norm_moment(model, r=r, cfg=MCConfig(samples=50, seed=1))
             assert est.mean == pytest.approx(3.0**r)
@@ -141,9 +128,7 @@ class TestMaxSummandSqSamplesOnlyMaxSq:
                 [FixedRademacher(rand_hermitian(rng, 4)) for _ in range(6)]
             ),
             "sec74": make_example("sec74", d=32),
-            "mixed_finite": make_model(
-                [FixedRademacher(rand_hermitian(rng, 3)), Finite(coin)]
-            ),
+            "mixed_finite": make_model([FixedRademacher(rand_hermitian(rng, 3)), coin]),
         }
 
     @pytest.mark.parametrize("name", ["sec73", "fixed_rademacher", "sec74", "mixed_finite"])
@@ -218,7 +203,7 @@ class TestDiagonalKernel:
         for model in (
             make_example("sec73", d=3),
             make_model([FixedRademacher(rand_hermitian(rng, 2))]),
-            make_model([Finite(coin)]),
+            make_model([coin]),
         ):
             assert not SamplerPlan(model).diagonal
 
@@ -227,7 +212,7 @@ class TestDiagonalKernel:
 
         def signed(shape):
             m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            return Finite(FiniteSummand([(0.5, m), (0.5, -m)]))
+            return FiniteSummand([(0.5, m), (0.5, -m)])
 
         wide = make_model([signed((2, 5)) for _ in range(3)])
         tall = make_model([signed((5, 2)) for _ in range(3)])
@@ -372,7 +357,7 @@ class TestMemoryGuard:
 
 class TestEmpiricalMoments:
     def test_zero_model(self):
-        model = make_model([Finite(FiniteSummand([(1.0, np.zeros((2, 2)))]))])
+        model = make_model([FiniteSummand([(1.0, np.zeros((2, 2)))])])
         left, right = empirical_second_moments(model, MCConfig(samples=20, seed=0))
         assert np.all(left.array == 0.0)
         assert np.all(right.array == 0.0)
@@ -397,7 +382,7 @@ class TestEmpiricalMoments:
         assert np.max(np.abs(right.array - d * np.eye(d))) <= tol
 
     def test_uncentered_rejected(self):
-        model = make_model([Finite(FiniteSummand([(1.0, np.eye(2))]))])
+        model = make_model([FiniteSummand([(1.0, np.eye(2))])])
         with pytest.raises(ValueError):
             empirical_second_moments(model, MCConfig(samples=10, seed=0))
 
@@ -425,7 +410,7 @@ class TestBoundReport:
         assert rep.sandwich_ok
 
     def test_zero_model(self):
-        model = make_model([Finite(FiniteSummand([(1.0, np.zeros((3, 3)))]))])
+        model = make_model([FiniteSummand([(1.0, np.zeros((3, 3)))])])
         rep = bound_report(model, MCConfig(samples=16, seed=15))
         assert rep.lower == 0.0 and rep.upper == 0.0
         assert rep.mc_sqnorm.mean == 0.0
@@ -434,7 +419,7 @@ class TestBoundReport:
     def test_uncentered_model_reports_mean_norm(self):
         shift = np.diag([2.0, 0.0])
         summand = FiniteSummand([(0.5, shift + np.eye(2)), (0.5, shift - np.eye(2))])
-        model = make_model([Finite(summand)])
+        model = make_model([summand])
         rep = bound_report(model, MCConfig(samples=64, seed=16))
         assert rep.mean_norm == pytest.approx(2.0)
         assert rep.envelope_upper >= rep.mean_norm

@@ -235,7 +235,7 @@ class TestBruteForce:
     def test_cap_enforced(self):
         s = FiniteSummand([(0.5, np.eye(1)), (0.5, -np.eye(1))])
         with pytest.raises(ValueError):
-            brute_force_expected_norm([s] * 25, r=2, cap=2**20)
+            brute_force_expected_norm([s] * 25, r=2)
 
     def test_first_moment(self):
         h = as_hermitian(np.diag([2.0, 0.0]))
@@ -320,9 +320,8 @@ def _bits(result):
 
 def _replay(kind, seed, cases, inject_fault=False):
     """verify_fact on every case, drawn one at a time from its key."""
-    max_p = 12 if kind == "double_factorial" else 6
     return [
-        verify_fact(replay_fact_case(seed, kind, i, max_p=max_p), inject_fault=inject_fault)
+        verify_fact(replay_fact_case(seed, kind, i), inject_fault=inject_fault)
         for i in range(cases)
     ]
 
@@ -336,10 +335,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_equals_replay(self, kind, inject_fault):
         seed = 4242
-        max_p = 12 if kind == "double_factorial" else 6
-        res = sweep_fact_kind(
-            kind, cases=self.CASES, seed=seed, max_p=max_p, inject_fault=inject_fault
-        )
+        res = sweep_fact_kind(kind, cases=self.CASES, seed=seed, inject_fault=inject_fault)
         want = _replay(kind, seed, self.CASES, inject_fault)
         want_failed = [i for i, r in enumerate(want) if not r.holds]
         assert [i for i, _ in res.failures] == want_failed
@@ -350,7 +346,7 @@ class TestBatchedSweep:
             assert res.failures
 
         # every case, not only the failures: evaluate the validated stacks
-        groups = random_fact_case(kind, case_rng(seed, kind, range(self.CASES)), 6, 3, max_p)
+        groups = random_fact_case(kind, case_rng(seed, kind, range(self.CASES)))
         got = [None] * self.CASES
         for ix, batch in oracles._validated_batches(kind, groups):
             _, result = oracles._evaluate(kind, batch, inject_fault)
@@ -434,11 +430,11 @@ class TestCaseStreams:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_element_draw_is_its_block_row(self, kind):
-        block = random_fact_case(kind, case_rng(self.SEED, kind, range(self.CASES)), max_p=12)
+        block = random_fact_case(kind, case_rng(self.SEED, kind, range(self.CASES)))
         seen = 0
         for ix, batch in block:
             for j, i in enumerate(ix.tolist()):
-                [(pos, alone)] = random_fact_case(kind, case_rng(self.SEED, kind, i), max_p=12)
+                [(pos, alone)] = random_fact_case(kind, case_rng(self.SEED, kind, i))
                 assert pos.tolist() == [0] and alone.keys() == batch.keys()
                 for field, value in batch.items():
                     assert _same_bits(alone[field][0], value[j]), (i, field)
@@ -477,10 +473,9 @@ class TestCaseStreams:
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_size_does_not_change_failures(self, monkeypatch, kind):
         fault = kind == "gm_am_trace"
-        max_p = 12 if kind == "double_factorial" else 6
-        default = sweep_fact_kind(kind, cases=100, seed=17, max_p=max_p, inject_fault=fault)
+        default = sweep_fact_kind(kind, cases=100, seed=17, inject_fault=fault)
         monkeypatch.setattr(oracles, "_SWEEP_BLOCK", 7)
-        small = sweep_fact_kind(kind, cases=100, seed=17, max_p=max_p, inject_fault=fault)
+        small = sweep_fact_kind(kind, cases=100, seed=17, inject_fault=fault)
         assert [(i, _bits(r)) for i, r in small.failures] == [
             (i, _bits(r)) for i, r in default.failures
         ]
@@ -502,7 +497,8 @@ class TestCaseStreams:
         assert run() == default
 
     def test_integer_draws_reach_both_endpoints(self):
-        # 1..max_dim, 0..max_r and 0..2r for each r, 1..max_p and 0..max_p
+        # d in 1..6, r in 0..3 and q in 0..2r for each r, p in 1..6 for
+        # diff_powers and 0..12 for double_factorial
         cases = 2000
         d, r, q, p = [], [], [], []
         for ix, b in random_fact_case("gm_am_trace", case_rng(3, "gm_am_trace", range(cases))):
@@ -517,9 +513,8 @@ class TestCaseStreams:
         for ix, b in random_fact_case("diff_powers", case_rng(3, "diff_powers", range(cases))):
             p += b["p"].tolist()
         assert (min(p), max(p)) == (1, 6)
-        [(_, b)] = random_fact_case(
-            "double_factorial", case_rng(3, "double_factorial", range(cases)), max_p=12
-        )
+        key = case_rng(3, "double_factorial", range(cases))
+        [(_, b)] = random_fact_case("double_factorial", key)
         assert (b["p"].min(), b["p"].max()) == (0, 12)
 
 
