@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_stack, hermitian_stack, spectral_norm
+from .linalg import as_stack, hermitian_stack, require_finite, spectral_norm, spectral_norms
 from .models import FiniteSummand, IndependentSumModel, analytic_max_sq, analytic_second_moments
 from .oracles import (
     _blocks,
+    _expected_norms,
     brute_force_expected_norm,
     case_rng,
     odd_double_factorial,
@@ -119,24 +120,34 @@ def main_interval(inputs: BoundInputs) -> BoundInterval:
     return BoundInterval(lower=lower, upper=upper, constant=C)
 
 
-def _sum_of_squares(H_list) -> np.ndarray | None:
-    """sum_i H_i^2 of a Hermitian family validated as one stack, with the
-    terms added in list order; None for an empty family."""
+def _family_stack(H_list) -> np.ndarray | None:
+    """A Hermitian family as a (1, n, d, d) stack; None for an empty one."""
     H_list = list(H_list)
     if not H_list:
         return None
-    stack = hermitian_stack(as_stack(H_list, "matrices must share one dimension"))[0]
-    return sum(stack @ stack)
+    return as_stack(H_list, "matrices must share one dimension")[None]
+
+
+def _sums_of_squares(stacks: np.ndarray) -> np.ndarray:
+    """sum_i H_i^2 of each family of a (k, n, d, d) stack, validated as one
+    Hermitian stack, with the terms added in family order from 0."""
+    _, n, d, _ = stacks.shape
+    sym = hermitian_stack(require_finite(stacks).reshape(-1, d, d))[0].reshape(stacks.shape)
+    squares = sym @ sym
+    return sum(squares[:, j] for j in range(n))
+
+
+def _rademacher_bounds(stacks: np.ndarray) -> list[float]:
+    """rademacher_bound of each family of a (k, n, d, d) stack."""
+    factor = math.sqrt(1.0 + 2.0 * math.ceil(math.log(stacks.shape[-1])))
+    return [factor * math.sqrt(v) for v in spectral_norms(_sums_of_squares(stacks)).tolist()]
 
 
 def rademacher_bound(H_list) -> float:
     """sqrt(1 + 2 ceil(log d)) ||sum H_i^2||^(1/2): an upper bound on
     (E||sum eps_i H_i||^2)^(1/2) for fixed Hermitian H_i and fair signs."""
-    total = _sum_of_squares(H_list)
-    if total is None:
-        return 0.0
-    factor = math.sqrt(1.0 + 2.0 * math.ceil(math.log(total.shape[0])))
-    return factor * math.sqrt(spectral_norm(total))
+    stack = _family_stack(H_list)
+    return 0.0 if stack is None else _rademacher_bounds(stack)[0]
 
 
 def trace_moment_bound(H_list, p: int) -> float:
@@ -150,9 +161,10 @@ def trace_moment_bound(H_list, p: int) -> float:
         raise ValueError("p must be >= 0")
     if p == 0:
         return math.inf
-    total = _sum_of_squares(H_list)
-    if total is None:
+    stack = _family_stack(H_list)
+    if stack is None:
         return 0.0
+    total = _sums_of_squares(stack)[0]
     d = total.shape[0]
     norm = spectral_norm(total)
     return (d * odd_double_factorial(p)) ** (1.0 / (2.0 * p)) * math.sqrt(norm)
@@ -208,6 +220,11 @@ class DominationRecord:
     exact: float
     rel_slack: float  # (bound - exact) / max(bound, tiny)
 
+    @classmethod
+    def of(cls, index: int, bound: float, exact: float) -> "DominationRecord":
+        return cls(index=index, bound=bound, exact=exact,
+                   rel_slack=(bound - exact) / max(bound, 1e-300))
+
     @property
     def holds(self) -> bool:
         """True iff rel_slack >= -1e-9; a NaN slack fails."""
@@ -217,19 +234,34 @@ class DominationRecord:
 _HALVES = np.array([0.5, 0.5])
 
 
+def replay_domination_case(seed: int, index: int) -> DominationRecord:
+    """Domination sweep case `index`, drawn alone and checked by
+    rademacher_bound and brute_force_expected_norm: the record the sweep
+    gives that case, bit for bit."""
+    [(_, stack)] = random_hermitian_family(case_rng(seed, "rademacher", index))
+    family = stack[0]
+    summands = [FiniteSummand._of_stack(_HALVES, np.stack([h, -h])) for h in family]
+    exact = math.sqrt(brute_force_expected_norm(summands, r=2))
+    return DominationRecord.of(index, rademacher_bound(family), exact)
+
+
 def sweep_rademacher_domination(cases: int, seed: int) -> list[DominationRecord]:
     """Check the sign-series bound against exact enumeration on random
     families, case i drawn from the "rademacher" case stream (8); a record
-    that does not hold (rel_slack < -1e-9) is a violation."""
+    that does not hold (rel_slack < -1e-9) is a violation.  The cases of a
+    shape group are bounded and enumerated together."""
     records = []
     for index in _blocks(cases):
         key = case_rng(seed, "rademacher", index)
-        families = random_hermitian_family(key)
-        for i, family in zip(index.tolist(), families):
-            bound = rademacher_bound(family)
-            pairs = np.stack([family, -family], axis=1)
-            summands = [FiniteSummand._of_stack(_HALVES, pair) for pair in pairs]
-            exact = math.sqrt(brute_force_expected_norm(summands, r=2))
-            rel = (bound - exact) / max(bound, 1e-300)
-            records.append(DominationRecord(index=i, bound=bound, exact=exact, rel_slack=rel))
+        block = [None] * len(key)
+        for ix, stack in random_hermitian_family(key):
+            k = len(ix)
+            supports = [
+                (np.broadcast_to(_HALVES, (k, 2)), np.stack([h, -h], axis=1))
+                for h in stack.swapaxes(0, 1)
+            ]
+            exact = _expected_norms(supports, [2] * k)
+            for j, bound, value in zip(ix.tolist(), _rademacher_bounds(stack), exact):
+                block[j] = DominationRecord.of(int(key.index[j]), bound, math.sqrt(value))
+        records += block
     return records

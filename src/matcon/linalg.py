@@ -81,13 +81,15 @@ def gram_top_eigenvalues(z: np.ndarray) -> np.ndarray:
     up to rounding.  Raises when a Gram matrix overflows (entries above about
     1e154); its diagonal suffices, as |g_ij| <= sqrt(g_ii g_jj)."""
     zh = z.conj().transpose(0, 2, 1)
-    gram = z @ zh if z.shape[1] <= z.shape[2] else zh @ z
-    del zh
-    # (gram + gram*) / 2, in place on the conjugate's buffer
-    sym = gram.conj().transpose(0, 2, 1)
-    sym += gram
-    sym /= 2.0
-    del gram
+    # an overflow shows as a non-finite diagonal, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = z @ zh if z.shape[1] <= z.shape[2] else zh @ z
+        del zh
+        # (gram + gram*) / 2, in place on the conjugate's buffer
+        sym = gram.conj().transpose(0, 2, 1)
+        sym += gram
+        sym /= 2.0
+        del gram
     if not np.isfinite(np.diagonal(sym, axis1=1, axis2=2)).all():
         raise ValueError("matrix entries too large: the Gram matrix overflows")
     return np.linalg.eigvalsh(sym)[:, -1]

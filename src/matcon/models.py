@@ -276,6 +276,49 @@ def ParetoDiagonal(index: int, dim: int) -> ScalarSeries:
     return ScalarSeries(PARETO, (dim, dim), (index,), (index,), (1.0,), 1.0)
 
 
+# Finite supports as stacks: probabilities (..., c) and outcome matrices
+# (..., c, d1, d2), one support per leading index.  FiniteSummand holds one;
+# the symmetrization sweep holds a whole shape group of them.
+
+
+def check_support(probs: np.ndarray, mats: np.ndarray) -> None:
+    """Raise unless every support of the stacks has finite outcomes and
+    positive probabilities that sum to 1 within 1e-12."""
+    require_finite(mats)
+    # written so that a NaN probability fails both tests
+    if not (probs > 0.0).all():
+        raise ValueError("outcome probabilities must be positive")
+    sums = probs.sum(axis=-1)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12))
+    if bad.size:
+        raise ValueError(f"probabilities sum to {sums.flat[bad[0]]!r}, expected 1")
+
+
+def support_means(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """E S of every support of the stacks, as (..., d1, d2): the probability
+    row times the flattened outcomes, one matrix product per support."""
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    means = probs[..., None, :].astype(np.complex128) @ flat
+    return means.reshape(mats.shape[:-3] + mats.shape[-2:])
+
+
+def centered_support(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The outcomes of every support of the stacks minus their mean."""
+    return mats - support_means(probs, mats)[..., None, :, :]
+
+
+def sign_modulated_support(probs: np.ndarray, mats: np.ndarray):
+    """(probabilities, outcomes) of eps * S for every support S of the stacks
+    and an independent fair sign eps: the outcomes m_1 .. m_c, then
+    -m_c .. -m_1, each with half its probability, so that each support read
+    backwards is its own negation."""
+    half = probs / 2.0
+    return (
+        np.concatenate([half, half[..., ::-1]], axis=-1),
+        np.concatenate([mats, -mats[..., ::-1, :, :]], axis=-3),
+    )
+
+
 class FiniteSummand:
     """A random matrix with finite support: outcomes [(probability, matrix)].
 
@@ -298,15 +341,11 @@ class FiniteSummand:
     @classmethod
     def _of_stack(cls, probs: np.ndarray, mats: np.ndarray) -> "FiniteSummand":
         out = cls.__new__(cls)
-        out._set(probs, require_finite(mats))
+        out._set(probs, mats)
         return out
 
     def _set(self, probs: np.ndarray, mats: np.ndarray) -> None:
-        # written so that a NaN probability fails both tests
-        if not (probs > 0.0).all():
-            raise ValueError("outcome probabilities must be positive")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+        check_support(probs, mats)
         probs.setflags(write=False)
         mats.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
@@ -336,28 +375,29 @@ class FiniteSummand:
     def zero_mean(self) -> bool:
         """True when ||E S||_F <= 1e-12 * max(1, largest outcome entry)."""
         scale = max(1.0, float(np.abs(self.matrices).max(initial=0.0)))
-        return float(np.linalg.norm(self.mean(), ord="fro")) <= _MEAN_TOL * scale
+        # an overflowing norm reads inf: not zero mean, and no warning
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.mean(), ord="fro")) <= _MEAN_TOL * scale
 
     def outcomes(self) -> list[tuple[float, np.ndarray]]:
         return [(float(p), m) for p, m in zip(self.probabilities, self.matrices)]
 
     def mean(self) -> np.ndarray:
-        return np.tensordot(self.probabilities, self.matrices, axes=(0, 0))
+        return support_means(self.probabilities, self.matrices)
 
     def outcome_norms(self) -> np.ndarray:
         return spectral_norms(self.matrices)
 
     def centered(self) -> "FiniteSummand":
-        return FiniteSummand._of_stack(self.probabilities, self.matrices - self.mean())
+        return FiniteSummand._of_stack(
+            self.probabilities, centered_support(self.probabilities, self.matrices)
+        )
 
     def sign_modulated(self) -> "FiniteSummand":
-        """Support of eps * S for an independent fair sign eps: the outcomes
-        m_1 .. m_k, then -m_k .. -m_1, each with half its probability, so the
-        support read backwards is its own negation."""
-        half = self.probabilities / 2.0
+        """Support of eps * S for an independent fair sign eps (see
+        sign_modulated_support)."""
         return FiniteSummand._of_stack(
-            np.concatenate([half, half[::-1]]),
-            np.concatenate([self.matrices, -self.matrices[::-1]]),
+            *sign_modulated_support(self.probabilities, self.matrices)
         )
 
     def moment_cell(self):
@@ -806,6 +846,14 @@ def _matrix_to_json(a: np.ndarray):
 
 
 def _matrix_from_json(rows) -> np.ndarray:
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(isinstance(row, list) and row for row in rows)
+        or len({len(row) for row in rows}) != 1
+    ):
+        raise ValueError("field 'matrix' must be a non-empty list of equal-length rows")
+
     def entry(e):
         if isinstance(e, (list, tuple)):
             if len(e) != 2:
@@ -829,10 +877,20 @@ _FAMILIES = {
         int(doc["row"]), int(doc["col"]), int(doc["dim"])
     ),
     "pareto_diagonal": lambda doc: ParetoDiagonal(int(doc["index"]), int(doc["dim"])),
-    "finite": lambda doc: FiniteSummand(
-        (float(o["probability"]), _matrix_from_json(o["matrix"])) for o in doc["outcomes"]
-    ),
+    "finite": lambda doc: _finite_from_json(doc["outcomes"]),
 }
+
+
+def _finite_from_json(outcomes) -> FiniteSummand:
+    if not isinstance(outcomes, list) or not all(
+        isinstance(o, dict) and "probability" in o and "matrix" in o for o in outcomes
+    ):
+        raise ValueError(
+            "field 'outcomes' must be a list of objects with 'probability' and 'matrix'"
+        )
+    return FiniteSummand(
+        (float(o["probability"]), _matrix_from_json(o["matrix"])) for o in outcomes
+    )
 
 
 def summand_from_json(doc: dict):

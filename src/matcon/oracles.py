@@ -37,7 +37,12 @@ from .linalg import (
     require_finite,
     spectral_norms,
 )
-from .models import FiniteSummand, as_finite_summand
+from .models import (
+    as_finite_summand,
+    centered_support,
+    check_support,
+    sign_modulated_support,
+)
 from .rng import gaussians, integers, uniform_halfopen
 
 KINDS = (
@@ -372,14 +377,66 @@ def verify_fact(case: FactCase, inject_fault: bool = False) -> CheckResult:
     return _evaluate(case.kind, case.batch, inject_fault)[1](0)
 
 
+def _expected_norms(supports, r) -> list[float]:
+    """E||Z_c||^r of k cases c at once by exact enumeration of each case's
+    product distribution: the one enumeration kernel.
+
+    `supports` holds one (probabilities (k, m), outcomes (k, m, d1, d2))
+    pair per summand, so the cases share their summand count, support sizes
+    and shape; r holds each case's moment order.  Each value is that of the
+    case enumerated alone, bit for bit: z sums the outcomes in summand order
+    from zeros, ranks follow a mixed-radix counter over outcome indices
+    (row-major, last summand fastest), and the expectation is a 1-d dot
+    product per case and _ENUM_CHUNK ranks.  ||z||^2 is the top eigenvalue of
+    the Gram matrix of the smaller side, formed _GRAM_BYTES of outcome sums
+    at a time over all cases.
+    """
+    for probs, mats in supports:
+        check_support(probs, mats)
+    counts = [probs.shape[1] for probs, _ in supports]
+    total = math.prod(counts)
+    if total > _ENUMERATION_CAP:
+        raise ValueError(f"enumeration needs {total} combinations, cap is {_ENUMERATION_CAP}")
+    k, _, d1, d2 = supports[0][1].shape
+    # When every support of every case read backwards is its own negation,
+    # rank total-1-q sums the negated outcomes of rank q and has the same
+    # Gram matrix, so only the first half of the ranks needs an eigenvalue.
+    mirrored = all(np.array_equal(mats[:, ::-1], -mats) for _, mats in supports)
+    half = (total + 1) // 2 if mirrored else total
+    step = max(1, _GRAM_BYTES // (d1 * d2 * 16))
+    sq_norms = np.empty((k, total))
+    for start in range(0, k * half, step):
+        case, rank = np.divmod(np.arange(start, min(start + step, k * half)), half)
+        z = np.zeros((len(rank), d1, d2), dtype=np.complex128)
+        for (_, mats), ix in zip(supports, np.unravel_index(rank, counts)):
+            z += mats[case, ix]
+        sq_norms[case, rank] = gram_top_eigenvalues(z)
+    sq_norms[:, half:] = sq_norms[:, : total - half][:, ::-1]
+    sq_norms = np.maximum(sq_norms, 0.0)
+    values = [sq if rc == 2 else np.sqrt(sq) ** int(rc) for sq, rc in zip(sq_norms, r)]
+    acc = [0.0] * k
+    for start in range(0, total, _ENUM_CHUNK):
+        stop = min(start + _ENUM_CHUNK, total)
+        weights = np.ones((k, stop - start))
+        for (probs, _), ix in zip(supports, np.unravel_index(np.arange(start, stop), counts)):
+            weights *= probs[:, ix]
+        for c in range(k):
+            acc[c] += float(np.dot(weights[c], values[c][start:stop]))
+    return acc
+
+
+def _summand_supports(probs: np.ndarray, mats: np.ndarray) -> list:
+    """The kernel's per-summand (probabilities, outcomes) pairs of k cases
+    held as (k, n, m) and (k, n, m, d1, d2) stacks."""
+    return list(zip(probs.swapaxes(0, 1), mats.swapaxes(0, 1)))
+
+
 def brute_force_expected_norm(summands, r: int) -> float:
     """E||sum_i S_i||^r by exact enumeration of the product distribution.
 
     Summands must have finite support and equal shapes; the total number of
-    outcome combinations must not exceed 2^20.  Enumeration follows a
-    mixed-radix counter over outcome indices (row-major, last summand fastest).
-    ||z||^2 is the top eigenvalue of the Gram matrix of the smaller side; the
-    enumeration holds one such value per combination.
+    outcome combinations must not exceed 2^20.  This is the enumeration
+    kernel on one case (see _expected_norms).
     """
     ss = [as_finite_summand(s) for s in summands]
     if not ss:
@@ -388,36 +445,23 @@ def brute_force_expected_norm(summands, r: int) -> float:
         raise ValueError("summand shapes differ")
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError("moment order r must be a positive integer")
-    counts = [s.support_size for s in ss]
-    total = math.prod(counts)
-    if total > _ENUMERATION_CAP:
-        raise ValueError(f"enumeration needs {total} combinations, cap is {_ENUMERATION_CAP}")
+    [value] = _expected_norms([(s.probabilities[None], s.matrices[None]) for s in ss], [r])
+    return value
 
-    d1, d2 = ss[0].shape
-    # When every support read backwards is its own negation, rank total-1-q
-    # sums the negated outcomes of rank q and has the same norm, so only the
-    # first half of the ranks needs a Gram eigenvalue.
-    mirrored = all(np.array_equal(s.matrices[::-1], -s.matrices) for s in ss)
-    half = (total + 1) // 2 if mirrored else total
-    step = max(1, _GRAM_BYTES // (d1 * d2 * 16))
-    sq_norms = np.empty(total)
-    for start in range(0, half, step):
-        ranks = np.arange(start, min(start + step, half))
-        z = np.zeros((len(ranks), d1, d2), dtype=np.complex128)
-        for s, ix in zip(ss, np.unravel_index(ranks, counts)):
-            z += s.matrices[ix]
-        sq_norms[start : start + len(ranks)] = gram_top_eigenvalues(z)
-    sq_norms[half:] = sq_norms[: total - half][::-1]
-    sq_norms = np.maximum(sq_norms, 0.0)
-    values = sq_norms if r == 2 else np.sqrt(sq_norms) ** int(r)
-    acc = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        ranks = np.arange(start, min(start + _ENUM_CHUNK, total))
-        probs = np.ones(len(ranks))
-        for s, ix in zip(ss, np.unravel_index(ranks, counts)):
-            probs *= s.probabilities[ix]
-        acc += float(np.dot(probs, values[start : start + len(ranks)]))
-    return acc
+
+def _symmetrization_result(M: float, R: float) -> CheckResult:
+    """Holds iff R/2 - tol <= M <= 2R + tol, tol = 1e-9 max(1, R)."""
+    violation = max(R / 2.0 - M, M - 2.0 * R)
+    tol = _REL_TOL * max(1.0, R)
+    return CheckResult(
+        holds=bool(violation <= tol),
+        lhs=float(violation),
+        rhs=0.0,
+        slack=float(-violation),
+        tolerance=tol,
+        kind="symmetrization",
+        detail={"centered_moment": float(M), "signed_moment": float(R)},
+    )
 
 
 def symmetrization_check(summands, r: int) -> CheckResult:
@@ -430,17 +474,7 @@ def symmetrization_check(summands, r: int) -> CheckResult:
     ss = [as_finite_summand(s) for s in summands]
     M = brute_force_expected_norm([s.centered() for s in ss], r) ** (1.0 / r)
     R = brute_force_expected_norm([s.sign_modulated() for s in ss], r) ** (1.0 / r)
-    violation = max(R / 2.0 - M, M - 2.0 * R)
-    tol = _REL_TOL * max(1.0, R)
-    return CheckResult(
-        holds=bool(violation <= tol),
-        lhs=float(violation),
-        rhs=0.0,
-        slack=float(-violation),
-        tolerance=tol,
-        kind="symmetrization",
-        detail={"centered_moment": float(M), "signed_moment": float(R)},
-    )
+    return _symmetrization_result(M, R)
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +700,12 @@ def sweep_fact_kind(kind: str, cases: int, seed: int, inject_fault: bool = False
     return SweepResult(kind=kind, cases=cases, failures=tuple(failures))
 
 
-def random_zero_mean_summands(key: CaseKey) -> list[list[FiniteSummand]]:
-    """For each case of `key`, a random family of 1 to 5 centered
-    two-outcome summands with a common shape of 1 to 3 rows and columns.
+def random_zero_mean_summands(key: CaseKey) -> list[tuple[np.ndarray, tuple]]:
+    """The random centered families of the cases of `key`, grouped by
+    shape, as (positions, (probabilities, outcomes)) pairs: positions index
+    key.index, and the stacks are (k, n, 2) and (k, n, 2, rows, cols) for the
+    k cases of a group, with n in 1..5 two-outcome summands of 1 to 3 rows
+    and columns.
 
     Outcomes are {(p, A), (1-p, -p/(1-p) A)}, which has mean exactly zero;
     the two-sided symmetrization comparison is false for uncentered summands
@@ -679,42 +716,51 @@ def random_zero_mean_summands(key: CaseKey) -> list[list[FiniteSummand]]:
     n = key.integers(0, 1, 5)
     d1 = key.integers(1, 1, 3)
     d2 = key.integers(2, 1, 3)
-    out = [None] * len(key)
+    groups = []
     for ix, sub, (count, rows, cols) in _by_shape(key, n, d1, d2):
         p = 0.1 + 0.8 * sub.matrix_uniform(count, 0)
         zero = sub.matrix_uniform(count, 1) < 0.2
         a = np.where(zero[..., None, None], 0.0, sub.gaussian_matrices(0, count, rows, cols))
         scaled = -(p / (1.0 - p))[..., None, None] * a
-        probs = np.stack([p, 1.0 - p], axis=-1)
-        mats = np.stack([a, scaled], axis=2)
-        for j, i in enumerate(ix.tolist()):
-            out[i] = [FiniteSummand._of_stack(probs[j, s], mats[j, s]) for s in range(count)]
-    return out
+        groups.append((ix, (np.stack([p, 1.0 - p], axis=-1), np.stack([a, scaled], axis=2))))
+    return groups
 
 
-def random_hermitian_family(key: CaseKey) -> list[np.ndarray]:
-    """For each case of `key`, a random fixed Hermitian family with a common
-    dimension, as an (n, d, d) stack with n in 1..10 and d in 1..6."""
+def random_hermitian_family(key: CaseKey) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The random fixed Hermitian families of the cases of `key`, grouped by
+    shape, as (positions, stack) pairs: positions index key.index, and the
+    (k, n, d, d) stack holds the families of the k cases of a group, with n
+    in 1..10 and d in 1..6."""
     n = key.integers(0, 1, 10)
     d = key.integers(1, 1, 6)
-    out = [None] * len(key)
-    for ix, sub, (count, dim) in _by_shape(key, n, d):
-        stacks = random_hermitian(sub, 0, count, dim)
-        for j, i in enumerate(ix.tolist()):
-            out[i] = stacks[j]
-    return out
+    return [
+        (ix, random_hermitian(sub, 0, count, dim))
+        for ix, sub, (count, dim) in _by_shape(key, n, d)
+    ]
+
+
+def _symmetrization_moments(key: CaseKey):
+    """(case index, M, R) of each symmetrization case of `key`, the cases of
+    a shape group enumerated together; each pair equals symmetrization_check
+    on the case drawn alone, bit for bit."""
+    rs = 1 + key.integers(3, 0, 1)
+    for ix, (probs, mats) in random_zero_mean_summands(key):
+        r = rs[ix].tolist()
+        centered = _expected_norms(_summand_supports(probs, centered_support(probs, mats)), r)
+        signed = _expected_norms(_summand_supports(*sign_modulated_support(probs, mats)), r)
+        for i, rc, m, s in zip(key.index[ix].tolist(), r, centered, signed):
+            yield i, m ** (1.0 / rc), s ** (1.0 / rc)
 
 
 def sweep_symmetrization(cases: int, seed: int) -> SweepResult:
     """Exact two-sided symmetrization comparison on random centered
-    two-outcome instances, r = 1 or 2 from slot 3 of each case."""
+    two-outcome instances, r = 1 or 2 from slot 3 of each case; a failure
+    carries symmetrization_check's result for its case."""
     failures = []
     for index in _blocks(cases):
-        key = symmetrization_rng(seed, index)
-        rs = (1 + key.integers(3, 0, 1)).tolist()
-        families = random_zero_mean_summands(key)
-        for i, summands, r in zip(index.tolist(), families, rs):
-            result = symmetrization_check(summands, r)
+        for i, M, R in _symmetrization_moments(symmetrization_rng(seed, index)):
+            result = _symmetrization_result(M, R)
             if not result.holds:
                 failures.append((i, result))
+    failures.sort(key=lambda f: f[0])
     return SweepResult(kind="symmetrization", cases=cases, failures=tuple(failures))

@@ -26,7 +26,12 @@ from matcon import (
     trace_moment_bound,
     variance_param,
 )
-from matcon.bounds import FIRST_MOMENT, SECOND_MOMENT, DominationRecord
+from matcon.bounds import (
+    FIRST_MOMENT,
+    SECOND_MOMENT,
+    DominationRecord,
+    replay_domination_case,
+)
 from matcon.linalg import dilation_stack
 
 
@@ -181,6 +186,17 @@ class TestRademacherBound:
         records = sweep_rademacher_domination(cases=50, seed=20260814)
         assert len(records) == 50
         assert all(r.rel_slack >= -1e-9 for r in records)
+
+    @pytest.mark.parametrize("seed", [21, 9090])
+    def test_sweep_records_equal_replay(self, seed):
+        records = sweep_rademacher_domination(cases=200, seed=seed)
+        assert [r.index for r in records] == list(range(200))
+        for r in records:
+            alone = replay_domination_case(seed, r.index)
+            assert alone.index == r.index
+            assert (r.bound.hex(), r.exact.hex(), r.rel_slack.hex()) == (
+                alone.bound.hex(), alone.exact.hex(), alone.rel_slack.hex()
+            )
 
     def test_record_verdict(self):
         def record(rel_slack):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -146,17 +147,48 @@ class TestReport:
         assert out == ""
         assert "summand document must be a JSON object" in err
 
-    def test_overflowing_gram_exit_2(self, tmp_path, capsys):
+    def test_overflowing_gram_exit_2(self, tmp_path):
         point = {"probability": 1.0, "matrix": [[1e200, 0.0], [0.0, 1.0]]}
         f = tmp_path / "huge.json"
         f.write_text(json.dumps({"summands": [{"family": "finite", "outcomes": [point]}]}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(
-                ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
-            )
+        proc = subprocess.run(
+            [sys.executable, "-m", "matcon", "report", "--model-file", str(f),
+             "--samples", "8", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # no numpy RuntimeWarning before the message
+        assert proc.stderr == "error: matrix entries too large: the Gram matrix overflows\n"
+
+    @pytest.mark.parametrize(
+        "summand, field",
+        [
+            ({"family": "finite", "outcomes": [1]}, "outcomes"),
+            ({"family": "finite", "outcomes": [{"matrix": [[1.0]]}]}, "outcomes"),
+            ({"family": "finite", "outcomes": [{"probability": 1.0, "matrix": 5}]}, "matrix"),
+            ({"family": "fixed_gaussian", "matrix": 5}, "matrix"),
+            ({"family": "fixed_rademacher", "matrix": [[1.0, 0.0], [0.0]]}, "matrix"),
+            ({"family": "fixed_rademacher", "matrix": []}, "matrix"),
+        ],
+        ids=["outcome_int", "outcome_no_probability", "finite_matrix_int",
+             "gaussian_matrix_int", "ragged_rows", "no_rows"],
+    )
+    def test_malformed_field_exit_2(self, tmp_path, capsys, summand, field):
+        message = {
+            "outcomes": "field 'outcomes' must be a list of objects with 'probability' "
+            "and 'matrix'",
+            "matrix": "field 'matrix' must be a non-empty list of equal-length rows",
+        }[field]
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"summands": [summand]}))
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
         assert code == 2
         assert out == ""
-        assert "Gram matrix overflows" in err
+        assert err == f"error: {message}\n"
 
     def test_uncentered_model_note_on_stderr(self, tmp_path, capsys):
         point = FiniteSummand([(1.0, np.diag([3.0, 0.0]))])
@@ -243,6 +275,21 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"--cases must be >= 1, got {cases}" in err
+
+    @pytest.mark.parametrize(
+        "argv, want_code, digest",
+        [
+            (["verify", "--suite", "all", "--cases", "500", "--seed", "21"], 0,
+             "bcc0481bf3aa953e9fc9d1d5953afdd2522ce7c1e6353f6aeffbf77a27bfa2ca"),
+            (["verify", "--suite", "facts", "--cases", "500", "--seed", "21",
+              "--inject-fault"], 1,
+             "81a749f893214fd761dc81eb66ac8ed003f236dade9bd9a3e3301572381df3e2"),
+        ],
+    )
+    def test_stdout_bytes_pinned(self, capsys, argv, want_code, digest):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == want_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_facts_suite(self, capsys):
         code, out, _ = run_cli(

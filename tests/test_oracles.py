@@ -445,21 +445,35 @@ class TestCaseStreams:
         block = oracles.random_zero_mean_summands(
             oracles.symmetrization_rng(self.SEED, range(self.CASES))
         )
-        for i, family in enumerate(block):
-            [alone] = oracles.random_zero_mean_summands(oracles.symmetrization_rng(self.SEED, i))
-            assert len(alone) == len(family) >= 1
-            for a, b in zip(alone, family):
-                assert _same_bits(a.probabilities, b.probabilities)
-                assert _same_bits(a.matrices, b.matrices)
-                assert np.abs(a.mean()).max() <= 1e-12 * max(1.0, np.abs(a.matrices).max())
+        seen = 0
+        for ix, (probs, mats) in block:
+            for j, i in enumerate(ix.tolist()):
+                [(pos, (p_alone, m_alone))] = oracles.random_zero_mean_summands(
+                    oracles.symmetrization_rng(self.SEED, i)
+                )
+                assert pos.tolist() == [0]
+                assert p_alone.shape[1] == probs.shape[1] >= 1
+                for s in range(probs.shape[1]):
+                    a = FiniteSummand(zip(p_alone[0, s], m_alone[0, s]))
+                    assert _same_bits(a.probabilities, probs[j, s])
+                    assert _same_bits(a.matrices, mats[j, s])
+                    assert np.abs(a.mean()).max() <= 1e-12 * max(1.0, np.abs(a.matrices).max())
+                seen += 1
+        assert seen == self.CASES
 
     def test_domination_one_element_draw_is_its_block_row(self):
         key = case_rng(self.SEED, "rademacher", range(self.CASES))
-        block = oracles.random_hermitian_family(key)
-        for i, family in enumerate(block):
-            [alone] = oracles.random_hermitian_family(case_rng(self.SEED, "rademacher", i))
-            assert _same_bits(alone, family)
-            assert np.array_equal(family, family.conj().swapaxes(1, 2))
+        seen = 0
+        for ix, stack in oracles.random_hermitian_family(key):
+            for j, i in enumerate(ix.tolist()):
+                alone_key = case_rng(self.SEED, "rademacher", i)
+                [(pos, alone)] = oracles.random_hermitian_family(alone_key)
+                assert pos.tolist() == [0]
+                family = stack[j]
+                assert _same_bits(alone[0], family)
+                assert np.array_equal(family, family.conj().swapaxes(1, 2))
+                seen += 1
+        assert seen == self.CASES
 
     def test_streams_differ(self):
         index = range(50)
@@ -576,6 +590,93 @@ class TestEnumerationOracle:
         assert brute_force_expected_norm(family, r=2) == pytest.approx(
             _reference_expected_norm(family, 2), rel=1e-12
         )
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStackedEnumeration:
+    """The enumeration kernel on a group of cases gives each case the bits of
+    brute_force_expected_norm on that case alone."""
+
+    K = 7
+    SHAPE = (2, 3)
+
+    def _group(self, seed, mirrored):
+        """Supports of K cases with support sizes (1, 3, 2): case c is
+        mirrored (each support read backwards is its own negation) iff
+        mirrored[c]."""
+        rng = np.random.default_rng(seed)
+        supports = []
+        for m in (1, 3, 2):
+            probs = rng.uniform(0.2, 1.0, size=(self.K, m))
+            probs /= probs.sum(axis=1, keepdims=True)
+            size = (self.K, m) + self.SHAPE
+            mats = rng.normal(size=size) + 1j * rng.normal(size=size)
+            for c in np.flatnonzero(mirrored):
+                mats[c, (m + 1) // 2 :] = -mats[c, : m // 2][::-1]
+                mats[c, m // 2 : (m + 1) // 2] = 0.0
+            supports.append((probs, mats))
+        return supports
+
+    def _alone(self, supports, r):
+        return [
+            brute_force_expected_norm(
+                [FiniteSummand(zip(p[c], m[c])) for p, m in supports], r[c]
+            )
+            for c in range(self.K)
+        ]
+
+    @pytest.mark.parametrize("r", [[1] * K, [2] * K, [3] * K, [1, 2, 3, 3, 2, 1, 2]])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_group_equals_one_case_calls(self, r, mixed):
+        mirrored = np.arange(self.K) % 2 == 0 if mixed else np.ones(self.K, dtype=bool)
+        supports = self._group(40 + sum(r), mirrored)
+        for p, m in supports:
+            mirror = [np.array_equal(m[c, ::-1], -m[c]) for c in range(self.K)]
+            assert mirror == mirrored.tolist()
+        assert _hex(oracles._expected_norms(supports, r)) == _hex(self._alone(supports, r))
+
+    @pytest.mark.parametrize("matrices", [1, 5])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_gram_chunk_size_does_not_change_values(self, monkeypatch, matrices, mixed):
+        mirrored = np.arange(self.K) % 3 == 0 if mixed else np.ones(self.K, dtype=bool)
+        supports = self._group(50, mirrored)
+        r = [1, 2, 3, 1, 2, 3, 2]
+        default = _hex(oracles._expected_norms(supports, r))
+        monkeypatch.setattr(oracles, "_GRAM_BYTES", matrices * 16 * math.prod(self.SHAPE))
+        assert _hex(oracles._expected_norms(supports, r)) == default
+
+    @staticmethod
+    def _check_alone(seed, i):
+        """symmetrization_check on symmetrization case i drawn alone."""
+        key = oracles.symmetrization_rng(seed, i)
+        [(_, (probs, mats))] = oracles.random_zero_mean_summands(key)
+        family = [FiniteSummand(zip(p, m)) for p, m in zip(probs[0], mats[0])]
+        return symmetrization_check(family, int(1 + key.integers(3, 0, 1)[0]))
+
+    @pytest.mark.parametrize("seed", [21, 9090])
+    def test_sweep_moments_equal_symmetrization_check(self, seed):
+        cases = 200
+        key = oracles.symmetrization_rng(seed, range(cases))
+        seen = 0
+        for i, M, R in oracles._symmetrization_moments(key):
+            alone = self._check_alone(seed, i)
+            assert _hex([M, R]) == _hex(
+                [alone.detail["centered_moment"], alone.detail["signed_moment"]]
+            ), i
+            seen += 1
+        assert seen == cases
+
+    def test_sweep_failures_are_symmetrization_check_results(self, monkeypatch):
+        # with a tolerance below every violation, each case fails
+        monkeypatch.setattr(oracles, "_REL_TOL", -1e9)
+        seed, cases = 21, 40
+        res = sweep_symmetrization(cases=cases, seed=seed)
+        assert [i for i, _ in res.failures] == list(range(cases))
+        for i, result in res.failures:
+            assert _bits(result) == _bits(self._check_alone(seed, i))
 
 
 class TestFiniteSummandStack:
