@@ -58,9 +58,7 @@ from .montecarlo import (
     MEDIAN_OF_MEANS,
     bound_report,
     collect_samples,
-    empirical_second_moments,
     estimate_max_summand_sq,
-    estimate_norm_moment,
 )
 
 __all__ = [
@@ -112,7 +110,5 @@ __all__ = [
     "MEDIAN_OF_MEANS",
     "bound_report",
     "collect_samples",
-    "empirical_second_moments",
     "estimate_max_summand_sq",
-    "estimate_norm_moment",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_stack, hermitian_stack, require_finite, spectral_norm, spectral_norms
+from .linalg import as_stack, hermitian_stack, spectral_norm, spectral_norms
 from .models import FiniteSummand, IndependentSumModel, analytic_max_sq, analytic_second_moments
 from .oracles import (
     _blocks,
@@ -87,11 +87,7 @@ def variance_param(model: IndependentSumModel, moments=None) -> float:
     `moments` may supply a precomputed pair (analytic or empirical); the
     default is the exact per-summand sum, which requires a centered model.
     """
-    if moments is None:
-        if not model.centered:
-            raise ValueError("model is not centered; apply center() first")
-        moments = analytic_second_moments(model)
-    left, right = moments
+    left, right = analytic_second_moments(model) if moments is None else moments
     return max(spectral_norm(left), spectral_norm(right))
 
 
@@ -121,20 +117,19 @@ def main_interval(inputs: BoundInputs) -> BoundInterval:
 
 
 def _family_stack(H_list) -> np.ndarray | None:
-    """A Hermitian family as a (1, n, d, d) stack; None for an empty one."""
+    """A caller's Hermitian family, validated and symmetrized, as a
+    (1, n, d, d) stack; None for an empty one."""
     H_list = list(H_list)
     if not H_list:
         return None
-    return as_stack(H_list, "matrices must share one dimension")[None]
+    return hermitian_stack(as_stack(H_list, "matrices must share one dimension"))[0][None]
 
 
 def _sums_of_squares(stacks: np.ndarray) -> np.ndarray:
-    """sum_i H_i^2 of each family of a (k, n, d, d) stack, validated as one
-    Hermitian stack, with the terms added in family order from 0."""
-    _, n, d, _ = stacks.shape
-    sym = hermitian_stack(require_finite(stacks).reshape(-1, d, d))[0].reshape(stacks.shape)
-    squares = sym @ sym
-    return sum(squares[:, j] for j in range(n))
+    """sum_i H_i^2 of each family of a (k, n, d, d) stack of Hermitian
+    matrices, with the terms added in family order from 0."""
+    squares = stacks @ stacks
+    return sum(squares[:, j] for j in range(stacks.shape[1]))
 
 
 def _rademacher_bounds(stacks: np.ndarray) -> list[float]:

@@ -15,32 +15,19 @@ import numpy as np
 _HERMITIAN_DEFECT_REL = 1e-12
 
 
-def require_finite(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def _coerce_array(data) -> np.ndarray:
-    """A 2-d matrix (array or matrix object) as complex128, with finite
-    entries."""
-    a = np.asarray(getattr(data, "array", data), dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return require_finite(a)
-
-
 def as_stack(mats, mismatch: str = "matrices must share one shape") -> np.ndarray:
     """(k, d1, d2) complex128 stack of k >= 1 equal-shape matrices (arrays or
     matrix objects) with finite entries; `mismatch` is the error for unequal
-    shapes."""
+    shapes.  as_stack([m])[0] is the validated 2-d matrix m."""
     arrays = [getattr(m, "array", m) for m in mats]
     if len({np.shape(a) for a in arrays}) != 1:
         raise ValueError(mismatch)
     a = np.array(arrays, dtype=np.complex128)
     if a.ndim != 3 or 0 in a.shape:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape[1:]}")
-    return require_finite(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
@@ -114,7 +101,7 @@ class HermitianMatrix:
     __slots__ = ("array", "defect")
 
     def __init__(self, data):
-        sym, defect = hermitian_stack(_coerce_array(data)[None])
+        sym, defect = hermitian_stack(as_stack([data]))
         sym = sym[0]
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
@@ -134,7 +121,7 @@ def as_hermitian(M) -> HermitianMatrix:
 
 def spectral_norm(M) -> float:
     """Largest singular value, via the Gram matrix of the smaller dimension."""
-    return float(spectral_norms(_coerce_array(M)[None])[0])
+    return float(spectral_norms(as_stack([M]))[0])
 
 
 def dilation_stack(b: np.ndarray) -> np.ndarray:

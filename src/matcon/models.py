@@ -25,6 +25,7 @@ independent of evaluation order and worker count.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -33,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .linalg import HermitianMatrix, _coerce_array, as_hermitian, as_stack, require_finite
-from .linalg import spectral_norm, spectral_norms
+from .linalg import as_hermitian, as_stack, spectral_norm, spectral_norms
 
 _MEAN_TOL = 1e-12
 
@@ -249,9 +249,11 @@ def FixedGaussian(matrix) -> ScalarSeries:
 
 
 def ScaledBasisRademacher(index: int, scale: float, dim: int) -> ScalarSeries:
-    """S = scale * eps * E_ii inside a dim x dim matrix."""
+    """S = scale * eps * E_ii inside a dim x dim matrix; scale^2 must be finite."""
     _check_cell(index, index, dim, "index out of range")
     scale = float(scale)
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"scale {scale!r} is not finite or its square overflows")
     return ScalarSeries(SIGN, (dim, dim), (index,), (index,), (scale,), abs(scale))
 
 
@@ -284,7 +286,8 @@ def ParetoDiagonal(index: int, dim: int) -> ScalarSeries:
 def check_support(probs: np.ndarray, mats: np.ndarray) -> None:
     """Raise unless every support of the stacks has finite outcomes and
     positive probabilities that sum to 1 within 1e-12."""
-    require_finite(mats)
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
     # written so that a NaN probability fails both tests
     if not (probs > 0.0).all():
         raise ValueError("outcome probabilities must be positive")
@@ -501,9 +504,8 @@ class IndependentSumModel:
 
 def make_model(summands, name: str = "custom", n: int | None = None) -> IndependentSumModel:
     summands = tuple(summands)
-    if not summands:
-        raise ValueError("model needs at least one summand")
-    d1, d2 = summands[0].shape
+    # an empty model is refused by IndependentSumModel
+    d1, d2 = summands[0].shape if summands else (0, 0)
     return IndependentSumModel(d1=d1, d2=d2, summands=summands, name=name, n=n)
 
 
@@ -549,13 +551,16 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
 
 
 def analytic_second_moments(model: IndependentSumModel):
-    """Exact (E[ZZ*], E[Z*Z]) for a centered model, as Hermitian matrices.
+    """Exact (E[ZZ*], E[Z*Z]) for a centered model, as read-only Hermitian
+    arrays.
 
     Independence and zero means make the second moment of the sum the sum of
     per-summand second moments.  A summand S = c * a E_{row,col} only adds
     E c^2 |a|^2 to one diagonal cell on each side; those are summed by index
     in model order and added once, so the cost is O(N + d^2) plus the dense
     terms of the other summands.  Each distinct summand object is asked once.
+    The sums are replaced by (M + M*)/2: dense terms are Hermitian only up to
+    rounding.
     """
     if not model.centered:
         raise ValueError("model is not centered; center() it first")
@@ -586,7 +591,10 @@ def analytic_second_moments(model: IndependentSumModel):
         right[np.diag_indices(model.d2)] += np.bincount(
             cols, weights=weights, minlength=model.d2
         )
-    return HermitianMatrix(left), HermitianMatrix(right)
+    left, right = (left + left.conj().T) / 2.0, (right + right.conj().T) / 2.0
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
 
 
 def analytic_max_sq(model: IndependentSumModel):
@@ -830,7 +838,7 @@ def sample_summands(model: IndependentSumModel, seed, index: int) -> list[np.nda
     scalar RNG calls, independently of SamplerPlan.
     """
     seed = seed_value(seed)
-    return [_coerce_array(s.sample(seed, index, pos)) for pos, s in enumerate(model.summands)]
+    return [s.sample(seed, index, pos) for pos, s in enumerate(model.summands)]
 
 
 # ---------------------------------------------------------------------------
@@ -845,52 +853,71 @@ def _matrix_to_json(a: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
-def _matrix_from_json(rows) -> np.ndarray:
+_INTEGRAL = {"index", "row", "col", "dim", "n", "d", "d1", "d2"}
+
+
+def _number(doc: dict, key: str):
+    """Numeric field `key` of a model-file object, the one reader of a number
+    outside a matrix: a finite JSON number, not a bool or a string, whole and
+    returned as an int when it counts or indexes, else a float."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value, integral = doc[key], key in _INTEGRAL
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if not finite or (integral and value % 1):
+        kind = "an integer" if integral else "a finite number"
+        raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _matrix_from_json(doc: dict, key: str) -> np.ndarray:
+    """Matrix field `key`: equal-length rows of finite JSON numbers or
+    [re, im] pairs of them, checked and converted as one flat list."""
+    rows = doc.get(key)
     if (
         not isinstance(rows, list)
         or not rows
         or not all(isinstance(row, list) and row for row in rows)
         or len({len(row) for row in rows}) != 1
     ):
-        raise ValueError("field 'matrix' must be a non-empty list of equal-length rows")
-
-    def entry(e):
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2:
-                raise ValueError("complex entries are [re, im] pairs")
-            return complex(float(e[0]), float(e[1]))
-        return complex(float(e), 0.0)
-
-    return np.array([[entry(e) for e in row] for row in rows], dtype=np.complex128)
-
-
-_FAMILIES = {
-    "fixed_rademacher": lambda doc: FixedRademacher(_matrix_from_json(doc["matrix"])),
-    "fixed_gaussian": lambda doc: FixedGaussian(_matrix_from_json(doc["matrix"])),
-    "scaled_basis_rademacher": lambda doc: ScaledBasisRademacher(
-        int(doc["index"]), float(doc["scale"]), int(doc["dim"])
-    ),
-    "centered_bernoulli_basis": lambda doc: CenteredBernoulliBasis(
-        int(doc["index"]), float(doc["prob"]), int(doc["dim"])
-    ),
-    "rademacher_entry": lambda doc: RademacherEntry(
-        int(doc["row"]), int(doc["col"]), int(doc["dim"])
-    ),
-    "pareto_diagonal": lambda doc: ParetoDiagonal(int(doc["index"]), int(doc["dim"])),
-    "finite": lambda doc: _finite_from_json(doc["outcomes"]),
-}
+        raise ValueError(f"field {key!r} must be a non-empty list of equal-length rows")
+    flat = list(chain.from_iterable(rows))
+    pairs = list in set(map(type, flat))
+    if pairs:  # a real entry becomes (e, 0.0); a list of another length stays a list
+        padded = (e if type(e) is list and len(e) == 2 else (e, 0.0) for e in flat)
+        flat = list(chain.from_iterable(padded))
+    try:
+        finite = set(map(type, flat)) <= {int, float} and all(map(math.isfinite, flat))
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"field {key!r} entries must be finite numbers or [re, im] pairs of them")
+    a = np.array(flat, dtype=np.float64)
+    return (a.view(np.complex128) if pairs else a.astype(np.complex128)).reshape(len(rows), -1)
 
 
-def _finite_from_json(outcomes) -> FiniteSummand:
+def _outcomes_from_json(doc: dict, key: str) -> list:
+    outcomes = doc.get(key)
     if not isinstance(outcomes, list) or not all(
         isinstance(o, dict) and "probability" in o and "matrix" in o for o in outcomes
     ):
         raise ValueError(
-            "field 'outcomes' must be a list of objects with 'probability' and 'matrix'"
+            f"field {key!r} must be a list of objects with 'probability' and 'matrix'"
         )
-    return FiniteSummand(
-        (float(o["probability"]), _matrix_from_json(o["matrix"])) for o in outcomes
-    )
+    return [(_number(o, "probability"), _matrix_from_json(o, "matrix")) for o in outcomes]
+
+
+_READERS = {"matrix": _matrix_from_json, "outcomes": _outcomes_from_json}
+# family -> (constructor, its fields in argument order)
+_FAMILIES = {
+    "fixed_rademacher": (FixedRademacher, ("matrix",)),
+    "fixed_gaussian": (FixedGaussian, ("matrix",)),
+    "scaled_basis_rademacher": (ScaledBasisRademacher, ("index", "scale", "dim")),
+    "centered_bernoulli_basis": (CenteredBernoulliBasis, ("index", "prob", "dim")),
+    "rademacher_entry": (RademacherEntry, ("row", "col", "dim")),
+    "pareto_diagonal": (ParetoDiagonal, ("index", "dim")),
+    "finite": (FiniteSummand, ("outcomes",)),
+}
 
 
 def summand_from_json(doc: dict):
@@ -899,7 +926,8 @@ def summand_from_json(doc: dict):
     family = doc.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown summand family {family!r}")
-    return _FAMILIES[family](doc)
+    build, keys = _FAMILIES[family]
+    return build(*(_READERS.get(key, _number)(doc, key) for key in keys))
 
 
 def model_to_json(model: IndependentSumModel) -> dict:
@@ -919,18 +947,14 @@ def model_from_json(doc: dict) -> IndependentSumModel:
         name = doc.get("name")
         if name is None:
             raise ValueError("model document needs 'summands' or a built-in 'name'")
-        if "d" not in doc:
-            raise ValueError("built-in model document needs 'd'")
-        return make_example(str(name), d=int(doc["d"]), n=int(doc.get("n", 1)))
-    try:
-        summands = [summand_from_json(s) for s in doc["summands"]]
-    except KeyError as exc:
-        raise ValueError(f"summand document missing field {exc.args[0]!r}") from exc
+        n = _number(doc, "n") if "n" in doc else 1
+        return make_example(str(name), d=_number(doc, "d"), n=n)
     model = make_model(
-        summands,
+        [summand_from_json(s) for s in doc["summands"]],
         name=str(doc.get("name", "custom")),
-        n=int(doc["n"]) if "n" in doc else None,
+        n=_number(doc, "n") if "n" in doc else None,
     )
-    if "d1" in doc and (int(doc["d1"]), int(doc["d2"])) != (model.d1, model.d2):
-        raise ValueError("declared (d1, d2) does not match the summand shapes")
+    if "d1" in doc or "d2" in doc:
+        if (_number(doc, "d1"), _number(doc, "d2")) != (model.d1, model.d2):
+            raise ValueError("declared (d1, d2) does not match the summand shapes")
     return model

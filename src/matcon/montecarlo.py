@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundInputs, main_interval, variance_param
-from .linalg import HermitianMatrix, spectral_norm, spectral_norms
+from .linalg import spectral_norm, spectral_norms
 from .models import (
     IndependentSumModel,
     SamplerPlan,
@@ -88,13 +88,13 @@ def _thread_count() -> int:
     return count
 
 
-def _chunk_size(plan: SamplerPlan, diagonal: bool) -> int:
+def _chunk_size(plan: SamplerPlan) -> int:
     """Samples per chunk, within the budget of scattered terms (COO entries
     and FiniteSummand choices) and the byte budget for the realized chunk: d
     real diagonal entries per sample on the diagonal route, d1*d2 complex
     entries otherwise."""
     model = plan.model
-    shape, itemsize = ((model.d1,), 8) if diagonal else ((model.d1, model.d2), 16)
+    shape, itemsize = ((model.d1,), 8) if plan.diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
     if sample_bytes > _CHUNK_BYTES:
         raise ValueError(
@@ -139,7 +139,7 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarr
             norms[start:stop] = spectral_norms(z)
         max_sq[start:stop] = m
 
-    _for_chunks(cfg.samples, _chunk_size(plan, plan.diagonal), run)
+    _for_chunks(cfg.samples, _chunk_size(plan), run)
     return norms, max_sq
 
 
@@ -178,14 +178,6 @@ def _estimate(values: np.ndarray, cfg: MCConfig) -> Estimate:
     )
 
 
-def estimate_norm_moment(model: IndependentSumModel, r: int, cfg: MCConfig) -> Estimate:
-    """Estimate of E||Z||^r for r in {1, 2}."""
-    if r not in (1, 2):
-        raise ValueError("r must be 1 or 2")
-    norms, _ = collect_samples(model, cfg)
-    return _estimate(norms**r, cfg)
-
-
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:
     """Estimate of E max_i ||S_i||^2, the square of the large-deviation
     parameter; samples max_i ||S_i||^2 alone, never Z."""
@@ -197,38 +189,8 @@ def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estima
         idx = np.arange(start, stop, dtype=np.uint64)
         max_sq[start:stop] = plan.realize_max_sq(seed, idx)
 
-    _for_chunks(cfg.samples, _chunk_size(plan, plan.diagonal), run)
+    _for_chunks(cfg.samples, _chunk_size(plan), run)
     return _estimate(max_sq, cfg)
-
-
-def empirical_second_moments(model: IndependentSumModel, cfg: MCConfig):
-    """Sample means of ZZ* and Z*Z, symmetrized; needs a centered model."""
-    if not model.centered:
-        raise ValueError("model is not centered; apply center() first")
-    plan = SamplerPlan(model)
-    seed = seed_value(cfg.seed)
-    chunk = _chunk_size(plan, diagonal=False)
-    starts = range(0, cfg.samples, chunk)
-    partials: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(starts)
-
-    def run(start: int, stop: int) -> None:
-        z, _ = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
-        left = np.einsum("kab,kcb->ac", z, z.conj(), optimize=False)
-        right = np.einsum("kba,kbc->ac", z.conj(), z, optimize=False)
-        partials[start // chunk] = (left, right)
-
-    _for_chunks(cfg.samples, chunk, run)
-
-    left = np.zeros((model.d1, model.d1), dtype=np.complex128)
-    right = np.zeros((model.d2, model.d2), dtype=np.complex128)
-    for part in partials:
-        left += part[0]
-        right += part[1]
-    left /= cfg.samples
-    right /= cfg.samples
-    left = (left + left.conj().T) / 2.0
-    right = (right + right.conj().T) / 2.0
-    return HermitianMatrix(left), HermitianMatrix(right)
 
 
 @dataclass(frozen=True)

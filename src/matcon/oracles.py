@@ -28,21 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    _coerce_array,
     as_stack,
     dilation_stack,
     frobenius_norms,
     gram_top_eigenvalues,
     hermitian_stack,
-    require_finite,
     spectral_norms,
 )
-from .models import (
-    as_finite_summand,
-    centered_support,
-    check_support,
-    sign_modulated_support,
-)
+from .models import as_finite_summand, centered_support, sign_modulated_support
 from .rng import gaussians, integers, uniform_halfopen
 
 KINDS = (
@@ -150,15 +143,13 @@ def _check_hypotheses(kind: str, b: dict) -> None:
 
 
 def _validated(kind: str, b: dict) -> dict:
-    """Batch `b` of raw draws with its Hermitian fields symmetrized and the
-    hypotheses of `kind` checked: the one validation of FactCase and the
+    """Batch `b` of finite raw draws with its Hermitian fields symmetrized and
+    the hypotheses of `kind` checked: the one validation of FactCase and the
     sweeps."""
     b = dict(b)
     for key in _HERMITIAN_FIELDS.get(kind, ()):
-        a = require_finite(b[key])
+        a = b[key]
         b[key] = hermitian_stack(a.reshape((-1,) + a.shape[-2:]))[0].reshape(a.shape)
-    if kind == "dilation_square":
-        require_finite(b["B"])
     _check_hypotheses(kind, b)
     return b
 
@@ -218,7 +209,7 @@ class FactCase:
 
     @classmethod
     def dilation_square(cls, B) -> "FactCase":
-        return cls._checked("dilation_square", B=_coerce_array(B))
+        return cls._checked("dilation_square", B=as_stack([B])[0])
 
 
 def odd_double_factorial(p: int) -> int:
@@ -307,7 +298,7 @@ def _dilation_square(b):
     B = b["B"]
     d1 = B.shape[1]
     Bh = B.conj().transpose(0, 2, 1)
-    D = hermitian_stack(dilation_stack(B))[0]
+    D = dilation_stack(B)
     square = D @ D
     target = np.zeros_like(square)
     target[:, :d1, :d1] = B @ Bh
@@ -383,16 +374,15 @@ def _expected_norms(supports, r) -> list[float]:
 
     `supports` holds one (probabilities (k, m), outcomes (k, m, d1, d2))
     pair per summand, so the cases share their summand count, support sizes
-    and shape; r holds each case's moment order.  Each value is that of the
-    case enumerated alone, bit for bit: z sums the outcomes in summand order
-    from zeros, ranks follow a mixed-radix counter over outcome indices
-    (row-major, last summand fastest), and the expectation is a 1-d dot
-    product per case and _ENUM_CHUNK ranks.  ||z||^2 is the top eigenvalue of
-    the Gram matrix of the smaller side, formed _GRAM_BYTES of outcome sums
-    at a time over all cases.
+    and shape, each support as valid as FiniteSummand requires; r holds each
+    case's moment order.  Each value is that of the case enumerated alone,
+    bit for bit: z sums the outcomes in summand order from zeros, ranks
+    follow a mixed-radix counter over outcome indices (row-major, last
+    summand fastest), and the expectation is a 1-d dot product per case and
+    _ENUM_CHUNK ranks.  ||z||^2 is the top eigenvalue of the Gram matrix of
+    the smaller side, formed _GRAM_BYTES of outcome sums at a time over all
+    cases.
     """
-    for probs, mats in supports:
-        check_support(probs, mats)
     counts = [probs.shape[1] for probs, _ in supports]
     total = math.prod(counts)
     if total > _ENUMERATION_CAP:

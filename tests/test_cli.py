@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -12,6 +16,12 @@ from matcon import FiniteSummand, FixedRademacher, make_model, model_to_json
 from matcon import oracles
 from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, main
 from matcon.models import _matrix_from_json
+
+
+SVG_NS = "http://www.w3.org/2000/svg"
+OUTCOMES = "field 'outcomes' must be a list of objects with 'probability' and 'matrix'"
+ROWS = "field 'matrix' must be a non-empty list of equal-length rows"
+ENTRIES = "field 'matrix' entries must be finite numbers or [re, im] pairs of them"
 
 
 def run_cli(argv, capsys):
@@ -134,7 +144,7 @@ class TestReport:
         )
         assert code == 2
         assert out == ""
-        assert "probabilities" in err
+        assert err == "error: field 'probability' must be a finite number, got nan\n"
 
     @pytest.mark.parametrize("summands", [[1], "ab"])
     def test_summand_not_an_object_exit_2(self, tmp_path, capsys, summands):
@@ -162,27 +172,50 @@ class TestReport:
         # no numpy RuntimeWarning before the message
         assert proc.stderr == "error: matrix entries too large: the Gram matrix overflows\n"
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "summand, field",
+        "doc, message",
         [
-            ({"family": "finite", "outcomes": [1]}, "outcomes"),
-            ({"family": "finite", "outcomes": [{"matrix": [[1.0]]}]}, "outcomes"),
-            ({"family": "finite", "outcomes": [{"probability": 1.0, "matrix": 5}]}, "matrix"),
-            ({"family": "fixed_gaussian", "matrix": 5}, "matrix"),
-            ({"family": "fixed_rademacher", "matrix": [[1.0, 0.0], [0.0]]}, "matrix"),
-            ({"family": "fixed_rademacher", "matrix": []}, "matrix"),
+            ({"summands": [{"family": "finite", "outcomes": [1]}]}, OUTCOMES),
+            ({"summands": [{"family": "finite", "outcomes": [{"matrix": [[1.0]]}]}]}, OUTCOMES),
+            ({"summands": [{"family": "finite",
+                            "outcomes": [{"probability": 1.0, "matrix": 5}]}]}, ROWS),
+            ({"summands": [{"family": "fixed_gaussian", "matrix": 5}]}, ROWS),
+            ({"summands": [{"family": "fixed_rademacher", "matrix": [[1.0, 0.0], [0.0]]}]},
+             ROWS),
+            ({"summands": [{"family": "fixed_rademacher", "matrix": []}]}, ROWS),
+            ({"summands": [{"family": "scaled_basis_rademacher", "index": 0,
+                            "scale": 1e308, "dim": 2}]},
+             "scale 1e+308 is not finite or its square overflows"),
+            ({"summands": [{"family": "rademacher_entry", "row": 0.7, "col": 0, "dim": 2}]},
+             "field 'row' must be an integer, got 0.7"),
+            ({"summands": [{"family": "rademacher_entry", "row": True, "col": 0, "dim": 2}]},
+             "field 'row' must be an integer, got True"),
+            ({"summands": [{"family": "rademacher_entry", "row": [], "col": 0, "dim": 2}]},
+             "field 'row' must be an integer, got []"),
+            ({"summands": [{"family": "finite",
+                            "outcomes": [{"probability": "x", "matrix": [[1.0]]}]}]},
+             "field 'probability' must be a finite number, got 'x'"),
+            ({"summands": [{"family": "fixed_rademacher", "matrix": [[{}]]}]}, ENTRIES),
+            ({"summands": [{"family": "fixed_rademacher", "matrix": [["1.5"]]}]}, ENTRIES),
+            ({"summands": [{"family": "fixed_gaussian", "matrix": [[[1.0, 0.0, 0.0]]]}]},
+             ENTRIES),
+            ({"n": "x", "summands": [{"family": "pareto_diagonal", "index": 0, "dim": 2}]},
+             "field 'n' must be an integer, got 'x'"),
+            ({"d1": 2, "summands": [{"family": "pareto_diagonal", "index": 0, "dim": 2}]},
+             "missing field 'd2'"),
+            ({"summands": [{"family": "pareto_diagonal", "dim": 2}]},
+             "missing field 'index'"),
         ],
         ids=["outcome_int", "outcome_no_probability", "finite_matrix_int",
-             "gaussian_matrix_int", "ragged_rows", "no_rows"],
+             "gaussian_matrix_int", "ragged_rows", "no_rows", "scale_overflows",
+             "row_fraction", "row_bool", "row_list", "probability_string",
+             "matrix_object_entry", "matrix_string_entry", "matrix_triple_entry", "n_string",
+             "d1_without_d2", "no_index"],
     )
-    def test_malformed_field_exit_2(self, tmp_path, capsys, summand, field):
-        message = {
-            "outcomes": "field 'outcomes' must be a list of objects with 'probability' "
-            "and 'matrix'",
-            "matrix": "field 'matrix' must be a non-empty list of equal-length rows",
-        }[field]
+    def test_malformed_field_exit_2(self, tmp_path, capsys, doc, message):
         f = tmp_path / "m.json"
-        f.write_text(json.dumps({"summands": [summand]}))
+        f.write_text(json.dumps(doc))
         code, out, err = run_cli(
             ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
         )
@@ -362,7 +395,7 @@ class TestVerify:
             if index in key.index[ix]
         ]
         for field in ("H", "W", "Y"):
-            printed = _matrix_from_json(doc["payload"][field])
+            printed = _matrix_from_json(doc["payload"], field)
             assert printed.tobytes() == np.ascontiguousarray(batch[field][j]).tobytes()
         assert (doc["payload"]["r"], doc["payload"]["q"]) == (batch["r"][j], batch["q"][j])
         assert f'"r": {batch["r"][j]}, "q": {batch["q"][j]}}}' in out  # integers
@@ -447,16 +480,24 @@ class TestExperiment:
         assert "--d values must be distinct" in err
 
     def test_svg_emitted(self, tmp_path, capsys):
-        svg = tmp_path / "plot.svg"
-        code, _, _ = run_cli(
-            ["experiment", "--model", "sec73", "--d", "2,4,8", "--samples", "60",
-             "--seed", "9", "--out", str(tmp_path / "r.csv"), "--svg", str(svg)],
-            capsys,
-        )
-        assert code == 0
-        text = svg.read_text()
+        # sec71 has no ratio at d = 1 (nan), so the plot has two points
+        csv_path, svgs = tmp_path / "r.csv", [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for svg in svgs:
+            code, _, _ = run_cli(
+                ["experiment", "--model", "sec71", "--d", "1,4,8", "--n", "20", "--samples",
+                 "60", "--seed", "9", "--out", str(csv_path), "--svg", str(svg)],
+                capsys,
+            )
+            assert code == 0
+        text = svgs[0].read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+        root = ElementTree.fromstring(text)
+        assert root.tag == f"{{{SVG_NS}}}svg"
+        [line] = root.iter(f"{{{SVG_NS}}}polyline")
+        ratios = [float(row["ratio"]) for row in csv.DictReader(io.StringIO(csv_path.read_text()))]
+        assert len(line.get("points").split()) == sum(map(math.isfinite, ratios)) == 2
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
     def test_reproducible_output(self, tmp_path, capsys):
         args = ["experiment", "--model", "sec71", "--d", "4,8", "--n", "50",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,11 +37,14 @@ class TestConstructors:
                 FactCase.dilation_square(bad)
 
     def test_rect_rejects_bad_ndim(self):
-        for bad in (np.ones(3), np.ones((2, 2, 2))):
-            with pytest.raises(ValueError):
+        for bad in (np.ones(3), np.ones((2, 2, 2)), np.ones((0, 3))):
+            message = re.escape(f"expected a 2-d matrix, got shape {bad.shape}")
+            with pytest.raises(ValueError, match=message):
                 spectral_norm(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 FactCase.dilation_square(bad)
+            with pytest.raises(ValueError, match=message):
+                as_hermitian(bad)
 
     def test_hermitian_symmetrizes_small_defect(self):
         h = as_hermitian([[1.0, 1e-14], [0.0, 2.0]])
@@ -236,6 +241,13 @@ class TestStacks:
         for k in range(5):
             want = np.block([[np.zeros((2, 2)), b[k]], [b[k].conj().T, np.zeros((3, 3))]])
             assert np.array_equal(got[k], want)
+
+    def test_dilation_stack_is_exactly_hermitian(self):
+        rng = np.random.default_rng(73)
+        for shape in ((1, 1), (2, 3), (4, 1), (3, 3)):
+            b = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+            d = dilation_stack(b)
+            assert np.array_equal(d, d.conj().transpose(0, 2, 1))
 
     def test_as_stack_validates_once(self):
         assert as_stack([np.eye(2), as_hermitian(np.eye(2))]).shape == (2, 2, 2)

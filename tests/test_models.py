@@ -27,7 +27,7 @@ from matcon import (
     sample_summands,
     brute_force_expected_norm,
 )
-from matcon.models import PARETO, SIGN, SamplerPlan
+from matcon.models import PARETO, SIGN, SamplerPlan, _matrix_from_json
 
 
 def rand_hermitian(rng, d):
@@ -80,6 +80,17 @@ class TestExamples:
             make_example("sec73", d=0)
         with pytest.raises(ValueError):
             make_example("sec71", d=2, n=0)
+
+    def test_empty_model_rejected(self):
+        for build in (lambda: make_model([]), lambda: model_from_json({"summands": []})):
+            with pytest.raises(ValueError, match="at least one summand"):
+                build()
+
+    def test_scale_whose_square_overflows_rejected(self):
+        for scale in (1e200, -1e155, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                ScaledBasisRademacher(0, scale, 2)
+        assert ScaledBasisRademacher(0, 2.0**500, 2).sq_norm_support()[0] == (2.0**1000,)
 
 
 class TestSampling:
@@ -168,29 +179,47 @@ class TestMoments:
         model = make_model([FixedRademacher(h) for h in hs])
         left, right = analytic_second_moments(model)
         want = sum(h.array @ h.array for h in hs)
-        assert np.allclose(left.array, want, atol=1e-12)
-        assert np.allclose(right.array, want, atol=1e-12)
+        assert np.allclose(left, want, atol=1e-12)
+        assert np.allclose(right, want, atol=1e-12)
 
     def test_sec71_identity(self):
         left, right = analytic_second_moments(make_example("sec71", d=3, n=5))
-        assert np.allclose(left.array, np.eye(3), atol=1e-12)
-        assert np.allclose(right.array, np.eye(3), atol=1e-12)
+        assert np.allclose(left, np.eye(3), atol=1e-12)
+        assert np.allclose(right, np.eye(3), atol=1e-12)
 
     def test_sec73_scaled_identity(self):
         left, right = analytic_second_moments(make_example("sec73", d=4))
-        assert np.allclose(left.array, 4.0 * np.eye(4), atol=1e-12)
-        assert np.allclose(right.array, 4.0 * np.eye(4), atol=1e-12)
+        assert np.allclose(left, 4.0 * np.eye(4), atol=1e-12)
+        assert np.allclose(right, 4.0 * np.eye(4), atol=1e-12)
 
     def test_sec74_diagonal(self):
         # E P^2 = 2 exactly for the quartic-tail power law
         left, _ = analytic_second_moments(make_example("sec74", d=3))
-        assert np.allclose(left.array, 2.0 * np.eye(3), atol=1e-12)
+        assert np.allclose(left, 2.0 * np.eye(3), atol=1e-12)
 
     def test_uncentered_rejected(self):
         point = FiniteSummand([(1.0, np.eye(2))])
         model = make_model([point])
         with pytest.raises(ValueError):
             analytic_second_moments(model)
+
+    @pytest.mark.parametrize("name", ["complex_fixed", "sec73"])
+    def test_read_only_and_exactly_hermitian(self, name):
+        # a sum of dense complex terms A A* is Hermitian only up to rounding
+        # (at d = 3 the unsymmetrized sum is not Hermitian bit for bit)
+        rng = np.random.default_rng(5)
+        hs = [rand_hermitian(rng, 3) for _ in range(5)]
+        model = {
+            "complex_fixed": lambda: make_model(
+                [FixedRademacher(h) for h in hs[:3]] + [FixedGaussian(h) for h in hs[3:]]
+            ),
+            "sec73": lambda: make_example("sec73", d=3),
+        }[name]()
+        for m in analytic_second_moments(model):
+            assert np.array_equal(m, m.conj().T)
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
 
 
 def _hand_ec2(law):
@@ -264,13 +293,13 @@ class TestMomentsAgainstHand:
         model = make_model(_moment_cases()[case])
         left, right = analytic_second_moments(model)
         want_left, want_right = _hand_moments(model)
-        assert np.allclose(left.array, want_left, rtol=0.0, atol=1e-12)
-        assert np.allclose(right.array, want_right, rtol=0.0, atol=1e-12)
+        assert np.allclose(left, want_left, rtol=0.0, atol=1e-12)
+        assert np.allclose(right, want_right, rtol=0.0, atol=1e-12)
 
     def test_sec73_sides_differ(self):
         left, right = analytic_second_moments(make_model(_moment_cases()["sec73_rows"]))
-        assert np.array_equal(np.diag(left.array).real, [3.0, 1.0, 0.0])
-        assert np.array_equal(np.diag(right.array).real, [2.0, 1.0, 1.0])
+        assert np.array_equal(np.diag(left).real, [3.0, 1.0, 0.0])
+        assert np.array_equal(np.diag(right).real, [2.0, 1.0, 1.0])
 
 
 class TestExactMaxSq:
@@ -363,14 +392,14 @@ class TestLargeSampleConsistency:
         zbar, sq = self._zbar_and_moment(model)
         left, _ = analytic_second_moments(model)
         # mean of Z: entry variances sum to v-ish scale; 5 sigma entrywise
-        var = np.real(np.trace(left.array)) / (model.d1 * model.d2)
+        var = np.real(np.trace(left)) / (model.d1 * model.d2)
         se = math.sqrt(max(var, 1e-30) / self.SAMPLES)
         assert np.max(np.abs(zbar)) <= 5 * se + 1e-12
         # second moment entrywise within 5 crude standard errors
         tol = 5 * math.sqrt(1.0 / self.SAMPLES) * max(
-            1.0, float(np.max(np.abs(left.array)))
+            1.0, float(np.max(np.abs(left)))
         )
-        assert np.max(np.abs(sq - left.array)) <= 5 * tol
+        assert np.max(np.abs(sq - left)) <= 5 * tol
 
     def test_sec74_median_of_means_moment(self):
         model = make_example("sec74", d=2)
@@ -433,6 +462,26 @@ class TestJsonRoundTrip:
         }
         with pytest.raises(ValueError):
             model_from_json(doc)
+
+    def test_matrix_reader_matches_per_entry_conversion(self):
+        def entry(e):
+            if isinstance(e, list):
+                return complex(float(e[0]), float(e[1]))
+            return complex(float(e), 0.0)
+
+        rng = np.random.default_rng(8)
+        cases = [
+            rng.normal(size=(3, 4)).tolist(),
+            rng.normal(size=(3, 4, 2)).tolist(),
+            [[-0.0, [1.5, -0.0]], [2, [0, 3]]],  # real and complex entries mixed
+            [[1, -2], [2**60 + 1, 0]],
+            [[5e-324, -1e308]],
+        ]
+        for rows in cases:
+            want = np.array([[entry(e) for e in row] for row in rows], dtype=np.complex128)
+            got = _matrix_from_json({"matrix": rows}, "matrix")
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
 
     def test_missing_summand_field_rejected(self):
         doc = {"summands": [{"family": "rademacher_entry", "row": 0, "col": 0}]}
@@ -545,7 +594,7 @@ class TestGoldenSamples:
 
     def test_analytic_second_moments(self):
         left, right = analytic_second_moments(self.model())
-        assert _sha256(left.array, right.array) == GOLDEN_MOMENTS_SHA256
+        assert _sha256(left, right) == GOLDEN_MOMENTS_SHA256
 
     def test_analytic_max_sq_of_discrete_families(self):
         continuous = ("fixed_gaussian", "pareto_diagonal")
@@ -599,8 +648,8 @@ class TestSharedSummands:
 
     def test_second_moments(self, pair):
         (a_left, a_right), (b_left, b_right) = map(analytic_second_moments, pair)
-        assert np.array_equal(a_left.array, b_left.array)
-        assert np.array_equal(a_right.array, b_right.array)
+        assert np.array_equal(a_left, b_left)
+        assert np.array_equal(a_right, b_right)
 
     def test_max_sq(self, pair):
         shared, unshared = pair

@@ -9,6 +9,7 @@ from matcon import (
     FiniteSummand,
     FixedGaussian,
     FixedRademacher,
+    HermitianMatrix,
     MCConfig,
     MEAN,
     MEDIAN_OF_MEANS,
@@ -16,16 +17,55 @@ from matcon import (
     bound_report,
     brute_force_expected_norm,
     collect_samples,
-    empirical_second_moments,
     estimate_max_summand_sq,
-    estimate_norm_moment,
     make_example,
     make_model,
     spectral_norm,
 )
 from matcon import montecarlo
-from matcon.models import SamplerPlan
-from matcon.montecarlo import _chunk_size, _estimate, default_blocks
+from matcon.models import SamplerPlan, seed_value
+from matcon.montecarlo import _chunk_size, _estimate, _for_chunks, default_blocks
+
+
+# Monte Carlo cross-checks of exact quantities, used only by these tests.
+
+
+def estimate_norm_moment(model, r: int, cfg: MCConfig):
+    """Estimate of E||Z||^r for r in {1, 2}."""
+    if r not in (1, 2):
+        raise ValueError("r must be 1 or 2")
+    norms, _ = collect_samples(model, cfg)
+    return _estimate(norms**r, cfg)
+
+
+def empirical_second_moments(model, cfg: MCConfig):
+    """Sample means of ZZ* and Z*Z, symmetrized; needs a centered model."""
+    if not model.centered:
+        raise ValueError("model is not centered; apply center() first")
+    plan = SamplerPlan(model)
+    seed = seed_value(cfg.seed)
+    chunk = _chunk_size(plan)
+    starts = range(0, cfg.samples, chunk)
+    partials: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(starts)
+
+    def run(start: int, stop: int) -> None:
+        z, _ = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
+        left = np.einsum("kab,kcb->ac", z, z.conj(), optimize=False)
+        right = np.einsum("kba,kbc->ac", z.conj(), z, optimize=False)
+        partials[start // chunk] = (left, right)
+
+    _for_chunks(cfg.samples, chunk, run)
+
+    left = np.zeros((model.d1, model.d1), dtype=np.complex128)
+    right = np.zeros((model.d2, model.d2), dtype=np.complex128)
+    for part in partials:
+        left += part[0]
+        right += part[1]
+    left /= cfg.samples
+    right /= cfg.samples
+    left = (left + left.conj().T) / 2.0
+    right = (right + right.conj().T) / 2.0
+    return HermitianMatrix(left), HermitianMatrix(right)
 
 
 def rand_hermitian(rng, d):
@@ -297,7 +337,7 @@ class TestChunkBudgetAtModelScale:
         sizes = []
         for budget in (_OLD_CHUNK_BUDGET, montecarlo._CHUNK_BUDGET, 1):
             monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", budget)
-            sizes.append(_chunk_size(plan, plan.diagonal))
+            sizes.append(_chunk_size(plan))
         assert cfg.samples > sizes[0] > sizes[1] > sizes[2] == 1
 
     @pytest.mark.parametrize("budget", ["current", 1])
@@ -324,7 +364,7 @@ class TestMemoryGuard:
         want = collect_samples(model, cfg)
         # room for three 4x4 complex realizations per chunk
         monkeypatch.setattr("matcon.montecarlo._CHUNK_BYTES", 3 * 4 * 4 * 16)
-        assert _chunk_size(SamplerPlan(model), diagonal=False) == 3
+        assert _chunk_size(SamplerPlan(model)) == 3
         got = collect_samples(model, cfg)
         assert np.array_equal(want[0], got[0])
         assert np.array_equal(want[1], got[1])
@@ -333,8 +373,6 @@ class TestMemoryGuard:
         monkeypatch.setattr("matcon.montecarlo._CHUNK_BYTES", 1000)
         with pytest.raises(ValueError, match="4096 bytes"):
             collect_samples(make_example("sec73", d=16), MCConfig(samples=4, seed=0))
-        with pytest.raises(ValueError, match="4096 bytes"):
-            empirical_second_moments(make_example("sec73", d=16), MCConfig(samples=4, seed=0))
         # the diagonal route needs only 16 * 8 bytes per sample
         collect_samples(make_example("sec71", d=16, n=1), MCConfig(samples=4, seed=0))
 

@@ -20,7 +20,13 @@ from matcon import (
 )
 from matcon import oracles
 from matcon.bounds import sweep_rademacher_domination
-from matcon.oracles import case_rng, odd_double_factorial, random_fact_case, replay_fact_case
+from matcon.oracles import (
+    case_rng,
+    odd_double_factorial,
+    random_fact_case,
+    random_hermitian_family,
+    replay_fact_case,
+)
 
 
 def rand_hermitian(rng, d):
@@ -427,6 +433,12 @@ class TestCaseStreams:
 
     CASES = 120
     SEED = 808
+
+    def test_random_hermitian_families_are_exactly_hermitian(self):
+        groups = random_hermitian_family(case_rng(self.SEED, "rademacher", range(self.CASES)))
+        assert len(groups) > 10
+        for _, stack in groups:
+            assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_element_draw_is_its_block_row(self, kind):
