@@ -42,6 +42,11 @@ def frobenius_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of each matrix of a (..., d, d) stack: exactly Hermitian."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
 def hermitian_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian parts (M + M*)/2 of a finite complex (k, d, d) stack, and
     the defects ||M - (M + M*)/2||_F.
@@ -50,7 +55,7 @@ def hermitian_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"Hermitian matrix must be square, got {a.shape[-2:]}")
-    sym = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    sym = hermitian_part(a)
     defect = frobenius_norms(a - sym)
     limit = _HERMITIAN_DEFECT_REL * np.maximum(1.0, frobenius_norms(a))
     bad = np.flatnonzero(defect > limit)

@@ -223,6 +223,9 @@ class ScalarSeries:
 
 
 def _check_cell(row: int, col: int, dim: int, message: str) -> None:
+    for value in (row, col, dim):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"positions and dim must be integers, got {value!r}")
     if not (0 <= row < dim and 0 <= col < dim):
         raise ValueError(message)
 
@@ -339,16 +342,17 @@ class FiniteSummand:
             raise ValueError("FiniteSummand needs at least one outcome")
         probs = np.array([float(p) for p, _ in pairs], dtype=np.float64)
         mats = as_stack((m for _, m in pairs), "outcome matrices must share one shape")
+        check_support(probs, mats)
         self._set(probs, mats)
 
     @classmethod
     def _of_stack(cls, probs: np.ndarray, mats: np.ndarray) -> "FiniteSummand":
+        """The summand of a support the program derived valid, unchecked."""
         out = cls.__new__(cls)
         out._set(probs, mats)
         return out
 
     def _set(self, probs: np.ndarray, mats: np.ndarray) -> None:
-        check_support(probs, mats)
         probs.setflags(write=False)
         mats.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
@@ -392,9 +396,12 @@ class FiniteSummand:
         return spectral_norms(self.matrices)
 
     def centered(self) -> "FiniteSummand":
-        return FiniteSummand._of_stack(
-            self.probabilities, centered_support(self.probabilities, self.matrices)
-        )
+        """S - E S; raises when an outcome minus the mean overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = centered_support(self.probabilities, self.matrices)
+        if not np.isfinite(mats).all():
+            raise ValueError("centering overflows: an outcome minus the mean is not finite")
+        return FiniteSummand._of_stack(self.probabilities, mats)
 
     def sign_modulated(self) -> "FiniteSummand":
         """Support of eps * S for an independent fair sign eps (see
@@ -949,6 +956,8 @@ def model_from_json(doc: dict) -> IndependentSumModel:
             raise ValueError("model document needs 'summands' or a built-in 'name'")
         n = _number(doc, "n") if "n" in doc else 1
         return make_example(str(name), d=_number(doc, "d"), n=n)
+    if not isinstance(doc["summands"], list):
+        raise ValueError("field 'summands' must be a list of summand objects")
     model = make_model(
         [summand_from_json(s) for s in doc["summands"]],
         name=str(doc.get("name", "custom")),

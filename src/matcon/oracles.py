@@ -32,6 +32,7 @@ from .linalg import (
     dilation_stack,
     frobenius_norms,
     gram_top_eigenvalues,
+    hermitian_part,
     hermitian_stack,
     spectral_norms,
 )
@@ -83,11 +84,10 @@ class CheckResult:
 # Fact cases.  A *batch* holds k cases of one kind as a dict of stacked
 # arrays keyed by the FactCase constructor's arguments: (k, d, d) for a
 # matrix field, (k, n, d, d) for sum_squares' matrices, (k,) for a scalar.
-# Validation and evaluation work on batches; FactCase and verify_fact use
-# batches of one, the sweeps batches of every case with the same shapes.
-# Stacked matmul, eigvalsh and trace give bit-identical values to the
-# per-matrix calls, so a case's result does not depend on the batch it is
-# evaluated in.
+# Evaluation works on batches; FactCase and verify_fact use batches of one,
+# the sweeps batches of every case with the same shapes.  Stacked matmul,
+# eigvalsh and trace give bit-identical values to the per-matrix calls, so a
+# case's result does not depend on the batch it is evaluated in.
 # ---------------------------------------------------------------------------
 
 # batch fields that hold Hermitian matrices, in constructor order
@@ -143,9 +143,9 @@ def _check_hypotheses(kind: str, b: dict) -> None:
 
 
 def _validated(kind: str, b: dict) -> dict:
-    """Batch `b` of finite raw draws with its Hermitian fields symmetrized and
-    the hypotheses of `kind` checked: the one validation of FactCase and the
-    sweeps."""
+    """Batch `b` of a caller's finite matrices and scalars with its Hermitian
+    fields symmetrized and the hypotheses of `kind` checked: the validation
+    of the FactCase constructors."""
     b = dict(b)
     for key in _HERMITIAN_FIELDS.get(kind, ()):
         a = b[key]
@@ -156,12 +156,12 @@ def _validated(kind: str, b: dict) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class FactCase:
-    """One concrete instance of a checkable fact, held as its validated
-    batch of one case.
+    """One concrete instance of a checkable fact, held as its batch of one case.
 
-    Build through the named constructors, which validate the hypotheses each
-    fact actually needs by the routine the sweeps use; violated hypotheses
-    raise instead of producing a false CheckResult.
+    Build through the named constructors, which validate a caller's
+    matrices and the hypotheses each fact actually needs; violated
+    hypotheses raise instead of producing a false CheckResult.  A sweep's
+    case (replay_fact_case) is valid as drawn.
     """
 
     kind: str
@@ -563,12 +563,11 @@ def _by_shape(key: CaseKey, *dims: np.ndarray):
 
 def random_hermitian(key: CaseKey, first: int, count: int, d: int) -> np.ndarray:
     """(k, count, d, d) Hermitian matrices (G + G*)/2 of Gaussian G."""
-    g = key.gaussian_matrices(first, count, d, d)
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+    return hermitian_part(key.gaussian_matrices(first, count, d, d))
 
 
 def random_psd(key: CaseKey, first: int, count: int, d: int) -> np.ndarray:
-    """(k, count, d, d) PSD matrices G G* / d of Gaussian G."""
+    """(k, count, d, d) PSD matrices G G* / d of Gaussian G, Hermitian up to rounding."""
     g = key.gaussian_matrices(first, count, d, d)
     return (g @ g.conj().swapaxes(-1, -2)) / d
 
@@ -576,8 +575,9 @@ def random_psd(key: CaseKey, first: int, count: int, d: int) -> np.ndarray:
 def random_fact_case(kind: str, key: CaseKey) -> list[tuple[np.ndarray, dict]]:
     """The random valid cases of `kind` at the indices of `key`, grouped by
     shape, as (positions, batch) pairs: positions index key.index, and the
-    batch stacks the raw draws of those cases as the keyword arguments of
-    the FactCase constructor of `kind`."""
+    batch stacks those cases, valid as drawn, as the FactCase constructor of
+    `kind` would store them: a Hermitian field is the Hermitian part of its
+    draw (for a PSD field, of G G* / d), exactly Hermitian."""
     every = np.arange(len(key))
     if kind == "heinz":
         u = [key.uniform(slot) for slot in range(6)]
@@ -599,7 +599,7 @@ def random_fact_case(kind: str, key: CaseKey) -> list[tuple[np.ndarray, dict]]:
     if kind == "sum_squares":
         n = key.integers(1, 1, 5)
         return [
-            (ix, {"mats": random_psd(sub, 0, count, dim)})
+            (ix, {"mats": hermitian_part(random_psd(sub, 0, count, dim))})
             for ix, sub, (dim, count) in _by_shape(key, d, n)
         ]
     if kind == "gm_am_trace":
@@ -614,10 +614,10 @@ def random_fact_case(kind: str, key: CaseKey) -> list[tuple[np.ndarray, dict]]:
             batch = {"H": H, "W": W, "Y": Y, "r": r[ix], "q": q[ix]}
         elif kind == "trace_product":
             batch = {"H": random_hermitian(sub, 0, 1, dim)[:, 0],
-                     "A": random_psd(sub, 1, 1, dim)[:, 0]}
+                     "A": hermitian_part(random_psd(sub, 1, 1, dim)[:, 0])}
         elif kind == "monotonicity":
             a = random_hermitian(sub, 0, 1, dim)[:, 0]
-            batch = {"A": a, "H": a + random_psd(sub, 1, 1, dim)[:, 0]}
+            batch = {"A": a, "H": hermitian_part(a + random_psd(sub, 1, 1, dim)[:, 0])}
         else:
             W, Y = random_hermitian(sub, 0, 2, dim).swapaxes(0, 1)
             batch = {"W": W, "Y": Y, "p": p[ix]}
@@ -628,7 +628,7 @@ def random_fact_case(kind: str, key: CaseKey) -> list[tuple[np.ndarray, dict]]:
 def replay_fact_case(seed: int, kind: str, index: int) -> FactCase:
     """Sweep case `index` of `kind`, drawn alone by the sweep's own code."""
     [(_, batch)] = random_fact_case(kind, case_rng(seed, kind, index))
-    return FactCase(kind, _validated(kind, batch))
+    return FactCase(kind, batch)
 
 
 @dataclass(frozen=True)
@@ -646,44 +646,20 @@ class SweepResult:
         return not self.failures
 
 
-def _validated_batches(kind: str, groups):
-    """Yield the drawn shape groups validated, as (positions, batch) pairs.
-    An invalid case raises, once every group has been checked, the error its
-    FactCase constructor raises, for the invalid case at the lowest
-    position."""
-    first = None
-    for ix, raw in groups:
-        try:
-            batch = _validated(kind, raw)
-        except ValueError:
-            for j in range(len(ix)):
-                try:
-                    _validated(kind, {key: value[j : j + 1] for key, value in raw.items()})
-                except ValueError as err:
-                    if first is None or ix[j] < first[0]:
-                        first = (ix[j], err)
-                    break
-            continue
-        yield ix, batch
-    if first is not None:
-        raise first[1]
-
-
 def sweep_fact_kind(kind: str, cases: int, seed: int, inject_fault: bool = False) -> SweepResult:
     """Check `cases` random cases of `kind`.
 
-    The cases are drawn a block at a time by random_fact_case and checked in
-    stacks of equal shape by the same validation and evaluation that
-    FactCase and verify_fact apply to one case, so each failure equals
-    verify_fact on replay_fact_case of its index.
+    The cases are drawn a block at a time by random_fact_case, valid by
+    construction, and evaluated in stacks of equal shape by the evaluation
+    that verify_fact applies to one case, so each failure equals verify_fact
+    on replay_fact_case of its index.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown fact kind {kind!r}; expected one of {KINDS}")
     failures = []
     for index in _blocks(cases):
         key = case_rng(seed, kind, index)
-        groups = random_fact_case(kind, key)
-        for ix, batch in _validated_batches(kind, groups):
+        for ix, batch in random_fact_case(kind, key):
             holds, result = _evaluate(kind, batch, inject_fault)
             failures.extend((int(key.index[ix[j]]), result(j)) for j in np.flatnonzero(~holds))
     failures.sort(key=lambda f: f[0])

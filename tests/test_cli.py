@@ -22,6 +22,7 @@ SVG_NS = "http://www.w3.org/2000/svg"
 OUTCOMES = "field 'outcomes' must be a list of objects with 'probability' and 'matrix'"
 ROWS = "field 'matrix' must be a non-empty list of equal-length rows"
 ENTRIES = "field 'matrix' entries must be finite numbers or [re, im] pairs of them"
+SUMMANDS = "field 'summands' must be a list of summand objects"
 
 
 def run_cli(argv, capsys):
@@ -146,7 +147,7 @@ class TestReport:
         assert out == ""
         assert err == "error: field 'probability' must be a finite number, got nan\n"
 
-    @pytest.mark.parametrize("summands", [[1], "ab"])
+    @pytest.mark.parametrize("summands", [[1]])
     def test_summand_not_an_object_exit_2(self, tmp_path, capsys, summands):
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"summands": summands}))
@@ -171,6 +172,24 @@ class TestReport:
         assert proc.stdout == ""
         # no numpy RuntimeWarning before the message
         assert proc.stderr == "error: matrix entries too large: the Gram matrix overflows\n"
+
+    def test_centering_overflow_exit_2(self, tmp_path):
+        outcomes = [{"probability": 0.9, "matrix": [[1.5e308]]},
+                    {"probability": 0.1, "matrix": [[-1.5e308]]}]
+        f = tmp_path / "far.json"
+        f.write_text(json.dumps({"summands": [{"family": "finite", "outcomes": outcomes}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "matcon", "report", "--model-file", str(f),
+             "--samples", "8", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # one line, and no numpy RuntimeWarning before it
+        assert proc.stderr == (
+            "error: centering overflows: an outcome minus the mean is not finite\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -206,12 +225,16 @@ class TestReport:
              "missing field 'd2'"),
             ({"summands": [{"family": "pareto_diagonal", "dim": 2}]},
              "missing field 'index'"),
+            ({"summands": 5}, SUMMANDS),
+            ({"summands": "ab"}, SUMMANDS),
+            ({"summands": {}}, SUMMANDS),
         ],
         ids=["outcome_int", "outcome_no_probability", "finite_matrix_int",
              "gaussian_matrix_int", "ragged_rows", "no_rows", "scale_overflows",
              "row_fraction", "row_bool", "row_list", "probability_string",
              "matrix_object_entry", "matrix_string_entry", "matrix_triple_entry", "n_string",
-             "d1_without_d2", "no_index"],
+             "d1_without_d2", "no_index", "summands_int", "summands_string",
+             "summands_object"],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, doc, message):
         f = tmp_path / "m.json"

@@ -92,6 +92,25 @@ class TestExamples:
                 ScaledBasisRademacher(0, scale, 2)
         assert ScaledBasisRademacher(0, 2.0**500, 2).sq_norm_support()[0] == (2.0**1000,)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda i, d: RademacherEntry(i, 0, d),
+            lambda i, d: RademacherEntry(0, i, d),
+            lambda i, d: ScaledBasisRademacher(i, 2.0, d),
+            lambda i, d: CenteredBernoulliBasis(i, 0.5, d),
+            lambda i, d: ParetoDiagonal(i, d),
+        ],
+        ids=["entry_row", "entry_col", "scaled_basis", "bernoulli", "pareto"],
+    )
+    def test_positions_and_dim_must_be_integers(self, build):
+        for index, dim in ((0.7, 2), (1.0, 2), (True, 2), (np.float64(1.0), 2), (0, 3.5),
+                           (0, 2.0), (0, np.bool_(True))):
+            with pytest.raises(ValueError, match="must be integers"):
+                build(index, dim)
+        wide = build(np.int32(1), np.int64(2))
+        assert wide.shape == (2, 2) and wide == build(1, 2)
+
 
 class TestSampling:
     def test_fixed_rademacher_support(self):
