@@ -49,13 +49,10 @@ def fmt(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, bool):
+    """fmt's rendering as a JSON value: bools and strings as they are."""
+    if isinstance(value, (bool, str)):
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, str):
-        return value
-    return float(f"{float(value):.12g}")
+    return (int if isinstance(value, (int, np.integer)) else float)(fmt(value))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -73,58 +70,46 @@ def _csv(header: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_estimator(flag: str | None, model) -> str:
-    if flag == "mean":
-        return MEAN
-    if flag == "mom":
-        return MEDIAN_OF_MEANS
-    return MEDIAN_OF_MEANS if model.heavy_tail else MEAN
-
-
 def _report_row(rep) -> dict:
-    return {
-        "model": rep.model_name,
-        "d1": rep.d1,
-        "d2": rep.d2,
-        "n": rep.n,
-        "v": rep.v,
-        "v_provenance": rep.v_provenance,
-        "L": rep.L,
-        "L_provenance": rep.L_provenance,
-        "C": rep.C,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "mc_sqnorm_mean": rep.mc_sqnorm.mean,
-        "mc_se": rep.mc_sqnorm.spread,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "sandwich_ok": rep.sandwich_ok,
-    }
+    """REPORT_COLUMNS of a report: the mc_* columns read the estimate of
+    E||Z||^2, every other column the BoundReport field of its name."""
+    fields = {**vars(rep), "model": rep.model_name}
+    fields.update(mc_sqnorm_mean=rep.mc_sqnorm.mean, mc_se=rep.mc_sqnorm.spread)
+    return {col: fields[col] for col in REPORT_COLUMNS}
 
 
-def _load_model(args) -> object:
+_ESTIMATORS = {"mean": MEAN, "mom": MEDIAN_OF_MEANS}
+
+
+def _report(args, model):
+    """bound_report under --samples and --seed, with the --estimator given,
+    else median-of-means for heavy-tailed models and the mean otherwise."""
+    default = MEDIAN_OF_MEANS if model.heavy_tail else MEAN
+    cfg = MCConfig(args.samples, args.seed, _ESTIMATORS.get(args.estimator, default))
+    return bound_report(model, cfg)
+
+
+def _example(name: str, d: int, n: int | None, label: str):
+    """Built-in model `name` at dimension d; sec71 and sec72 need --n, and
+    `label` names the model or experiment that asked for it."""
+    if n is None and name in ("sec71", "sec72"):
+        raise ValueError(f"--n is required for {label}")
+    return make_example(name, d=d, n=1 if n is None else n)
+
+
+def _load_model(args):
     if args.model_file:
         with open(args.model_file) as fh:
-            doc = json.load(fh)
-        return model_from_json(doc)
+            return model_from_json(json.load(fh))
     name = args.model.lower()
     if name not in EXAMPLE_NAMES:
         raise ValueError(f"unknown model {args.model!r}; expected one of {EXAMPLE_NAMES}")
     if args.d is None:
         raise ValueError("--d is required for built-in models")
-    d = _parse_single_d(args.d)
-    if name in ("sec71", "sec72"):
-        if args.n is None:
-            raise ValueError(f"--n is required for {name}")
-        return make_example(name, d=d, n=args.n)
-    return make_example(name, d=d)
-
-
-def _parse_single_d(raw: str) -> int:
-    values = _parse_d_grid(raw)
-    if len(values) != 1:
+    grid = _parse_d_grid(args.d)
+    if len(grid) != 1:
         raise ValueError("report takes a single --d value")
-    return values[0]
+    return _example(name, grid[0], args.n, name)
 
 
 def _parse_d_grid(raw: str) -> list[int]:
@@ -138,16 +123,10 @@ def _parse_d_grid(raw: str) -> list[int]:
 
 
 def cmd_report(args) -> int:
-    model = _load_model(args)
-    cfg = MCConfig(
-        samples=args.samples,
-        seed=args.seed,
-        estimator=_resolve_estimator(args.estimator, model),
-    )
-    rep = bound_report(model, cfg)
+    rep = _report(args, _load_model(args))
     row = _report_row(rep)
     if args.format == "json":
-        payload = {col: _json_value(row[col]) for col in REPORT_COLUMNS}
+        payload = {col: _json_value(value) for col, value in row.items()}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(args.out, _csv(REPORT_COLUMNS, [row]))
@@ -264,14 +243,6 @@ def _ratio(experiment: str, d: int, rep) -> float:
     raise ValueError(f"unknown experiment {experiment!r}")
 
 
-def _experiment_model(experiment: str, d: int, n: int | None):
-    if experiment in ("sec71", "rademacher_sharpness"):
-        return make_example("sec71", d=d, n=n)
-    if experiment == "sec72":
-        return make_example("sec72", d=d, n=n)
-    return make_example(experiment, d=d)
-
-
 def write_svg(path: str, xs: list[float], ys: list[float], title: str) -> None:
     """Minimal line plot: one polyline over a framed axis box."""
     width, height, margin = 640, 440, 70
@@ -329,51 +300,23 @@ def cmd_experiment(args) -> int:
     grid = _parse_d_grid(args.d)
     if len(set(grid)) != len(grid):
         raise ValueError(f"--d values must be distinct, got {args.d}")
-    needs_n = experiment in ("sec71", "sec72", "rademacher_sharpness")
-    if needs_n and args.n is None:
-        raise ValueError(f"--n is required for {experiment}")
+    name = "sec71" if experiment == "rademacher_sharpness" else experiment
 
     rows = []
     all_ok = True
     for d in grid:
-        model = _experiment_model(experiment, d, args.n)
-        cfg = MCConfig(
-            samples=args.samples,
-            seed=args.seed,
-            estimator=_resolve_estimator(args.estimator, model),
-        )
-        rep = bound_report(model, cfg)
+        rep = _report(args, _example(name, d, args.n, experiment))
         all_ok = all_ok and rep.sandwich_ok
-        rows.append(
-            {
-                **_report_row(rep),
-                "experiment": experiment,
-                "d": d,
-                "ratio": _ratio(experiment, d, rep),
-            }
-        )
+        ratio = _ratio(experiment, d, rep)
+        rows.append({**_report_row(rep), "experiment": experiment, "d": d, "ratio": ratio})
 
     if experiment == "sec74" and len(grid) >= 2:
         logd = np.log([row["d"] for row in rows])
         logl2 = np.log([max(row["L"] ** 2, 1e-300) for row in rows])
         exponent = float(np.polyfit(logd, logl2, 1)[0])
-        rows.append(
-            {
-                "experiment": "sec74_fit",
-                "d": 0,
-                "n": 0,
-                "samples": args.samples,
-                "seed": args.seed,
-                "v": 0.0,
-                "L": 0.0,
-                "C": 0.0,
-                "lower": 0.0,
-                "upper": 0.0,
-                "mc_sqnorm_mean": 0.0,
-                "mc_se": 0.0,
-                "ratio": exponent,
-            }
-        )
+        # every other column of the fit row is 0: fmt(0) == fmt(0.0) == "0"
+        fit = {"experiment": "sec74_fit", "samples": args.samples, "seed": args.seed}
+        rows.append({**dict.fromkeys(EXPERIMENT_COLUMNS, 0), **fit, "ratio": exponent})
 
     _write_text(args.out, _csv(EXPERIMENT_COLUMNS, rows))
     if args.svg:
@@ -447,20 +390,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report":
-        if bool(args.model) == bool(args.model_file):
-            parser.error("report needs exactly one of --model / --model-file")
+    if args.command == "report" and bool(args.model) == bool(args.model_file):
+        parser.error("report needs exactly one of --model / --model-file")
+    command = {"report": cmd_report, "verify": cmd_verify, "experiment": cmd_experiment}
     try:
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        return command[args.command](args)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -55,9 +55,14 @@ def hermitian_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"Hermitian matrix must be square, got {a.shape[-2:]}")
-    sym = hermitian_part(a)
-    defect = frobenius_norms(a - sym)
-    limit = _HERMITIAN_DEFECT_REL * np.maximum(1.0, frobenius_norms(a))
+    # entries near the float limit overflow (M + M*)/2, refused here; a
+    # Frobenius norm of entries above about 1e154 reads inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = hermitian_part(a)
+        defect = frobenius_norms(a - sym)
+        limit = _HERMITIAN_DEFECT_REL * np.maximum(1.0, frobenius_norms(a))
+    if not np.isfinite(sym).all():
+        raise ValueError("matrix entries too large: the Hermitian part overflows")
     bad = np.flatnonzero(defect > limit)
     if bad.size:
         i = bad[0]

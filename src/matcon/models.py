@@ -638,18 +638,24 @@ def center(model: IndependentSumModel):
     """Replace each summand by S_i - E S_i; returns (centered model, E R).
 
     E R = sum of summand means is the quantity the triangle-inequality
-    envelope needs for uncentered reporting.
+    envelope needs for uncentered reporting.  Each distinct summand object
+    is centered once, so positions that shared an object still share one.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
-    for s in model.summands:
-        mean_sum += s.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [s.mean() for s in model._distinct]
+        nonzero = np.array([m.any() for m in means])
+        # summed in position order; an exactly zero mean adds nothing
+        for i in model._inverse[nonzero[model._inverse]]:
+            mean_sum += means[i]
+    if not np.isfinite(mean_sum).all():
+        raise ValueError("centering overflows: the summed means are not finite")
     if model.centered:
         return model, mean_sum
-    specs = tuple(s if s.zero_mean else s.centered() for s in model.summands)
-    centered_model = IndependentSumModel(
-        d1=model.d1, d2=model.d2, summands=specs, name=model.name, n=model.n
-    )
-    return centered_model, mean_sum
+    distinct = [s if s.zero_mean else s.centered() for s in model._distinct]
+    specs = tuple(distinct[i] for i in model._inverse)
+    centered = IndependentSumModel(model.d1, model.d2, specs, name=model.name, n=model.n)
+    return centered, mean_sum
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +937,7 @@ def summand_from_json(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError("summand document must be a JSON object")
     family = doc.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown summand family {family!r}")
     build, keys = _FAMILIES[family]
     return build(*(_READERS.get(key, _number)(doc, key) for key in keys))

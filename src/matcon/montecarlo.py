@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .bounds import BoundInputs, main_interval, variance_param
 from .linalg import spectral_norm, spectral_norms
 from .models import (
@@ -59,6 +59,10 @@ class MCConfig:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
+        nbytes = 24 * self.samples  # float64 ||Z||, max_i ||S_i||^2 and ||Z||^2
+        if nbytes > models._STACK_BYTES:
+            raise ValueError(f"{self.samples} samples take {nbytes} bytes of per-sample "
+                             f"arrays, over the {models._STACK_BYTES}-byte budget")
         if self.estimator not in (MEAN, MEDIAN_OF_MEANS):
             raise ValueError(f"estimator must be {MEAN!r} or {MEDIAN_OF_MEANS!r}")
 
@@ -73,9 +77,6 @@ class Estimate:
     mean: float
     std_error: float | None
     spread: float
-    samples: int
-    seed: int
-    estimator: str
 
 
 def _thread_count() -> int:
@@ -114,6 +115,7 @@ def _for_chunks(samples: int, chunk: int, run) -> None:
         for s in starts:
             run(s, min(s + chunk, samples))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # milliseconds to import
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda s: run(s, min(s + chunk, samples)), starts))
 
@@ -144,7 +146,6 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarr
 
 
 def _estimate(values: np.ndarray, cfg: MCConfig) -> Estimate:
-    seed = seed_value(cfg.seed)
     # a constant sample is reported exactly: repeated-addition rounding in the
     # accumulator must not manufacture a nonzero standard error
     constant = bool(np.all(values == values[0]))
@@ -154,28 +155,14 @@ def _estimate(values: np.ndarray, cfg: MCConfig) -> Estimate:
         else:
             mean = float(np.mean(values))
             se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-        return Estimate(
-            mean=mean,
-            std_error=se,
-            spread=se,
-            samples=len(values),
-            seed=seed,
-            estimator=MEAN,
-        )
+        return Estimate(mean=mean, std_error=se, spread=se)
     if constant:
         med, mad = float(values[0]), 0.0
     else:
         block_means = values.reshape(default_blocks(len(values)), -1).mean(axis=1)
         med = float(np.median(block_means))
         mad = float(np.median(np.abs(block_means - med)))
-    return Estimate(
-        mean=med,
-        std_error=None,
-        spread=mad,
-        samples=len(values),
-        seed=seed,
-        estimator=MEDIAN_OF_MEANS,
-    )
+    return Estimate(mean=med, std_error=None, spread=mad)
 
 
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:

@@ -191,6 +191,23 @@ class TestReport:
             "error: centering overflows: an outcome minus the mean is not finite\n"
         )
 
+    def test_summed_means_overflow_exit_2(self, tmp_path):
+        outcomes = [{"probability": 0.5, "matrix": [[1e308]]},
+                    {"probability": 0.5, "matrix": [[1.2e308]]}]
+        summand = {"family": "finite", "outcomes": outcomes}
+        f = tmp_path / "far.json"
+        f.write_text(json.dumps({"summands": [summand, summand]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "matcon", "report", "--model-file", str(f),
+             "--samples", "8", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # each mean is finite, their sum is not; no numpy RuntimeWarning
+        assert proc.stderr == "error: centering overflows: the summed means are not finite\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "doc, message",
@@ -280,10 +297,11 @@ class TestMemoryGuard:
         )
         f = tmp_path / "pair.json"
         f.write_text(json.dumps(model_to_json(model)))
-        # room for the two 2x2 second-moment matrices (128 bytes), checked first
+        # room for the two 2x2 second-moment matrices (128 bytes), checked first,
+        # and for the per-sample arrays of 4 samples (96 bytes)
         monkeypatch.setattr("matcon.models._STACK_BYTES", 150)
         code, out, err = run_cli(
-            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+            ["report", "--model-file", str(f), "--samples", "4", "--seed", "1"], capsys
         )
         assert code == 2
         assert out == ""
@@ -305,6 +323,21 @@ class TestMemoryGuard:
         assert "110 summand positions of sec71 take 5280 bytes" in err
         assert "4800-byte plan budget" in err
 
+
+    @pytest.mark.parametrize("command", ["report", "experiment"])
+    def test_sample_count_over_budget_exit_2(self, monkeypatch, capsys, command):
+        # three float64 arrays per sample: 41 samples take 984 bytes, 42 take 1008
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 1000)
+        argv = [command, "--model", "sec73", "--d", "2", "--seed", "1", "--samples"]
+        code, out, _ = run_cli(argv + ["41"], capsys)
+        assert code == 0 and out
+        code, out, err = run_cli(argv + ["42"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 42 samples take 1008 bytes of per-sample arrays, "
+            "over the 1000-byte budget\n"
+        )
 
     def test_moment_matrices_over_budget_exit_2(self, monkeypatch, tmp_path, capsys):
         doc = {"summands": [{"family": "rademacher_entry", "row": 0, "col": 0, "dim": 8}]}
@@ -530,6 +563,101 @@ class TestExperiment:
         assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+SHIFTED_DOC = {
+    "name": "shifted",
+    "summands": [
+        {"family": "finite",
+         "outcomes": [{"probability": 1.0, "matrix": [[3.0, 0.0], [0.0, 0.0]]}]},
+        {"family": "finite",
+         "outcomes": [{"probability": 0.5, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                      {"probability": 0.5, "matrix": [[-1.0, 0.0], [0.0, -1.0]]}]},
+    ],
+}
+
+REPORT_PINS = {
+    "sec71_csv": "f7c3541b659021075519fb2c0e7995cef38fce9db3eabd0e6a4d2d8633e63c2c",
+    "sec71_json": "9d7922aba6df026af48a77878002d910b1f0244f421881f33d8c609ec5ac329d",
+    "sec72_csv": "c2d92908a427ef1a3689282d4d9a5643e9ce35099b4dc5954648d0296f514d31",
+    "sec72_json": "6c8ad495c271f8ab2c9400ca414796070d56ea54035e2382327496c9f1bf6954",
+    "sec73_csv": "3b1bef0ad23a13b74136f754a7252c15c1680ff2eca44988d58b8ec569e1093c",
+    "sec73_json": "255bd5bc5e521cc11321966a0d7989ad52a0dac5a578f051f820a11b1c82e263",
+    "sec74_csv": "6594425a18bd8de76822067f91cc7eb4820f9a74fa4867899107873c6c78a205",
+    "sec74_json": "e37df439736b7b3190ed4b08669ca3d9c906618c921ff2b3f96b9bad020998f4",
+    "sec71_mom_csv": "334a822083dcbf08987fff127b434e108d26d42a924ecdb2027be633946b2afc",
+    "sec74_mean_json": "ddef8931d88cb3f4bb1983ecf1e53ffa2f2cf6613a8d9bbd354e22bb13ec0111",
+    "shifted_csv": "2bccd1369e117dde9badb8becfe26aeb0d0916b4aaccc360e42ca0ccc83b76be",
+    "shifted_json": "97fb4da4582cb81905638abb1e77d9a512a1855b20ae599dfe31b36bc47e96b4",
+}
+
+EXPERIMENT_PINS = {
+    "sec71": (["--d", "1,4,8", "--n", "10"],
+              "06a811eb1e7b90ed3dde400f2c7f57513d12416edbdf1af593ea999cb8b5d3f2"),
+    "sec72": (["--d", "4,8", "--n", "10"],
+              "fce7954daafcb3f23d023cb975d9709977c6bd6f629f4c96d05e06887be11223"),
+    "sec73": (["--d", "3,5"],
+              "4c88b23d0b63a58ff2c27173188e0ba9c1bbecccd22b11a86d23c7e07f17f29d"),
+    "sec74": (["--d", "4,8,16"],
+              "afb894232402336cb3785fb3d2924fe2acd292148063104af6a9fa3f1f7afbf6"),
+    "rademacher_sharpness": (["--d", "4,8", "--n", "10"],
+              "38cd069605ecc6337a0f0492edbde40fd48370c924e1823ffd73eaba03c14f94"),
+}
+
+
+def _report_argv(case: str, tmp_path) -> list[str]:
+    name, *flags, form = case.split("_")
+    if name == "shifted":
+        f = tmp_path / "shifted.json"
+        f.write_text(json.dumps(SHIFTED_DOC))
+        source = ["--model-file", str(f)]
+    else:
+        n = ["--n", "12"] if name in ("sec71", "sec72") else []
+        source = ["--model", name, "--d", "6", *n]
+    estimator = ["--estimator", flags[0]] if flags else []
+    return ["report", *source, "--samples", "64", "--seed", "5", "--format", form, *estimator]
+
+
+class TestPinnedOutput:
+    """sha256 of the exact bytes of report and experiment output (stdout,
+    a NUL, then stderr), so a change to how a row is assembled shows."""
+
+    @staticmethod
+    def digest(out: str, err: str) -> str:
+        return hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(REPORT_PINS))
+    def test_report_bytes(self, tmp_path, capsys, case):
+        code, out, err = run_cli(_report_argv(case, tmp_path), capsys)
+        assert code == 0
+        assert ("envelope" in err) == case.startswith("shifted")
+        assert self.digest(out, err) == REPORT_PINS[case]
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENT_PINS))
+    def test_experiment_bytes(self, capsys, experiment):
+        grid, want = EXPERIMENT_PINS[experiment]
+        code, out, err = run_cli(
+            ["experiment", "--model", experiment, *grid, "--samples", "64", "--seed", "9"],
+            capsys,
+        )
+        assert code == 0
+        assert ("sec74_fit" in out) == (experiment == "sec74")
+        assert self.digest(out, err) == want
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["report", "--model", "sec72", "--d", "4"], "sec72"),
+            (["experiment", "--model", "sec71", "--d", "4"], "sec71"),
+            (["experiment", "--model", "rademacher_sharpness", "--d", "4"],
+             "rademacher_sharpness"),
+        ],
+    )
+    def test_missing_n_message(self, capsys, argv, label):
+        code, out, err = run_cli(argv + ["--samples", "8", "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n is required for {label}\n"
 
 
 class TestEntryPoints:

@@ -59,6 +59,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             as_hermitian(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_hermitian_part_overflow_refused_without_warning(self):
+        # (M + M*)/2 of an entry near the float limit overflows; an entry that
+        # only overflows the Frobenius norm is accepted as before
+        with pytest.raises(ValueError, match="the Hermitian part overflows"):
+            as_hermitian([[1e308, 0.5], [0.5, -1.0]])
+        assert as_hermitian(np.diag([1e160, 1.0])).defect == 0.0
+
     def test_frobenius(self):
         assert frobenius_norms(np.array([[[3.0, 4.0]]], dtype=complex)) == pytest.approx([5.0])
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from matcon import (
     brute_force_expected_norm,
 )
 from matcon.models import PARETO, SIGN, SamplerPlan, _matrix_from_json
+from matcon.montecarlo import MCConfig, bound_report
 
 
 def rand_hermitian(rng, d):
@@ -375,6 +377,26 @@ class TestCenter:
         (s,) = sample_summands(out, seed=0, index=0)
         assert np.all(s == 0.0)
 
+    def test_shared_summand_centered_once(self):
+        rng = np.random.default_rng(8)
+        f = FiniteSummand([(0.3, rng.normal(size=(4, 4))), (0.7, rng.normal(size=(4, 4)))])
+        model = make_model([f] * 3000)
+        out, mean = center(model)
+        assert len(out._distinct) == 1
+        assert out.centered and out.n_summands == 3000
+        want = np.zeros((4, 4), dtype=complex)
+        for _ in range(3000):
+            want += f.mean()
+        assert np.array_equal(mean, want)
+
+    def test_shared_report_equals_unshared(self):
+        rng = np.random.default_rng(8)
+        outcomes = [(0.3, rng.normal(size=(4, 4))), (0.7, rng.normal(size=(4, 4)))]
+        shared = make_model([FiniteSummand(outcomes)] * 3000)
+        unshared = make_model([FiniteSummand(outcomes) for _ in range(3000)])
+        cfg = MCConfig(samples=16, seed=3)
+        assert repr(bound_report(shared, cfg)) == repr(bound_report(unshared, cfg))
+
     def test_uncentered_bernoulli_support(self):
         p = 0.25
         e11 = np.zeros((2, 2))
@@ -718,3 +740,90 @@ class TestPositionGuard:
     def test_benchmark_scale_models_admitted(self):
         assert make_example("sec71", d=256, n=400).n_summands == 102_400
         assert make_example("sec73", d=256).n_summands == 65_536
+
+
+# valid model documents, one per route through model_from_json and every family
+FUZZ_BASES = (
+    {"name": "sec71", "d": 3, "n": 2},
+    {"name": "sec74", "d": 2},
+    {
+        "name": "pair", "d1": 2, "d2": 2, "n": 2,
+        "summands": [
+            {"family": "fixed_rademacher", "matrix": [[1.0, 0.5], [0.5, -1.0]]},
+            {"family": "fixed_gaussian", "matrix": [[1.0, [0.0, 1.0]], [[0.0, -1.0], 2.0]]},
+        ],
+    },
+    {
+        "summands": [
+            {"family": "scaled_basis_rademacher", "index": 0, "scale": 0.5, "dim": 2},
+            {"family": "centered_bernoulli_basis", "index": 1, "prob": 0.25, "dim": 2},
+            {"family": "rademacher_entry", "row": 0, "col": 1, "dim": 2},
+            {"family": "pareto_diagonal", "index": 1, "dim": 2},
+        ],
+    },
+    {
+        "summands": [
+            {"family": "finite", "outcomes": [
+                {"probability": 0.5, "matrix": [[1.0, 0.0], [0.0, 2.0]]},
+                {"probability": 0.5, "matrix": [[-1.0, 0.0], [0.0, 0.0]]},
+            ]},
+        ],
+    },
+)
+FUZZ_VALUES = (
+    None, True, False, 0, 1, 2, -1, 5, 2**70, 0.5, 2.0, -0.0, 1e308, float("nan"),
+    float("inf"), "x", "2", "", [], {}, [1], [[1.0]], [[1.0, 2.0]], [[1.0], [2.0, 3.0]],
+    [[[1.0, 0.0, 1.0]]], [[[1.0, 2.0]]], {"a": 1}, [{}], ["finite"], {"family": "finite"},
+    "finite", "sec73", "pareto_diagonal",
+)
+FUZZ_KEYS = ("family", "name", "n", "d", "d1", "d2", "summands", "matrix", "outcomes",
+             "probability", "index", "dim", "row", "col", "prob", "scale")
+# every refusal names a field or states the rule the document broke
+FUZZ_RULES = ("field ", "must", "expected", "needs", "unknown", "does not match",
+              "out of range", "overflows", "budget", "not Hermitian", "shape")
+
+
+def _containers(node, out):
+    if isinstance(node, (dict, list)):
+        out.append(node)
+        for child in node.values() if isinstance(node, dict) else node:
+            _containers(child, out)
+    return out
+
+
+def _fuzz_document(rng):
+    """A base document with one to three random edits: a value replaced, a
+    key or element removed, or a key added."""
+    doc = copy.deepcopy(FUZZ_BASES[rng.integers(len(FUZZ_BASES))])
+    for _ in range(rng.integers(1, 4)):
+        nodes = _containers(doc, [])
+        node = nodes[rng.integers(len(nodes))]
+        value = copy.deepcopy(FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))])
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = rng.integers(3)
+        if edit == 2 and isinstance(node, dict):
+            node[FUZZ_KEYS[rng.integers(len(FUZZ_KEYS))]] = value
+        elif not keys:
+            continue
+        elif edit == 1:
+            del node[keys[rng.integers(len(keys))]]
+        else:
+            node[keys[rng.integers(len(keys))]] = value
+    return doc
+
+
+class TestModelFileFuzz:
+    def test_every_refusal_is_a_value_error_naming_the_rule(self):
+        rng = np.random.default_rng(20260)
+        refused = 0
+        for _ in range(2000):
+            doc = _fuzz_document(rng)
+            try:
+                model_from_json(doc)
+            except ValueError as exc:
+                refused += 1
+                message = str(exc)
+                assert "\n" not in message and any(r in message for r in FUZZ_RULES), (
+                    doc, message)
+        # most edits break the document; the rest must still build
+        assert 1000 < refused < 2000
