@@ -2,13 +2,16 @@
 2-d matrices and equal-shape stacks, the immutable HermitianMatrix, the
 spectral norm and the Hermitian dilation.
 
-Conventions: complex128 throughout; the spectral norm of a rectangular
+Conventions: complex128 throughout, except that a real stack may take
+the spectral norm in real arithmetic; the spectral norm of a rectangular
 matrix is computed from the Gram matrix of the smaller dimension.  The
 *_stack / *_norms helpers work on (k, d1, d2) stacks; each of their results
 is bit-identical to the single-matrix operation on that matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,46 +58,54 @@ def hermitian_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"Hermitian matrix must be square, got {a.shape[-2:]}")
-    # entries near the float limit overflow (M + M*)/2, refused here; a
-    # Frobenius norm of entries above about 1e154 reads inf, without a warning
+    # entries near the float limit overflow (M + M*)/2, refused here
     with np.errstate(over="ignore", invalid="ignore"):
         sym = hermitian_part(a)
-        defect = frobenius_norms(a - sym)
-        limit = _HERMITIAN_DEFECT_REL * np.maximum(1.0, frobenius_norms(a))
     if not np.isfinite(sym).all():
         raise ValueError("matrix entries too large: the Hermitian part overflows")
+    # both norms are taken of each matrix scaled by the power of two just
+    # above its largest entry: exact, and no square overflows
+    scale = np.ldexp(1.0, -np.frexp(np.abs(a).max(axis=(1, 2)))[1])
+    defect = frobenius_norms((a - sym) * scale[:, None, None])
+    limit = _HERMITIAN_DEFECT_REL * np.maximum(scale, frobenius_norms(a * scale[:, None, None]))
     bad = np.flatnonzero(defect > limit)
+    defect /= scale
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"input is not Hermitian: defect {defect[i]:.3e} exceeds {limit[i]:.3e}"
+            f"input is not Hermitian: defect {defect[i]:.3e} exceeds {limit[i] / scale[i]:.3e}"
         )
     return sym, defect
 
 
 def gram_top_eigenvalues(z: np.ndarray) -> np.ndarray:
     """Top eigenvalue of the symmetrized Gram matrix of the smaller side of
-    each matrix of a complex (k, d1, d2) stack: its squared spectral norm,
-    up to rounding.  Raises when a Gram matrix overflows (entries above about
-    1e154); its diagonal suffices, as |g_ij| <= sqrt(g_ii g_jj)."""
-    zh = z.conj().transpose(0, 2, 1)
+    each matrix of a real or complex (k, d1, d2) stack: its squared spectral
+    norm, up to rounding.  A real stack keeps a real Gram matrix.  Raises
+    when a Gram matrix overflows (entries above about 1e154); its diagonal
+    suffices, as |g_ij| <= sqrt(g_ii g_jj)."""
+    zh = np.conjugate(z).transpose(0, 2, 1)
     # an overflow shows as a non-finite diagonal, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         gram = z @ zh if z.shape[1] <= z.shape[2] else zh @ z
         del zh
         # (gram + gram*) / 2, in place on the conjugate's buffer
-        sym = gram.conj().transpose(0, 2, 1)
+        sym = np.conjugate(gram).transpose(0, 2, 1)
         sym += gram
         sym /= 2.0
         del gram
-    if not np.isfinite(np.diagonal(sym, axis1=1, axis2=2)).all():
-        raise ValueError("matrix entries too large: the Gram matrix overflows")
+    _check_gram(np.diagonal(sym, axis1=1, axis2=2))
     return np.linalg.eigvalsh(sym)[:, -1]
 
 
+def _check_gram(diagonal: np.ndarray) -> None:
+    if not np.isfinite(diagonal).all():
+        raise ValueError("matrix entries too large: the Gram matrix overflows")
+
+
 def spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a complex (k, d1, d2) stack;
-    each equals spectral_norm of that matrix."""
+    """Largest singular value of each matrix of a real or complex
+    (k, d1, d2) stack; each equals spectral_norm of that matrix."""
     return np.sqrt(np.maximum(gram_top_eigenvalues(a), 0.0))
 
 
@@ -130,8 +141,22 @@ def as_hermitian(M) -> HermitianMatrix:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value, via the Gram matrix of the smaller dimension."""
-    return float(spectral_norms(as_stack([M]))[0])
+    """Largest singular value, via the Gram matrix of the smaller dimension.
+
+    A real diagonal matrix skips the eigensolver: its Gram matrix is
+    diag(a_ii^2), symmetrized as (g + g*)/2, so the norm is the root of the
+    largest a_ii^2, with the same overflow error.  That equals the Gram
+    route bit for bit while LAPACK leaves the matrix unscaled (squares
+    within about 1e-146..1e146).
+    """
+    a = as_stack([M])[0]
+    diag = np.diagonal(a).real
+    if a.imag.any() or np.count_nonzero(a) != np.count_nonzero(diag):
+        return float(spectral_norms(a[None])[0])
+    with np.errstate(over="ignore"):
+        sq = diag * diag
+        _check_gram(sq + sq)
+    return math.sqrt(sq.max())
 
 
 def dilation_stack(b: np.ndarray) -> np.ndarray:

@@ -684,22 +684,30 @@ class SamplerPlan:
     which adds the terms of each cell in summand order.  `diagonal` is true
     when every realization of Z is a real diagonal matrix: Z is square, there
     is no FiniteSummand, and every COO entry is real and on the diagonal.
-    `terms` counts the scattered entries and FiniteSummand choices of one
-    sample.  The per-position arrays are gathered from those of the model's
-    distinct summand objects, so Python touches each object once.
+    `real` is true when every COO value and every FiniteSummand outcome is
+    real; `realize` then returns real Z.  `layers` is m > 0 when the plan is
+    diagonal, d >= 2, and each diagonal cell holds m entries: the entries
+    are then ordered by (rank within the cell, cell), so a chunk's terms
+    form one (k, m, d) array whose sum over axis 1 adds each cell's terms in
+    the order the scatter does.  `terms` counts the scattered entries and
+    FiniteSummand choices of one sample.  The per-position arrays are
+    gathered from those of the model's distinct summand objects, so Python
+    touches each object once.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
         distinct, inverse = model._distinct, model._inverse
         finite = np.array([isinstance(s, FiniteSummand) for s in distinct])
-        # per FiniteSummand object: outcome CDF, matrices and norms, shared by
-        # its positions
+        # per FiniteSummand object: outcome CDF, matrices (real when all are)
+        # and norms, shared by its positions
+        finite_ids = np.flatnonzero(finite).tolist()
+        real_finite = not any(distinct[i].matrices.imag.any() for i in finite_ids)
         outcomes = {
             i: (np.cumsum(distinct[i].probabilities),
-                distinct[i].matrices,
+                distinct[i].matrices.real.copy() if real_finite else distinct[i].matrices,
                 distinct[i].outcome_norms())
-            for i in np.flatnonzero(finite).tolist()
+            for i in finite_ids
         }
         at = np.flatnonzero(finite[inverse])
         self.finite: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [
@@ -729,11 +737,7 @@ class SamplerPlan:
         by_id = {key: code[law] for key, law in laws.items()}
         codes = np.array([by_id[id(s.law)] for s in series], dtype=np.intp)[obj]
         positions = positions.astype(np.uint64)
-        self.groups = [
-            (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
-            for law, i in code.items()
-        ]
-        self.norms = np.array([s.norm for s in series], dtype=np.float64)[obj]
+        norms = np.array([s.norm for s in series], dtype=np.float64)[obj]
 
         # the COO entries of the distinct ScalarSeries back to back: entry e
         # of a position is entry start[obj] + e of these tables
@@ -754,15 +758,35 @@ class SamplerPlan:
         values = table("values", np.complex128)
         self.rows = rows[entries]
         self.cells = (rows * model.d2 + cols)[entries]
-        self.real = values.real[entries]
+        self.values = values.real[entries]
         self.imag = values.imag[entries] if values.imag.any() else None
         self.terms = n_entries + len(self.finite)
+        self.real = self.imag is None and real_finite
         self.diagonal = (
             model.d1 == model.d2
+            and self.real
             and not self.finite
-            and self.imag is None
             and np.array_equal(rows, cols)
         )
+        self.layers = 0
+        if self.diagonal and model.d1 >= 2:
+            per_cell = np.bincount(self.rows, minlength=model.d1)
+            if (per_cell == per_cell[0]).all():
+                self.layers = int(per_cell[0])
+        if self.layers:
+            # stable within each cell, so a cell's terms keep their order
+            order = np.argsort(self.rows, kind="stable").reshape(model.d1, -1).T.ravel()
+            self.rows, self.cells = self.rows[order], self.cells[order]
+            self.values = self.values[order]
+            if self.owner is None:  # entry e is series e: reorder the series
+                positions, codes, norms = positions[order], codes[order], norms[order]
+            else:
+                self.owner = self.owner[order]
+        self.norms = norms
+        self.groups = [
+            (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
+            for law, i in code.items()
+        ]
 
     def _coefficients(self, seed: int, idx: np.ndarray) -> np.ndarray:
         """(k, number of ScalarSeries) draws of c for a batch of indices."""
@@ -799,48 +823,56 @@ class SamplerPlan:
             j = np.minimum(np.searchsorted(cums, u, side="right"), len(cums) - 1)
             yield mats, norms, j
 
-    def realize(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Realizations Z and max_i ||S_i||^2 for a batch of sample indices."""
+    def realize(self, seed, indices, max_sq: bool = True):
+        """Realizations Z, real when the plan is, and max_i ||S_i||^2 (None
+        when `max_sq` is false) for a batch of sample indices."""
         seed = seed_value(seed)
         idx = np.asarray(indices, dtype=np.uint64)
         k = idx.shape[0]
-        d1, d2 = self.model.d1, self.model.d2
+        shape, width = (k, self.model.d1, self.model.d2), self.model.d1 * self.model.d2
         coef = self._coefficients(seed, idx)
-        max_sq = self._max_sq(coef)
+        sq = self._max_sq(coef) if max_sq else None
         terms = self._entry_coefficients(coef)
-        z = np.empty((k, d1, d2), dtype=np.complex128)
-        z.imag = 0.0
-        if self.imag is not None:
-            z.imag = self._scatter(terms * self.imag, self.cells, d1 * d2).reshape(k, d1, d2)
-        terms *= self.real  # in place: coef is not read again
-        z.real = self._scatter(terms, self.cells, d1 * d2).reshape(k, d1, d2)
+        if self.real:
+            z = np.empty(shape)
+        else:
+            z = np.empty(shape, dtype=np.complex128)
+            z.imag = 0.0
+            if self.imag is not None:
+                z.imag = self._scatter(terms * self.imag, self.cells, width).reshape(shape)
+        terms *= self.values  # in place: coef is not read again
+        z.real = self._scatter(terms, self.cells, width).reshape(shape)
         for mats, norms, j in self._finite_choices(seed, idx):
             z += mats[j]
-            np.maximum(max_sq, norms[j] ** 2, out=max_sq)
-        return z, max_sq
+            if max_sq:
+                np.maximum(sq, norms[j] ** 2, out=sq)
+        return z, sq
 
     def realize_max_sq(self, seed, indices) -> np.ndarray:
         """max_i ||S_i||^2 alone for a batch of sample indices, identical to
         the second output of `realize` without building Z."""
         seed = seed_value(seed)
         idx = np.asarray(indices, dtype=np.uint64)
-        max_sq = self._max_sq(self._coefficients(seed, idx))
+        sq = self._max_sq(self._coefficients(seed, idx))
         for _, norms, j in self._finite_choices(seed, idx):
-            np.maximum(max_sq, norms[j] ** 2, out=max_sq)
-        return max_sq
+            np.maximum(sq, norms[j] ** 2, out=sq)
+        return sq
 
-    def realize_diagonal(self, seed, indices) -> tuple[np.ndarray, np.ndarray]:
+    def realize_diagonal(self, seed, indices, max_sq: bool = True):
         """For a diagonal plan: the real diagonals (k, d) of the realizations
-        and max_i ||S_i||^2.  Each entry sums the same terms in the same order
-        as the matching entry of `realize`, so the values are identical."""
+        and max_i ||S_i||^2 (None when `max_sq` is false).  Each entry sums
+        the same terms in the same order as the matching entry of `realize`,
+        so the values are identical."""
         if not self.diagonal:
             raise ValueError("realize_diagonal needs a diagonal plan")
         seed = seed_value(seed)
         coef = self._coefficients(seed, np.asarray(indices, dtype=np.uint64))
-        max_sq = self._max_sq(coef)
+        sq = self._max_sq(coef) if max_sq else None
         terms = self._entry_coefficients(coef)
-        terms *= self.real  # in place: coef is not read again
-        return self._scatter(terms, self.rows, self.model.d1), max_sq
+        terms *= self.values  # in place: coef is not read again
+        if self.layers:
+            return np.add.reduce(terms.reshape(len(terms), self.layers, -1), axis=1), sq
+        return self._scatter(terms, self.rows, self.model.d1), sq
 
 
 def sample_summands(model: IndependentSumModel, seed, index: int) -> list[np.ndarray]:
@@ -867,15 +899,21 @@ def _matrix_to_json(a: np.ndarray):
 
 
 _INTEGRAL = {"index", "row", "col", "dim", "n", "d", "d1", "d2"}
+# beyond 2^53 a whole float cannot be told from its neighbours, and no budget
+# admits a count or index that large
+_INTEGRAL_LIMIT = 1 << 53
 
 
 def _number(doc: dict, key: str):
     """Numeric field `key` of a model-file object, the one reader of a number
-    outside a matrix: a finite JSON number, not a bool or a string, whole and
-    returned as an int when it counts or indexes, else a float."""
+    outside a matrix: a finite JSON number, not a bool or a string, whole,
+    within +-2^53 and returned as an int when it counts or indexes, else a
+    float."""
     if key not in doc:
         raise ValueError(f"missing field {key!r}")
     value, integral = doc[key], key in _INTEGRAL
+    if integral and type(value) in (int, float) and abs(value) > _INTEGRAL_LIMIT:
+        raise ValueError(f"field {key!r} must be an integer within +-2^53")
     finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
     if not finite or (integral and value % 1):
         kind = "an integer" if integral else "a finite number"

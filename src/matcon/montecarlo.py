@@ -93,7 +93,7 @@ def _chunk_size(plan: SamplerPlan) -> int:
     """Samples per chunk, within the budget of scattered terms (COO entries
     and FiniteSummand choices) and the byte budget for the realized chunk: d
     real diagonal entries per sample on the diagonal route, d1*d2 complex
-    entries otherwise."""
+    entries otherwise (a real plan's half-size Z keeps that chunk)."""
     model = plan.model
     shape, itemsize = ((model.d1,), 8) if plan.diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
@@ -120,8 +120,9 @@ def _for_chunks(samples: int, chunk: int, run) -> None:
             list(pool.map(lambda s: run(s, min(s + chunk, samples)), starts))
 
 
-def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order.
+def collect_samples(model: IndependentSumModel, cfg: MCConfig, *, max_sq: bool = True):
+    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order; the
+    second is None when `max_sq` is false.
 
     ||Z|| is max_i |z_ii| when every realization is diagonal, and the root of
     the top eigenvalue of the Gram matrix of the smaller side otherwise.
@@ -129,20 +130,21 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig) -> tuple[np.ndarr
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     norms = np.empty(cfg.samples)
-    max_sq = np.empty(cfg.samples)
+    sq = np.empty(cfg.samples) if max_sq else None
 
     def run(start: int, stop: int) -> None:
         idx = np.arange(start, stop, dtype=np.uint64)
         if plan.diagonal:
-            diag, m = plan.realize_diagonal(seed, idx)
+            diag, m = plan.realize_diagonal(seed, idx, max_sq)
             norms[start:stop] = np.abs(diag).max(axis=1)
         else:
-            z, m = plan.realize(seed, idx)
+            z, m = plan.realize(seed, idx, max_sq)
             norms[start:stop] = spectral_norms(z)
-        max_sq[start:stop] = m
+        if max_sq:
+            sq[start:stop] = m
 
     _for_chunks(cfg.samples, _chunk_size(plan), run)
-    return norms, max_sq
+    return norms, sq
 
 
 def _estimate(values: np.ndarray, cfg: MCConfig) -> Estimate:
@@ -228,8 +230,9 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         mean_norm = spectral_norm(mean_sum)
 
     v = variance_param(work, analytic_second_moments(work))
-    norms, max_sq = collect_samples(work, cfg)
     exact_max = analytic_max_sq(work)
+    # the sampled max_i ||S_i||^2 is read only when there is no exact value
+    norms, max_sq = collect_samples(work, cfg, max_sq=exact_max is None)
     if exact_max is not None:
         L = math.sqrt(max(exact_max, 0.0))
         L_prov = "analytic"

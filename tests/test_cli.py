@@ -263,6 +263,29 @@ class TestReport:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "summand, message",
+        [
+            ({"family": "pareto_diagonal", "index": 0, "dim": value},
+             "field 'dim' must be an integer within +-2^53")
+            for value in (1e308, 2**70, 2**53 + 2, -(2**53) - 2)
+        ]
+        + [
+            ({"family": "fixed_rademacher", "matrix": [[1.0, 1e300], [0.5, -1.0]]},
+             "input is not Hermitian: defect 7.071e+299 exceeds 1.000e+288"),
+        ],
+        ids=["dim_1e308", "dim_2_70", "dim_2_53_plus_2", "dim_minus_2_53_minus_2",
+             "defect_overflows_its_norm"],
+    )
+    def test_huge_value_exit_2(self, tmp_path, capsys, summand, message):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"summands": [summand]}))
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_uncentered_model_note_on_stderr(self, tmp_path, capsys):
         point = FiniteSummand([(1.0, np.diag([3.0, 0.0]))])
         spin = FiniteSummand([(0.5, np.eye(2)), (0.5, -np.eye(2))])

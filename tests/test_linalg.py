@@ -5,7 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from matcon import FactCase, HermitianMatrix, as_hermitian, spectral_norm, verify_fact
+from matcon import (
+    FactCase,
+    HermitianMatrix,
+    analytic_second_moments,
+    as_hermitian,
+    make_example,
+    spectral_norm,
+    verify_fact,
+)
 from matcon.linalg import (
     as_stack,
     dilation_stack,
@@ -67,6 +75,23 @@ class TestConstructors:
             as_hermitian([[1e308, 0.5], [0.5, -1.0]])
         assert as_hermitian(np.diag([1e160, 1.0])).defect == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_defect_that_overflows_its_norm_refused(self):
+        # the defect's Frobenius norm overflows, the limit too; both are
+        # compared on the matrix scaled to its largest entry
+        with pytest.raises(ValueError, match="input is not Hermitian"):
+            as_hermitian([[1.0, 1e300], [0.5, -1.0]])
+        assert as_hermitian([[1.0, 1e300], [1e300, -1.0]]).defect == 0.0
+
+    def test_defects_unchanged_by_the_scaling(self):
+        rng = np.random.default_rng(72)
+        a = np.stack([rand_hermitian(rng, 5).array for _ in range(20)])
+        a = a * 10.0 ** rng.uniform(-30, 30, size=(20, 1, 1))
+        a = a + 1e-14 * np.abs(a).max(axis=(1, 2), keepdims=True) * rng.normal(size=a.shape)
+        sym, defect = hermitian_stack(a)
+        assert np.array_equal(sym, (a + a.conj().transpose(0, 2, 1)) / 2.0)
+        assert np.array_equal(defect, frobenius_norms(a - sym))
+
     def test_frobenius(self):
         assert frobenius_norms(np.array([[[3.0, 4.0]]], dtype=complex)) == pytest.approx([5.0])
 
@@ -114,6 +139,56 @@ class TestSpectralNorm:
             with pytest.raises(ValueError, match="Gram matrix overflows"):
                 spectral_norms(stack)
         assert spectral_norm(np.diag([1e150, 1.0])) == pytest.approx(1e150)
+
+
+def gram_route_norm(m) -> float:
+    return float(spectral_norms(as_stack([m]))[0])
+
+
+class TestDiagonalNorm:
+    """spectral_norm of a real diagonal matrix skips the eigensolver and
+    equals the Gram route bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name,d,n",
+        [("sec71", d, n) for d in (16, 64, 256) for n in (100, 400)]
+        + [("sec72", 64, 100), ("sec74", 128, 1)],
+    )
+    def test_moment_matrices(self, name, d, n):
+        for m in analytic_second_moments(make_example(name, d=d, n=n)):
+            assert spectral_norm(m) == gram_route_norm(m)
+
+    def test_random_diagonals(self):
+        rng = np.random.default_rng(73)
+        for _ in range(2000):
+            # mostly small: the Gram route's eigensolver is the cost
+            d = int(rng.integers(1, 41) if rng.random() < 0.95 else rng.integers(41, 301))
+            diag = rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(-5, 5, size=d)
+            diag[rng.random(d) < 0.1] = 0.0
+            m = np.diag(diag)
+            if rng.random() < 0.1:  # a rectangular diagonal
+                m = np.hstack([m, np.zeros((d, int(rng.integers(1, 4))))])
+                m = m if rng.random() < 0.5 else m.T
+            assert spectral_norm(m) == gram_route_norm(m)
+
+    def test_other_matrices_take_the_gram_route(self):
+        rng = np.random.default_rng(74)
+        for m in (rand_hermitian(rng, 4).array, np.diag([1.0, 2.0j]), [[1.0, 1e-300], [0.0, 2.0]]):
+            assert spectral_norm(m) == gram_route_norm(m)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_matches_gram_route(self):
+        # the symmetrized Gram diagonal is (a^2 + a^2) / 2: 1.3e154 overflows it
+        for route in (spectral_norm, gram_route_norm):
+            with pytest.raises(ValueError, match="Gram matrix overflows"):
+                route(np.diag([1.3e154, 1.0]))
+        assert spectral_norm(np.diag([0.0, 9e153])) == pytest.approx(9e153, rel=1e-15)
+        assert spectral_norm(np.diag([1e-170, -1e-200])) == 0.0 == gram_route_norm(
+            np.diag([1e-170, -1e-200])
+        )
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((3, 3))) == 0.0 == gram_route_norm(np.zeros((3, 3)))
 
 
 class TestLoewner:

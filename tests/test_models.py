@@ -28,6 +28,7 @@ from matcon import (
     sample_summands,
     brute_force_expected_norm,
 )
+from matcon.linalg import spectral_norms
 from matcon.models import PARETO, SIGN, SamplerPlan, _matrix_from_json
 from matcon.montecarlo import MCConfig, bound_report
 
@@ -712,6 +713,141 @@ class TestSharedSummands:
         z, _ = SamplerPlan(model).realize(13, np.array([6], dtype=np.uint64))
         total = sum(sample_summands(model, 13, 6))
         assert np.allclose(z[0], total, rtol=0.0, atol=1e-12)
+
+
+def _signed_scales(rng, count):
+    return rng.choice([-1.0, 1.0], size=count) * 10.0 ** rng.uniform(-20, 20, size=count)
+
+
+def _scatter_reference(cells, scales, d, seed, idx):
+    """Diagonals of a sign series S_p = eps_p * scales[p] * E_{cells[p], cells[p]},
+    summed by bincount over the positions in model order, as the scatter
+    route adds them."""
+    terms = SIGN.draw(seed, idx[:, None], np.arange(len(cells), dtype=np.uint64)[None, :])
+    return SamplerPlan._scatter(terms * scales, np.asarray(cells), d)
+
+
+def _series(cells, scales, d):
+    return make_model([ScaledBasisRademacher(int(c), float(v), d) for c, v in zip(cells, scales)])
+
+
+class TestLayeredDiagonalSum:
+    """A diagonal plan with d >= 2 and m entries in every cell sums a (k, m, d)
+    array over its layers, bit for bit as the scatter adds the terms."""
+
+    def test_shape_fuzz(self):
+        rng = np.random.default_rng(151)
+        shapes = [(1, 1, 2), (1, 9, 2), (3, 1, 5), (2, 7, 2), (4, 8, 3), (5, 40, 2)]
+        shapes += [tuple(int(x) for x in rng.integers((1, 1, 2), (9, 60, 40))) for _ in range(60)]
+        for k, m, d in shapes:
+            cells = np.repeat(np.arange(d), m)  # cell by cell, as sec71 lists them
+            layout = rng.integers(3)
+            if layout == 1:
+                cells = np.tile(np.arange(d), m)
+            elif layout == 2:
+                cells = rng.permutation(cells)
+            scales = _signed_scales(rng, m * d)
+            plan = SamplerPlan(_series(cells, scales, d))
+            assert plan.layers == m
+            idx = np.arange(100, 100 + k, dtype=np.uint64)
+            diag, _ = plan.realize_diagonal(7, idx)
+            assert np.array_equal(diag, _scatter_reference(cells, scales, d, 7, idx))
+
+    def test_model_file_listing_cells_cyclically(self):
+        rng = np.random.default_rng(152)
+        d, m = 6, 12
+        cells, scales = np.tile(np.arange(d), m), _signed_scales(rng, d * m)
+        doc = {"summands": [
+            {"family": "scaled_basis_rademacher", "index": int(c), "scale": float(v), "dim": d}
+            for c, v in zip(cells, scales)
+        ]}
+        plan = SamplerPlan(model_from_json(doc))
+        assert plan.layers == m
+        idx = np.arange(64, dtype=np.uint64)
+        diag, _ = plan.realize_diagonal(3, idx)
+        assert np.array_equal(diag, _scatter_reference(cells, scales, d, 3, idx))
+
+    def test_examples_take_the_layered_sum(self):
+        for name, m in (("sec71", 5), ("sec72", 5), ("sec74", 1)):
+            assert SamplerPlan(make_example(name, d=4, n=5)).layers == m
+        assert SamplerPlan(make_example("sec73", d=4)).layers == 0
+
+    def test_one_cell_and_unbalanced_layouts_take_the_scatter(self):
+        rng = np.random.default_rng(153)
+        for cells, d in (
+            (np.zeros(200, dtype=int), 1),  # numpy would add these pairwise
+            (np.array([0, 1, 1, 2, 2, 2] * 20), 3),
+            (np.repeat(np.arange(4), 30), 5),  # cell 4 holds no entry
+        ):
+            scales = _signed_scales(rng, len(cells))
+            plan = SamplerPlan(_series(cells, scales, d))
+            assert plan.diagonal and plan.layers == 0
+            idx = np.arange(32, dtype=np.uint64)
+            diag, _ = plan.realize_diagonal(5, idx)
+            assert np.array_equal(diag, _scatter_reference(cells, scales, d, 5, idx))
+
+    def test_fixed_diagonal_matrices_take_the_layered_sum(self):
+        # several entries per summand: the entries are reordered, the series not
+        rng = np.random.default_rng(154)
+        model = make_model(
+            [FixedRademacher(np.diag(_signed_scales(rng, 4) * 1e-10)) for _ in range(9)]
+            + [FixedGaussian(np.diag(rng.normal(size=4))) for _ in range(3)]
+        )
+        plan = SamplerPlan(model)
+        assert plan.layers == 12
+        for index in range(16):
+            diag, _ = plan.realize_diagonal(9, np.array([index], dtype=np.uint64))
+            want = sum(sample_summands(model, 9, index))
+            assert np.array_equal(diag[0], np.diag(want).real)
+
+
+class TestRealRealizations:
+    """A plan whose COO values and outcomes are all real realizes real Z."""
+
+    def models(self):
+        rng = np.random.default_rng(155)
+        sym = rng.normal(size=(3, 3))
+        sym = sym + sym.T
+        herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        herm = herm + herm.conj().T
+        return {
+            "sec73_3": (make_example("sec73", d=3), np.float64),
+            "sec73_16": (make_example("sec73", d=16), np.float64),
+            "real_fixed": (_from_matrices("fixed_rademacher", sym), np.float64),
+            "real_finite": (_from_matrices("finite", sym), np.float64),
+            "complex_fixed": (_from_matrices("fixed_rademacher", herm), np.complex128),
+            "complex_finite": (_from_matrices("finite", herm), np.complex128),
+        }
+
+    def test_dtype_and_norms(self):
+        for name, (model, dtype) in self.models().items():
+            plan = SamplerPlan(model)
+            assert plan.real == (dtype == np.float64), name
+            z, _ = plan.realize(17, np.arange(48, dtype=np.uint64))
+            assert z.dtype == dtype, name
+            got = spectral_norms(z)
+            want = spectral_norms(z.astype(np.complex128))
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0), name
+
+    def test_real_realizations_equal_the_summands(self):
+        for name, (model, dtype) in self.models().items():
+            z, _ = SamplerPlan(model).realize(17, np.array([5], dtype=np.uint64))
+            assert np.allclose(z[0], sum(sample_summands(model, 17, 5)), rtol=0, atol=1e-12)
+
+
+def _from_matrices(family, m):
+    """A two-summand model file of one family: fixed matrices m and 2m, or
+    two finite summands with outcomes +-m and +-2m."""
+    def doc(a):
+        entries = [[[float(x.real), float(x.imag)] for x in row] for row in a]
+        if family == "finite":
+            minus = [[[-re, -im] for re, im in row] for row in entries]
+            return {"family": "finite", "outcomes": [
+                {"probability": 0.5, "matrix": entries}, {"probability": 0.5, "matrix": minus}
+            ]}
+        return {"family": family, "matrix": entries}
+
+    return model_from_json({"summands": [doc(m), doc(2.0 * m)]})
 
 
 class TestPositionGuard:

@@ -193,6 +193,38 @@ class TestMaxSummandSqSamplesOnlyMaxSq:
             estimate_max_summand_sq(model, MCConfig(samples=64, seed=42))
 
 
+class TestMaxSqDrawnWhenRead:
+    """bound_report samples max_i ||S_i||^2 only when it has no exact value."""
+
+    @pytest.fixture
+    def refuse_max_sq(self, monkeypatch):
+        def refuse(self, coef):
+            raise AssertionError("max_i ||S_i||^2 was sampled")
+
+        monkeypatch.setattr(SamplerPlan, "_max_sq", refuse)
+
+    @pytest.mark.parametrize("name", ["sec71", "sec73"])
+    def test_exact_max_draws_none(self, refuse_max_sq, name):
+        report = bound_report(make_example(name, d=4, n=3), MCConfig(samples=32, seed=3))
+        assert report.L_provenance == "analytic"
+
+    def test_continuous_laws_still_draw_it(self, refuse_max_sq):
+        h = rand_hermitian(np.random.default_rng(5), 2)
+        for model in (make_example("sec74", d=4), make_model([FixedGaussian(h)])):
+            with pytest.raises(AssertionError, match="was sampled"):
+                bound_report(model, MCConfig(samples=32, seed=3))
+
+    def test_collect_samples_keyword(self):
+        coin = FiniteSummand([(0.5, basis_diag(0, 2)), (0.5, -2.0 * basis_diag(1, 2))])
+        cfg = MCConfig(samples=40, seed=8)
+        for model in (make_example("sec71", d=3, n=2), make_example("sec73", d=3),
+                      make_model([coin, coin])):
+            norms, max_sq = collect_samples(model, cfg)
+            skipped = collect_samples(model, cfg, max_sq=False)
+            assert np.array_equal(skipped[0], norms) and skipped[1] is None
+            assert max_sq.shape == (40,)
+
+
 def dense_route(model, cfg):
     """(||Z||, max_sq) from the dense realizations: top eigenvalue of the
     Gram matrix of the smaller side."""
