@@ -36,8 +36,6 @@ from .models import (
     make_model,
     model_from_json,
     model_to_json,
-    pareto_sample,
-    sample_summands,
 )
 from .bounds import (
     BoundInputs,
@@ -90,8 +88,6 @@ __all__ = [
     "make_model",
     "model_from_json",
     "model_to_json",
-    "pareto_sample",
-    "sample_summands",
     # bounds
     "BoundInputs",
     "BoundInterval",

@@ -12,8 +12,8 @@ of two kinds:
 - FiniteSummand: an explicit finite-support summand, outcomes
   [(probability, matrix)].
 
-Both kinds answer the same questions: shape, mean, centering, second moments,
-the distribution of ||S||^2, and one reference draw.  The four canonical
+Both kinds answer the same questions: shape, mean, centering, second moments
+and the distribution of ||S||^2.  The four canonical
 examples (sec71..sec74) assemble the diagonal sign series, the centered
 Bernoulli diagonal, the full sign matrix, and the heavy-tailed diagonal.
 
@@ -60,7 +60,8 @@ class ScalarLaw:
     `ec2` is E c^2; `sq_support` the distribution of c^2 as sorted
     (values, probs), None for a continuous law; `draw(seed, index, position)`
     the vectorized draw of c, broadcasting like the counter RNG;
-    `heavy_tail` makes median-of-means the default estimator.
+    `heavy_tail` makes median-of-means the default estimator; `two_point`
+    is (lo, hi, P(c = hi)) for a law with two values, else None.
     """
 
     name: str
@@ -69,6 +70,7 @@ class ScalarLaw:
     draw: Callable = field(compare=False)
     heavy_tail: bool = field(default=False, compare=False)
     p: float | None = None
+    two_point: tuple | None = field(default=None, compare=False)
 
 
 def _pareto_draw(seed, index, position):
@@ -76,7 +78,8 @@ def _pareto_draw(seed, index, position):
     return rng.signs(seed, index, position, 1) * u**-0.25
 
 
-SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0))
+SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
+                 two_point=(-1.0, 1.0, 0.5))
 GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
 # P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
 PARETO = ScalarLaw("pareto", 2.0, None, _pareto_draw, heavy_tail=True)
@@ -93,40 +96,8 @@ def bernoulli_law(p: float) -> ScalarLaw:
         u = rng.uniform_halfopen(seed, index, position, 0)
         return (u < p).astype(np.float64) - p
 
-    return ScalarLaw(
-        "bernoulli", p * (1.0 - p), (values, tuple(pairs[v] for v in values)), draw, p=p
-    )
-
-
-def _reference_coefficient(law: ScalarLaw, seed: int, index: int, pos: int) -> float:
-    """c of one summand from scalar RNG calls, written apart from the laws'
-    vectorized draws so that sample_summands is an independent check of
-    SamplerPlan."""
-    if law.name == "sign":
-        return float(rng.signs(seed, index, pos, 0))
-    if law.name == "gaussian":
-        return float(rng.gaussians(seed, index, pos, 0))
-    if law.name == "bernoulli":
-        u = float(rng.uniform_halfopen(seed, index, pos, 0))
-        return (1.0 if u < law.p else 0.0) - law.p
-    u = float(rng.uniform_positive(seed, index, pos, 0))
-    return pareto_sample(u, float(rng.signs(seed, index, pos, 1)))
-
-
-def pareto_sample(u, s):
-    """Map a uniform variate on (0, 1] and a sign to s * u^(-1/4).
-
-    The magnitude has survival function t^-4 on t >= 1; u = 0 is rejected
-    because the image would be infinite.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u > 1.0):
-        raise ValueError("u must lie in (0, 1]")
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("s must be +-1")
-    out = s * u**-0.25
-    return float(out) if out.ndim == 0 else out
+    support = (values, tuple(pairs[v] for v in values))
+    return ScalarLaw("bernoulli", p * (1.0 - p), support, draw, p=p, two_point=(-p, 1.0 - p, p))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +169,6 @@ class ScalarSeries:
         values, probs = self.law.sq_support
         norm_sq = self.norm**2
         return tuple(v * norm_sq for v in values), probs
-
-    def sample(self, seed: int, index: int, pos: int) -> np.ndarray:
-        return _reference_coefficient(self.law, seed, index, pos) * self.dense()
 
     def to_json(self) -> dict:
         """The document of the family that builds this summand; a sign series
@@ -427,12 +395,6 @@ class FiniteSummand:
         values = np.array(sorted(agg))
         return values, np.array([agg[v] for v in values])
 
-    def sample(self, seed: int, index: int, pos: int) -> np.ndarray:
-        cums = np.cumsum(self.probabilities)
-        u = float(rng.uniform_halfopen(seed, index, pos, 0))
-        j = min(int(np.searchsorted(cums, u, side="right")), len(cums) - 1)
-        return self.matrices[j]
-
     def to_json(self) -> dict:
         return {
             "family": "finite",
@@ -623,15 +585,32 @@ def analytic_max_sq(model: IndependentSumModel):
     for (values, probs), count in zip(supports, per_object):
         grouped[tuple(map(float, values)), tuple(map(float, probs))] += count
     union = np.array(sorted({float(v) for values, _ in grouped for v in values}))
-    cdf = np.ones_like(union)
-    for (values, probs), count in grouped.items():
-        vals = np.asarray(values)
-        cums = np.cumsum(np.asarray(probs))
-        idx = np.searchsorted(vals, union, side="right")
-        f = np.where(idx > 0, cums[np.minimum(idx, len(cums)) - 1], 0.0)
-        cdf *= f**count
-    pmf = np.diff(np.concatenate(([0.0], cdf)))
-    return float(np.dot(union, pmf))
+    log_cdf = np.zeros_like(union)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: below a support
+        for (values, probs), count in grouped.items():
+            cdf = np.concatenate(([0.0], np.cumsum(probs)))
+            log_cdf += count * np.log(cdf[np.searchsorted(values, union, side="right")])
+    return _expected_max(union, log_cdf)
+
+
+def _expected_max(values: np.ndarray, log_cdf: np.ndarray) -> float:
+    """E max of independent variables >= 0 from the sorted union `values` of
+    their supports and log P(max <= v) there: the least value plus the
+    integral of the survival, taken as -expm1(log P) so that survivals far
+    below 1 keep their digits."""
+    return float(values[0] + np.dot(np.diff(values), -np.expm1(log_cdf[:-1])))
+
+
+def _row_sq_norm(plan: "SamplerPlan") -> float | None:
+    """Exact E||Z||^2 = E max_i z_ii^2 of a row-law plan, whose d cells are
+    independent with one law; None for any other plan."""
+    if plan.row is None:
+        return None
+    _, atoms, cdf = plan.row
+    order = np.argsort(atoms**2, kind="stable")
+    with np.errstate(divide="ignore"):
+        log_cdf = plan.model.d1 * np.log(np.cumsum(np.diff(cdf, prepend=0.0)[order]))
+    return _expected_max(atoms[order] ** 2, log_cdf)
 
 
 def center(model: IndependentSumModel):
@@ -672,6 +651,8 @@ def center(model: IndependentSumModel):
 _STACK_BYTES = 1 << 27
 _ENTRY_BYTES = 40
 _POSITION_BYTES = 48
+# most entries per cell for which the row law is tabulated (m + 1 atoms)
+_ROW_ATOMS = 1 << 16
 
 
 class SamplerPlan:
@@ -685,14 +666,14 @@ class SamplerPlan:
     when every realization of Z is a real diagonal matrix: Z is square, there
     is no FiniteSummand, and every COO entry is real and on the diagonal.
     `real` is true when every COO value and every FiniteSummand outcome is
-    real; `realize` then returns real Z.  `layers` is m > 0 when the plan is
-    diagonal, d >= 2, and each diagonal cell holds m entries: the entries
-    are then ordered by (rank within the cell, cell), so a chunk's terms
-    form one (k, m, d) array whose sum over axis 1 adds each cell's terms in
-    the order the scatter does.  `terms` counts the scattered entries and
-    FiniteSummand choices of one sample.  The per-position arrays are
-    gathered from those of the model's distinct summand objects, so Python
-    touches each object once.
+    real; `realize` then returns real Z.  `row` is set on a diagonal plan
+    whose summands each hold one entry, all of one value and one two-point
+    law, with m <= _ROW_ATOMS entries in every cell: each z_ii is then a
+    sum of m independent copies, with an exact law on m + 1 atoms, and
+    `row` holds (first summand position of each cell, atoms, CDF).
+    `terms` counts the scattered entries and FiniteSummand choices of one
+    sample.  The per-position arrays are gathered from those of the model's
+    distinct summand objects, so Python touches each object once.
     """
 
     def __init__(self, model: IndependentSumModel):
@@ -768,20 +749,16 @@ class SamplerPlan:
             and not self.finite
             and np.array_equal(rows, cols)
         )
-        self.layers = 0
-        if self.diagonal and model.d1 >= 2:
+        self.row = None
+        two_point = next(iter(code)).two_point if len(code) == 1 else None
+        if self.diagonal and self.owner is None and two_point is not None:
             per_cell = np.bincount(self.rows, minlength=model.d1)
-            if (per_cell == per_cell[0]).all():
-                self.layers = int(per_cell[0])
-        if self.layers:
-            # stable within each cell, so a cell's terms keep their order
-            order = np.argsort(self.rows, kind="stable").reshape(model.d1, -1).T.ravel()
-            self.rows, self.cells = self.rows[order], self.cells[order]
-            self.values = self.values[order]
-            if self.owner is None:  # entry e is series e: reorder the series
-                positions, codes, norms = positions[order], codes[order], norms[order]
-            else:
-                self.owner = self.owner[order]
+            m = int(per_cell[0])
+            if (per_cell == m).all() and m <= _ROW_ATOMS and (self.values == self.values[0]).all():
+                # entry e is series e, in position order: a stable sort by
+                # cell puts each cell's first position at a multiple of m
+                first = positions[np.argsort(self.rows, kind="stable")[::m]]
+                self.row = (first[None, :], *_row_law(two_point, m, self.values[0]))
         self.norms = norms
         self.groups = [
             (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
@@ -870,20 +847,37 @@ class SamplerPlan:
         sq = self._max_sq(coef) if max_sq else None
         terms = self._entry_coefficients(coef)
         terms *= self.values  # in place: coef is not read again
-        if self.layers:
-            return np.add.reduce(terms.reshape(len(terms), self.layers, -1), axis=1), sq
         return self._scatter(terms, self.rows, self.model.d1), sq
 
+    def realize_rows(self, seed, indices, max_sq: bool = True):
+        """`realize_diagonal`'s law by another stream, for a row-law plan:
+        one uniform per (sample, cell), keyed on the cell's first summand
+        position at slot 2, which no per-term law uses, inverted on the CDF;
+        max_i ||S_i||^2 (None unless `max_sq`) is `realize_max_sq`'s."""
+        first, atoms, cdf = self.row
+        idx = np.asarray(indices, dtype=np.uint64)
+        u = rng.uniform_halfopen(seed_value(seed), idx[:, None], first, 2)
+        # cdf[-1] is exactly 1 > u, so the index stays within the atoms
+        diag = atoms[np.searchsorted(cdf, u, side="right")]
+        return diag, (self.realize_max_sq(seed, idx) if max_sq else None)
 
-def sample_summands(model: IndependentSumModel, seed, index: int) -> list[np.ndarray]:
-    """One complex128 realization of every summand, in model order.
 
-    Deterministic in (seed, index, summand position); the sum of the returned
-    list is the corresponding realization of Z.  Draws each coefficient with
-    scalar RNG calls, independently of SamplerPlan.
-    """
-    seed = seed_value(seed)
-    return [s.sample(seed, index, pos) for pos, s in enumerate(model.summands)]
+def _row_law(two_point: tuple, m: int, value: float):
+    """(atoms, CDF) of the sum of m independent c * value, c = hi with
+    probability q and lo otherwise: atom k is (k hi + (m - k) lo) value with
+    binomial probability from lgamma; the CDF is scaled so that its last
+    entry is exactly 1."""
+    lo, hi, q = two_point
+    k = np.arange(m + 1.0)
+    atoms = (k * hi + (m - k) * lo) * value
+    if q < 1.0:
+        log_fact = np.array([math.lgamma(j + 1.0) for j in range(m + 1)])
+        log_pmf = log_fact[m] - log_fact - log_fact[::-1]
+        log_pmf += k * math.log(q) + (m - k) * math.log1p(-q)
+        cdf = np.cumsum(np.exp(log_pmf))
+    else:  # c = hi always
+        cdf = (k == m).astype(np.float64)
+    return atoms, cdf / cdf[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +911,9 @@ def _number(doc: dict, key: str):
     finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
     if not finite or (integral and value % 1):
         kind = "an integer" if integral else "a finite number"
-        raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+        shown = repr(value)  # a huge JSON integer is cut after 40 characters
+        shown = shown if len(shown) <= 40 else shown[:40] + "..."
+        raise ValueError(f"field {key!r} must be {kind}, got {shown}")
     return int(value) if integral else float(value)
 
 

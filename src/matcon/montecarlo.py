@@ -2,10 +2,10 @@
 
 Determinism contract: every estimate is a pure function of (model, config).
 Sample values come from the counter RNG, so they do not depend on how the
-index range is chunked; chunk size is fixed by the model alone, partial
-results are written back by index, and reductions run in index order.  The
-MATCON_THREADS environment variable caps the worker count and affects speed
-only, never results.
+index range is chunked; chunk size is fixed by the model and the outputs
+read, partial results are written back by index, and reductions run in
+index order.  The MATCON_THREADS environment variable caps the worker count
+and affects speed only, never results.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .models import (
 MEAN = "mean"
 MEDIAN_OF_MEANS = "median_of_means"
 
-# scattered terms (samples x terms per sample) alloted to one chunk: about
-# 512 KiB per float64 temporary, so a chunk's draws, weights and scatter
-# indices stay in cache (a sweep over 2^12..2^21 was fastest at 2^16)
+# draws (samples x draws per sample) alloted to one chunk: about 512 KiB per
+# float64 temporary, so a chunk's draws, weights and scatter indices stay in
+# cache (a sweep over 2^12..2^21 was fastest at 2^16)
 _CHUNK_BUDGET = 1 << 16
 _MAX_CHUNK = 128
 # bytes one chunk of realizations may take
@@ -89,11 +89,13 @@ def _thread_count() -> int:
     return count
 
 
-def _chunk_size(plan: SamplerPlan) -> int:
-    """Samples per chunk, within the budget of scattered terms (COO entries
-    and FiniteSummand choices) and the byte budget for the realized chunk: d
-    real diagonal entries per sample on the diagonal route, d1*d2 complex
-    entries otherwise (a real plan's half-size Z keeps that chunk)."""
+def _chunk_size(plan: SamplerPlan, max_sq: bool = True) -> int:
+    """Samples per chunk, within the budget of draws (per sample: one per
+    cell on the row route, plus one per summand if `max_sq`; one per COO
+    entry and FiniteSummand choice otherwise) and the byte budget for the
+    realized chunk: d real diagonal entries per sample on the diagonal
+    route, d1*d2 complex entries otherwise (a real plan's half-size Z keeps
+    that chunk)."""
     model = plan.model
     shape, itemsize = ((model.d1,), 8) if plan.diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
@@ -102,7 +104,8 @@ def _chunk_size(plan: SamplerPlan) -> int:
             f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
             f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
         )
-    cells = _CHUNK_BUDGET // max(1, plan.terms)
+    draws = plan.terms if plan.row is None else model.d1 + (plan.terms if max_sq else 0)
+    cells = _CHUNK_BUDGET // max(1, draws)
     return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
 
 
@@ -124,8 +127,9 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig, *, max_sq: bool =
     """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order; the
     second is None when `max_sq` is false.
 
-    ||Z|| is max_i |z_ii| when every realization is diagonal, and the root of
-    the top eigenvalue of the Gram matrix of the smaller side otherwise.
+    ||Z|| is max_i |z_ii| when every realization is diagonal, with the z_ii
+    drawn from their row law on a row-law plan, and the root of the top
+    eigenvalue of the Gram matrix of the smaller side otherwise.
     """
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
@@ -135,7 +139,8 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig, *, max_sq: bool =
     def run(start: int, stop: int) -> None:
         idx = np.arange(start, stop, dtype=np.uint64)
         if plan.diagonal:
-            diag, m = plan.realize_diagonal(seed, idx, max_sq)
+            realize = plan.realize_diagonal if plan.row is None else plan.realize_rows
+            diag, m = realize(seed, idx, max_sq)
             norms[start:stop] = np.abs(diag).max(axis=1)
         else:
             z, m = plan.realize(seed, idx, max_sq)
@@ -143,7 +148,7 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig, *, max_sq: bool =
         if max_sq:
             sq[start:stop] = m
 
-    _for_chunks(cfg.samples, _chunk_size(plan), run)
+    _for_chunks(cfg.samples, _chunk_size(plan, max_sq), run)
     return norms, sq
 
 

@@ -286,6 +286,17 @@ class TestReport:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_huge_non_integral_value_echo_is_capped(self, tmp_path, capsys):
+        # a 401-digit scale: the message repeats its first 40 characters
+        f = tmp_path / "m.json"
+        f.write_text('{"summands": [{"family": "scaled_basis_rademacher", "index": 0, '
+                     '"scale": 1' + "0" * 400 + ', "dim": 2}]}')
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: field 'scale' must be a finite number, got 1" + "0" * 39 + "...\n"
+
     def test_uncentered_model_note_on_stderr(self, tmp_path, capsys):
         point = FiniteSummand([(1.0, np.diag([3.0, 0.0]))])
         spin = FiniteSummand([(0.5, np.eye(2)), (0.5, -np.eye(2))])
@@ -600,15 +611,15 @@ SHIFTED_DOC = {
 }
 
 REPORT_PINS = {
-    "sec71_csv": "f7c3541b659021075519fb2c0e7995cef38fce9db3eabd0e6a4d2d8633e63c2c",
-    "sec71_json": "9d7922aba6df026af48a77878002d910b1f0244f421881f33d8c609ec5ac329d",
-    "sec72_csv": "c2d92908a427ef1a3689282d4d9a5643e9ce35099b4dc5954648d0296f514d31",
-    "sec72_json": "6c8ad495c271f8ab2c9400ca414796070d56ea54035e2382327496c9f1bf6954",
+    "sec71_csv": "60cc905ce57b86bdfd35344d093e0af0805418d0fd7fac8f511d5184e4fef5b7",
+    "sec71_json": "476aae9f31827fe47cb6ad1d422d7c8bfb1342ac06a8c120b4b0c8114ddaed27",
+    "sec72_csv": "e9c4f3b2fa7083de1ec9f1ae9498cf27144a3ec995f5b9b7777e1c19da2a151e",
+    "sec72_json": "53142b442028aca07b6b5d8890dda0795d30fbf6b3e881afd30f4259cf1100bc",
     "sec73_csv": "3b1bef0ad23a13b74136f754a7252c15c1680ff2eca44988d58b8ec569e1093c",
     "sec73_json": "255bd5bc5e521cc11321966a0d7989ad52a0dac5a578f051f820a11b1c82e263",
     "sec74_csv": "6594425a18bd8de76822067f91cc7eb4820f9a74fa4867899107873c6c78a205",
     "sec74_json": "e37df439736b7b3190ed4b08669ca3d9c906618c921ff2b3f96b9bad020998f4",
-    "sec71_mom_csv": "334a822083dcbf08987fff127b434e108d26d42a924ecdb2027be633946b2afc",
+    "sec71_mom_csv": "96bc8e247126c9bf030f9eb09b3f9f311260a800d336b0183de5e696446f7605",
     "sec74_mean_json": "ddef8931d88cb3f4bb1983ecf1e53ffa2f2cf6613a8d9bbd354e22bb13ec0111",
     "shifted_csv": "2bccd1369e117dde9badb8becfe26aeb0d0916b4aaccc360e42ca0ccc83b76be",
     "shifted_json": "97fb4da4582cb81905638abb1e77d9a512a1855b20ae599dfe31b36bc47e96b4",
@@ -616,15 +627,15 @@ REPORT_PINS = {
 
 EXPERIMENT_PINS = {
     "sec71": (["--d", "1,4,8", "--n", "10"],
-              "06a811eb1e7b90ed3dde400f2c7f57513d12416edbdf1af593ea999cb8b5d3f2"),
+              "0fd14c203ef25f2f5b054003045dc8128c851a908fe9181baf64b7144c9b07f9"),
     "sec72": (["--d", "4,8", "--n", "10"],
-              "fce7954daafcb3f23d023cb975d9709977c6bd6f629f4c96d05e06887be11223"),
+              "fc001152878430c2b0034f3eeb73922edd65ea353b8965267f3b40727b708816"),
     "sec73": (["--d", "3,5"],
               "4c88b23d0b63a58ff2c27173188e0ba9c1bbecccd22b11a86d23c7e07f17f29d"),
     "sec74": (["--d", "4,8,16"],
               "afb894232402336cb3785fb3d2924fe2acd292148063104af6a9fa3f1f7afbf6"),
     "rademacher_sharpness": (["--d", "4,8", "--n", "10"],
-              "38cd069605ecc6337a0f0492edbde40fd48370c924e1823ffd73eaba03c14f94"),
+              "4b86100361532fb0e9e7f1ca0384a2d289c7aa132742a139c558861e63843f75"),
 }
 
 

@@ -24,13 +24,13 @@ from matcon import (
     make_model,
     model_from_json,
     model_to_json,
-    pareto_sample,
-    sample_summands,
     brute_force_expected_norm,
 )
+from matcon import rng
 from matcon.linalg import spectral_norms
-from matcon.models import PARETO, SIGN, SamplerPlan, _matrix_from_json
+from matcon.models import _ROW_ATOMS, PARETO, SIGN, SamplerPlan, _matrix_from_json
 from matcon.montecarlo import MCConfig, bound_report
+from reference_draws import pareto_sample, sample_summands
 
 
 def rand_hermitian(rng, d):
@@ -715,90 +715,63 @@ class TestSharedSummands:
         assert np.allclose(z[0], total, rtol=0.0, atol=1e-12)
 
 
-def _signed_scales(rng, count):
-    return rng.choice([-1.0, 1.0], size=count) * 10.0 ** rng.uniform(-20, 20, size=count)
+class TestRowLaw:
+    """A diagonal plan whose cells each hold m one-entry summands of one
+    two-point law and one value tabulates the law of z_ii once."""
 
+    @pytest.mark.parametrize(
+        "name,n", [("sec71", 1), ("sec71", 7), ("sec71", 100), ("sec71", 400),
+                   ("sec72", 1), ("sec72", 3), ("sec72", 100)],
+    )
+    def test_table_mean_and_variance(self, name, n):
+        model = make_example(name, d=3, n=n)
+        _, atoms, cdf = SamplerPlan(model).row
+        s = model.summands[0]
+        pmf = np.diff(cdf, prepend=0.0)
+        assert cdf[-1] == 1.0 and (pmf >= 0.0).all()
+        mean = float(np.dot(pmf, atoms))
+        var = float(np.dot(pmf, atoms**2)) - mean**2
+        assert mean == pytest.approx(0.0, abs=1e-12)  # m E[c] a with E[c] = 0
+        assert var == pytest.approx(n * s.law.ec2 * s.values[0] ** 2, rel=1e-12, abs=1e-12)
 
-def _scatter_reference(cells, scales, d, seed, idx):
-    """Diagonals of a sign series S_p = eps_p * scales[p] * E_{cells[p], cells[p]},
-    summed by bincount over the positions in model order, as the scatter
-    route adds them."""
-    terms = SIGN.draw(seed, idx[:, None], np.arange(len(cells), dtype=np.uint64)[None, :])
-    return SamplerPlan._scatter(terms * scales, np.asarray(cells), d)
-
-
-def _series(cells, scales, d):
-    return make_model([ScaledBasisRademacher(int(c), float(v), d) for c, v in zip(cells, scales)])
-
-
-class TestLayeredDiagonalSum:
-    """A diagonal plan with d >= 2 and m entries in every cell sums a (k, m, d)
-    array over its layers, bit for bit as the scatter adds the terms."""
-
-    def test_shape_fuzz(self):
-        rng = np.random.default_rng(151)
-        shapes = [(1, 1, 2), (1, 9, 2), (3, 1, 5), (2, 7, 2), (4, 8, 3), (5, 40, 2)]
-        shapes += [tuple(int(x) for x in rng.integers((1, 1, 2), (9, 60, 40))) for _ in range(60)]
-        for k, m, d in shapes:
-            cells = np.repeat(np.arange(d), m)  # cell by cell, as sec71 lists them
-            layout = rng.integers(3)
-            if layout == 1:
-                cells = np.tile(np.arange(d), m)
-            elif layout == 2:
-                cells = rng.permutation(cells)
-            scales = _signed_scales(rng, m * d)
-            plan = SamplerPlan(_series(cells, scales, d))
-            assert plan.layers == m
-            idx = np.arange(100, 100 + k, dtype=np.uint64)
-            diag, _ = plan.realize_diagonal(7, idx)
-            assert np.array_equal(diag, _scatter_reference(cells, scales, d, 7, idx))
-
-    def test_model_file_listing_cells_cyclically(self):
-        rng = np.random.default_rng(152)
+    def test_model_file_of_repeated_basis_signs(self):
         d, m = 6, 12
-        cells, scales = np.tile(np.arange(d), m), _signed_scales(rng, d * m)
         doc = {"summands": [
-            {"family": "scaled_basis_rademacher", "index": int(c), "scale": float(v), "dim": d}
-            for c, v in zip(cells, scales)
+            {"family": "scaled_basis_rademacher", "index": i % d, "scale": 0.3, "dim": d}
+            for i in range(d * m)
         ]}
         plan = SamplerPlan(model_from_json(doc))
-        assert plan.layers == m
-        idx = np.arange(64, dtype=np.uint64)
-        diag, _ = plan.realize_diagonal(3, idx)
-        assert np.array_equal(diag, _scatter_reference(cells, scales, d, 3, idx))
+        first, atoms, cdf = plan.row
+        # cells listed cyclically: cell i first appears at position i
+        assert np.array_equal(first[0], np.arange(d))
+        assert np.allclose(atoms, 0.3 * (2.0 * np.arange(m + 1) - m), rtol=0, atol=1e-15)
+        idx = np.arange(40, 72, dtype=np.uint64)
+        u = rng.uniform_halfopen(5, idx[:, None], np.arange(d, dtype=np.uint64)[None, :], 2)
+        want = atoms[np.searchsorted(cdf, u, side="right")]
+        diag, max_sq = plan.realize_rows(5, idx)
+        assert np.array_equal(diag, want)
+        assert np.array_equal(max_sq, plan.realize_max_sq(5, idx))
 
-    def test_examples_take_the_layered_sum(self):
-        for name, m in (("sec71", 5), ("sec72", 5), ("sec74", 1)):
-            assert SamplerPlan(make_example(name, d=4, n=5)).layers == m
-        assert SamplerPlan(make_example("sec73", d=4)).layers == 0
+    def test_atom_cap(self):
+        assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS)).row is not None
+        assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS + 1)).row is None
 
-    def test_one_cell_and_unbalanced_layouts_take_the_scatter(self):
-        rng = np.random.default_rng(153)
-        for cells, d in (
-            (np.zeros(200, dtype=int), 1),  # numpy would add these pairwise
-            (np.array([0, 1, 1, 2, 2, 2] * 20), 3),
-            (np.repeat(np.arange(4), 30), 5),  # cell 4 holds no entry
-        ):
-            scales = _signed_scales(rng, len(cells))
-            plan = SamplerPlan(_series(cells, scales, d))
-            assert plan.diagonal and plan.layers == 0
-            idx = np.arange(32, dtype=np.uint64)
-            diag, _ = plan.realize_diagonal(5, idx)
-            assert np.array_equal(diag, _scatter_reference(cells, scales, d, 5, idx))
-
-    def test_fixed_diagonal_matrices_take_the_layered_sum(self):
-        # several entries per summand: the entries are reordered, the series not
-        rng = np.random.default_rng(154)
-        model = make_model(
-            [FixedRademacher(np.diag(_signed_scales(rng, 4) * 1e-10)) for _ in range(9)]
-            + [FixedGaussian(np.diag(rng.normal(size=4))) for _ in range(3)]
-        )
-        plan = SamplerPlan(model)
-        assert plan.layers == 12
-        for index in range(16):
-            diag, _ = plan.realize_diagonal(9, np.array([index], dtype=np.uint64))
-            want = sum(sample_summands(model, 9, index))
-            assert np.array_equal(diag[0], np.diag(want).real)
+    def test_other_layouts_keep_the_per_term_route(self):
+        d = 3
+        layouts = {
+            "sec73": make_example("sec73", d=d),
+            "pareto": make_example("sec74", d=d),
+            "two values": make_model(
+                [ScaledBasisRademacher(i, 0.5 + (k % 2), d) for i in range(d) for k in range(4)]
+            ),
+            "two laws": make_model(
+                [ScaledBasisRademacher(0, 1.0, 2), CenteredBernoulliBasis(1, 0.5, 2)]
+            ),
+            "unbalanced": make_model([ScaledBasisRademacher(i % 2, 1.0, d) for i in range(4)]),
+            "one summand, many cells": make_model([FixedRademacher(np.eye(d))] * 2),
+        }
+        for label, model in layouts.items():
+            assert SamplerPlan(model).row is None, label
 
 
 class TestRealRealizations:

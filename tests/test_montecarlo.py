@@ -23,7 +23,7 @@ from matcon import (
     spectral_norm,
 )
 from matcon import montecarlo
-from matcon.models import SamplerPlan, seed_value
+from matcon.models import SamplerPlan, _row_sq_norm, seed_value
 from matcon.montecarlo import _chunk_size, _estimate, _for_chunks, default_blocks
 
 
@@ -242,14 +242,22 @@ class TestDiagonalKernel:
     @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74"])
     @pytest.mark.parametrize("d", [1, 3, 16])
     def test_matches_dense_route_bitwise(self, name, d):
+        # the per-term diagonal route realizes the same terms as the dense
+        # route; collect_samples takes it unless the plan has a row law, and
+        # reads the same max_i ||S_i||^2 either way
         model = make_example(name, d=d, n=5)
-        assert SamplerPlan(model).diagonal
+        plan = SamplerPlan(model)
+        assert plan.diagonal and (plan.row is None) == (name == "sec74")
         for seed in (0, 1, 2):
             cfg = MCConfig(samples=150, seed=seed)
-            norms, max_sq = collect_samples(model, cfg)
+            diag, max_sq = plan.realize_diagonal(seed, np.arange(150, dtype=np.uint64))
             want_norms, want_max_sq = dense_route(model, cfg)
-            assert np.array_equal(norms, want_norms)
+            assert np.array_equal(np.abs(diag).max(axis=1), want_norms)
             assert np.array_equal(max_sq, want_max_sq)
+            norms, max_sq = collect_samples(model, cfg)
+            assert np.array_equal(max_sq, want_max_sq)
+            if plan.row is None:
+                assert np.array_equal(norms, want_norms)
 
     def test_diagonal_fixed_matrices_match_dense_route_bitwise(self):
         # a fixed matrix with only diagonal entries is a diagonal summand too
@@ -299,6 +307,104 @@ class TestDiagonalKernel:
         plan = SamplerPlan(make_example("sec73", d=2))
         with pytest.raises(ValueError):
             plan.realize_diagonal(0, np.arange(2, dtype=np.uint64))
+
+
+def per_term_norms(model, cfg: MCConfig) -> np.ndarray:
+    """||Z|| = max_i |z_ii| of a diagonal model from the per-term stream,
+    one coefficient per summand position."""
+    plan = SamplerPlan(model)
+    norms = np.empty(cfg.samples)
+    step = max(1, montecarlo._CHUNK_BUDGET // plan.terms)  # chunks of cache size
+    for start in range(0, cfg.samples, step):
+        idx = np.arange(start, min(start + step, cfg.samples), dtype=np.uint64)
+        diag, _ = plan.realize_diagonal(cfg.seed, idx, max_sq=False)
+        norms[start:start + len(idx)] = np.abs(diag).max(axis=1)
+    return norms
+
+
+class TestRowLawRoute:
+    """sec71 and sec72 draw each z_ii from its exact law, one uniform per
+    (sample, cell)."""
+
+    def test_degenerate_rows_match_per_term_route(self):
+        # at n = 1 every sample has |z_ii| = 1 (sec71) or z = 0 (sec72, p = 1)
+        # on either stream
+        for name in ("sec71", "sec72"):
+            model = make_example(name, d=5, n=1)
+            assert SamplerPlan(model).row is not None
+            cfg = MCConfig(samples=300, seed=3)
+            norms, _ = collect_samples(model, cfg)
+            assert np.array_equal(norms, per_term_norms(model, cfg))
+
+    @pytest.mark.parametrize("name", ["sec71", "sec72"])
+    def test_chunks_and_threads_do_not_change_output(self, monkeypatch, name):
+        model = make_example(name, d=16, n=100)
+        cfg = MCConfig(samples=300, seed=12)
+        want = collect_samples(model, cfg)
+        monkeypatch.setenv("MATCON_THREADS", "2")
+        got = collect_samples(model, cfg)
+        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+        monkeypatch.delenv("MATCON_THREADS")
+        monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", 1)
+        assert _chunk_size(SamplerPlan(model)) == 1
+        got = collect_samples(model, cfg)
+        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+
+    def test_chunk_size_counts_cell_draws(self):
+        plan = SamplerPlan(make_example("sec71", d=256, n=100))
+        # 256 uniforms per sample, plus 25,600 coefficients for max_i ||S_i||^2
+        budget = montecarlo._CHUNK_BUDGET
+        assert _chunk_size(plan, max_sq=False) == min(montecarlo._MAX_CHUNK, budget // 256)
+        assert _chunk_size(plan, max_sq=True) == budget // (256 + 25_600)
+
+
+# E||Z||^2 = E max_i z_ii^2 of the paper's diagonal examples at n = 100
+EXACT_SQ_NORM = {
+    ("sec71", 16): 4.5178, ("sec71", 64): 6.8398, ("sec71", 256): 9.2649,
+    ("sec72", 16): 4.9507, ("sec72", 64): 9.2021, ("sec72", 256): 14.4343,
+}
+# fixed before the oracle was first run; a failing seed is a finding, not
+# a reason to pick another
+ORACLE_SEEDS = (1, 2, 3, 4, 5)
+
+
+class TestExactSqNormOracle:
+    """The Monte Carlo E||Z||^2 of sec71 and sec72 against its exact value,
+    on the row-law stream and on the per-term stream."""
+
+    @pytest.mark.parametrize("name,d", sorted(EXACT_SQ_NORM))
+    def test_exact_values(self, name, d):
+        exact = _row_sq_norm(SamplerPlan(make_example(name, d=d, n=100)))
+        assert round(exact, 4) == EXACT_SQ_NORM[name, d]
+
+    @pytest.mark.parametrize("name,d,n", [("sec71", 2, 3), ("sec72", 3, 2), ("sec72", 2, 1)])
+    def test_matches_enumeration(self, name, d, n):
+        model = make_example(name, d=d, n=n)
+        supports = []
+        for s in model.summands:
+            (lo, hi, q), a = s.law.two_point, s.dense()
+            outcomes = [(1.0 - q, lo * a), (q, hi * a)] if q < 1 else [(1.0, hi * a)]
+            supports.append(FiniteSummand(outcomes))
+        want = brute_force_expected_norm(supports, r=2)
+        assert _row_sq_norm(SamplerPlan(model)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_other_plans_have_none(self):
+        for name in ("sec73", "sec74"):
+            assert _row_sq_norm(SamplerPlan(make_example(name, d=4))) is None
+
+    @pytest.mark.parametrize("stream", ["row_law", "per_term"])
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("name,d", sorted(EXACT_SQ_NORM))
+    def test_monte_carlo_within_4se(self, name, d, seed, stream):
+        model = make_example(name, d=d, n=100)
+        cfg = MCConfig(samples=2000, seed=seed)
+        if stream == "row_law":
+            norms, _ = collect_samples(model, cfg, max_sq=False)
+        else:
+            norms = per_term_norms(model, cfg)
+        est = _estimate(norms**2, cfg)
+        exact = _row_sq_norm(SamplerPlan(model))
+        assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
 class TestThreading:
