@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_stack, hermitian_stack, spectral_norm, spectral_norms
-from .models import FiniteSummand, IndependentSumModel, analytic_max_sq, analytic_second_moments
+from .linalg import as_stack, diagonal_norm, hermitian_stack, spectral_norm, spectral_norms
+from .models import FiniteSummand, IndependentSumModel, analytic_max_sq
+from .models import analytic_second_moments, moment_diagonals
 from .oracles import (
     _blocks,
     _expected_norms,
@@ -81,14 +82,16 @@ def dimensional_constant(d1: int, d2: int) -> float:
     return _constant_from_total(d1 + d2)
 
 
-def variance_param(model: IndependentSumModel, moments=None) -> float:
-    """v = max of the spectral norms of E[ZZ*] and E[Z*Z].
-
-    `moments` may supply a precomputed pair (analytic or empirical); the
-    default is the exact per-summand sum, which requires a centered model.
+def variance_param(model: IndependentSumModel) -> float:
+    """v = max of the spectral norms of E[ZZ*] and E[Z*Z], from the exact
+    per-summand sums, which require a centered model.  When every summand
+    holds one entry both moments are diagonal, and v is read from their
+    diagonals with no d x d matrix, bit for bit as from the matrices.
     """
-    left, right = analytic_second_moments(model) if moments is None else moments
-    return max(spectral_norm(left), spectral_norm(right))
+    diagonals = moment_diagonals(model)
+    if diagonals is not None:
+        return max(map(diagonal_norm, diagonals))
+    return max(map(spectral_norm, analytic_second_moments(model)))
 
 
 def large_dev_param(model: IndependentSumModel) -> float:

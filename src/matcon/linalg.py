@@ -153,6 +153,13 @@ def spectral_norm(M) -> float:
     diag = np.diagonal(a).real
     if a.imag.any() or np.count_nonzero(a) != np.count_nonzero(diag):
         return float(spectral_norms(a[None])[0])
+    return diagonal_norm(diag)
+
+
+def diagonal_norm(diag: np.ndarray) -> float:
+    """Spectral norm of a real diagonal matrix from its diagonal, as
+    spectral_norm takes it: the root of the largest a_ii^2, raising when
+    the symmetrized Gram diagonal (a_ii^2 + a_ii^2)/2 overflows."""
     with np.errstate(over="ignore"):
         sq = diag * diag
         _check_gram(sq + sq)

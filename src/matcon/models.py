@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import InitVar, dataclass, field
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -147,13 +147,6 @@ class ScalarSeries:
 
     def mean(self) -> np.ndarray:
         return np.zeros(self.shape, dtype=np.complex128)
-
-    def moment_cell(self):
-        """(row, col, E c^2 |a|^2) when A has the one entry a: then E[S S*] is
-        that weight at (row, row) and E[S* S] at (col, col).  None otherwise."""
-        if len(self.rows) != 1:
-            return None
-        return self.rows[0], self.cols[0], self.law.ec2 * abs(self.values[0]) ** 2
 
     def second_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact (E[S S*], E[S* S]) = E c^2 (A A*, A* A)."""
@@ -378,9 +371,6 @@ class FiniteSummand:
             *sign_modulated_support(self.probabilities, self.matrices)
         )
 
-    def moment_cell(self):
-        return None
-
     def second_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact (E[S S*], E[S* S]) = sum_k p_k (M_k M_k*, M_k* M_k)."""
         probs, mats = self.probabilities, self.matrices
@@ -414,6 +404,43 @@ def as_finite_summand(s) -> FiniteSummand:
 
 
 @dataclass(frozen=True)
+class _Columns:
+    """What set-up reads of each distinct summand object of a model, as
+    arrays over the objects.  `code` indexes `laws`, the distinct laws in
+    order of first appearance, and is -1 for a FiniteSummand; `norm` is
+    ||A|| of a ScalarSeries.  A ScalarSeries whose A has the one entry
+    a = `value` at (`row`, `col`) has the cell weight `weight` = E c^2 |a|^2:
+    E[S S*] is that weight at (row, row) and E[S* S] at (col, col).  Every
+    other summand is dense, with row and col -1."""
+
+    laws: tuple
+    code: np.ndarray
+    norm: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+    weight: np.ndarray
+
+
+def _columns_of(distinct) -> _Columns:
+    """The columns of distinct summand objects, asked of each once."""
+    laws: dict = {}  # law -> code; equal laws share one code
+    table = []
+    for s in distinct:
+        if isinstance(s, FiniteSummand):
+            table.append((-1, 0.0, -1, -1, 0.0, 0.0))
+            continue
+        code = laws.setdefault(s.law, len(laws))
+        if len(s.rows) == 1:
+            a = s.values[0]
+            table.append((code, s.norm, s.rows[0], s.cols[0], a, s.law.ec2 * abs(a) ** 2))
+        else:
+            table.append((code, s.norm, -1, -1, 0.0, 0.0))
+    dtypes = (np.intp, np.float64, np.intp, np.intp, np.complex128, np.float64)
+    return _Columns(tuple(laws), *map(np.array, zip(*table), dtypes))
+
+
+@dataclass(frozen=True)
 class IndependentSumModel:
     """Z = sum of independent summands, all of shape (d1, d2).
 
@@ -424,8 +451,9 @@ class IndependentSumModel:
 
     The summand objects may repeat (make_example shares one object among the
     n repetitions of an entry).  The model keeps the distinct objects in
-    order of first appearance and, for each position, the index of its
-    object among them, so that per-summand work runs once per object.
+    order of first appearance, for each position the index of its object
+    among them, and the objects' columns (_Columns), so that set-up reads
+    arrays and per-summand work runs once per object.
     """
 
     d1: int
@@ -436,30 +464,39 @@ class IndependentSumModel:
     centered: bool = field(init=False, default=False)
     _distinct: tuple = field(init=False, default=(), repr=False, compare=False)
     _inverse: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _columns: _Columns | None = field(init=False, default=None, repr=False, compare=False)
+    # (distinct objects, inverse, columns) of summands the program built
+    # valid (make_example, center), taken unchecked instead of derived
+    _layout: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _layout):
         if not self.summands:
             raise ValueError("model needs at least one summand")
         summands = tuple(self.summands)
         object.__setattr__(self, "summands", summands)
-        # dicts keep first insertion order, so the keys of by_id list the
-        # objects in order of first appearance
-        ids = list(map(id, summands))
-        by_id = dict(zip(ids, summands))
-        rank = dict(zip(by_id, range(len(by_id))))
-        inverse = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+        if _layout is None:
+            # dicts keep first insertion order, so the keys of by_id list the
+            # objects in order of first appearance
+            ids = list(map(id, summands))
+            by_id = dict(zip(ids, summands))
+            rank = dict(zip(by_id, range(len(by_id))))
+            inverse = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+            distinct = tuple(by_id.values())
+            for s in distinct:
+                if s.shape != (self.d1, self.d2):
+                    raise ValueError(
+                        f"summand shape {s.shape} != model shape ({self.d1}, {self.d2})"
+                    )
+            _layout = distinct, inverse, _columns_of(distinct)
+        distinct, inverse, columns = _layout
         inverse.setflags(write=False)
-        distinct = tuple(by_id.values())
-        for s in distinct:
-            if s.shape != (self.d1, self.d2):
-                raise ValueError(
-                    f"summand shape {s.shape} != model shape ({self.d1}, {self.d2})"
-                )
         if self.n is None:
             object.__setattr__(self, "n", len(summands))
         object.__setattr__(self, "_distinct", distinct)
         object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "centered", all(s.zero_mean for s in distinct))
+        object.__setattr__(self, "_columns", columns)
+        finite = np.flatnonzero(columns.code < 0).tolist()
+        object.__setattr__(self, "centered", all(distinct[i].zero_mean for i in finite))
 
     @property
     def n_summands(self) -> int:
@@ -468,7 +505,7 @@ class IndependentSumModel:
     @property
     def heavy_tail(self) -> bool:
         """True when some summand has a heavy-tailed law."""
-        return any(s.heavy_tail for s in self._distinct)
+        return any(law.heavy_tail for law in self._columns.laws)
 
 
 def make_model(summands, name: str = "custom", n: int | None = None) -> IndependentSumModel:
@@ -488,6 +525,10 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     sec72: d*n summands (delta_ij - 1/n) E_ii, delta ~ Bernoulli(1/n)
     sec73: d*d summands eps_ij E_ij           (full sign matrix; n ignored)
     sec74: d   summands P_i E_ii, Pareto tail (n ignored)
+
+    Every summand is c * a E_ij with one law and one value a for the whole
+    example, so the summands and their columns are built from the cells
+    without the family constructors' checks, which hold by construction.
     """
     key = str(name).lower()
     if d < 1:
@@ -501,22 +542,67 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
             f"{positions * _POSITION_BYTES} bytes of plan arrays, over the "
             f"{_STACK_BYTES}-byte plan budget"
         )
-    # summands are immutable and every position draws its own coefficient,
-    # so the n repetitions of sec71 and sec72 share one summand object
+    if key not in EXAMPLE_NAMES:
+        raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
+    _check_cell(0, 0, d, "index out of range")
+    law, value = SIGN, 1.0
     if key == "sec71":
-        scale = 1.0 / math.sqrt(n)
-        specs = [ScaledBasisRademacher(i, scale, d) for i in range(d)]
-        return make_model([s for s in specs for _ in range(n)], name="sec71", n=n)
-    if key == "sec72":
-        specs = [CenteredBernoulliBasis(i, 1.0 / n, d) for i in range(d)]
-        return make_model([s for s in specs for _ in range(n)], name="sec72", n=n)
-    if key == "sec73":
-        specs = [RademacherEntry(i, j, d) for i in range(d) for j in range(d)]
-        return make_model(specs, name="sec73", n=d * d)
-    if key == "sec74":
-        specs = [ParetoDiagonal(i, d) for i in range(d)]
-        return make_model(specs, name="sec74", n=d)
-    raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
+        value = 1.0 / math.sqrt(n)
+    elif key == "sec72":
+        law = bernoulli_law(1.0 / n)
+    elif key == "sec74":
+        law = PARETO
+    cells = np.arange(d)
+    rows, cols = (np.repeat(cells, d), np.tile(cells, d)) if key == "sec73" else (cells, cells)
+    # one-tuples are immutable, so the summands share them
+    shape, norm, values, single = (d, d), abs(value), (value,), [(i,) for i in range(d)]
+    distinct = tuple([
+        ScalarSeries(law, shape, single[i], single[j], values, norm)
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ])
+    k = len(distinct)
+    columns = _Columns(
+        (law,), np.zeros(k, dtype=np.intp), np.full(k, norm), rows, cols,
+        np.full(k, value, dtype=np.complex128), np.full(k, law.ec2 * abs(value) ** 2),
+    )
+    if key in ("sec73", "sec74"):
+        return IndependentSumModel(d, d, distinct, key, k, (distinct, np.arange(k), columns))
+    # summands are immutable and every position draws its own coefficient,
+    # so the n repetitions of an entry share one object
+    summands = tuple(chain.from_iterable(map(repeat, distinct, repeat(n, d))))
+    return IndependentSumModel(d, d, summands, key, n, (distinct, np.repeat(cells, n), columns))
+
+
+def _check_moments(model: IndependentSumModel) -> None:
+    if not model.centered:
+        raise ValueError("model is not centered; center() it first")
+    nbytes = 16 * (model.d1**2 + model.d2**2)
+    if nbytes > _STACK_BYTES:
+        raise ValueError(
+            f"the {model.d1}x{model.d1} and {model.d2}x{model.d2} second-moment "
+            f"matrices take {nbytes} bytes, over the {_STACK_BYTES}-byte budget"
+        )
+
+
+def _cell_sums(model: IndependentSumModel, objects: np.ndarray):
+    """The diagonals that the one-entry summand objects `objects`, one per
+    position, add to E[ZZ*] and E[Z*Z], summed by cell in position order."""
+    c = model._columns
+    weights = c.weight[objects]
+    return (
+        np.bincount(c.row[objects], weights=weights, minlength=model.d1),
+        np.bincount(c.col[objects], weights=weights, minlength=model.d2),
+    )
+
+
+def _hermitian_means(left: np.ndarray, right: np.ndarray):
+    """(M + M*)/2 of both second moments, matrices or real diagonals (which
+    it leaves as they are); raises when an entry overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = (left + left.conj().T) / 2.0, (right + right.conj().T) / 2.0
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise ValueError("second moments overflow: an entry of E[ZZ*] or E[Z*Z] is not finite")
+    return left, right
 
 
 def analytic_second_moments(model: IndependentSumModel):
@@ -527,43 +613,43 @@ def analytic_second_moments(model: IndependentSumModel):
     per-summand second moments.  A summand S = c * a E_{row,col} only adds
     E c^2 |a|^2 to one diagonal cell on each side; those are summed by index
     in model order and added once, so the cost is O(N + d^2) plus the dense
-    terms of the other summands.  Each distinct summand object is asked once.
+    terms of the other summands.  Each distinct dense summand is asked once.
     The sums are replaced by (M + M*)/2: dense terms are Hermitian only up to
     rounding.
     """
-    if not model.centered:
-        raise ValueError("model is not centered; center() it first")
-    nbytes = 16 * (model.d1**2 + model.d2**2)
-    if nbytes > _STACK_BYTES:
-        raise ValueError(
-            f"the {model.d1}x{model.d1} and {model.d2}x{model.d2} second-moment "
-            f"matrices take {nbytes} bytes, over the {_STACK_BYTES}-byte budget"
-        )
+    _check_moments(model)
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
-    cells = [s.moment_cell() for s in model._distinct]
-    dense = np.array([c is None for c in cells])
+    dense = model._columns.row < 0
     inverse = model._inverse
-    moments = {i: model._distinct[i].second_moments() for i in np.flatnonzero(dense).tolist()}
-    for i in inverse[dense[inverse]].tolist():
-        a, b = moments[i]
-        left += a
-        right += b
-    one_entry = inverse[~dense[inverse]]
-    if one_entry.size:
-        # dense objects get a placeholder cell that no position gathers
-        table = zip(*(c if c is not None else (0, 0, 0.0) for c in cells))
-        rows, cols, weights = (np.array(column)[one_entry] for column in table)
-        left[np.diag_indices(model.d1)] += np.bincount(
-            rows, weights=weights, minlength=model.d1
-        )
-        right[np.diag_indices(model.d2)] += np.bincount(
-            cols, weights=weights, minlength=model.d2
-        )
-    left, right = (left + left.conj().T) / 2.0, (right + right.conj().T) / 2.0
+    # an overflow shows as a non-finite entry, refused by _hermitian_means
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = {i: model._distinct[i].second_moments() for i in np.flatnonzero(dense).tolist()}
+        for i in inverse[dense[inverse]].tolist():
+            a, b = moments[i]
+            left += a
+            right += b
+        one_entry = inverse[~dense[inverse]]
+        if one_entry.size:
+            rows, cols = _cell_sums(model, one_entry)
+            left[np.diag_indices(model.d1)] += rows
+            right[np.diag_indices(model.d2)] += cols
+    left, right = _hermitian_means(left, right)
     left.setflags(write=False)
     right.setflags(write=False)
     return left, right
+
+
+def moment_diagonals(model: IndependentSumModel):
+    """(diagonal of E[ZZ*], diagonal of E[Z*Z]) as real vectors when every
+    summand holds one entry, so that both moments are diagonal; None
+    otherwise.  They are the diagonals of analytic_second_moments bit for
+    bit (same sums, same order, same (M + M*)/2 and checks), without a
+    d x d matrix."""
+    _check_moments(model)
+    if (model._columns.row < 0).any():
+        return None
+    return _hermitian_means(*_cell_sums(model, model._inverse))
 
 
 def analytic_max_sq(model: IndependentSumModel):
@@ -574,16 +660,25 @@ def analytic_max_sq(model: IndependentSumModel):
     distinct support raised to the number of positions that carry it.
     Returns None when a summand has a continuous law (Gaussian, Pareto).
     """
-    supports = []
-    for s in model._distinct:
-        sup = s.sq_norm_support()
-        if sup is None:
-            return None
-        supports.append(sup)
+    c = model._columns
+    if any(law.sq_support is None for law in c.laws):
+        return None
+    per_object = np.bincount(model._inverse, minlength=len(model._distinct))
+    # ||S||^2 of a ScalarSeries has the law c^2 ||A||^2: one support for
+    # each (law, norm) and each FiniteSummand, asked of its first object;
+    # equal supports then merge in order of first object
+    series = np.flatnonzero(c.code >= 0)
+    _, first, group = np.unique(
+        c.code[series] + 1j * c.norm[series], return_index=True, return_inverse=True
+    )
+    per_group = np.bincount(group, weights=per_object[series], minlength=len(first))
+    finite = np.flatnonzero(c.code < 0)
+    objects = np.concatenate([series[first], finite]).tolist()
+    positions = np.concatenate([per_group.astype(np.intp), per_object[finite]]).tolist()
     grouped: Counter = Counter()
-    per_object = np.bincount(model._inverse, minlength=len(supports)).tolist()
-    for (values, probs), count in zip(supports, per_object):
-        grouped[tuple(map(float, values)), tuple(map(float, probs))] += count
+    for i, k in sorted(zip(objects, positions)):
+        values, probs = model._distinct[i].sq_norm_support()
+        grouped[tuple(map(float, values)), tuple(map(float, probs))] += k
     union = np.array(sorted({float(v) for values, _ in grouped for v in values}))
     log_cdf = np.zeros_like(union)
     with np.errstate(divide="ignore"):  # log 0 = -inf: below a support
@@ -618,7 +713,8 @@ def center(model: IndependentSumModel):
 
     E R = sum of summand means is the quantity the triangle-inequality
     envelope needs for uncentered reporting.  Each distinct summand object
-    is centered once, so positions that shared an object still share one.
+    is centered once, so positions that shared an object still share one,
+    and the layout and columns carry over.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -631,9 +727,10 @@ def center(model: IndependentSumModel):
         raise ValueError("centering overflows: the summed means are not finite")
     if model.centered:
         return model, mean_sum
-    distinct = [s if s.zero_mean else s.centered() for s in model._distinct]
-    specs = tuple(distinct[i] for i in model._inverse)
-    centered = IndependentSumModel(model.d1, model.d2, specs, name=model.name, n=model.n)
+    distinct = tuple(s if s.zero_mean else s.centered() for s in model._distinct)
+    specs = tuple(map(distinct.__getitem__, model._inverse.tolist()))
+    layout = distinct, model._inverse, model._columns
+    centered = IndependentSumModel(model.d1, model.d2, specs, model.name, model.n, layout)
     return centered, mean_sum
 
 
@@ -672,14 +769,14 @@ class SamplerPlan:
     sum of m independent copies, with an exact law on m + 1 atoms, and
     `row` holds (first summand position of each cell, atoms, CDF).
     `terms` counts the scattered entries and FiniteSummand choices of one
-    sample.  The per-position arrays are gathered from those of the model's
-    distinct summand objects, so Python touches each object once.
+    sample.  The per-position arrays are gathered from the model's columns;
+    Python reads only fixed matrices and FiniteSummands, once per object.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
-        distinct, inverse = model._distinct, model._inverse
-        finite = np.array([isinstance(s, FiniteSummand) for s in distinct])
+        distinct, inverse, c = model._distinct, model._inverse, model._columns
+        finite = c.code < 0
         # per FiniteSummand object: outcome CDF, matrices (real when all are)
         # and norms, shared by its positions
         finite_ids = np.flatnonzero(finite).tolist()
@@ -694,54 +791,50 @@ class SamplerPlan:
         self.finite: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [
             (pos, *outcomes[i]) for pos, i in zip(at.tolist(), inverse[at].tolist())
         ]
-        # the ScalarSeries positions in model order, and for each the index
-        # of its object among the distinct ScalarSeries
-        is_series = ~finite
-        positions = np.flatnonzero(is_series[inverse])
-        series = [distinct[i] for i in np.flatnonzero(is_series).tolist()]
-        obj = (np.cumsum(is_series) - 1)[inverse[positions]]
+        # the ScalarSeries positions in model order, and the object of each
+        if finite_ids:
+            positions = np.flatnonzero(~finite[inverse])
+            obj = inverse[positions]
+            positions = positions.astype(np.uint64)
+        else:
+            positions, obj = np.arange(len(inverse), dtype=np.uint64), inverse
 
-        counts_of = np.array([len(s.rows) for s in series], dtype=np.intp)
-        counts = counts_of[obj]
-        n_entries = int(counts.sum())
-        n_fixed = int(counts[counts > 1].sum())
-        if n_fixed * _ENTRY_BYTES > _STACK_BYTES:
-            raise ValueError(
-                f"{n_fixed} fixed-matrix entries take {n_fixed * _ENTRY_BYTES} bytes, "
-                f"over the {_STACK_BYTES}-byte plan budget"
-            )
-        # column g of a coefficient draw belongs to the g-th ScalarSeries
-        # position; equal laws form one group, compared once per law object
-        # (summands of the examples share few) rather than once per summand
-        laws = {id(s.law): s.law for s in series}
-        code = {law: i for i, law in enumerate(dict.fromkeys(laws.values()))}
-        by_id = {key: code[law] for key, law in laws.items()}
-        codes = np.array([by_id[id(s.law)] for s in series], dtype=np.intp)[obj]
-        positions = positions.astype(np.uint64)
-        norms = np.array([s.norm for s in series], dtype=np.float64)[obj]
-
-        # the COO entries of the distinct ScalarSeries back to back: entry e
-        # of a position is entry start[obj] + e of these tables
-        n_table = int(counts_of.sum())
-
-        def table(attr, dtype):
-            items = chain.from_iterable([getattr(s, attr) for s in series])
-            return np.fromiter(items, dtype=dtype, count=n_table)
-
+        # COO entries per object: one for a one-entry cell, those of its
+        # matrix for a fixed matrix, none for a FiniteSummand; the tables
+        # below hold them back to back from start[object]
+        one = c.row >= 0
+        fixed = np.flatnonzero(~one & ~finite).tolist()
+        counts_of = one.astype(np.intp)
+        counts_of[fixed] = [len(distinct[i].rows) for i in fixed]
         start = np.cumsum(counts_of) - counts_of
-        first = np.cumsum(counts) - counts
-        entries = np.arange(n_entries) + np.repeat(start[obj] - first, counts)
-        # None when entry e belongs to series e, so no gather is needed
+        # entry e of the sample belongs to ScalarSeries position owner[e];
+        # owner is None when that is e itself, so no gather is needed
         self.owner = None
-        if not (counts.size and (counts == 1).all()):
+        if fixed or not obj.size:
+            counts = counts_of[obj]
+            n_fixed = int(counts[counts > 1].sum())
+            if n_fixed * _ENTRY_BYTES > _STACK_BYTES:
+                raise ValueError(
+                    f"{n_fixed} fixed-matrix entries take {n_fixed * _ENTRY_BYTES} bytes, "
+                    f"over the {_STACK_BYTES}-byte plan budget"
+                )
+            first = np.cumsum(counts) - counts
+            entries = np.arange(int(counts.sum())) + np.repeat(start[obj] - first, counts)
             self.owner = np.repeat(np.arange(len(obj)), counts)
-        rows, cols = table("rows", np.intp), table("cols", np.intp)
-        values = table("values", np.complex128)
+        else:
+            entries = obj if one.all() else start[obj]
+        rows, cols = np.empty((2, int(counts_of.sum())), dtype=np.intp)
+        values = np.empty(len(rows), dtype=np.complex128)
+        for table, column in ((rows, c.row), (cols, c.col), (values, c.value)):
+            table[start[one]] = column[one]
+        for i in fixed:
+            s, at = distinct[i], slice(start[i], start[i] + counts_of[i])
+            rows[at], cols[at], values[at] = s.rows, s.cols, s.values
         self.rows = rows[entries]
         self.cells = (rows * model.d2 + cols)[entries]
         self.values = values.real[entries]
         self.imag = values.imag[entries] if values.imag.any() else None
-        self.terms = n_entries + len(self.finite)
+        self.terms = len(entries) + len(self.finite)
         self.real = self.imag is None and real_finite
         self.diagonal = (
             model.d1 == model.d2
@@ -750,7 +843,7 @@ class SamplerPlan:
             and np.array_equal(rows, cols)
         )
         self.row = None
-        two_point = next(iter(code)).two_point if len(code) == 1 else None
+        two_point = c.laws[0].two_point if len(c.laws) == 1 else None
         if self.diagonal and self.owner is None and two_point is not None:
             per_cell = np.bincount(self.rows, minlength=model.d1)
             m = int(per_cell[0])
@@ -759,11 +852,17 @@ class SamplerPlan:
                 # cell puts each cell's first position at a multiple of m
                 first = positions[np.argsort(self.rows, kind="stable")[::m]]
                 self.row = (first[None, :], *_row_law(two_point, m, self.values[0]))
-        self.norms = norms
-        self.groups = [
-            (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
-            for law, i in code.items()
-        ]
+        # column g of a coefficient draw belongs to the g-th ScalarSeries
+        # position, and positions of one law form one group
+        self.norms = c.norm[obj]
+        if len(c.laws) == 1:
+            self.groups = [(c.laws[0], np.arange(len(obj)), positions[None, :])]
+        else:
+            codes = c.code[obj]
+            self.groups = [
+                (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
+                for i, law in enumerate(c.laws)
+            ]
 
     def _coefficients(self, seed: int, idx: np.ndarray) -> np.ndarray:
         """(k, number of ScalarSeries) draws of c for a batch of indices."""

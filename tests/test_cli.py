@@ -173,6 +173,37 @@ class TestReport:
         # no numpy RuntimeWarning before the message
         assert proc.stderr == "error: matrix entries too large: the Gram matrix overflows\n"
 
+    @pytest.mark.parametrize(
+        "summands",
+        [
+            # one-entry summands: the diagonal route
+            [{"family": "scaled_basis_rademacher", "index": 0, "scale": 1.2e154, "dim": 2},
+             {"family": "scaled_basis_rademacher", "index": 1, "scale": 1, "dim": 2}],
+            # a finite support: the dense route
+            [{"family": "finite", "outcomes": [
+                {"probability": 0.5, "matrix": [[1.2e154, 0.0], [0.0, 1.0]]},
+                {"probability": 0.5, "matrix": [[-1.2e154, 0.0], [0.0, -1.0]]}]}],
+        ],
+        ids=["diagonal", "dense"],
+    )
+    def test_second_moment_overflow_exit_2(self, tmp_path, summands):
+        # every entry is finite, and so is E[ZZ*]_00 = 1.44e308, but the
+        # symmetrized sum (M + M*)/2 overflows on the way
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"summands": summands}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "matcon", "report", "--model-file", str(f),
+             "--samples", "8", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # one line, and no numpy RuntimeWarning before it
+        assert proc.stderr == (
+            "error: second moments overflow: an entry of E[ZZ*] or E[Z*Z] is not finite\n"
+        )
+
     def test_centering_overflow_exit_2(self, tmp_path):
         outcomes = [{"probability": 0.9, "matrix": [[1.5e308]]},
                     {"probability": 0.1, "matrix": [[-1.5e308]]}]

@@ -27,8 +27,9 @@ from matcon import (
     brute_force_expected_norm,
 )
 from matcon import rng
-from matcon.linalg import spectral_norms
-from matcon.models import _ROW_ATOMS, PARETO, SIGN, SamplerPlan, _matrix_from_json
+from matcon.bounds import large_dev_param, variance_param
+from matcon.linalg import spectral_norm, spectral_norms
+from matcon.models import _ROW_ATOMS, PARETO, SIGN, SamplerPlan, _matrix_from_json, moment_diagonals
 from matcon.montecarlo import MCConfig, bound_report
 from reference_draws import pareto_sample, sample_summands
 
@@ -936,3 +937,188 @@ class TestModelFileFuzz:
                     doc, message)
         # most edits break the document; the rest must still build
         assert 1000 < refused < 2000
+
+
+def _cyclic_basis_doc():
+    """Sign summands on the cells 3k mod 7 with four cycling scales, so that
+    the cells hold different counts and every sum mixes scales."""
+    scales = (0.31, 1.73, 2.9, 0.47)
+    return {"summands": [
+        {"family": "scaled_basis_rademacher", "index": 3 * k % 7, "scale": scales[k % 4], "dim": 7}
+        for k in range(61)
+    ]}
+
+
+def _pin_model(key):
+    if key == "cyclic":
+        return model_from_json(_cyclic_basis_doc())
+    if key == "mixed":
+        return make_model(_mixed_summands(True))
+    name, d, n = key.split("-")
+    return make_example(name, d=int(d), n=int(n))
+
+
+def _hex_digest(diag) -> str:
+    return hashlib.sha256(",".join(map(float.hex, diag.tolist())).encode()).hexdigest()[:16]
+
+
+# float.hex of v and L ("-" without a closed form) and the first 16 hex
+# digits of the sha256 of the float.hex list of each moment diagonal,
+# recorded with the dense per-object moment sum that preceded the
+# per-object columns and the diagonal route
+MOMENT_PINS = {
+    key: tuple(None if x == "-" else x for x in values)
+    for key, *values in map(str.split, """
+sec71-4-100    0x1.0000000000003p+0  0x1.999999999999ap-4  5b1eddfff9804863 5b1eddfff9804863
+sec71-16-100   0x1.0000000000003p+0  0x1.999999999999ap-4  02808e8482b10fb0 02808e8482b10fb0
+sec71-64-100   0x1.0000000000003p+0  0x1.999999999999ap-4  81cedbeb20e9e8ce 81cedbeb20e9e8ce
+sec71-256-100  0x1.0000000000003p+0  0x1.999999999999ap-4  bc7a69ac71ff4666 bc7a69ac71ff4666
+sec72-4-100    0x1.fae147ae147bbp-1  0x1.f64f7b8aabe86p-1  616cc5aae22dbf0f 616cc5aae22dbf0f
+sec72-16-100   0x1.fae147ae147bbp-1  0x1.fae145f4a654cp-1  782babe1975b35b0 782babe1975b35b0
+sec72-64-100   0x1.fae147ae147bbp-1  0x1.fae147ae147aep-1  c6e61f92d071766e c6e61f92d071766e
+sec72-256-100  0x1.fae147ae147bbp-1  0x1.fae147ae147aep-1  a897d35849d7f218 a897d35849d7f218
+sec73-4-100    0x1.0000000000000p+2  0x1.0000000000000p+0  6323e6cb8ba6e960 6323e6cb8ba6e960
+sec73-16-100   0x1.0000000000000p+4  0x1.0000000000000p+0  a3c76d5f1503ea20 a3c76d5f1503ea20
+sec73-64-100   0x1.0000000000000p+6  0x1.0000000000000p+0  d1250b6bc2758ea0 d1250b6bc2758ea0
+sec73-256-100  0x1.0000000000000p+8  0x1.0000000000000p+0  f7288d0efc23c98b f7288d0efc23c98b
+sec74-4-100    0x1.0000000000000p+1  -                     00b1054c2ca5082f 00b1054c2ca5082f
+sec74-16-100   0x1.0000000000000p+1  -                     5774b03de6efed61 5774b03de6efed61
+sec74-64-100   0x1.0000000000000p+1  -                     2f272568d61e5f56 2f272568d61e5f56
+sec74-256-100  0x1.0000000000000p+1  -                     5fd439ca9ad0c236 5fd439ca9ad0c236
+sec71-256-400  0x1.fffffffffffa3p-1  0x1.999999999999ap-5  7d3a586e826f2445 7d3a586e826f2445
+cyclic         0x1.fd98c7e28240bp+4  0x1.7333333333333p+1  ccdb4e9b77deba6e ccdb4e9b77deba6e
+mixed          0x1.7af1c89b46890p+4  0x1.82c2b7eb68068p+1  8f55b67421bb3024 7309e52cc29e3555
+""".strip().splitlines())
+}
+
+
+class TestMomentPins:
+    """v, L and the moment diagonals keep every bit across set-up routes."""
+
+    @pytest.mark.parametrize("key", sorted(MOMENT_PINS))
+    def test_pinned(self, key):
+        model = _pin_model(key)
+        left, right = analytic_second_moments(model)
+        try:
+            L = large_dev_param(model).hex()
+        except ValueError:  # no closed form (Pareto)
+            L = None
+        got = (variance_param(model).hex(), L,
+               _hex_digest(np.diagonal(left).real), _hex_digest(np.diagonal(right).real))
+        assert got == MOMENT_PINS[key]
+
+    @pytest.mark.parametrize("key", sorted(MOMENT_PINS))
+    def test_diagonal_route_equals_dense_route(self, key):
+        model = _pin_model(key)
+        left, right = analytic_second_moments(model)
+        diagonals = moment_diagonals(model)
+        if key == "mixed":  # fixed matrices and a finite support: dense moments
+            assert diagonals is None
+            return
+        for dense, diag in zip((left, right), diagonals):
+            assert np.diag(diag).astype(np.complex128).tobytes() == dense.tobytes()
+        assert variance_param(model) == max(spectral_norm(left), spectral_norm(right))
+
+
+def _example_from_constructors(name, d, n):
+    """make_example's model built through the public family constructors,
+    with the n repetitions of an entry sharing one object."""
+    if name == "sec71":
+        specs = [ScaledBasisRademacher(i, 1.0 / math.sqrt(n), d) for i in range(d)]
+    elif name == "sec72":
+        specs = [CenteredBernoulliBasis(i, 1.0 / n, d) for i in range(d)]
+    elif name == "sec73":
+        specs = [RademacherEntry(i, j, d) for i in range(d) for j in range(d)]
+        return make_model(specs, name=name, n=d * d)
+    else:
+        return make_model([ParetoDiagonal(i, d) for i in range(d)], name=name, n=d)
+    return make_model([s for s in specs for _ in range(n)], name=name, n=n)
+
+
+def _assert_same(a, b):
+    """Equal plan attributes: arrays in dtype and bits, containers item by item."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert a == b
+
+
+class TestFastExampleBuild:
+    """make_example builds its summands and layout from arrays; the result
+    equals the model of the same summands built by the checked constructors."""
+
+    @pytest.mark.parametrize(
+        "name,d,n",
+        [(name, d, n) for name in ("sec71", "sec72", "sec73", "sec74")
+         for d, n in ((1, 1), (3, 4), (16, 1))]
+        + [("sec71", 64, 100), ("sec72", 32, 7)],
+    )
+    def test_equals_constructor_build(self, name, d, n):
+        fast, slow = make_example(name, d=d, n=n), _example_from_constructors(name, d, n)
+        assert fast == slow  # d1, d2, summands, name, n, centered
+        assert fast._distinct == slow._distinct
+        assert [s.law for s in fast._distinct] == [s.law for s in slow._distinct]
+        _assert_same(fast._inverse, slow._inverse)
+        for field in ("laws", "code", "norm", "row", "col", "value", "weight"):
+            _assert_same(getattr(fast._columns, field), getattr(slow._columns, field))
+        fast_plan, slow_plan = SamplerPlan(fast), SamplerPlan(slow)
+        assert vars(fast_plan).keys() == vars(slow_plan).keys()
+        for key in vars(fast_plan).keys() - {"model"}:
+            _assert_same(getattr(fast_plan, key), getattr(slow_plan, key))
+
+    def test_guard_refuses_before_any_summand(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a summand was built")
+
+        monkeypatch.setattr("matcon.models.ScalarSeries", built)
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
+        with pytest.raises(ValueError, match="4800-byte plan budget"):
+            make_example("sec73", d=11)
+
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_dim_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match="positions and dim must be integers"):
+            make_example("sec71", d=d, n=2)
+
+
+def _max_sq_per_object(model):
+    """E max_i ||S_i||^2 with one support key per distinct object, merged
+    in order of first appearance: the reference for analytic_max_sq."""
+    grouped = {}
+    counts = np.bincount(model._inverse).tolist()
+    for s, k in zip(model._distinct, counts):
+        values, probs = s.sq_norm_support()
+        key = tuple(map(float, values)), tuple(map(float, probs))
+        grouped[key] = grouped.get(key, 0) + k
+    union = np.array(sorted({v for values, _ in grouped for v in values}))
+    log_cdf = np.zeros_like(union)
+    with np.errstate(divide="ignore"):
+        for (values, probs), k in grouped.items():
+            cdf = np.concatenate(([0.0], np.cumsum(probs)))
+            log_cdf += k * np.log(cdf[np.searchsorted(values, union, side="right")])
+    return float(union[0] + np.dot(np.diff(union), -np.expm1(log_cdf[:-1])))
+
+
+class TestMaxSqGrouping:
+    def test_equal_supports_merge_as_per_object(self):
+        # Bernoulli(0.3) and Bernoulli(0.7) share one ||S||^2 support, and so
+        # do a sign series of scale 0.7 and a finite +-0.7 E_11; the groups
+        # by (law, norm) must merge them in order of first object
+        finite = FiniteSummand([(0.5, np.diag([0.0, 0.7])), (0.5, np.diag([0.0, -0.7]))])
+        a, b = CenteredBernoulliBasis(0, 0.3, 2), CenteredBernoulliBasis(1, 0.7, 2)
+        sign = ScaledBasisRademacher(0, 0.7, 2)
+        summands = [finite, a, sign, b, RademacherEntry(0, 1, 2), a, finite,
+                    ScaledBasisRademacher(1, -0.7, 2), b, CenteredBernoulliBasis(0, 0.3, 2)]
+        model = make_model(summands)
+        assert analytic_max_sq(model) == _max_sq_per_object(model)
+
+    @pytest.mark.parametrize(
+        "key", ["sec71-64-100", "sec72-16-100", "sec73-16-100", "cyclic", "mixed"]
+    )
+    def test_pinned_models(self, key):
+        model = _pin_model(key)
+        assert analytic_max_sq(model) == _max_sq_per_object(model)
