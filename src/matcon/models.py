@@ -465,8 +465,8 @@ class IndependentSumModel:
     _distinct: tuple = field(init=False, default=(), repr=False, compare=False)
     _inverse: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _columns: _Columns | None = field(init=False, default=None, repr=False, compare=False)
-    # (distinct objects, inverse, columns) of summands the program built
-    # valid (make_example, center), taken unchecked instead of derived
+    # (distinct objects, inverse) of summands make_example built, taken as
+    # they are instead of derived over every position
     _layout: InitVar[tuple | None] = None
 
     def __post_init__(self, _layout):
@@ -487,8 +487,9 @@ class IndependentSumModel:
                     raise ValueError(
                         f"summand shape {s.shape} != model shape ({self.d1}, {self.d2})"
                     )
-            _layout = distinct, inverse, _columns_of(distinct)
-        distinct, inverse, columns = _layout
+            _layout = distinct, inverse
+        distinct, inverse = _layout
+        columns = _columns_of(distinct)
         inverse.setflags(write=False)
         if self.n is None:
             object.__setattr__(self, "n", len(summands))
@@ -525,10 +526,6 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     sec72: d*n summands (delta_ij - 1/n) E_ii, delta ~ Bernoulli(1/n)
     sec73: d*d summands eps_ij E_ij           (full sign matrix; n ignored)
     sec74: d   summands P_i E_ii, Pareto tail (n ignored)
-
-    Every summand is c * a E_ij with one law and one value a for the whole
-    example, so the summands and their columns are built from the cells
-    without the family constructors' checks, which hold by construction.
     """
     key = str(name).lower()
     if d < 1:
@@ -545,32 +542,21 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     if key not in EXAMPLE_NAMES:
         raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
     _check_cell(0, 0, d, "index out of range")
-    law, value = SIGN, 1.0
     if key == "sec71":
-        value = 1.0 / math.sqrt(n)
+        specs = [ScaledBasisRademacher(i, 1.0 / math.sqrt(n), d) for i in range(d)]
     elif key == "sec72":
-        law = bernoulli_law(1.0 / n)
-    elif key == "sec74":
-        law = PARETO
-    cells = np.arange(d)
-    rows, cols = (np.repeat(cells, d), np.tile(cells, d)) if key == "sec73" else (cells, cells)
-    # one-tuples are immutable, so the summands share them
-    shape, norm, values, single = (d, d), abs(value), (value,), [(i,) for i in range(d)]
-    distinct = tuple([
-        ScalarSeries(law, shape, single[i], single[j], values, norm)
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ])
-    k = len(distinct)
-    columns = _Columns(
-        (law,), np.zeros(k, dtype=np.intp), np.full(k, norm), rows, cols,
-        np.full(k, value, dtype=np.complex128), np.full(k, law.ec2 * abs(value) ** 2),
-    )
-    if key in ("sec73", "sec74"):
-        return IndependentSumModel(d, d, distinct, key, k, (distinct, np.arange(k), columns))
+        specs = [CenteredBernoulliBasis(i, 1.0 / n, d) for i in range(d)]
+    elif key == "sec73":
+        specs, n = [RademacherEntry(i, j, d) for i in range(d) for j in range(d)], d * d
+    else:
+        specs, n = [ParetoDiagonal(i, d) for i in range(d)], d
     # summands are immutable and every position draws its own coefficient,
-    # so the n repetitions of an entry share one object
-    summands = tuple(chain.from_iterable(map(repeat, distinct, repeat(n, d))))
-    return IndependentSumModel(d, d, summands, key, n, (distinct, np.repeat(cells, n), columns))
+    # so the n repetitions of sec71 and sec72 share one summand object; the
+    # model takes this layout as it is rather than re-deriving it
+    distinct, reps = tuple(specs), positions // len(specs)
+    summands = tuple(chain.from_iterable(map(repeat, distinct, repeat(reps, len(distinct)))))
+    layout = distinct, np.repeat(np.arange(len(distinct)), reps)
+    return IndependentSumModel(d, d, summands, key, n, layout)
 
 
 def _check_moments(model: IndependentSumModel) -> None:
@@ -713,8 +699,7 @@ def center(model: IndependentSumModel):
 
     E R = sum of summand means is the quantity the triangle-inequality
     envelope needs for uncentered reporting.  Each distinct summand object
-    is centered once, so positions that shared an object still share one,
-    and the layout and columns carry over.
+    is centered once, so positions that shared an object still share one.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -727,10 +712,9 @@ def center(model: IndependentSumModel):
         raise ValueError("centering overflows: the summed means are not finite")
     if model.centered:
         return model, mean_sum
-    distinct = tuple(s if s.zero_mean else s.centered() for s in model._distinct)
-    specs = tuple(map(distinct.__getitem__, model._inverse.tolist()))
-    layout = distinct, model._inverse, model._columns
-    centered = IndependentSumModel(model.d1, model.d2, specs, model.name, model.n, layout)
+    distinct = [s if s.zero_mean else s.centered() for s in model._distinct]
+    specs = tuple(distinct[i] for i in model._inverse)
+    centered = IndependentSumModel(model.d1, model.d2, specs, name=model.name, n=model.n)
     return centered, mean_sum
 
 
@@ -792,12 +776,9 @@ class SamplerPlan:
             (pos, *outcomes[i]) for pos, i in zip(at.tolist(), inverse[at].tolist())
         ]
         # the ScalarSeries positions in model order, and the object of each
-        if finite_ids:
-            positions = np.flatnonzero(~finite[inverse])
-            obj = inverse[positions]
-            positions = positions.astype(np.uint64)
-        else:
-            positions, obj = np.arange(len(inverse), dtype=np.uint64), inverse
+        positions = np.flatnonzero(~finite[inverse])
+        obj = inverse[positions]
+        positions = positions.astype(np.uint64)
 
         # COO entries per object: one for a one-entry cell, those of its
         # matrix for a fixed matrix, none for a FiniteSummand; the tables
@@ -807,22 +788,20 @@ class SamplerPlan:
         counts_of = one.astype(np.intp)
         counts_of[fixed] = [len(distinct[i].rows) for i in fixed]
         start = np.cumsum(counts_of) - counts_of
+        counts = counts_of[obj]
+        n_fixed = int(counts[counts > 1].sum())
+        if n_fixed * _ENTRY_BYTES > _STACK_BYTES:
+            raise ValueError(
+                f"{n_fixed} fixed-matrix entries take {n_fixed * _ENTRY_BYTES} bytes, "
+                f"over the {_STACK_BYTES}-byte plan budget"
+            )
+        first = np.cumsum(counts) - counts
+        entries = np.arange(int(counts.sum())) + np.repeat(start[obj] - first, counts)
         # entry e of the sample belongs to ScalarSeries position owner[e];
         # owner is None when that is e itself, so no gather is needed
         self.owner = None
-        if fixed or not obj.size:
-            counts = counts_of[obj]
-            n_fixed = int(counts[counts > 1].sum())
-            if n_fixed * _ENTRY_BYTES > _STACK_BYTES:
-                raise ValueError(
-                    f"{n_fixed} fixed-matrix entries take {n_fixed * _ENTRY_BYTES} bytes, "
-                    f"over the {_STACK_BYTES}-byte plan budget"
-                )
-            first = np.cumsum(counts) - counts
-            entries = np.arange(int(counts.sum())) + np.repeat(start[obj] - first, counts)
+        if not (counts.size and (counts == 1).all()):
             self.owner = np.repeat(np.arange(len(obj)), counts)
-        else:
-            entries = obj if one.all() else start[obj]
         rows, cols = np.empty((2, int(counts_of.sum())), dtype=np.intp)
         values = np.empty(len(rows), dtype=np.complex128)
         for table, column in ((rows, c.row), (cols, c.col), (values, c.value)):
@@ -855,14 +834,11 @@ class SamplerPlan:
         # column g of a coefficient draw belongs to the g-th ScalarSeries
         # position, and positions of one law form one group
         self.norms = c.norm[obj]
-        if len(c.laws) == 1:
-            self.groups = [(c.laws[0], np.arange(len(obj)), positions[None, :])]
-        else:
-            codes = c.code[obj]
-            self.groups = [
-                (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
-                for i, law in enumerate(c.laws)
-            ]
+        codes = c.code[obj]
+        self.groups = [
+            (law, np.flatnonzero(codes == i), positions[codes == i][None, :])
+            for i, law in enumerate(c.laws)
+        ]
 
     def _coefficients(self, seed: int, idx: np.ndarray) -> np.ndarray:
         """(k, number of ScalarSeries) draws of c for a batch of indices."""

@@ -1048,8 +1048,8 @@ def _assert_same(a, b):
 
 
 class TestFastExampleBuild:
-    """make_example builds its summands and layout from arrays; the result
-    equals the model of the same summands built by the checked constructors."""
+    """make_example hands the model the layout of its summands; the result
+    equals the model that make_model derives from the constructors' summands."""
 
     @pytest.mark.parametrize(
         "name,d,n",
