@@ -423,21 +423,20 @@ class _Columns:
 
 
 def _columns_of(distinct) -> _Columns:
-    """The columns of distinct summand objects, asked of each once."""
+    """The columns of distinct summand objects, asked of each once and
+    written straight into the arrays."""
     laws: dict = {}  # law -> code; equal laws share one code
-    table = []
-    for s in distinct:
+    k = len(distinct)
+    code, (row, col) = np.full(k, -1, dtype=np.intp), np.full((2, k), -1, dtype=np.intp)
+    norm, value, weight = np.zeros(k), np.zeros(k, dtype=np.complex128), np.zeros(k)
+    for i, s in enumerate(distinct):
         if isinstance(s, FiniteSummand):
-            table.append((-1, 0.0, -1, -1, 0.0, 0.0))
             continue
-        code = laws.setdefault(s.law, len(laws))
+        code[i], norm[i] = laws.setdefault(s.law, len(laws)), s.norm
         if len(s.rows) == 1:
-            a = s.values[0]
-            table.append((code, s.norm, s.rows[0], s.cols[0], a, s.law.ec2 * abs(a) ** 2))
-        else:
-            table.append((code, s.norm, -1, -1, 0.0, 0.0))
-    dtypes = (np.intp, np.float64, np.intp, np.intp, np.complex128, np.float64)
-    return _Columns(tuple(laws), *map(np.array, zip(*table), dtypes))
+            a = value[i] = s.values[0]
+            row[i], col[i], weight[i] = s.rows[0], s.cols[0], s.law.ec2 * abs(a) ** 2
+    return _Columns(tuple(laws), code, norm, row, col, value, weight)
 
 
 @dataclass(frozen=True)
