@@ -166,10 +166,33 @@ def _estimate(values: np.ndarray, cfg: MCConfig) -> Estimate:
     if constant:
         med, mad = float(values[0]), 0.0
     else:
-        block_means = values.reshape(default_blocks(len(values)), -1).mean(axis=1)
-        med = float(np.median(block_means))
-        mad = float(np.median(np.abs(block_means - med)))
+        block_means = _block_means(values)
+        med = _median(block_means)
+        mad = _median(np.abs(block_means - med))
     return Estimate(mean=med, std_error=None, spread=mad)
+
+
+def _block_means(values: np.ndarray) -> np.ndarray:
+    """Means of default_blocks(n) equal consecutive blocks; when that leaves
+    one block (an odd count), of min(16, n) consecutive near-equal blocks cut
+    where np.array_split cuts."""
+    blocks = default_blocks(len(values))
+    if blocks > 1:
+        return values.reshape(blocks, -1).mean(axis=1)
+    return np.array([b.mean() for b in np.array_split(values, min(16, len(values)))])
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median's value bit for bit, NaN when any value is NaN, without the
+    numpy.ma import its first call makes.  numpy takes the mean of the one or
+    two middle values, summed from +0.0 (so -0.0 comes out as 0.0)."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return math.nan
+    m = len(s) // 2
+    if len(s) % 2:
+        return 0.0 + float(s[m])
+    return (0.0 + float(s[m - 1]) + float(s[m])) / 2.0
 
 
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:

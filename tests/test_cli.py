@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from xml.etree import ElementTree
@@ -738,6 +739,34 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "matcon" in proc.stdout
+
+    GUARDED_RUNS = [
+        ["report", "--model", "sec74", "--d", "4", "--samples", "64", "--seed", "1"],
+        ["experiment", "--model", "sec74", "--d", "4,8", "--samples", "64", "--seed", "1"],
+        ["report", "--model", "sec71", "--d", "4", "--n", "4", "--samples", "64",
+         "--seed", "1"],
+        ["verify", "--suite", "all", "--cases", "5", "--seed", "1"],
+    ]
+    UNIMPORTED = ("numpy.ma", "numpy.random", "concurrent.futures")
+
+    def test_commands_leave_heavy_modules_unimported(self):
+        # numpy.ma (np.median's first call), numpy.random and the thread pool
+        # cost milliseconds to import; no default single-thread run needs them
+        script = (
+            "import contextlib, io, sys\n"
+            "import matcon.cli\n"
+            f"for argv in {self.GUARDED_RUNS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert matcon.cli.main(argv) == 0, argv\n"
+            f"print(' '.join(m for m in {self.UNIMPORTED!r} if m in sys.modules))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "MATCON_THREADS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in proc.stdout.split():
+            pytest.fail(f"{name} was imported by the guarded commands")
 
     def test_module_invocation(self):
         proc = subprocess.run(

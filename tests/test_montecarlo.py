@@ -24,7 +24,13 @@ from matcon import (
 )
 from matcon import montecarlo
 from matcon.models import SamplerPlan, _row_sq_norm, seed_value
-from matcon.montecarlo import _chunk_size, _estimate, _for_chunks, default_blocks
+from matcon.montecarlo import (
+    _chunk_size,
+    _estimate,
+    _for_chunks,
+    _median,
+    default_blocks,
+)
 
 
 # Monte Carlo cross-checks of exact quantities, used only by these tests.
@@ -94,6 +100,73 @@ class TestMCConfig:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             MCConfig(samples=10, seed=0, estimator="mode")
+
+
+class TestMedian:
+    """_median is np.median's value bit for bit."""
+
+    def test_matches_np_median_bit_for_bit(self):
+        rng = np.random.default_rng(180)
+        specials = np.array([np.inf, -np.inf, 0.0, -0.0])
+        for n in range(1, 41):
+            for trial in range(6):
+                vals = 10.0 ** rng.uniform(-5.0, 5.0, n) * rng.choice([-1.0, 1.0], n)
+                if trial >= 3:
+                    k = rng.integers(1, n + 1)
+                    vals[rng.choice(n, k, replace=False)] = rng.choice(specials, k)
+                with np.errstate(invalid="ignore"):  # inf + -inf in numpy's mean
+                    want = float(np.median(vals))
+                assert float.hex(_median(vals)) == float.hex(want), (n, vals)
+
+    def test_nan_gives_nan(self):
+        rng = np.random.default_rng(181)
+        for n in range(1, 41):
+            vals = rng.normal(size=n)
+            vals[rng.integers(n)] = np.nan
+            assert math.isnan(_median(vals))
+            assert math.isnan(np.median(vals))
+
+
+class TestOddSampleCount:
+    """An odd count gets min(16, n) consecutive near-equal blocks, not one."""
+
+    COUNT = 1001
+    # 1001 = 16 * 62 + 9: nine blocks of 63, then seven of 62
+    SIZES = [63] * 9 + [62] * 7
+
+    def _sq_norms(self, samples):
+        cfg = MCConfig(samples=samples, seed=1, estimator=MEDIAN_OF_MEANS)
+        norms, _ = collect_samples(make_example("sec74", d=8), cfg)
+        return norms**2, cfg
+
+    def test_odd_count_spread_from_16_blocks(self):
+        values, cfg = self._sq_norms(self.COUNT)
+        bounds = np.cumsum([0] + self.SIZES)
+        assert bounds[-1] == self.COUNT
+        means = np.array([values[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+        med = float(np.median(means))
+        est = _estimate(values, cfg)
+        assert est.mean == med
+        assert est.spread == float(np.median(np.abs(means - med)))
+        assert est.spread > 0.0
+
+    def test_short_odd_count_is_one_sample_per_block(self):
+        values = np.array([4.0, 1.0, 9.0, 2.0, 5.0])
+        est = _estimate(values, MCConfig(samples=5, seed=0, estimator=MEDIAN_OF_MEANS))
+        assert (est.mean, est.spread) == (4.0, 2.0)  # |deviations| 0, 3, 5, 2, 1
+
+    def test_even_count_blocks_unchanged(self):
+        values, cfg = self._sq_norms(1000)
+        means = values.reshape(default_blocks(1000), -1).mean(axis=1)
+        med = float(np.median(means))
+        est = _estimate(values, cfg)
+        assert float.hex(est.mean) == float.hex(med)
+        assert float.hex(est.spread) == float.hex(float(np.median(np.abs(means - med))))
+
+    def test_odd_count_report_has_sandwich_slack(self):
+        rep = bound_report(make_example("sec74", d=8), MCConfig(
+            samples=self.COUNT, seed=1, estimator=MEDIAN_OF_MEANS))
+        assert rep.mc_sqnorm.spread > 0.0
 
 
 class TestNormMoment:
