@@ -15,6 +15,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -330,7 +331,10 @@ def cmd_experiment(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parse_args
+    keeps no state between calls, so main can reuse it."""
     parser = argparse.ArgumentParser(
         prog="matcon",
         description=(

@@ -558,11 +558,13 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     return IndependentSumModel(d, d, summands, key, n, layout)
 
 
-def _check_moments(model: IndependentSumModel) -> None:
+def _check_moments(model: IndependentSumModel, matrices: bool) -> None:
+    """Refuse an uncentered model, and with `matrices` one whose two dense
+    second-moment matrices would exceed the budget."""
     if not model.centered:
         raise ValueError("model is not centered; center() it first")
     nbytes = 16 * (model.d1**2 + model.d2**2)
-    if nbytes > _STACK_BYTES:
+    if matrices and nbytes > _STACK_BYTES:
         raise ValueError(
             f"the {model.d1}x{model.d1} and {model.d2}x{model.d2} second-moment "
             f"matrices take {nbytes} bytes, over the {_STACK_BYTES}-byte budget"
@@ -602,7 +604,7 @@ def analytic_second_moments(model: IndependentSumModel):
     The sums are replaced by (M + M*)/2: dense terms are Hermitian only up to
     rounding.
     """
-    _check_moments(model)
+    _check_moments(model, matrices=True)
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
     dense = model._columns.row < 0
@@ -631,7 +633,7 @@ def moment_diagonals(model: IndependentSumModel):
     otherwise.  They are the diagonals of analytic_second_moments bit for
     bit (same sums, same order, same (M + M*)/2 and checks), without a
     d x d matrix."""
-    _check_moments(model)
+    _check_moments(model, matrices=False)
     if (model._columns.row < 0).any():
         return None
     return _hermitian_means(*_cell_sums(model, model._inverse))

@@ -34,16 +34,18 @@ def _as_u64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64)
 
 
-def _finalize(z: np.ndarray, tmp: np.ndarray) -> None:
-    """The splitmix64 finalizer, in place on z; tmp is scratch of z's shape."""
+def _finalize(z: np.ndarray, tmp: np.ndarray, last: bool = True) -> None:
+    """The splitmix64 finalizer, in place on z; tmp is scratch of z's shape.
+    last=False skips the closing z ^= z >> 31, which never changes bit 63."""
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= _MIX1
     np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
     z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
+    if last:
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
 
 
 def _scalar_if_0d(a: np.ndarray):
@@ -57,10 +59,16 @@ def counter_words(seed, index, position, slot):
     Arguments broadcast like numpy arrays; the result carries the broadcast
     shape.  Each distinct key yields an independent-looking word.
     """
+    return _scalar_if_0d(_words(seed, index, position, slot))
+
+
+def _words(seed, index, position, slot, sign_only: bool = False) -> np.ndarray:
+    """counter_words as an array; with sign_only, only bit 63 of each word is
+    exact, since the last finalizer step is skipped."""
     z = _as_u64(seed)
     tmp = None
     with np.errstate(over="ignore"):
-        for word in (index, position, slot):
+        for step_no, word in enumerate((index, position, slot)):
             step = _GOLDEN * (_as_u64(word) + _ONE)
             if tmp is not None and (np.ndim(step) == 0 or step.shape == z.shape):
                 z += step
@@ -69,13 +77,13 @@ def counter_words(seed, index, position, slot):
                 # never written
                 z = np.asarray(z + step)
                 tmp = np.empty_like(z)
-            _finalize(z, tmp)
-    return _scalar_if_0d(z)
+            _finalize(z, tmp, last=not (sign_only and step_no == 2))
+    return z
 
 
 def _top_bits(seed, index, position, slot, shift: int, offset: int = 0) -> np.ndarray:
     """(word >> shift) + offset as float64, computed in the word's buffer."""
-    w = np.asarray(counter_words(seed, index, position, slot))
+    w = _words(seed, index, position, slot)
     w >>= np.uint64(shift)
     if offset:
         w += np.uint64(offset)
@@ -110,7 +118,7 @@ def integers(seed, index, position, slot, low: int, high) -> np.ndarray:
 def signs(seed, index, position, slot):
     """Rademacher variates, +-1.0 with equal probability: the top bit of the
     word becomes the sign bit of 1.0, so a set bit gives -1.0."""
-    w = np.asarray(counter_words(seed, index, position, slot))
+    w = _words(seed, index, position, slot, sign_only=True)
     w &= _SIGN_BIT
     w |= _ONE_BITS
     return _scalar_if_0d(w.view(np.float64))

@@ -13,9 +13,9 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from matcon import FiniteSummand, FixedRademacher, make_model, model_to_json
+from matcon import FiniteSummand, FixedRademacher, __version__, make_model, model_to_json
 from matcon import oracles
-from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, main
+from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, _build_parser, main
 from matcon.models import _matrix_from_json
 
 
@@ -406,8 +406,8 @@ class TestMemoryGuard:
         )
 
     def test_moment_matrices_over_budget_exit_2(self, monkeypatch, tmp_path, capsys):
-        doc = {"summands": [{"family": "rademacher_entry", "row": 0, "col": 0, "dim": 8}]}
-        f = tmp_path / "entry.json"
+        doc = {"summands": [{"family": "fixed_rademacher", "matrix": [[1.0] * 8] * 8}]}
+        f = tmp_path / "dense.json"
         f.write_text(json.dumps(doc))
         monkeypatch.setattr("matcon.models._STACK_BYTES", 2000)
         code, out, err = run_cli(
@@ -418,6 +418,32 @@ class TestMemoryGuard:
         # two dense complex 8x8 matrices of 16-byte entries
         assert "second-moment matrices take 2048 bytes" in err
         assert "2000-byte budget" in err
+
+    def test_one_entry_model_outside_moment_matrix_budget(self, monkeypatch, tmp_path, capsys):
+        # v comes from two length-8 diagonals; no 8x8 matrix is formed
+        doc = {"summands": [{"family": "rademacher_entry", "row": 0, "col": 0, "dim": 8}]}
+        f = tmp_path / "entry.json"
+        f.write_text(json.dumps(doc))
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 2000)
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == ",".join(REPORT_COLUMNS)
+        assert row.startswith("custom,8,8,1,1,analytic,")
+
+    def test_large_diagonal_example_outside_moment_matrix_budget(self, capsys):
+        # two 4096x4096 complex matrices would take 512 MiB; the diagonals 64 KiB
+        code, out, err = run_cli(
+            ["report", "--model", "sec71", "--d", "4096", "--n", "1", "--samples", "8",
+             "--seed", "1"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == ",".join(REPORT_COLUMNS)
+        assert row.startswith("sec71,4096,4096,1,1,analytic,")
 
 
 class TestVerify:
@@ -724,6 +750,79 @@ class TestPinnedOutput:
         assert code == 2
         assert out == ""
         assert err == f"error: --n is required for {label}\n"
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's
+    arguments, defaults or errors."""
+
+    # each call's (exit code, stdout, stderr, --out file bytes)
+    SCRIPT = (
+        "import contextlib, io, json, os, sys\n"
+        "import matcon.cli\n"
+        "results = []\n"
+        "for argv, out_path in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = matcon.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    written = open(out_path).read() if out_path else None\n"
+        "    if out_path:\n"
+        "        os.remove(out_path)\n"
+        "    results.append([code, out.getvalue(), err.getvalue(), written])\n"
+        "print(json.dumps(results))\n"
+    )
+
+    @classmethod
+    def run(cls, calls) -> list:
+        proc = subprocess.run(
+            [sys.executable, "-c", cls.SCRIPT, json.dumps(calls)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_calls_in_one_process_match_fresh_interpreters(self, tmp_path):
+        f = tmp_path / "shifted.json"
+        f.write_text(json.dumps(SHIFTED_DOC))
+        csv_out = str(tmp_path / "report.csv")
+        # the first report's --out and --estimator, and the second's --format,
+        # must not reach the calls after them
+        calls = [
+            (["report", "--model", "sec73", "--d", "3", "--samples", "64", "--seed", "5",
+              "--estimator", "mom", "--out", csv_out], csv_out),
+            (["report", "--model-file", str(f), "--samples", "64", "--seed", "5",
+              "--format", "json"], None),
+            (["report", "--model", "sec73", "--d", "3", "--samples", "64"], None),
+            (["verify", "--cases", "5", "--seed", "1"], None),
+            (["experiment", "--model", "sec74", "--d", "4,8", "--samples", "64", "--seed", "9",
+              "--out", csv_out], csv_out),
+            (["report", "--model", "sec73", "--d", "3", "--samples", "64", "--seed", "5"], None),
+            (["--version"], None),
+        ]
+        together = self.run(calls)
+        alone = [result for call in calls for result in self.run([call])]
+        assert together == alone
+        assert [code for code, *_ in together] == [0, 0, 2, 0, 0, 0, 0]
+        assert together[0][3].startswith("model,") and together[4][3].startswith("experiment,")
+        # the same model and seed under the mean: other bytes, on stdout
+        assert together[5][1].startswith("model,") and together[5][1] != together[0][3]
+        assert "envelope" in together[1][2]
+        assert "the following arguments are required: --seed" in together[2][2]
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_version_after_other_calls(self, capsys):
+        run_cli(["report", "--model", "sec73", "--d", "2", "--samples", "8", "--seed", "1"],
+                capsys)
+        run_cli(["verify", "--cases", "0", "--seed", "1"], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (f"matcon {__version__}\n", "")
 
 
 class TestEntryPoints:

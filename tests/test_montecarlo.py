@@ -480,6 +480,34 @@ class TestExactSqNormOracle:
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
+# E||Z||^2 of sec73 by enumerating its d^2 signs: 16 and 512 combinations
+SEC73_SQ_NORM = {2: 3.0, 3: 5.753373457205}
+
+
+class TestSec73EnumerationOracle:
+    """The Monte Carlo E||Z||^2 of sec73, drawn as a real dense Z whose norm
+    comes from its Gram matrix, against the exact value."""
+
+    @pytest.mark.parametrize("d", sorted(SEC73_SQ_NORM))
+    def test_exact_values(self, d):
+        summands = make_example("sec73", d=d).summands
+        exact = brute_force_expected_norm(
+            [FiniteSummand([(0.5, s.dense()), (0.5, -s.dense())]) for s in summands], r=2
+        )
+        assert exact == pytest.approx(SEC73_SQ_NORM[d], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("d", sorted(SEC73_SQ_NORM))
+    def test_monte_carlo_within_4se(self, d, seed):
+        model = make_example("sec73", d=d)
+        plan = SamplerPlan(model)
+        assert plan.real and not plan.diagonal
+        cfg = MCConfig(samples=2000, seed=seed)
+        norms, _ = collect_samples(model, cfg, max_sq=False)
+        est = _estimate(norms**2, cfg)
+        assert abs(est.mean - SEC73_SQ_NORM[d]) <= 4.0 * est.std_error
+
+
 class TestThreading:
     def test_worker_count_does_not_change_output(self, monkeypatch):
         self.check_worker_counts(monkeypatch, make_example("sec73", d=4))

@@ -143,3 +143,22 @@ def test_draws_do_not_write_into_their_keys(key):
     for function in PIN_FUNCTIONS:
         _pin_draw(key, function)
     assert all(np.array_equal(a, b) for a, b in zip(PIN_KEYS[key], before))
+
+
+# signs skip the finalizer's closing z ^= z >> 31, which never changes bit 63
+SIGN_KEYS = {
+    "scalar": (21, 3, 17, 0),
+    "big_seed": ((1 << 64) - 1, 0, 1 << 40, 2),
+    "broadcast": (1901, np.arange(9, dtype=np.uint64)[:, None],
+                  np.arange(130, dtype=np.uint64)[None, :], 1),
+    "2^16 words": (7, 4, np.arange(1 << 16, dtype=np.uint64), 0),
+}
+
+
+@pytest.mark.parametrize("key", list(SIGN_KEYS))
+def test_signs_are_the_top_bit_of_counter_words(key):
+    args = SIGN_KEYS[key]
+    want = np.where(rng.counter_words(*args) >> np.uint64(63), -1.0, 1.0)
+    got = np.asarray(rng.signs(*args))
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
