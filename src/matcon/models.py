@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from . import rng
-from .linalg import as_hermitian, as_stack, spectral_norm, spectral_norms
+from .linalg import as_stack, hermitian_stack, spectral_norm, spectral_norms
 
 _MEAN_TOL = 1e-12
 
@@ -192,9 +192,9 @@ def _check_cell(row: int, col: int, dim: int, message: str) -> None:
 
 
 def _fixed(law: ScalarLaw, matrix) -> ScalarSeries:
-    h = as_hermitian(matrix)
-    rows, cols = np.nonzero(h.array)
-    values = h.array[rows, cols]
+    h = hermitian_stack(as_stack([matrix]))[0][0]
+    rows, cols = np.nonzero(h)
+    values = h[rows, cols]
     if not values.imag.any():
         values = np.ascontiguousarray(values.real)
     for a in (rows, cols, values):
@@ -439,68 +439,59 @@ def _columns_of(distinct) -> _Columns:
     return _Columns(tuple(laws), code, norm, row, col, value, weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndependentSumModel:
     """Z = sum of independent summands, all of shape (d1, d2).
+
+    The summand objects may repeat (make_example shares one object among the
+    n repetitions of an entry), so the model holds its distinct objects in
+    order of first appearance and, for each position, the index of its
+    object among them; `summands` lists the positions.  Built by make_model
+    and make_example, which check the shapes.  Set-up reads the objects'
+    columns (_Columns), so per-summand work runs once per object.
 
     `centered` is computed, never trusted from the caller: it is true iff
     every summand has zero mean (always for a ScalarSeries, computed from the
     support for a FiniteSummand).  `n` is the reported model size: the
     repetition count for the built-in examples, the summand count otherwise.
-
-    The summand objects may repeat (make_example shares one object among the
-    n repetitions of an entry).  The model keeps the distinct objects in
-    order of first appearance, for each position the index of its object
-    among them, and the objects' columns (_Columns), so that set-up reads
-    arrays and per-summand work runs once per object.
+    Models compare by d1, d2, name, n and their summands' values.
     """
 
     d1: int
     d2: int
-    summands: tuple
+    _distinct: tuple = field(repr=False)
+    _inverse: np.ndarray = field(repr=False)
     name: str = "custom"
     n: int | None = None
     centered: bool = field(init=False, default=False)
-    _distinct: tuple = field(init=False, default=(), repr=False, compare=False)
-    _inverse: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    _columns: _Columns | None = field(init=False, default=None, repr=False, compare=False)
-    # (distinct objects, inverse) of summands make_example built, taken as
-    # they are instead of derived over every position
-    _layout: InitVar[tuple | None] = None
+    _columns: _Columns | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self, _layout):
-        if not self.summands:
-            raise ValueError("model needs at least one summand")
-        summands = tuple(self.summands)
-        object.__setattr__(self, "summands", summands)
-        if _layout is None:
-            # dicts keep first insertion order, so the keys of by_id list the
-            # objects in order of first appearance
-            ids = list(map(id, summands))
-            by_id = dict(zip(ids, summands))
-            rank = dict(zip(by_id, range(len(by_id))))
-            inverse = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
-            distinct = tuple(by_id.values())
-            for s in distinct:
-                if s.shape != (self.d1, self.d2):
-                    raise ValueError(
-                        f"summand shape {s.shape} != model shape ({self.d1}, {self.d2})"
-                    )
-            _layout = distinct, inverse
-        distinct, inverse = _layout
-        columns = _columns_of(distinct)
-        inverse.setflags(write=False)
+    def __post_init__(self):
+        columns = _columns_of(self._distinct)
+        self._inverse.setflags(write=False)
         if self.n is None:
-            object.__setattr__(self, "n", len(summands))
-        object.__setattr__(self, "_distinct", distinct)
-        object.__setattr__(self, "_inverse", inverse)
+            object.__setattr__(self, "n", len(self._inverse))
         object.__setattr__(self, "_columns", columns)
         finite = np.flatnonzero(columns.code < 0).tolist()
-        object.__setattr__(self, "centered", all(distinct[i].zero_mean for i in finite))
+        object.__setattr__(self, "centered", all(self._distinct[i].zero_mean for i in finite))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d1, self.d2, self.name, self.n, self.summands) == (
+            other.d1, other.d2, other.name, other.n, other.summands
+        )
+
+    __hash__ = None
+
+    @property
+    def summands(self) -> tuple:
+        """The summand object of each position, in model order."""
+        return tuple(map(self._distinct.__getitem__, self._inverse.tolist()))
 
     @property
     def n_summands(self) -> int:
-        return len(self.summands)
+        return len(self._inverse)
 
     @property
     def heavy_tail(self) -> bool:
@@ -510,9 +501,20 @@ class IndependentSumModel:
 
 def make_model(summands, name: str = "custom", n: int | None = None) -> IndependentSumModel:
     summands = tuple(summands)
-    # an empty model is refused by IndependentSumModel
-    d1, d2 = summands[0].shape if summands else (0, 0)
-    return IndependentSumModel(d1=d1, d2=d2, summands=summands, name=name, n=n)
+    if not summands:
+        raise ValueError("model needs at least one summand")
+    # dicts keep first insertion order, so the keys of by_id list the objects
+    # in order of first appearance
+    ids = list(map(id, summands))
+    by_id = dict(zip(ids, summands))
+    rank = dict(zip(by_id, range(len(by_id))))
+    inverse = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+    distinct = tuple(by_id.values())
+    d1, d2 = distinct[0].shape
+    for s in distinct:
+        if s.shape != (d1, d2):
+            raise ValueError(f"summand shape {s.shape} != model shape ({d1}, {d2})")
+    return IndependentSumModel(d1, d2, distinct, inverse, name, n)
 
 
 EXAMPLE_NAMES = ("sec71", "sec72", "sec73", "sec74")
@@ -550,12 +552,9 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     else:
         specs, n = [ParetoDiagonal(i, d) for i in range(d)], d
     # summands are immutable and every position draws its own coefficient,
-    # so the n repetitions of sec71 and sec72 share one summand object; the
-    # model takes this layout as it is rather than re-deriving it
-    distinct, reps = tuple(specs), positions // len(specs)
-    summands = tuple(chain.from_iterable(map(repeat, distinct, repeat(reps, len(distinct)))))
-    layout = distinct, np.repeat(np.arange(len(distinct)), reps)
-    return IndependentSumModel(d, d, summands, key, n, layout)
+    # so the n repetitions of sec71 and sec72 share one summand object
+    inverse = np.repeat(np.arange(len(specs)), positions // len(specs))
+    return IndependentSumModel(d, d, tuple(specs), inverse, key, n)
 
 
 def _check_moments(model: IndependentSumModel, matrices: bool) -> None:
@@ -699,13 +698,14 @@ def center(model: IndependentSumModel):
     """Replace each summand by S_i - E S_i; returns (centered model, E R).
 
     E R = sum of summand means is the quantity the triangle-inequality
-    envelope needs for uncentered reporting.  Each distinct summand object
-    is centered once, so positions that shared an object still share one.
+    envelope needs for uncentered reporting; a ScalarSeries has mean zero,
+    so only FiniteSummand means are taken.  Each distinct summand object is
+    centered once, so the centered model keeps the model's position index.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        means = [s.mean() for s in model._distinct]
-        nonzero = np.array([m.any() for m in means])
+        means = [s.mean() if isinstance(s, FiniteSummand) else None for s in model._distinct]
+        nonzero = np.array([m is not None and m.any() for m in means])
         # summed in position order; an exactly zero mean adds nothing
         for i in model._inverse[nonzero[model._inverse]]:
             mean_sum += means[i]
@@ -713,9 +713,10 @@ def center(model: IndependentSumModel):
         raise ValueError("centering overflows: the summed means are not finite")
     if model.centered:
         return model, mean_sum
-    distinct = [s if s.zero_mean else s.centered() for s in model._distinct]
-    specs = tuple(distinct[i] for i in model._inverse)
-    centered = IndependentSumModel(model.d1, model.d2, specs, name=model.name, n=model.n)
+    distinct = tuple(s if s.zero_mean else s.centered() for s in model._distinct)
+    centered = IndependentSumModel(
+        model.d1, model.d2, distinct, model._inverse, name=model.name, n=model.n
+    )
     return centered, mean_sum
 
 
@@ -728,7 +729,7 @@ def center(model: IndependentSumModel):
 # entry takes: row, owner and cell indices, the real and the imaginary part.
 # The same budget bounds the summand positions of a built-in example, whose
 # plan holds six 8-byte arrays over them (codes, positions, norms, rows,
-# cells, real values); make_example checks it before building the list.
+# cells, real values); make_example checks it before building any summand.
 # It also bounds the two dense complex second-moment matrices.
 _STACK_BYTES = 1 << 27
 _ENTRY_BYTES = 40
@@ -852,11 +853,6 @@ class SamplerPlan:
             coef[:, columns] = law.draw(seed, col, positions)
         return coef
 
-    def _entry_coefficients(self, coef: np.ndarray) -> np.ndarray:
-        """(k, entries) coefficient of the series each COO entry belongs to:
-        coef itself, not a copy, when entry e belongs to series e."""
-        return coef if self.owner is None else coef[:, self.owner]
-
     @staticmethod
     def _scatter(weights: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
         """Row s of the (k, width) result sums weights[s, e] into column
@@ -868,24 +864,31 @@ class SamplerPlan:
     def _max_sq(self, coef: np.ndarray) -> np.ndarray:
         return ((coef * self.norms) ** 2).max(axis=1, initial=0.0)
 
-    def _finite_choices(self, seed: int, idx: np.ndarray):
-        """Yield each FiniteSummand's outcome matrices and norms with the
-        (k,) outcome indices drawn for the batch."""
+    def _draw(self, seed, indices, max_sq: bool):
+        """The draws of a batch of sample indices: the (k, entries)
+        coefficient of the series each COO entry belongs to (the draws
+        themselves, not a copy, when entry e belongs to series e), each
+        FiniteSummand's outcome matrices with the (k,) outcome indices drawn,
+        and max_i ||S_i||^2 (None unless `max_sq`).  The counter RNG reduces
+        the seed mod 2^64."""
+        idx = np.asarray(indices, dtype=np.uint64)
+        coef = self._coefficients(seed, idx)
+        sq = self._max_sq(coef) if max_sq else None
+        choices = []
         for pos, cums, mats, norms in self.finite:
             u = rng.uniform_halfopen(seed, idx, pos, 0)
             j = np.minimum(np.searchsorted(cums, u, side="right"), len(cums) - 1)
-            yield mats, norms, j
+            if max_sq:
+                np.maximum(sq, norms[j] ** 2, out=sq)
+            choices.append((mats, j))
+        return (coef if self.owner is None else coef[:, self.owner]), choices, sq
 
     def realize(self, seed, indices, max_sq: bool = True):
         """Realizations Z, real when the plan is, and max_i ||S_i||^2 (None
         when `max_sq` is false) for a batch of sample indices."""
-        seed = seed_value(seed)
-        idx = np.asarray(indices, dtype=np.uint64)
-        k = idx.shape[0]
-        shape, width = (k, self.model.d1, self.model.d2), self.model.d1 * self.model.d2
-        coef = self._coefficients(seed, idx)
-        sq = self._max_sq(coef) if max_sq else None
-        terms = self._entry_coefficients(coef)
+        terms, choices, sq = self._draw(seed, indices, max_sq)
+        shape = (terms.shape[0], self.model.d1, self.model.d2)
+        width = self.model.d1 * self.model.d2
         if self.real:
             z = np.empty(shape)
         else:
@@ -893,23 +896,16 @@ class SamplerPlan:
             z.imag = 0.0
             if self.imag is not None:
                 z.imag = self._scatter(terms * self.imag, self.cells, width).reshape(shape)
-        terms *= self.values  # in place: coef is not read again
+        terms *= self.values  # in place: the draws are not read again
         z.real = self._scatter(terms, self.cells, width).reshape(shape)
-        for mats, norms, j in self._finite_choices(seed, idx):
+        for mats, j in choices:
             z += mats[j]
-            if max_sq:
-                np.maximum(sq, norms[j] ** 2, out=sq)
         return z, sq
 
     def realize_max_sq(self, seed, indices) -> np.ndarray:
         """max_i ||S_i||^2 alone for a batch of sample indices, identical to
         the second output of `realize` without building Z."""
-        seed = seed_value(seed)
-        idx = np.asarray(indices, dtype=np.uint64)
-        sq = self._max_sq(self._coefficients(seed, idx))
-        for _, norms, j in self._finite_choices(seed, idx):
-            np.maximum(sq, norms[j] ** 2, out=sq)
-        return sq
+        return self._draw(seed, indices, True)[2]
 
     def realize_diagonal(self, seed, indices, max_sq: bool = True):
         """For a diagonal plan: the real diagonals (k, d) of the realizations
@@ -918,11 +914,8 @@ class SamplerPlan:
         so the values are identical."""
         if not self.diagonal:
             raise ValueError("realize_diagonal needs a diagonal plan")
-        seed = seed_value(seed)
-        coef = self._coefficients(seed, np.asarray(indices, dtype=np.uint64))
-        sq = self._max_sq(coef) if max_sq else None
-        terms = self._entry_coefficients(coef)
-        terms *= self.values  # in place: coef is not read again
+        terms, _, sq = self._draw(seed, indices, max_sq)
+        terms *= self.values  # in place: the draws are not read again
         return self._scatter(terms, self.rows, self.model.d1), sq
 
     def realize_rows(self, seed, indices, max_sq: bool = True):
@@ -931,11 +924,10 @@ class SamplerPlan:
         position at slot 2, which no per-term law uses, inverted on the CDF;
         max_i ||S_i||^2 (None unless `max_sq`) is `realize_max_sq`'s."""
         first, atoms, cdf = self.row
-        idx = np.asarray(indices, dtype=np.uint64)
-        u = rng.uniform_halfopen(seed_value(seed), idx[:, None], first, 2)
+        u = rng.uniform_halfopen(seed, np.asarray(indices)[:, None], first, 2)
         # cdf[-1] is exactly 1 > u, so the index stays within the atoms
         diag = atoms[np.searchsorted(cdf, u, side="right")]
-        return diag, (self.realize_max_sq(seed, idx) if max_sq else None)
+        return diag, (self.realize_max_sq(seed, indices) if max_sq else None)
 
 
 def _row_law(two_point: tuple, m: int, value: float):

@@ -16,6 +16,7 @@ import pytest
 from matcon import FiniteSummand, FixedRademacher, __version__, make_model, model_to_json
 from matcon import oracles
 from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, _build_parser, main
+from matcon.linalg import HermitianMatrix
 from matcon.models import _matrix_from_json
 
 
@@ -317,6 +318,34 @@ class TestReport:
             ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "summands",
+        [
+            [{"family": "fixed_rademacher",
+              "matrix": [[[0.75, 0.0], [0.5, -1.25]], [[0.5, 1.25], [-1.1, 0.0]]]},
+             {"family": "fixed_gaussian", "matrix": [[1.5, [0.0, 0.4]], [[0.0, -0.4], 0.0]]},
+             {"family": "fixed_rademacher", "matrix": [[[0.0, 0.0], 2.0], [2.0, 0.0]]}],
+            [{"family": "fixed_gaussian", "matrix": [[1.0, [0.0, 0.4]], [[0.0, 0.4], 0.0]]}],
+        ],
+        ids=["complex", "not_hermitian"],
+    )
+    def test_fixed_matrices_read_without_hermitian_matrix(
+        self, tmp_path, capsys, monkeypatch, summands
+    ):
+        # a model file's fixed matrices are validated as a stack, with the
+        # same rows and refusals as a HermitianMatrix would give
+        f = tmp_path / "fixed.json"
+        f.write_text(json.dumps({"summands": summands}))
+        argv = ["report", "--model-file", str(f), "--samples", "64", "--seed", "5"]
+        want = run_cli(argv, capsys)
+
+        def refuse(self, data):
+            raise AssertionError("a HermitianMatrix was built")
+
+        monkeypatch.setattr(HermitianMatrix, "__init__", refuse)
+        assert run_cli(argv, capsys) == want
+        assert want[0] == (0 if len(summands) > 1 else 2)
 
     def test_huge_non_integral_value_echo_is_capped(self, tmp_path, capsys):
         # a 401-digit scale: the message repeats its first 40 characters

@@ -29,7 +29,16 @@ from matcon import (
 from matcon import rng
 from matcon.bounds import large_dev_param, variance_param
 from matcon.linalg import spectral_norm, spectral_norms
-from matcon.models import _ROW_ATOMS, PARETO, SIGN, SamplerPlan, _matrix_from_json, moment_diagonals
+from matcon.models import (
+    _ROW_ATOMS,
+    PARETO,
+    SIGN,
+    IndependentSumModel,
+    SamplerPlan,
+    ScalarSeries,
+    _matrix_from_json,
+    moment_diagonals,
+)
 from matcon.montecarlo import MCConfig, bound_report
 from reference_draws import pareto_sample, sample_summands
 
@@ -646,6 +655,62 @@ class TestGoldenSamples:
         assert analytic_max_sq(self.model(doc)) == GOLDEN_DISCRETE_MAX_SQ
 
 
+# a diagonal plan without a row law: diagonal fixed matrices of both
+# families and a Pareto entry sharing cells
+GOLDEN_DIAGONAL_DOC = {
+    "name": "golden_diagonal",
+    "d1": 4,
+    "d2": 4,
+    "summands": [
+        {"family": "fixed_gaussian",
+         "matrix": [[1.5, 0.0, 0.0, 0.0], [0.0, -0.25, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.6]]},
+        {"family": "fixed_rademacher",
+         "matrix": [[0.0, 0.0, 0.0, 0.0], [0.0, 0.75, 0.0, 0.0],
+                    [0.0, 0.0, -1.1, 0.0], [0.0, 0.0, 0.0, 0.3]]},
+        {"family": "fixed_gaussian",
+         "matrix": [[-0.4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 0.0]]},
+        {"family": "pareto_diagonal", "index": 3, "dim": 4},
+    ],
+}
+# sha256 of (diagonals, max_sq) at GOLDEN_SEED over samples 0..63
+GOLDEN_DIAGONAL_SHA256 = {
+    "sec74": "7ef376e14e7ed2cef343bcd5694bf940e4607c1ad27374790fbb711313658f40",
+    "fixed_gaussian": "6e829ece1ce65736b71252cc436abc49169546d3d12da710483af159de4e07a7",
+}
+GOLDEN_ROWS_SHA256 = {
+    "sec71": "5d5cda524d0ea5d34ce3364b565dffe77bcc417a2d2fd524fb79805e7cce7d5e",
+    "sec72": "31b211b8306ef4713292c5ca72176def00e5553be3b66e869e5425cd4a69cb3f",
+}
+
+
+class TestGoldenDiagonalKernels:
+    """The raw diagonals and max_i ||S_i||^2 of the two diagonal kernels,
+    pinned across versions: TestDiagonalKernel compares realize_diagonal
+    with realize, which share their draws."""
+
+    IDX = np.arange(64, dtype=np.uint64)
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DIAGONAL_SHA256))
+    def test_realize_diagonal(self, key):
+        if key == "sec74":
+            model = make_example("sec74", d=8)
+        else:
+            model = model_from_json(json.loads(json.dumps(GOLDEN_DIAGONAL_DOC)))
+        plan = SamplerPlan(model)
+        assert plan.diagonal and plan.row is None
+        diag, max_sq = plan.realize_diagonal(GOLDEN_SEED, self.IDX)
+        assert _sha256(diag, max_sq) == GOLDEN_DIAGONAL_SHA256[key]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ROWS_SHA256))
+    def test_realize_rows(self, name):
+        plan = SamplerPlan(make_example(name, d=8, n=5))
+        assert plan.row is not None
+        diag, max_sq = plan.realize_rows(GOLDEN_SEED, self.IDX)
+        assert _sha256(diag, max_sq) == GOLDEN_ROWS_SHA256[name]
+
+
 def _mixed_summands(shared: bool) -> list:
     """Finite-support, fixed-matrix and one-entry summands interleaved; with shared
     true each repeated summand is one object, otherwise an equal copy."""
@@ -715,6 +780,71 @@ class TestSharedSummands:
         total = sum(sample_summands(model, 13, 6))
         assert np.allclose(z[0], total, rtol=0.0, atol=1e-12)
 
+
+def _uncentered_mixed_model():
+    """Mixed summands with two uncentered FiniteSummand objects, one of them
+    at two positions."""
+    lift = FiniteSummand([(0.25, np.diag([2.0, 0.0, 1.0])), (0.75, np.eye(3))])
+    tilt = FiniteSummand([(0.5, np.diag([0.0, 1.5j, 0.0])), (0.5, np.zeros((3, 3)))])
+    summands = _mixed_summands(True)
+    return make_model(summands[:3] + [lift] + summands[3:8] + [tilt, lift] + summands[8:])
+
+
+class TestSingleLayout:
+    """A model holds its distinct summand objects and a position index;
+    `summands` and `n_summands` are read from them."""
+
+    def models(self):
+        mixed = _uncentered_mixed_model()
+        return {
+            "make_model": mixed,
+            "make_example": make_example("sec72", d=4, n=3),
+            "center": center(mixed)[0],
+            "model_from_json": model_from_json(json.loads(json.dumps(GOLDEN_DOC))),
+        }
+
+    @pytest.mark.parametrize("builder", ["make_model", "make_example", "center",
+                                         "model_from_json"])
+    def test_layout_is_the_only_input(self, builder):
+        model = self.models()[builder]
+        assert not model._inverse.flags.writeable
+        assert model.n_summands == len(model._inverse)
+        assert model.summands == tuple(model._distinct[i] for i in model._inverse)
+        rebuilt = IndependentSumModel(
+            model.d1, model.d2, model._distinct, model._inverse, model.name, model.n
+        )
+        assert rebuilt == model and rebuilt.centered == model.centered
+
+    def test_equality_compares_summand_values(self):
+        a, b = RademacherEntry(0, 1, 2), RademacherEntry(0, 1, 2)
+        assert make_model([a, a]) == make_model([a, b])
+        assert make_model([a, a]) != make_model([a, a], name="other")
+        assert make_model([a, a]) != make_model([a, RademacherEntry(1, 0, 2)])
+
+    def test_center_keeps_the_position_index(self):
+        model = _uncentered_mixed_model()
+        assert not model.centered
+        out, _ = center(model)
+        assert out.centered and out._inverse is model._inverse
+
+    def test_center_takes_finite_means_only(self, monkeypatch):
+        model = _uncentered_mixed_model()
+        want_model, want_mean = center(model)
+
+        def refuse(self):
+            raise AssertionError("the mean of a ScalarSeries was taken")
+
+        monkeypatch.setattr(ScalarSeries, "mean", refuse)
+        got_model, got_mean = center(model)
+        assert got_mean.tobytes() == want_mean.tobytes()
+        assert got_model == want_model
+        for a, b in zip(got_model.summands, want_model.summands):
+            if isinstance(a, FiniteSummand):
+                assert a.probabilities.tobytes() == b.probabilities.tobytes()
+                assert a.matrices.tobytes() == b.matrices.tobytes()
+
+    def test_repr_does_not_list_positions(self):
+        assert len(repr(make_example("sec71", d=64, n=100))) < 300
 
 class TestRowLaw:
     """A diagonal plan whose cells each hold m one-entry summands of one

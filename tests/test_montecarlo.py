@@ -480,8 +480,9 @@ class TestExactSqNormOracle:
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
-# E||Z||^2 of sec73 by enumerating its d^2 signs: 16 and 512 combinations
-SEC73_SQ_NORM = {2: 3.0, 3: 5.753373457205}
+# E||Z||^2 of sec73 by enumerating its d^2 signs: 16, 512 and 65,536
+# combinations
+SEC73_SQ_NORM = {2: 3.0, 3: 5.753373457205, 4: 8.861673850608796}
 
 
 class TestSec73EnumerationOracle:
