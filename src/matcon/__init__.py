@@ -11,7 +11,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .linalg import HermitianMatrix, as_hermitian, spectral_norm
+from .linalg import HermitianMatrix, spectral_norm
 from .oracles import (
     KINDS,
     FactCase,
@@ -63,7 +63,6 @@ __all__ = [
     "__version__",
     # linalg
     "HermitianMatrix",
-    "as_hermitian",
     "spectral_norm",
     # oracles
     "KINDS",

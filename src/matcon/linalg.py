@@ -136,30 +136,16 @@ class HermitianMatrix:
         return self.array.shape
 
 
-def as_hermitian(M) -> HermitianMatrix:
-    return M if isinstance(M, HermitianMatrix) else HermitianMatrix(M)
-
-
 def spectral_norm(M) -> float:
-    """Largest singular value, via the Gram matrix of the smaller dimension.
-
-    A real diagonal matrix skips the eigensolver: its Gram matrix is
-    diag(a_ii^2), symmetrized as (g + g*)/2, so the norm is the root of the
-    largest a_ii^2, with the same overflow error.  That equals the Gram
-    route bit for bit while LAPACK leaves the matrix unscaled (squares
-    within about 1e-146..1e146).
-    """
-    a = as_stack([M])[0]
-    diag = np.diagonal(a).real
-    if a.imag.any() or np.count_nonzero(a) != np.count_nonzero(diag):
-        return float(spectral_norms(a[None])[0])
-    return diagonal_norm(diag)
+    """Largest singular value, via the Gram matrix of the smaller dimension."""
+    return float(spectral_norms(as_stack([M]))[0])
 
 
 def diagonal_norm(diag: np.ndarray) -> float:
-    """Spectral norm of a real diagonal matrix from its diagonal, as
-    spectral_norm takes it: the root of the largest a_ii^2, raising when
-    the symmetrized Gram diagonal (a_ii^2 + a_ii^2)/2 overflows."""
+    """Spectral norm of a real diagonal matrix from its diagonal, bit for
+    bit as spectral_norm's Gram route while LAPACK leaves the matrix
+    unscaled (squares within about 1e-146..1e146): the root of the largest
+    a_ii^2, raising when the symmetrized Gram diagonal overflows."""
     with np.errstate(over="ignore"):
         sq = diag * diag
         _check_gram(sq + sq)

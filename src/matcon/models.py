@@ -136,10 +136,6 @@ class ScalarSeries:
 
     __hash__ = None
 
-    @property
-    def heavy_tail(self) -> bool:
-        return self.law.heavy_tail
-
     def dense(self) -> np.ndarray:
         a = np.zeros(self.shape, dtype=np.complex128)
         a[np.asarray(self.rows, dtype=np.intp), np.asarray(self.cols, dtype=np.intp)] = self.values
@@ -294,8 +290,6 @@ class FiniteSummand:
     """
 
     __slots__ = ("probabilities", "matrices")
-
-    heavy_tail = False
 
     def __init__(self, outcomes):
         pairs = list(outcomes)
@@ -638,17 +632,23 @@ def moment_diagonals(model: IndependentSumModel):
     return _hermitian_means(*_cell_sums(model, model._inverse))
 
 
+def _sampled_max_sq(model: IndependentSumModel) -> bool:
+    """Whether E max_i ||S_i||^2 is sampled rather than exact: true when a
+    summand has a continuous law (Gaussian, Pareto)."""
+    return any(law.sq_support is None for law in model._columns.laws)
+
+
 def analytic_max_sq(model: IndependentSumModel):
     """Exact E max_i ||S_i||^2 when every summand has finite ||S||^2 support.
 
     Uses the survival product: P(max <= v) is the product of per-summand
     CDFs, evaluated on the sorted union of support points, with each
     distinct support raised to the number of positions that carry it.
-    Returns None when a summand has a continuous law (Gaussian, Pareto).
+    Returns None when the value is sampled instead (_sampled_max_sq).
     """
-    c = model._columns
-    if any(law.sq_support is None for law in c.laws):
+    if _sampled_max_sq(model):
         return None
+    c = model._columns
     per_object = np.bincount(model._inverse, minlength=len(model._distinct))
     # ||S||^2 of a ScalarSeries has the law c^2 ||A||^2: one support for
     # each (law, norm) and each FiniteSummand, asked of its first object;
@@ -755,12 +755,15 @@ class SamplerPlan:
     sum of m independent copies, with an exact law on m + 1 atoms, and
     `row` holds (first summand position of each cell, atoms, CDF).
     `terms` counts the scattered entries and FiniteSummand choices of one
-    sample.  The per-position arrays are gathered from the model's columns;
-    Python reads only fixed matrices and FiniteSummands, once per object.
+    sample.  The realize methods return samples of max_i ||S_i||^2 when
+    `sampled_max_sq` (_sampled_max_sq), and None otherwise.  The
+    per-position arrays are gathered from the model's columns; Python reads
+    only fixed matrices and FiniteSummands, once per object.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
+        self.sampled_max_sq = _sampled_max_sq(model)
         distinct, inverse, c = model._distinct, model._inverse, model._columns
         finite = c.code < 0
         # per FiniteSummand object: outcome CDF, matrices (real when all are)
@@ -869,8 +872,8 @@ class SamplerPlan:
         coefficient of the series each COO entry belongs to (the draws
         themselves, not a copy, when entry e belongs to series e), each
         FiniteSummand's outcome matrices with the (k,) outcome indices drawn,
-        and max_i ||S_i||^2 (None unless `max_sq`).  The counter RNG reduces
-        the seed mod 2^64."""
+        and max_i ||S_i||^2 (None unless `max_sq`), all from one draw of the
+        coefficients.  The counter RNG reduces the seed mod 2^64."""
         idx = np.asarray(indices, dtype=np.uint64)
         coef = self._coefficients(seed, idx)
         sq = self._max_sq(coef) if max_sq else None
@@ -883,10 +886,10 @@ class SamplerPlan:
             choices.append((mats, j))
         return (coef if self.owner is None else coef[:, self.owner]), choices, sq
 
-    def realize(self, seed, indices, max_sq: bool = True):
+    def realize(self, seed, indices):
         """Realizations Z, real when the plan is, and max_i ||S_i||^2 (None
-        when `max_sq` is false) for a batch of sample indices."""
-        terms, choices, sq = self._draw(seed, indices, max_sq)
+        unless `sampled_max_sq`) for a batch of sample indices."""
+        terms, choices, sq = self._draw(seed, indices, self.sampled_max_sq)
         shape = (terms.shape[0], self.model.d1, self.model.d2)
         width = self.model.d1 * self.model.d2
         if self.real:
@@ -903,31 +906,32 @@ class SamplerPlan:
         return z, sq
 
     def realize_max_sq(self, seed, indices) -> np.ndarray:
-        """max_i ||S_i||^2 alone for a batch of sample indices, identical to
-        the second output of `realize` without building Z."""
+        """max_i ||S_i||^2 alone for a batch of sample indices, drawn on any
+        plan; identical to the second output of `realize` where that is
+        drawn, without building Z."""
         return self._draw(seed, indices, True)[2]
 
-    def realize_diagonal(self, seed, indices, max_sq: bool = True):
+    def realize_diagonal(self, seed, indices):
         """For a diagonal plan: the real diagonals (k, d) of the realizations
-        and max_i ||S_i||^2 (None when `max_sq` is false).  Each entry sums
-        the same terms in the same order as the matching entry of `realize`,
-        so the values are identical."""
+        and max_i ||S_i||^2 as `realize` returns it.  Each entry sums the same
+        terms in the same order as the matching entry of `realize`, so the
+        values are identical."""
         if not self.diagonal:
             raise ValueError("realize_diagonal needs a diagonal plan")
-        terms, _, sq = self._draw(seed, indices, max_sq)
+        terms, _, sq = self._draw(seed, indices, self.sampled_max_sq)
         terms *= self.values  # in place: the draws are not read again
         return self._scatter(terms, self.rows, self.model.d1), sq
 
-    def realize_rows(self, seed, indices, max_sq: bool = True):
+    def realize_rows(self, seed, indices):
         """`realize_diagonal`'s law by another stream, for a row-law plan:
         one uniform per (sample, cell), keyed on the cell's first summand
-        position at slot 2, which no per-term law uses, inverted on the CDF;
-        max_i ||S_i||^2 (None unless `max_sq`) is `realize_max_sq`'s."""
+        position at slot 2, which no per-term law uses, inverted on the CDF.
+        A row law is two-point, so max_i ||S_i||^2 is exact and not drawn:
+        the second output is None."""
         first, atoms, cdf = self.row
         u = rng.uniform_halfopen(seed, np.asarray(indices)[:, None], first, 2)
         # cdf[-1] is exactly 1 > u, so the index stays within the atoms
-        diag = atoms[np.searchsorted(cdf, u, side="right")]
-        return diag, (self.realize_max_sq(seed, indices) if max_sq else None)
+        return atoms[np.searchsorted(cdf, u, side="right")], None
 
 
 def _row_law(two_point: tuple, m: int, value: float):

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .bounds import BoundInputs, main_interval, variance_param
+from .bounds import BoundInputs, large_dev_param, main_interval, variance_param
 from .linalg import spectral_norm, spectral_norms
 from .models import (
     IndependentSumModel,
     SamplerPlan,
-    analytic_max_sq,
     analytic_second_moments,  # noqa: F401 -- still importable from this module
     center,
     seed_value,
@@ -89,13 +88,13 @@ def _thread_count() -> int:
     return count
 
 
-def _chunk_size(plan: SamplerPlan, max_sq: bool = True) -> int:
+def _chunk_size(plan: SamplerPlan) -> int:
     """Samples per chunk, within the budget of draws (per sample: one per
-    cell on the row route, plus one per summand if `max_sq`; one per COO
-    entry and FiniteSummand choice otherwise) and the byte budget for the
-    realized chunk: d real diagonal entries per sample on the diagonal
-    route, d1*d2 complex entries otherwise (a real plan's half-size Z keeps
-    that chunk)."""
+    cell on the row route, one per COO entry and FiniteSummand choice
+    otherwise) and the byte budget for the realized chunk: d real diagonal
+    entries per sample on the diagonal route, d1*d2 complex entries
+    otherwise (a real plan's half-size Z keeps that chunk).  It depends on
+    the model alone."""
     model = plan.model
     shape, itemsize = ((model.d1,), 8) if plan.diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
@@ -104,7 +103,7 @@ def _chunk_size(plan: SamplerPlan, max_sq: bool = True) -> int:
             f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
             f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
         )
-    draws = plan.terms if plan.row is None else model.d1 + (plan.terms if max_sq else 0)
+    draws = plan.terms if plan.row is None else model.d1
     cells = _CHUNK_BUDGET // max(1, draws)
     return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
 
@@ -123,9 +122,11 @@ def _for_chunks(samples: int, chunk: int, run) -> None:
             list(pool.map(lambda s: run(s, min(s + chunk, samples)), starts))
 
 
-def collect_samples(model: IndependentSumModel, cfg: MCConfig, *, max_sq: bool = True):
-    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order; the
-    second is None when `max_sq` is false.
+def collect_samples(model: IndependentSumModel, cfg: MCConfig):
+    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order.  The
+    second is drawn only when E max_i ||S_i||^2 has no exact value (a
+    Gaussian or Pareto law, SamplerPlan.sampled_max_sq), and is None
+    otherwise: large_dev_param gives that L.
 
     ||Z|| is max_i |z_ii| when every realization is diagonal, with the z_ii
     drawn from their row law on a row-law plan, and the root of the top
@@ -134,21 +135,21 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig, *, max_sq: bool =
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     norms = np.empty(cfg.samples)
-    sq = np.empty(cfg.samples) if max_sq else None
+    sq = np.empty(cfg.samples) if plan.sampled_max_sq else None
 
     def run(start: int, stop: int) -> None:
         idx = np.arange(start, stop, dtype=np.uint64)
         if plan.diagonal:
             realize = plan.realize_diagonal if plan.row is None else plan.realize_rows
-            diag, m = realize(seed, idx, max_sq)
+            diag, m = realize(seed, idx)
             norms[start:stop] = np.abs(diag).max(axis=1)
         else:
-            z, m = plan.realize(seed, idx, max_sq)
+            z, m = plan.realize(seed, idx)
             norms[start:stop] = spectral_norms(z)
-        if max_sq:
+        if sq is not None:
             sq[start:stop] = m
 
-    _for_chunks(cfg.samples, _chunk_size(plan, max_sq), run)
+    _for_chunks(cfg.samples, _chunk_size(plan), run)
     return norms, sq
 
 
@@ -206,7 +207,9 @@ def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estima
         idx = np.arange(start, stop, dtype=np.uint64)
         max_sq[start:stop] = plan.realize_max_sq(seed, idx)
 
-    _for_chunks(cfg.samples, _chunk_size(plan), run)
+    # realize_max_sq draws every coefficient, also on a row-law plan
+    chunk = min(_chunk_size(plan), max(1, _CHUNK_BUDGET // max(1, plan.terms)))
+    _for_chunks(cfg.samples, chunk, run)
     return _estimate(max_sq, cfg)
 
 
@@ -246,9 +249,10 @@ class BoundReport:
 def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
     """Assemble parameters, interval, and Monte Carlo estimates.
 
-    v comes from the exact per-summand moments; L is exact
-    when every summand has finite ||S||^2 support and Monte Carlo otherwise;
-    sandwich_ok checks
+    v comes from the exact per-summand moments.  L is large_dev_param's
+    exact value when every summand has finite ||S||^2 support, and the
+    Monte Carlo mean of the sampled max_i ||S_i||^2 when collect_samples
+    draws it (a Gaussian or Pareto law).  sandwich_ok checks
     lower - k*spread <= sqrt(mc_sqnorm.mean) <= upper + k*spread with k = 3.
     """
     work = model
@@ -258,12 +262,9 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         mean_norm = spectral_norm(mean_sum)
 
     v = variance_param(work)
-    exact_max = analytic_max_sq(work)
-    # the sampled max_i ||S_i||^2 is read only when there is no exact value
-    norms, max_sq = collect_samples(work, cfg, max_sq=exact_max is None)
-    if exact_max is not None:
-        L = math.sqrt(max(exact_max, 0.0))
-        L_prov = "analytic"
+    norms, max_sq = collect_samples(work, cfg)
+    if max_sq is None:
+        L, L_prov = large_dev_param(work), "analytic"
     else:
         L = math.sqrt(max(_estimate(max_sq, cfg).mean, 0.0))
         L_prov = "montecarlo"

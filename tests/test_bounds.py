@@ -10,7 +10,7 @@ from matcon import (
     BoundInterval,
     FiniteSummand,
     FixedRademacher,
-    as_hermitian,
+    HermitianMatrix,
     brute_force_expected_norm,
     dimensional_constant,
     estimate_max_summand_sq,
@@ -37,7 +37,7 @@ from matcon.linalg import dilation_stack
 
 def rand_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return as_hermitian((g + g.conj().T) / 2)
+    return HermitianMatrix((g + g.conj().T) / 2)
 
 
 class TestDimensionalConstant:
@@ -162,7 +162,7 @@ class TestRademacherBound:
             for i in range(d):
                 e = np.zeros((d, d))
                 e[i, i] = 1.0
-                mats.append(as_hermitian(e))
+                mats.append(HermitianMatrix(e))
             want = math.sqrt(1.0 + 2.0 * math.ceil(math.log(d)))
             assert rademacher_bound(mats) == pytest.approx(want)
 
@@ -216,7 +216,7 @@ class TestTraceMomentBound:
         rng = np.random.default_rng(4)
         hs = [rand_hermitian(rng, 3) for _ in range(2)]
         total = sum(h.array @ h.array for h in hs)
-        want = math.sqrt(3.0 * spectral_norm(as_hermitian(total)))
+        want = math.sqrt(3.0 * spectral_norm(HermitianMatrix(total)))
         assert trace_moment_bound(hs, p=1) == pytest.approx(want)
 
     def test_trace_second_moment_enumeration(self):
@@ -320,7 +320,7 @@ class TestPsdComponentInequalities:
                     )
                 )
             mean_w = sum(s.mean() for s in summands)
-            mean_norm = spectral_norm(as_hermitian(mean_w))
+            mean_norm = spectral_norm(HermitianMatrix(mean_w))
             e_norm_w = brute_force_expected_norm(summands, r=1)
 
             # E max_i ||T_i|| over the product distribution

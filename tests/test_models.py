@@ -13,12 +13,12 @@ from matcon import (
     FiniteSummand,
     FixedGaussian,
     FixedRademacher,
+    HermitianMatrix,
     ParetoDiagonal,
     RademacherEntry,
     ScaledBasisRademacher,
     analytic_max_sq,
     analytic_second_moments,
-    as_hermitian,
     center,
     make_example,
     make_model,
@@ -45,7 +45,7 @@ from reference_draws import pareto_sample, sample_summands
 
 def rand_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return as_hermitian((g + g.conj().T) / 2)
+    return HermitianMatrix((g + g.conj().T) / 2)
 
 
 class TestExamples:
@@ -361,7 +361,7 @@ class TestExactMaxSq:
         assert analytic_max_sq(make_example("sec74", d=3)) is None
 
     def test_fixed_gaussian_has_no_closed_form(self):
-        h = as_hermitian(np.eye(2))
+        h = HermitianMatrix(np.eye(2))
         assert analytic_max_sq(make_model([FixedGaussian(h)])) is None
 
     def test_finite_family(self):
@@ -679,9 +679,10 @@ GOLDEN_DIAGONAL_SHA256 = {
     "sec74": "7ef376e14e7ed2cef343bcd5694bf940e4607c1ad27374790fbb711313658f40",
     "fixed_gaussian": "6e829ece1ce65736b71252cc436abc49169546d3d12da710483af159de4e07a7",
 }
+# sha256 of the row-law diagonals alone (their max_sq is exact, not drawn)
 GOLDEN_ROWS_SHA256 = {
-    "sec71": "5d5cda524d0ea5d34ce3364b565dffe77bcc417a2d2fd524fb79805e7cce7d5e",
-    "sec72": "31b211b8306ef4713292c5ca72176def00e5553be3b66e869e5425cd4a69cb3f",
+    "sec71": "8df5419f8b8c12255a7531d4adfed72f24696677f155f09eefc02967ea5bf4d4",
+    "sec72": "09fda4396280574f88e4987e383356f1646334b75a56020e8e23ffe77ca4317f",
 }
 
 
@@ -708,7 +709,8 @@ class TestGoldenDiagonalKernels:
         plan = SamplerPlan(make_example(name, d=8, n=5))
         assert plan.row is not None
         diag, max_sq = plan.realize_rows(GOLDEN_SEED, self.IDX)
-        assert _sha256(diag, max_sq) == GOLDEN_ROWS_SHA256[name]
+        assert max_sq is None
+        assert _sha256(diag) == GOLDEN_ROWS_SHA256[name]
 
 
 def _mixed_summands(shared: bool) -> list:
@@ -718,7 +720,7 @@ def _mixed_summands(shared: bool) -> list:
     h = np.array([[1.0, 0.5j, 0.0], [-0.5j, 0.0, 0.25], [0.0, 0.25, 3.0]])
     makers = {
         "finite": lambda: FiniteSummand([(0.25, m), (0.5, 0.0 * m), (0.25, -m)]),
-        "fixed": lambda: FixedRademacher(as_hermitian(h)),
+        "fixed": lambda: FixedRademacher(HermitianMatrix(h)),
         "entry": lambda: RademacherEntry(0, 2, 3),
         "basis": lambda: ScaledBasisRademacher(1, 0.7, 3),
         "bernoulli": lambda: CenteredBernoulliBasis(2, 0.3, 3),
@@ -881,7 +883,7 @@ class TestRowLaw:
         want = atoms[np.searchsorted(cdf, u, side="right")]
         diag, max_sq = plan.realize_rows(5, idx)
         assert np.array_equal(diag, want)
-        assert np.array_equal(max_sq, plan.realize_max_sq(5, idx))
+        assert max_sq is None
 
     def test_atom_cap(self):
         assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS)).row is not None

@@ -13,13 +13,14 @@ from matcon import (
     MCConfig,
     MEAN,
     MEDIAN_OF_MEANS,
-    as_hermitian,
+    analytic_max_sq,
     bound_report,
     brute_force_expected_norm,
     collect_samples,
     estimate_max_summand_sq,
     make_example,
     make_model,
+    model_from_json,
     spectral_norm,
 )
 from matcon import montecarlo
@@ -76,7 +77,7 @@ def empirical_second_moments(model, cfg: MCConfig):
 
 def rand_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return as_hermitian((g + g.conj().T) / 2)
+    return HermitianMatrix((g + g.conj().T) / 2)
 
 
 def basis_diag(i, d):
@@ -250,11 +251,15 @@ class TestMaxSummandSqSamplesOnlyMaxSq:
         model = self.models()[name]
         cfg = MCConfig(samples=320, seed=41, estimator=estimator)
         got = estimate_max_summand_sq(model, cfg)
-        want = _estimate(collect_samples(model, cfg)[1], cfg)
-        assert got == want
         plan = SamplerPlan(model)
-        idx = np.arange(200, 330, dtype=np.uint64)
-        assert np.array_equal(plan.realize_max_sq(41, idx), plan.realize(41, idx)[1])
+        assert got == _estimate(plan.realize_max_sq(41, np.arange(320, dtype=np.uint64)), cfg)
+        # the other routes draw max_i ||S_i||^2 only where L is sampled
+        sampled = collect_samples(model, cfg)[1]
+        assert (sampled is not None) == plan.sampled_max_sq == (name == "sec74")
+        if sampled is not None:
+            assert got == _estimate(sampled, cfg)
+            idx = np.arange(200, 330, dtype=np.uint64)
+            assert np.array_equal(plan.realize_max_sq(41, idx), plan.realize(41, idx)[1])
 
     def test_builds_no_realization(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -287,15 +292,68 @@ class TestMaxSqDrawnWhenRead:
             with pytest.raises(AssertionError, match="was sampled"):
                 bound_report(model, MCConfig(samples=32, seed=3))
 
-    def test_collect_samples_keyword(self):
+    def test_collect_samples_keyword(self, refuse_max_sq):
+        # the laws decide: there is no switch, and exact models draw none
         coin = FiniteSummand([(0.5, basis_diag(0, 2)), (0.5, -2.0 * basis_diag(1, 2))])
         cfg = MCConfig(samples=40, seed=8)
         for model in (make_example("sec71", d=3, n=2), make_example("sec73", d=3),
                       make_model([coin, coin])):
+            with pytest.raises(TypeError):
+                collect_samples(model, cfg, max_sq=False)
             norms, max_sq = collect_samples(model, cfg)
-            skipped = collect_samples(model, cfg, max_sq=False)
-            assert np.array_equal(skipped[0], norms) and skipped[1] is None
-            assert max_sq.shape == (40,)
+            assert norms.shape == (40,) and max_sq is None
+
+
+class TestMaxSqSampledByLaw:
+    """collect_samples draws max_i ||S_i||^2 exactly when some law has no
+    finite ||S||^2 support (Gaussian, Pareto), and then as realize_max_sq
+    draws it; a row-law plan draws no summand coefficient at all."""
+
+    @staticmethod
+    def models():
+        h = np.array([[1.0, 0.5], [0.5, -2.0]])
+        coin = FiniteSummand([(0.5, basis_diag(0, 2)), (0.5, -2.0 * basis_diag(1, 2))])
+        signs = {"summands": [
+            {"family": "scaled_basis_rademacher", "index": i % 4, "scale": 0.3, "dim": 4}
+            for i in range(4 * 6)
+        ]}
+        # name -> (model, whether max_i ||S_i||^2 is sampled)
+        return {
+            "sec71": (make_example("sec71", d=8, n=5), False),
+            "sec72": (make_example("sec72", d=8, n=5), False),
+            "basis_signs_file": (model_from_json(signs), False),
+            "sec73": (make_example("sec73", d=3), False),
+            "fixed_rademacher": (make_model([FixedRademacher(h)]), False),
+            "finite": (make_model([coin, coin]), False),
+            "sec74": (make_example("sec74", d=8), True),
+            "fixed_gaussian": (make_model([FixedGaussian(h)]), True),
+            "finite_and_gaussian": (make_model([coin, FixedGaussian(h), coin]), True),
+        }
+
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "basis_signs_file"])
+    def test_row_law_draws_no_coefficient(self, monkeypatch, name):
+        model, _ = self.models()[name]
+        assert SamplerPlan(model).row is not None
+
+        def refuse(self, seed, idx):
+            raise AssertionError("summand coefficients were drawn")
+
+        monkeypatch.setattr(SamplerPlan, "_coefficients", refuse)
+        norms, max_sq = collect_samples(model, MCConfig(samples=300, seed=4))
+        assert norms.shape == (300,) and max_sq is None
+
+    @pytest.mark.parametrize("name", [
+        "sec71", "sec72", "basis_signs_file", "sec73", "fixed_rademacher", "finite",
+        "sec74", "fixed_gaussian", "finite_and_gaussian",
+    ])
+    def test_array_exactly_when_a_law_is_continuous(self, name):
+        model, sampled = self.models()[name]
+        cfg = MCConfig(samples=150, seed=6)
+        _, max_sq = collect_samples(model, cfg)
+        assert (max_sq is not None) == sampled == (analytic_max_sq(model) is None)
+        if sampled:
+            want = SamplerPlan(model).realize_max_sq(cfg.seed, np.arange(150, dtype=np.uint64))
+            assert np.array_equal(max_sq, want)
 
 
 def dense_route(model, cfg):
@@ -336,7 +394,7 @@ class TestDiagonalKernel:
         # a fixed matrix with only diagonal entries is a diagonal summand too
         rng = np.random.default_rng(23)
         for model in (
-            make_model([FixedRademacher(as_hermitian(basis_diag(0, 3)))]),
+            make_model([FixedRademacher(HermitianMatrix(basis_diag(0, 3)))]),
             make_model(
                 [FixedRademacher(np.diag(rng.normal(size=4))) for _ in range(3)]
                 + [FixedGaussian(np.diag(rng.normal(size=4)))]
@@ -390,7 +448,7 @@ def per_term_norms(model, cfg: MCConfig) -> np.ndarray:
     step = max(1, montecarlo._CHUNK_BUDGET // plan.terms)  # chunks of cache size
     for start in range(0, cfg.samples, step):
         idx = np.arange(start, min(start + step, cfg.samples), dtype=np.uint64)
-        diag, _ = plan.realize_diagonal(cfg.seed, idx, max_sq=False)
+        diag, _ = plan.realize_diagonal(cfg.seed, idx)
         norms[start:start + len(idx)] = np.abs(diag).max(axis=1)
     return norms
 
@@ -425,10 +483,9 @@ class TestRowLawRoute:
 
     def test_chunk_size_counts_cell_draws(self):
         plan = SamplerPlan(make_example("sec71", d=256, n=100))
-        # 256 uniforms per sample, plus 25,600 coefficients for max_i ||S_i||^2
+        # 256 uniforms per sample; max_i ||S_i||^2 is exact, so no coefficient
         budget = montecarlo._CHUNK_BUDGET
-        assert _chunk_size(plan, max_sq=False) == min(montecarlo._MAX_CHUNK, budget // 256)
-        assert _chunk_size(plan, max_sq=True) == budget // (256 + 25_600)
+        assert _chunk_size(plan) == min(montecarlo._MAX_CHUNK, budget // 256)
 
 
 # E||Z||^2 = E max_i z_ii^2 of the paper's diagonal examples at n = 100
@@ -472,7 +529,7 @@ class TestExactSqNormOracle:
         model = make_example(name, d=d, n=100)
         cfg = MCConfig(samples=2000, seed=seed)
         if stream == "row_law":
-            norms, _ = collect_samples(model, cfg, max_sq=False)
+            norms, _ = collect_samples(model, cfg)
         else:
             norms = per_term_norms(model, cfg)
         est = _estimate(norms**2, cfg)
@@ -504,7 +561,7 @@ class TestSec73EnumerationOracle:
         plan = SamplerPlan(model)
         assert plan.real and not plan.diagonal
         cfg = MCConfig(samples=2000, seed=seed)
-        norms, _ = collect_samples(model, cfg, max_sq=False)
+        norms, _ = collect_samples(model, cfg)
         est = _estimate(norms**2, cfg)
         assert abs(est.mean - SEC73_SQ_NORM[d]) <= 4.0 * est.std_error
 
@@ -534,7 +591,9 @@ class TestThreading:
         n_all, m_all = collect_samples(model, MCConfig(samples=300, seed=9))
         n_pre, m_pre = collect_samples(model, MCConfig(samples=100, seed=9))
         assert np.array_equal(n_all[:100], n_pre)
-        assert np.array_equal(m_all[:100], m_pre)
+        # max_i ||S_i||^2 is sampled for sec74's Pareto law alone
+        assert (m_all is None) == (m_pre is None) == (name != "sec74")
+        assert m_all is None or np.array_equal(m_all[:100], m_pre)
         monkeypatch.setattr("matcon.montecarlo._MAX_CHUNK", 7)
         n_7, m_7 = collect_samples(model, MCConfig(samples=300, seed=9))
         assert np.array_equal(n_all, n_7)
@@ -547,20 +606,25 @@ class TestThreading:
             collect_samples(model, MCConfig(samples=10, seed=0))
 
 
-# the earlier memory-sized terms budget: 81-sample chunks for sec71 at d = 256
+# the earlier memory-sized terms budget
 _OLD_CHUNK_BUDGET = 1 << 21
+# chunk sizes under the old budget, the current one and a one-sample budget:
+# sec71 draws 256 cell uniforms a sample and sec74 128 Pareto terms, so the
+# first two both give _MAX_CHUNK; sec73 draws 4,096 signs
+_BUDGET_CHUNKS = {"sec71": [128, 128, 1], "sec73": [128, 16, 1], "sec74": [128, 128, 1]}
 
 
 class TestChunkBudgetAtModelScale:
     """The terms budget sets how many samples a chunk holds, never what they
-    are: the trend grid's largest model and a dense sign matrix give the
-    same bits under the old budget, the current one, a one-sample budget and
-    two worker threads."""
+    are: the trend grid's largest model, a dense sign matrix and the Pareto
+    grid's largest model (whose max_i ||S_i||^2 is sampled) give the same
+    bits under the old budget, the current one, a one-sample budget and two
+    worker threads."""
 
     @pytest.fixture(
         scope="class",
-        params=[("sec71", 256, 100, 100), ("sec73", 64, 1, 150)],
-        ids=["sec71", "sec73"],
+        params=[("sec71", 256, 100, 100), ("sec73", 64, 1, 150), ("sec74", 128, 1, 150)],
+        ids=["sec71", "sec73", "sec74"],
     )
     def case(self, request):
         name, d, n, samples = request.param
@@ -578,7 +642,7 @@ class TestChunkBudgetAtModelScale:
         for budget in (_OLD_CHUNK_BUDGET, montecarlo._CHUNK_BUDGET, 1):
             monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", budget)
             sizes.append(_chunk_size(plan))
-        assert cfg.samples > sizes[0] > sizes[1] > sizes[2] == 1
+        assert sizes == _BUDGET_CHUNKS[model.name]
 
     @pytest.mark.parametrize("budget", ["current", 1])
     def test_budget_does_not_change_output(self, monkeypatch, case, budget):
@@ -675,7 +739,7 @@ class TestBoundReport:
         assert rep.L_provenance == "analytic"
 
     def test_isotropic_fixed_family_formulas(self):
-        model = make_model([FixedRademacher(as_hermitian(basis_diag(i, 4))) for i in range(4)])
+        model = make_model([FixedRademacher(HermitianMatrix(basis_diag(i, 4))) for i in range(4)])
         rep = bound_report(model, MCConfig(samples=100, seed=14))
         assert rep.C == pytest.approx(28.0)
         assert rep.v == pytest.approx(1.0)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from matcon import (
+    HermitianMatrix,
     KINDS,
     FactCase,
     FiniteSummand,
-    as_hermitian,
     brute_force_expected_norm,
     spectral_norm,
     sweep_fact_kind,
@@ -31,12 +31,12 @@ from matcon.oracles import (
 
 def rand_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return as_hermitian((g + g.conj().T) / 2)
+    return HermitianMatrix((g + g.conj().T) / 2)
 
 
 def rand_psd(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return as_hermitian(g @ g.conj().T / d)
+    return HermitianMatrix(g @ g.conj().T / d)
 
 
 class TestFactCaseConstruction:
@@ -55,20 +55,20 @@ class TestFactCaseConstruction:
             FactCase.gm_am_trace(h, w, y, r=-1, q=0)
 
     def test_sum_squares_rejects_non_psd(self):
-        bad = as_hermitian(np.diag([1.0, -1.0]))
+        bad = HermitianMatrix(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):
             FactCase.sum_squares([bad])
 
     def test_trace_product_rejects_non_psd(self):
         rng = np.random.default_rng(1)
         h = rand_hermitian(rng, 2)
-        bad = as_hermitian(np.diag([1.0, -2.0]))
+        bad = HermitianMatrix(np.diag([1.0, -2.0]))
         with pytest.raises(ValueError):
             FactCase.trace_product(h, bad)
 
     def test_monotonicity_rejects_unordered_pair(self):
-        a = as_hermitian(np.diag([2.0, 2.0]))
-        h = as_hermitian(np.diag([1.0, 3.0]))
+        a = HermitianMatrix(np.diag([2.0, 2.0]))
+        h = HermitianMatrix(np.diag([1.0, 3.0]))
         with pytest.raises(ValueError):
             FactCase.monotonicity(a, h)
 
@@ -147,7 +147,7 @@ class TestVerifyFact:
     def test_monotonicity_random(self):
         rng = np.random.default_rng(7)
         a = rand_hermitian(rng, 3)
-        h = as_hermitian(a.array + rand_psd(rng, 3).array)
+        h = HermitianMatrix(a.array + rand_psd(rng, 3).array)
         res = verify_fact(FactCase.monotonicity(a, h))
         assert res.holds
 
@@ -244,7 +244,7 @@ class TestBruteForce:
             brute_force_expected_norm([s] * 25, r=2)
 
     def test_first_moment(self):
-        h = as_hermitian(np.diag([2.0, 0.0]))
+        h = HermitianMatrix(np.diag([2.0, 0.0]))
         s = FiniteSummand([(0.5, h.array), (0.5, -h.array)])
         assert brute_force_expected_norm([s], r=1) == pytest.approx(2.0)
 
