@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .linalg import as_stack, hermitian_stack, spectral_norm, spectral_norms
+from .linalg import as_stack, hermitian_stack, spectral_norms
 
 _MEAN_TOL = 1e-12
 
@@ -187,15 +187,26 @@ def _check_cell(row: int, col: int, dim: int, message: str) -> None:
         raise ValueError(message)
 
 
+def _fixed_stack(laws, stack: np.ndarray) -> list[ScalarSeries]:
+    """law * H for the Hermitian part H of each matrix of a finite complex
+    (k, d, d) stack, validated (hermitian_stack) and normed (spectral_norms)
+    as one stack: by their stack contract, bit for bit as one matrix at a
+    time."""
+    hs, _ = hermitian_stack(stack)
+    out = []
+    for law, h, norm in zip(laws, hs, spectral_norms(hs).tolist()):
+        rows, cols = np.nonzero(h)
+        values = h[rows, cols]
+        if not values.imag.any():
+            values = np.ascontiguousarray(values.real)
+        for a in (rows, cols, values):
+            a.setflags(write=False)
+        out.append(ScalarSeries(law, h.shape, rows, cols, values, norm))
+    return out
+
+
 def _fixed(law: ScalarLaw, matrix) -> ScalarSeries:
-    h = hermitian_stack(as_stack([matrix]))[0][0]
-    rows, cols = np.nonzero(h)
-    values = h[rows, cols]
-    if not values.imag.any():
-        values = np.ascontiguousarray(values.real)
-    for a in (rows, cols, values):
-        a.setflags(write=False)
-    return ScalarSeries(law, h.shape, rows, cols, values, spectral_norm(h))
+    return _fixed_stack([law], as_stack([matrix]))[0]
 
 
 def FixedRademacher(matrix) -> ScalarSeries:
@@ -749,21 +760,41 @@ class SamplerPlan:
     when every realization of Z is a real diagonal matrix: Z is square, there
     is no FiniteSummand, and every COO entry is real and on the diagonal.
     `real` is true when every COO value and every FiniteSummand outcome is
-    real; `realize` then returns real Z.  `row` is set on a diagonal plan
-    whose summands each hold one entry, all of one value and one two-point
-    law, with m <= _ROW_ATOMS entries in every cell: each z_ii is then a
-    sum of m independent copies, with an exact law on m + 1 atoms, and
-    `row` holds (first summand position of each cell, atoms, CDF).
-    `terms` counts the scattered entries and FiniteSummand choices of one
-    sample.  The realize methods return samples of max_i ||S_i||^2 when
-    `sampled_max_sq` (_sampled_max_sq), and None otherwise.  The
-    per-position arrays are gathered from the model's columns; Python reads
-    only fixed matrices and FiniteSummands, once per object.
+    real; `realize` then returns real Z.  `terms` counts the scattered
+    entries and FiniteSummand choices of one sample.  The realize methods
+    return samples of max_i ||S_i||^2 when `sampled_max_sq`
+    (_sampled_max_sq), and None otherwise.  The per-position arrays are
+    gathered from the model's columns; Python reads only fixed matrices and
+    FiniteSummands, once per object.
+
+    `row` is decided first, from the columns and the position index alone
+    (_row_law).  It is set when the model is square, has one two-point law
+    and no FiniteSummand, every summand holds one real diagonal entry of
+    one value, and every cell holds the same m <= _ROW_ATOMS entries: each
+    z_ii is then a sum of m independent copies, with an exact law on m + 1
+    atoms, and `row` holds (first summand position of each cell, atoms,
+    CDF).  Such a plan is diagonal and real, and builds its per-position
+    arrays only when `realize`, `realize_diagonal` or `realize_max_sq`
+    first needs them.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
         self.sampled_max_sq = _sampled_max_sq(model)
+        self.row = _row_law(model)
+        if self.row is None:
+            self._build_tables()
+        else:
+            self.diagonal = self.real = True
+            self.terms = len(model._inverse)
+            self._guide = _guide_table(*self.row[1:])
+
+    def _build_tables(self) -> None:
+        """The per-position tables of the per-term route: rows, cells,
+        values, imag, owner, norms, groups and finite, with `diagonal`,
+        `real` and `terms`.  `groups` is set last, so that a plan that has
+        it has them all."""
+        model = self.model
         distinct, inverse, c = model._distinct, model._inverse, model._columns
         finite = c.code < 0
         # per FiniteSummand object: outcome CDF, matrices (real when all are)
@@ -826,16 +857,6 @@ class SamplerPlan:
             and not self.finite
             and np.array_equal(rows, cols)
         )
-        self.row = None
-        two_point = c.laws[0].two_point if len(c.laws) == 1 else None
-        if self.diagonal and self.owner is None and two_point is not None:
-            per_cell = np.bincount(self.rows, minlength=model.d1)
-            m = int(per_cell[0])
-            if (per_cell == m).all() and m <= _ROW_ATOMS and (self.values == self.values[0]).all():
-                # entry e is series e, in position order: a stable sort by
-                # cell puts each cell's first position at a multiple of m
-                first = positions[np.argsort(self.rows, kind="stable")[::m]]
-                self.row = (first[None, :], *_row_law(two_point, m, self.values[0]))
         # column g of a coefficient draw belongs to the g-th ScalarSeries
         # position, and positions of one law form one group
         self.norms = c.norm[obj]
@@ -874,6 +895,8 @@ class SamplerPlan:
         FiniteSummand's outcome matrices with the (k,) outcome indices drawn,
         and max_i ||S_i||^2 (None unless `max_sq`), all from one draw of the
         coefficients.  The counter RNG reduces the seed mod 2^64."""
+        if not hasattr(self, "groups"):  # a row plan builds them on first use
+            self._build_tables()
         idx = np.asarray(indices, dtype=np.uint64)
         coef = self._coefficients(seed, idx)
         sq = self._max_sq(coef) if max_sq else None
@@ -924,21 +947,50 @@ class SamplerPlan:
 
     def realize_rows(self, seed, indices):
         """`realize_diagonal`'s law by another stream, for a row-law plan:
-        one uniform per (sample, cell), keyed on the cell's first summand
-        position at slot 2, which no per-term law uses, inverted on the CDF.
-        A row law is two-point, so max_i ||S_i||^2 is exact and not drawn:
-        the second output is None."""
+        one uniform u per (sample, cell), keyed on the cell's first summand
+        position at slot 2, which no per-term law uses, and inverted on the
+        CDF as np.searchsorted(cdf, u, side="right") gives it, through the
+        guide table (_guide_table).  A row law is two-point, so
+        max_i ||S_i||^2 is exact and not drawn: the second output is None."""
         first, atoms, cdf = self.row
         u = rng.uniform_halfopen(seed, np.asarray(indices)[:, None], first, 2)
+        # B is a power of two, so u * B is exact, and u < 1 keeps it below B
+        z = self._guide[(u * len(self._guide)).astype(np.intp)]
+        ambiguous = np.isnan(z)
         # cdf[-1] is exactly 1 > u, so the index stays within the atoms
-        return atoms[np.searchsorted(cdf, u, side="right")], None
+        z[ambiguous] = atoms[np.searchsorted(cdf, u[ambiguous], side="right")]
+        return z, None
 
 
-def _row_law(two_point: tuple, m: int, value: float):
-    """(atoms, CDF) of the sum of m independent c * value, c = hi with
-    probability q and lo otherwise: atom k is (k hi + (m - k) lo) value with
-    binomial probability from lgamma; the CDF is scaled so that its last
-    entry is exactly 1."""
+def _row_law(model: IndependentSumModel):
+    """SamplerPlan.row of a model, read from its columns and position
+    index, or None when the model has no row law.
+
+    z_ii sums m independent c * a, for the one value a of every entry and
+    c = hi with probability q and lo otherwise: atom k is
+    (k hi + (m - k) lo) a with binomial probability from lgamma, and the
+    CDF is scaled so that its last entry is exactly 1."""
+    c, inverse = model._columns, model._inverse
+    two_point = c.laws[0].two_point if len(c.laws) == 1 else None
+    value = c.value[inverse[0]].real
+    if (
+        model.d1 != model.d2
+        or two_point is None
+        or (c.row < 0).any()  # a FiniteSummand or a fixed matrix
+        or (c.row != c.col).any()
+        or (c.value != value).any()  # also where a value is not real
+    ):
+        return None
+    per_object = np.bincount(inverse, minlength=len(c.row))
+    per_cell = np.bincount(c.row, weights=per_object, minlength=model.d1)
+    m = int(per_cell[0])
+    if not ((per_cell == m).all() and m <= _ROW_ATOMS):
+        return None
+    # objects are numbered in order of first appearance, so the running
+    # maximum of the position index first reaches object j at j's first
+    # position; the lowest object of a cell holds the cell's first position
+    _, lowest = np.unique(c.row, return_index=True)
+    first = np.searchsorted(np.maximum.accumulate(inverse), lowest).astype(np.uint64)
     lo, hi, q = two_point
     k = np.arange(m + 1.0)
     atoms = (k * hi + (m - k) * lo) * value
@@ -949,7 +1001,20 @@ def _row_law(two_point: tuple, m: int, value: float):
         cdf = np.cumsum(np.exp(log_pmf))
     else:  # c = hi always
         cdf = (k == m).astype(np.float64)
-    return atoms, cdf / cdf[-1]
+    return first[None, :], atoms, cdf / cdf[-1]
+
+
+def _guide_table(atoms: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a CDF (Chen and Asau, 1974): entry b of B buckets is
+    atoms[searchsorted(cdf, u, "right")], the same for every u in
+    [b/B, (b + 1)/B), and NaN where that index is not the same for all of
+    them.  B is the least power of two >= 16 (m + 1), at most 2^16, so a
+    key falls in an ambiguous bucket with probability at most 1/16 for
+    m < 4096."""
+    size = min(1 << 16, 1 << (16 * len(atoms) - 1).bit_length())
+    grid = np.arange(size + 1) / size  # exact: size is a power of two
+    lo = np.searchsorted(cdf, grid[:-1], side="right")
+    return np.where(lo == np.searchsorted(cdf, grid[1:], side="left"), atoms[lo], np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,14 +1104,45 @@ _FAMILIES = {
 }
 
 
-def summand_from_json(doc: dict):
+# the families whose matrices a model file builds as stacks
+_FIXED_LAWS = {FixedRademacher: SIGN, FixedGaussian: GAUSSIAN}
+
+
+def _read_summand(doc: dict):
+    """(constructor, arguments) of a summand document, its fields read and
+    checked."""
     if not isinstance(doc, dict):
         raise ValueError("summand document must be a JSON object")
     family = doc.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown summand family {family!r}")
     build, keys = _FAMILIES[family]
-    return build(*(_READERS.get(key, _number)(doc, key) for key in keys))
+    return build, [_READERS.get(key, _number)(doc, key) for key in keys]
+
+
+def _summands_from_json(docs: list) -> list:
+    """The summands of a model file, in file order.  Fixed matrices are read
+    in turn but built as one stack per shape (_fixed_stack); a refused file
+    still names its first bad summand."""
+    summands, shapes = [], {}  # shape -> positions of its fixed matrices
+    try:
+        for doc in docs:
+            build, args = _read_summand(doc)
+            if build in _FIXED_LAWS:
+                shapes.setdefault(args[0].shape, []).append(len(summands))
+                summands.append((_FIXED_LAWS[build], args[0]))
+            else:
+                summands.append(build(*args))
+        for at in shapes.values():
+            laws, matrices = zip(*map(summands.__getitem__, at))
+            for i, s in zip(at, _fixed_stack(laws, as_stack(matrices))):
+                summands[i] = s
+    except ValueError:
+        for s in summands:  # a fixed matrix not yet built may come first
+            if type(s) is tuple:
+                _fixed(*s)
+        raise
+    return summands
 
 
 def model_to_json(model: IndependentSumModel) -> dict:
@@ -1071,7 +1167,7 @@ def model_from_json(doc: dict) -> IndependentSumModel:
     if not isinstance(doc["summands"], list):
         raise ValueError("field 'summands' must be a list of summand objects")
     model = make_model(
-        [summand_from_json(s) for s in doc["summands"]],
+        _summands_from_json(doc["summands"]),
         name=str(doc.get("name", "custom")),
         n=_number(doc, "n") if "n" in doc else None,
     )

@@ -28,7 +28,7 @@ from matcon import (
 )
 from matcon import rng
 from matcon.bounds import large_dev_param, variance_param
-from matcon.linalg import spectral_norm, spectral_norms
+from matcon.linalg import hermitian_stack, spectral_norm, spectral_norms
 from matcon.models import (
     _ROW_ATOMS,
     PARETO,
@@ -37,6 +37,7 @@ from matcon.models import (
     SamplerPlan,
     ScalarSeries,
     _matrix_from_json,
+    _summands_from_json,
     moment_diagonals,
 )
 from matcon.montecarlo import MCConfig, bound_report
@@ -907,6 +908,39 @@ class TestRowLaw:
             assert SamplerPlan(model).row is None, label
 
 
+class TestGuideTable:
+    """realize_rows inverts the row CDF through its guide table exactly as
+    np.searchsorted(cdf, u, side="right") does."""
+
+    @staticmethod
+    def keys(cdf, size):
+        """u = 0, the largest u below 1, every bucket edge b / size, every
+        CDF value, and the neighbours of each within [0, 1)."""
+        points = np.concatenate([[0.0, 1.0 - 2.0**-53], np.arange(size + 1) / size, cdf])
+        keys = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        return np.unique(keys[(keys >= 0.0) & (keys < 1.0)])
+
+    @pytest.mark.parametrize("m", [1, 7, 100, 400, 1 << 16])
+    @pytest.mark.parametrize("name", ["sec71", "sec72"])  # sign; Bernoulli(1/m)
+    def test_equals_searchsorted(self, monkeypatch, name, m):
+        plan = SamplerPlan(make_example(name, d=1, n=m))
+        _, atoms, cdf = plan.row
+        size = len(plan._guide)
+        assert size == min(1 << 16, next(1 << k for k in range(40) if 1 << k >= 16 * (m + 1)))
+        u = self.keys(cdf, size)
+        monkeypatch.setattr(rng, "uniform_halfopen", lambda seed, index, position, slot: u[:, None])
+        diag, _ = plan.realize_rows(0, np.arange(len(u), dtype=np.uint64))
+        assert np.array_equal(diag[:, 0], atoms[np.searchsorted(cdf, u, side="right")])
+
+    def test_degenerate_bernoulli_row(self):
+        # sec72 at n = 1: p = 1, so c = 0 always and the CDF is [0, 1]
+        plan = SamplerPlan(make_example("sec72", d=3, n=1))
+        _, atoms, cdf = plan.row
+        assert np.array_equal(cdf, [0.0, 1.0]) and not np.isnan(plan._guide).any()
+        diag, _ = plan.realize_rows(4, np.arange(50, dtype=np.uint64))
+        assert np.array_equal(diag, np.full((50, 3), atoms[1]))
+
+
 class TestRealRealizations:
     """A plan whose COO values and outcomes are all real realizes real Z."""
 
@@ -954,6 +988,57 @@ def _from_matrices(family, m):
         return {"family": family, "matrix": entries}
 
     return model_from_json({"summands": [doc(m), doc(2.0 * m)]})
+
+
+class TestFixedMatrixStacks:
+    """A model file's fixed matrices are validated and normed as one stack
+    per shape, with the summands, norms and refusals of one call each."""
+
+    @staticmethod
+    def matrices():
+        g = np.random.default_rng(2201)
+        out = []
+        for d in (3, 2, 3, 1, 2, 3):
+            a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+            out.append(a + a.conj().T)
+        return out
+
+    @staticmethod
+    def doc(family, m):
+        return {"family": family,
+                "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in m]}
+
+    def test_one_stack_per_shape_equals_the_constructors(self, monkeypatch):
+        mats = self.matrices()
+        families = ("fixed_rademacher", "fixed_gaussian")
+        docs = [self.doc(families[i % 2], m) for i, m in enumerate(mats)]
+        docs.insert(2, {"family": "rademacher_entry", "row": 0, "col": 1, "dim": 3})
+        want = [(FixedRademacher, FixedGaussian)[i % 2](m) for i, m in enumerate(mats)]
+        calls = []
+        monkeypatch.setattr(
+            "matcon.models.hermitian_stack", lambda a: calls.append(a.shape) or hermitian_stack(a)
+        )
+        got = _summands_from_json(docs)
+        assert got.pop(2) == RademacherEntry(0, 1, 3)
+        assert sorted(calls) == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+        assert got == want
+        assert [s.norm for s in got] == [spectral_norm(m) for m in mats]
+
+    def test_refusal_names_the_first_bad_summand(self):
+        good, skew = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        big_skew = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError) as first:
+            FixedRademacher(big_skew)
+        # the 3x3 stack is built after the 2x2 one, whose bad matrix comes later
+        for docs in (
+            [self.doc("fixed_rademacher", good), self.doc("fixed_gaussian", big_skew),
+             self.doc("fixed_rademacher", skew)],
+            [self.doc("fixed_gaussian", big_skew), {"family": "no_such_family"}],
+            [self.doc("fixed_gaussian", big_skew), {"family": "finite", "outcomes": []}],
+        ):
+            with pytest.raises(ValueError) as err:
+                model_from_json({"summands": docs})
+            assert str(err.value) == str(first.value)
 
 
 class TestPositionGuard:

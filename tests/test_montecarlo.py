@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,6 +467,35 @@ class TestRowLawRoute:
             cfg = MCConfig(samples=300, seed=3)
             norms, _ = collect_samples(model, cfg)
             assert np.array_equal(norms, per_term_norms(model, cfg))
+
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "basis_signs_file"])
+    def test_builds_no_per_position_table(self, monkeypatch, name):
+        if name == "basis_signs_file":
+            model = model_from_json({"summands": [
+                {"family": "scaled_basis_rademacher", "index": i % 32, "scale": 0.2, "dim": 32}
+                for i in range(32 * 25)
+            ]})
+        else:
+            model = make_example(name, d=256, n=100)
+
+        def refuse(self):
+            raise AssertionError("per-position tables were built")
+
+        monkeypatch.setattr(SamplerPlan, "_build_tables", refuse)
+        norms, max_sq = collect_samples(model, MCConfig(samples=200, seed=9))
+        assert norms.shape == (200,) and max_sq is None
+
+    def test_plan_memory_is_per_cell(self):
+        # the per-term tables of this model take about 19 MiB
+        model = make_example("sec71", d=4096, n=100)
+        tracemalloc.start()
+        try:
+            plan = SamplerPlan(model)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.row is not None
+        assert held < 1 << 20 and peak < 24 * model.n_summands
 
     @pytest.mark.parametrize("name", ["sec71", "sec72"])
     def test_chunks_and_threads_do_not_change_output(self, monkeypatch, name):
