@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -74,8 +75,10 @@ class ScalarLaw:
 
 
 def _pareto_draw(seed, index, position):
-    u = rng.uniform_positive(seed, index, position, 0)
-    return rng.signs(seed, index, position, 1) * u**-0.25
+    """P = s * u^(-1/4) for u uniform on (0, 1] at slot 0 and a fair sign s
+    at slot 1, both words finished from one counter prefix; the bits of
+    rng.signs(..., 1) * rng.uniform_positive(..., 0) ** -0.25."""
+    return rng.paretos(seed, index, position, 0)
 
 
 SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
@@ -151,13 +154,7 @@ class ScalarSeries:
         return self.law.ec2 * (a @ ah), self.law.ec2 * (ah @ a)
 
     def sq_norm_support(self):
-        """Distribution of ||S||^2 = c^2 ||A||^2 as (values, probs), None for a
-        continuous law."""
-        if self.law.sq_support is None:
-            return None
-        values, probs = self.law.sq_support
-        norm_sq = self.norm**2
-        return tuple(v * norm_sq for v in values), probs
+        return _series_sq_support(self.law, self.norm)
 
     def to_json(self) -> dict:
         """The document of the family that builds this summand; a sign series
@@ -177,6 +174,16 @@ class ScalarSeries:
                 return {"family": "scaled_basis_rademacher", "index": r, "scale": v, "dim": d}
         family = "fixed_rademacher" if self.law.name == "sign" else "fixed_gaussian"
         return {"family": family, "matrix": _matrix_to_json(self.dense())}
+
+
+def _series_sq_support(law: ScalarLaw, norm: float):
+    """Distribution of ||S||^2 = c^2 ||A||^2 of S = c * A, c ~ law and
+    ||A|| = norm, as (values, probs); None for a continuous law."""
+    if law.sq_support is None:
+        return None
+    values, probs = law.sq_support
+    norm_sq = float(norm) ** 2
+    return tuple(v * norm_sq for v in values), probs
 
 
 def _check_cell(row: int, col: int, dim: int, message: str) -> None:
@@ -453,7 +460,10 @@ class IndependentSumModel:
     order of first appearance and, for each position, the index of its
     object among them; `summands` lists the positions.  Built by make_model
     and make_example, which check the shapes.  Set-up reads the objects'
-    columns (_Columns), so per-summand work runs once per object.
+    columns (_Columns), so per-summand work runs once per object.  A model
+    given its columns is given, in place of the objects, a function that
+    builds them; they are built when first read (`summands`, model_to_json,
+    ==), and set-up never reads a ScalarSeries object.
 
     `centered` is computed, never trusted from the caller: it is true iff
     every summand has zero mean (always for a ScalarSeries, computed from the
@@ -464,21 +474,31 @@ class IndependentSumModel:
 
     d1: int
     d2: int
-    _distinct: tuple = field(repr=False)
+    distinct: InitVar[tuple | Callable]
     _inverse: np.ndarray = field(repr=False)
     name: str = "custom"
     n: int | None = None
+    columns: InitVar[_Columns | None] = None
     centered: bool = field(init=False, default=False)
     _columns: _Columns | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
-        columns = _columns_of(self._distinct)
+    def __post_init__(self, distinct, columns):
+        if columns is None:
+            columns = _columns_of(distinct)
+            self.__dict__["_distinct"] = distinct
+        else:
+            self.__dict__["_build"] = distinct
         self._inverse.setflags(write=False)
         if self.n is None:
             object.__setattr__(self, "n", len(self._inverse))
         object.__setattr__(self, "_columns", columns)
         finite = np.flatnonzero(columns.code < 0).tolist()
         object.__setattr__(self, "centered", all(self._distinct[i].zero_mean for i in finite))
+
+    @cached_property
+    def _distinct(self) -> tuple:
+        """The distinct summand objects, in order of first appearance."""
+        return self._build()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -532,6 +552,13 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     sec72: d*n summands (delta_ij - 1/n) E_ii, delta ~ Bernoulli(1/n)
     sec73: d*d summands eps_ij E_ij           (full sign matrix; n ignored)
     sec74: d   summands P_i E_ii, Pareto tail (n ignored)
+
+    The model is given its columns (_Columns) and position index as numpy
+    arrays, so set-up runs no Python per summand; the summand objects come
+    from the family constructors when first read.  The positions are
+    checked against the plan budget before anything is built: 8 bytes each,
+    for the position index, when the plan has a row law (sec71 and sec72
+    with n <= _ROW_ATOMS), else _POSITION_BYTES for the per-term tables.
     """
     key = str(name).lower()
     if d < 1:
@@ -539,27 +566,51 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     if key in ("sec71", "sec72") and n < 1:
         raise ValueError("n must be >= 1")
     positions = {"sec71": d * n, "sec72": d * n, "sec73": d * d}.get(key, d)
-    if positions * _POSITION_BYTES > _STACK_BYTES:
-        raise ValueError(
-            f"{positions} summand positions of {key} take "
-            f"{positions * _POSITION_BYTES} bytes of plan arrays, over the "
-            f"{_STACK_BYTES}-byte plan budget"
-        )
+    row_law = key in ("sec71", "sec72") and n <= _ROW_ATOMS
+    _check_positions(key, positions, _INDEX_BYTES if row_law else _POSITION_BYTES)
     if key not in EXAMPLE_NAMES:
         raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
     _check_cell(0, 0, d, "index out of range")
     if key == "sec71":
-        specs = [ScaledBasisRademacher(i, 1.0 / math.sqrt(n), d) for i in range(d)]
+        scale = 1.0 / math.sqrt(n)
+        law, value, family = SIGN, scale, lambda i, j: ScaledBasisRademacher(i, scale, d)
     elif key == "sec72":
-        specs = [CenteredBernoulliBasis(i, 1.0 / n, d) for i in range(d)]
+        p = 1.0 / n
+        law, value, family = bernoulli_law(p), 1.0, lambda i, j: CenteredBernoulliBasis(i, p, d)
     elif key == "sec73":
-        specs, n = [RademacherEntry(i, j, d) for i in range(d) for j in range(d)], d * d
+        law, value, family, n = SIGN, 1.0, lambda i, j: RademacherEntry(i, j, d), d * d
     else:
-        specs, n = [ParetoDiagonal(i, d) for i in range(d)], d
+        law, value, family, n = PARETO, 1.0, lambda i, j: ParetoDiagonal(i, d), d
+    cells = np.arange(d)
+    rows, cols = (np.repeat(cells, d), np.tile(cells, d)) if key == "sec73" else (cells, cells)
+    k = len(rows)
+    # the column values, each computed once as _columns_of computes it
+    columns = _Columns(
+        (law,),
+        np.zeros(k, dtype=np.intp),
+        np.full(k, abs(value)),
+        rows,
+        cols,
+        np.full(k, value, dtype=np.complex128),
+        np.full(k, law.ec2 * abs(value) ** 2),
+    )
     # summands are immutable and every position draws its own coefficient,
     # so the n repetitions of sec71 and sec72 share one summand object
-    inverse = np.repeat(np.arange(len(specs)), positions // len(specs))
-    return IndependentSumModel(d, d, tuple(specs), inverse, key, n)
+    inverse = np.repeat(np.arange(k), positions // k)
+    return IndependentSumModel(
+        d, d, lambda: tuple(map(family, rows.tolist(), cols.tolist())), inverse, key, n, columns
+    )
+
+
+def _check_positions(name: str, positions: int, per_position: int) -> None:
+    """Refuse `positions` summand positions of model `name` whose plan
+    arrays, at `per_position` bytes each, would exceed the plan budget."""
+    if positions * per_position > _STACK_BYTES:
+        raise ValueError(
+            f"{positions} summand positions of {name} take "
+            f"{positions * per_position} bytes of plan arrays, over the "
+            f"{_STACK_BYTES}-byte plan budget"
+        )
 
 
 def _check_moments(model: IndependentSumModel, matrices: bool) -> None:
@@ -660,7 +711,7 @@ def analytic_max_sq(model: IndependentSumModel):
     if _sampled_max_sq(model):
         return None
     c = model._columns
-    per_object = np.bincount(model._inverse, minlength=len(model._distinct))
+    per_object = np.bincount(model._inverse, minlength=len(c.code))
     # ||S||^2 of a ScalarSeries has the law c^2 ||A||^2: one support for
     # each (law, norm) and each FiniteSummand, asked of its first object;
     # equal supports then merge in order of first object
@@ -674,7 +725,10 @@ def analytic_max_sq(model: IndependentSumModel):
     positions = np.concatenate([per_group.astype(np.intp), per_object[finite]]).tolist()
     grouped: Counter = Counter()
     for i, k in sorted(zip(objects, positions)):
-        values, probs = model._distinct[i].sq_norm_support()
+        if c.code[i] >= 0:
+            values, probs = _series_sq_support(c.laws[c.code[i]], c.norm[i])
+        else:
+            values, probs = model._distinct[i].sq_norm_support()
         grouped[tuple(map(float, values)), tuple(map(float, probs))] += k
     union = np.array(sorted({float(v) for values, _ in grouped for v in values}))
     log_cdf = np.zeros_like(union)
@@ -714,11 +768,13 @@ def center(model: IndependentSumModel):
     centered once, so the centered model keeps the model's position index.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
+    nonzero, means = np.zeros(len(model._columns.code), dtype=bool), {}
     with np.errstate(over="ignore", invalid="ignore"):
-        means = [s.mean() if isinstance(s, FiniteSummand) else None for s in model._distinct]
-        nonzero = np.array([m is not None and m.any() for m in means])
+        for i in np.flatnonzero(model._columns.code < 0).tolist():
+            means[i] = model._distinct[i].mean()
+            nonzero[i] = means[i].any()
         # summed in position order; an exactly zero mean adds nothing
-        for i in model._inverse[nonzero[model._inverse]]:
+        for i in model._inverse[nonzero[model._inverse]].tolist():
             mean_sum += means[i]
     if not np.isfinite(mean_sum).all():
         raise ValueError("centering overflows: the summed means are not finite")
@@ -739,12 +795,15 @@ def center(model: IndependentSumModel):
 # more than one entry, which a model file describes compactly), and what one
 # entry takes: row, owner and cell indices, the real and the imaginary part.
 # The same budget bounds the summand positions of a built-in example, whose
-# plan holds six 8-byte arrays over them (codes, positions, norms, rows,
-# cells, real values); make_example checks it before building any summand.
-# It also bounds the two dense complex second-moment matrices.
+# per-term tables are six 8-byte arrays over them (codes, positions, norms,
+# rows, cells, real values) and whose row plan reads only the 8-byte
+# position index; make_example checks it before building anything, and a
+# row plan again before it builds per-term tables.  It also bounds the two
+# dense complex second-moment matrices.
 _STACK_BYTES = 1 << 27
 _ENTRY_BYTES = 40
 _POSITION_BYTES = 48
+_INDEX_BYTES = 8
 # most entries per cell for which the row law is tabulated (m + 1 atoms)
 _ROW_ATOMS = 1 << 16
 
@@ -756,7 +815,10 @@ class SamplerPlan:
     coefficients of all its summands at once (a draw depends only on the
     position, so the grouping does not change it).  Every coefficient then
     multiplies the COO values of its matrix in one scatter over all cells,
-    which adds the terms of each cell in summand order.  `diagonal` is true
+    which adds the terms of each cell in summand order.  A cell map that is
+    the identity (entry e is cell e, as for sec73's cells and sec74's
+    rows) is recorded as None, and its scatter is the weighted draws plus
+    0.0, which is the bincount sum bit for bit.  `diagonal` is true
     when every realization of Z is a real diagonal matrix: Z is square, there
     is no FiniteSummand, and every COO entry is real and on the diagonal.
     `real` is true when every COO value and every FiniteSummand outcome is
@@ -775,7 +837,7 @@ class SamplerPlan:
     atoms, and `row` holds (first summand position of each cell, atoms,
     CDF).  Such a plan is diagonal and real, and builds its per-position
     arrays only when `realize`, `realize_diagonal` or `realize_max_sq`
-    first needs them.
+    first needs them, within the plan budget (_check_positions).
     """
 
     def __init__(self, model: IndependentSumModel):
@@ -793,19 +855,23 @@ class SamplerPlan:
         """The per-position tables of the per-term route: rows, cells,
         values, imag, owner, norms, groups and finite, with `diagonal`,
         `real` and `terms`.  `groups` is set last, so that a plan that has
-        it has them all."""
+        it has them all.  Summand objects are read only for FiniteSummands
+        and fixed matrices."""
         model = self.model
-        distinct, inverse, c = model._distinct, model._inverse, model._columns
+        inverse, c = model._inverse, model._columns
+        if self.row is not None:
+            _check_positions(model.name, len(inverse), _POSITION_BYTES)
         finite = c.code < 0
         # per FiniteSummand object: outcome CDF, matrices (real when all are)
         # and norms, shared by its positions
         finite_ids = np.flatnonzero(finite).tolist()
-        real_finite = not any(distinct[i].matrices.imag.any() for i in finite_ids)
+        objects = {i: model._distinct[i] for i in finite_ids}
+        real_finite = not any(s.matrices.imag.any() for s in objects.values())
         outcomes = {
-            i: (np.cumsum(distinct[i].probabilities),
-                distinct[i].matrices.real.copy() if real_finite else distinct[i].matrices,
-                distinct[i].outcome_norms())
-            for i in finite_ids
+            i: (np.cumsum(s.probabilities),
+                s.matrices.real.copy() if real_finite else s.matrices,
+                s.outcome_norms())
+            for i, s in objects.items()
         }
         at = np.flatnonzero(finite[inverse])
         self.finite: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [
@@ -822,7 +888,7 @@ class SamplerPlan:
         one = c.row >= 0
         fixed = np.flatnonzero(~one & ~finite).tolist()
         counts_of = one.astype(np.intp)
-        counts_of[fixed] = [len(distinct[i].rows) for i in fixed]
+        counts_of[fixed] = [len(model._distinct[i].rows) for i in fixed]
         start = np.cumsum(counts_of) - counts_of
         counts = counts_of[obj]
         n_fixed = int(counts[counts > 1].sum())
@@ -843,10 +909,10 @@ class SamplerPlan:
         for table, column in ((rows, c.row), (cols, c.col), (values, c.value)):
             table[start[one]] = column[one]
         for i in fixed:
-            s, at = distinct[i], slice(start[i], start[i] + counts_of[i])
+            s, at = model._distinct[i], slice(start[i], start[i] + counts_of[i])
             rows[at], cols[at], values[at] = s.rows, s.cols, s.values
-        self.rows = rows[entries]
-        self.cells = (rows * model.d2 + cols)[entries]
+        self.rows = _unless_identity(rows[entries], model.d1)
+        self.cells = _unless_identity((rows * model.d2 + cols)[entries], model.d1 * model.d2)
         self.values = values.real[entries]
         self.imag = values.imag[entries] if values.imag.any() else None
         self.terms = len(entries) + len(self.finite)
@@ -878,9 +944,14 @@ class SamplerPlan:
         return coef
 
     @staticmethod
-    def _scatter(weights: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
+    def _scatter(weights: np.ndarray, cells: np.ndarray | None, width: int) -> np.ndarray:
         """Row s of the (k, width) result sums weights[s, e] into column
-        cells[e], adding the terms of each cell in entry order."""
+        cells[e], adding the terms of each cell in entry order.  With cells
+        None (the identity) that is weights + 0.0, which turns a -0.0 into
+        the +0.0 the sum gives; weights is overwritten."""
+        if cells is None:
+            weights += 0.0
+            return weights
         k = weights.shape[0]
         flat = (np.arange(k)[:, None] * width + cells).ravel()
         return np.bincount(flat, weights=weights.ravel(), minlength=k * width).reshape(k, width)
@@ -915,15 +986,15 @@ class SamplerPlan:
         terms, choices, sq = self._draw(seed, indices, self.sampled_max_sq)
         shape = (terms.shape[0], self.model.d1, self.model.d2)
         width = self.model.d1 * self.model.d2
-        if self.real:
-            z = np.empty(shape)
-        else:
-            z = np.empty(shape, dtype=np.complex128)
-            z.imag = 0.0
-            if self.imag is not None:
-                z.imag = self._scatter(terms * self.imag, self.cells, width).reshape(shape)
+        if self.imag is not None:
+            imag = self._scatter(terms * self.imag, self.cells, width).reshape(shape)
         terms *= self.values  # in place: the draws are not read again
-        z.real = self._scatter(terms, self.cells, width).reshape(shape)
+        # bincount of no entries counts in integers; a complex z starts
+        # with imaginary part +0.0
+        z = self._scatter(terms, self.cells, width).reshape(shape)
+        z = z.astype(np.float64 if self.real else np.complex128, copy=False)
+        if self.imag is not None:
+            z.imag = imag
         for mats, j in choices:
             z += mats[j]
         return z, sq
@@ -960,6 +1031,12 @@ class SamplerPlan:
         # cdf[-1] is exactly 1 > u, so the index stays within the atoms
         z[ambiguous] = atoms[np.searchsorted(cdf, u[ambiguous], side="right")]
         return z, None
+
+
+def _unless_identity(cells: np.ndarray, width: int) -> np.ndarray | None:
+    """A plan's cell map, or None when entry e is cell e of `width`."""
+    identity = len(cells) == width and np.array_equal(cells, np.arange(width))
+    return None if identity else cells
 
 
 def _row_law(model: IndependentSumModel):

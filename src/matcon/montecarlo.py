@@ -219,9 +219,11 @@ class BoundReport:
 
     For an uncentered input model the bounds and estimates describe the
     centered sum Z = R - E R; mean_norm records ||E R|| and
-    (envelope_lower, envelope_upper) the triangle-inequality envelope
-    [max(0, ||E R|| - upper), ||E R|| + upper] for (E||R||^2)^(1/2).
-    Centered models carry None in those fields.
+    (envelope_lower, envelope_upper) the envelope
+    [max(||E R||, lower - ||E R||), ||E R|| + upper] for (E||R||^2)^(1/2):
+    the lower end by Jensen (||E R|| <= E||R|| <= (E||R||^2)^(1/2)) and by
+    Minkowski ((E||Z||^2)^(1/2) <= (E||R||^2)^(1/2) + ||E R||), the upper
+    end by Minkowski.  Centered models carry None in those fields.
     """
 
     model_name: str
@@ -278,7 +280,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
 
     env_lower = env_upper = None
     if mean_norm is not None:
-        env_lower = max(0.0, mean_norm - interval.upper)
+        env_lower = max(mean_norm, interval.lower - mean_norm)
         env_upper = mean_norm + interval.upper
 
     return BoundReport(

@@ -5,7 +5,13 @@ Every variate is a pure function of a 64-bit key tuple
 (seed, stream, case index, slot).  No stream state exists,
 so draws can be produced in any order, in parallel, and one at a time, with
 bit-identical results.  The mixer is a splitmix-style 64-bit finalizer
-applied to a chained key.
+applied to a chained key: the seed is chained with the index and then the
+position, a finalizer round after each (the prefix), and the prefix with the
+slot in one more round (the slot finish).  A word is keyed on the whole
+counter either way, so a law that reads two slots of one (seed, index,
+position) finishes both from one computed prefix (gaussians,
+paretos): three full-size rounds for a sampler's (k, 1) x (1, N) key
+instead of four.
 """
 
 from __future__ import annotations
@@ -62,46 +68,64 @@ def counter_words(seed, index, position, slot):
     return _scalar_if_0d(_words(seed, index, position, slot))
 
 
+def _chain(z: np.ndarray, tmp, word, last: bool = True):
+    """(z, tmp) after chaining one key word into z and finalizing: in place
+    when tmp, scratch of z's shape, is given and the step keeps z's shape,
+    else on fresh arrays, so a caller's key is never written.  Runs under
+    errstate(over="ignore")."""
+    step = _GOLDEN * (_as_u64(word) + _ONE)
+    if tmp is not None and (np.ndim(step) == 0 or step.shape == z.shape):
+        z += step
+    else:
+        z = np.asarray(z + step)
+        tmp = np.empty_like(z)
+    _finalize(z, tmp, last)
+    return z, tmp
+
+
+def _prefix(seed, index, position):
+    """(the key chained through seed, index and position, its scratch)."""
+    z, tmp = _chain(_as_u64(seed), None, index)
+    return _chain(z, tmp, position)
+
+
 def _words(seed, index, position, slot, sign_only: bool = False) -> np.ndarray:
     """counter_words as an array; with sign_only, only bit 63 of each word is
     exact, since the last finalizer step is skipped."""
-    z = _as_u64(seed)
-    tmp = None
     with np.errstate(over="ignore"):
-        for step_no, word in enumerate((index, position, slot)):
-            step = _GOLDEN * (_as_u64(word) + _ONE)
-            if tmp is not None and (np.ndim(step) == 0 or step.shape == z.shape):
-                z += step
-            else:
-                # a fresh array of the broadcast shape; the caller's key is
-                # never written
-                z = np.asarray(z + step)
-                tmp = np.empty_like(z)
-            _finalize(z, tmp, last=not (sign_only and step_no == 2))
-    return z
+        z, tmp = _prefix(seed, index, position)
+        return _chain(z, tmp, slot, last=not sign_only)[0]
 
 
-def _top_bits(seed, index, position, slot, shift: int, offset: int = 0) -> np.ndarray:
-    """(word >> shift) + offset as float64, computed in the word's buffer."""
-    w = _words(seed, index, position, slot)
-    w >>= np.uint64(shift)
+def _word_pair(seed, index, position, slot, sign_only: bool = False):
+    """The words of slots `slot` and `slot + 1`, finished from one prefix:
+    the first on a fresh array, the second in the prefix's own buffer.
+    With sign_only, only bit 63 of the second word is exact."""
+    with np.errstate(over="ignore"):
+        z, tmp = _prefix(seed, index, position)
+        first = _chain(z, None, slot)[0]
+        second = _chain(z, tmp, _as_u64(slot) + _ONE, last=not sign_only)[0]
+    return first, second
+
+
+def _units(w: np.ndarray, offset: int = 0) -> np.ndarray:
+    """((w >> 11) + offset) * 2^-53 as float64, shifted in w's buffer."""
+    w >>= np.uint64(11)
     if offset:
         w += np.uint64(offset)
-    return w.astype(np.float64)
+    u = w.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def uniform_halfopen(seed, index, position, slot):
     """Uniform variates in [0, 1) with 53-bit resolution."""
-    u = _top_bits(seed, index, position, slot, 11)
-    u *= 2.0**-53
-    return _scalar_if_0d(u)
+    return _scalar_if_0d(_units(_words(seed, index, position, slot)))
 
 
 def uniform_positive(seed, index, position, slot):
     """Uniform variates in (0, 1]; never zero, safe under log and power laws."""
-    u = _top_bits(seed, index, position, slot, 11, 1)
-    u *= 2.0**-53
-    return _scalar_if_0d(u)
+    return _scalar_if_0d(_units(_words(seed, index, position, slot), 1))
 
 
 def integers(seed, index, position, slot, low: int, high) -> np.ndarray:
@@ -125,11 +149,11 @@ def signs(seed, index, position, slot):
 
 
 def gaussians(seed, index, position, slot):
-    """Standard normal variates via Box-Muller; consumes slots `slot` and `slot+1`."""
-    radius = np.asarray(uniform_positive(seed, index, position, slot))
-    with np.errstate(over="ignore"):
-        next_slot = _as_u64(slot) + _ONE
-    angle = np.asarray(uniform_halfopen(seed, index, position, next_slot))
+    """Standard normal variates via Box-Muller; consumes slots `slot` and
+    `slot+1`: the radius from uniform_positive's variate of the first, the
+    angle from uniform_halfopen's of the second."""
+    radius, angle = _word_pair(seed, index, position, slot)
+    radius, angle = _units(radius, 1), _units(angle)
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
@@ -137,3 +161,17 @@ def gaussians(seed, index, position, slot):
     np.cos(angle, out=angle)
     radius *= angle
     return _scalar_if_0d(radius)
+
+
+def paretos(seed, index, position, slot):
+    """Symmetric Pareto variates s * u^(-1/4), P(|P| >= t) = t^-4 for
+    t >= 1: u as uniform_positive draws it at `slot` and s as signs draws
+    it at `slot+1`.  u^(-1/4) is positive and finite, so setting its sign
+    bit from the second word gives the bits of the product."""
+    u, sign = _word_pair(seed, index, position, slot, sign_only=True)
+    u = _units(u, 1)
+    np.power(u, -0.25, out=u)
+    sign &= _SIGN_BIT
+    bits = u.view(np.uint64)
+    bits |= sign
+    return _scalar_if_0d(u)

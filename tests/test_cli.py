@@ -406,8 +406,9 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("command", ["report", "experiment"])
     def test_too_many_summand_positions_exit_2(self, monkeypatch, capsys, command):
-        # room for the plan arrays of 100 positions; sec71 at d = 10, n = 11 has 110
-        monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
+        # room for the 8-byte position index of 100 positions of a row-law
+        # example; sec71 at d = 10, n = 11 has 110
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 800)
         code, out, err = run_cli(
             [command, "--model", "sec71", "--d", "10", "--n", "11", "--samples", "8",
              "--seed", "1"],
@@ -415,8 +416,8 @@ class TestMemoryGuard:
         )
         assert code == 2
         assert out == ""
-        assert "110 summand positions of sec71 take 5280 bytes" in err
-        assert "4800-byte plan budget" in err
+        assert "110 summand positions of sec71 take 880 bytes" in err
+        assert "800-byte plan budget" in err
 
 
     @pytest.mark.parametrize("command", ["report", "experiment"])
@@ -708,8 +709,8 @@ REPORT_PINS = {
     "sec74_json": "e37df439736b7b3190ed4b08669ca3d9c906618c921ff2b3f96b9bad020998f4",
     "sec71_mom_csv": "96bc8e247126c9bf030f9eb09b3f9f311260a800d336b0183de5e696446f7605",
     "sec74_mean_json": "ddef8931d88cb3f4bb1983ecf1e53ffa2f2cf6613a8d9bbd354e22bb13ec0111",
-    "shifted_csv": "2bccd1369e117dde9badb8becfe26aeb0d0916b4aaccc360e42ca0ccc83b76be",
-    "shifted_json": "97fb4da4582cb81905638abb1e77d9a512a1855b20ae599dfe31b36bc47e96b4",
+    "shifted_csv": "1ad8f3341a28b8c88f67259beeb9aa9087bc4430f3f0d17d8bfd684f71d1f1a1",
+    "shifted_json": "86f4715f37dcdf9f40e82ed3ee37a663e24677bf55ec4d77b6acaf46b862563b",
 }
 
 EXPERIMENT_PINS = {

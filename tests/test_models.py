@@ -36,6 +36,7 @@ from matcon.models import (
     IndependentSumModel,
     SamplerPlan,
     ScalarSeries,
+    _columns_of,
     _matrix_from_json,
     _summands_from_json,
     moment_diagonals,
@@ -1047,18 +1048,35 @@ class TestPositionGuard:
         [("sec71", 10, 11, 110), ("sec72", 5, 22, 110), ("sec73", 11, 1, 121)],
     )
     def test_refused_before_building(self, monkeypatch, name, d, n, positions):
-        # room for the plan arrays of 100 positions, 48 bytes each
-        monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
+        # room for the plan arrays of 100 positions: 8 bytes each (the
+        # position index) for a row-law example, 48 (per-term tables) else
+        per = 8 if name in ("sec71", "sec72") else 48
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 100 * per)
         with pytest.raises(ValueError) as err:
             make_example(name, d=d, n=n)
         message = str(err.value)
-        assert f"{positions} summand positions of {name} take {48 * positions} bytes" in message
-        assert "4800-byte plan budget" in message
+        assert f"{positions} summand positions of {name} take {per * positions} bytes" in message
+        assert f"{100 * per}-byte plan budget" in message
 
     def test_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
         assert make_example("sec71", d=10, n=10).n_summands == 100
         assert make_example("sec73", d=10).n_summands == 100
+
+    def test_row_plan_tables_refused_past_budget(self, monkeypatch):
+        # a row plan holds only the 8-byte position index; asked for its
+        # per-term tables, it is refused as make_example refuses a per-term
+        # example: 48 bytes a position
+        from matcon.montecarlo import estimate_max_summand_sq
+
+        monkeypatch.setattr("matcon.models._STACK_BYTES", 800)
+        model = make_example("sec71", d=10, n=10)
+        assert SamplerPlan(model).row is not None
+        with pytest.raises(ValueError) as err:
+            estimate_max_summand_sq(model, MCConfig(samples=8, seed=1))
+        message = str(err.value)
+        assert "100 summand positions of sec71 take 4800 bytes" in message
+        assert "800-byte plan budget" in message
 
     def test_huge_n_refused_without_allocating(self):
         with pytest.raises(ValueError, match="2560000000 summand positions"):
@@ -1339,3 +1357,90 @@ class TestMaxSqGrouping:
     def test_pinned_models(self, key):
         model = _pin_model(key)
         assert analytic_max_sq(model) == _max_sq_per_object(model)
+
+
+# (name, d, n) of the column-build checks
+COLUMN_CASES = [(name, d, n) for name in ("sec71", "sec72", "sec73", "sec74")
+                for d, n in ((1, 1), (2, 3), (5, 1), (7, 16))] + [("sec72", 4, 1 << 16)]
+
+
+class TestColumnBuild:
+    """make_example computes its columns with numpy and builds its summand
+    objects only when they are read."""
+
+    @pytest.mark.parametrize("name,d,n", COLUMN_CASES)
+    def test_columns_equal_constructor_objects(self, name, d, n):
+        fast, slow = make_example(name, d=d, n=n), _example_from_constructors(name, d, n)
+        want = _columns_of(slow._distinct)
+        for field in ("laws", "code", "norm", "row", "col", "value", "weight"):
+            _assert_same(getattr(fast._columns, field), getattr(want, field))
+        _assert_same(fast._inverse, slow._inverse)
+        # set-up reads the columns alone
+        SamplerPlan(fast)
+        analytic_second_moments(fast)
+        analytic_max_sq(fast)
+        assert center(fast)[0] is fast
+        assert "_distinct" not in vars(fast)
+        assert fast.summands == slow.summands
+        assert model_to_json(fast) == model_to_json(slow)
+        assert fast == slow
+
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "sec73", "sec74"])
+    def test_report_builds_no_summand(self, monkeypatch, name):
+        cfg = MCConfig(samples=32, seed=3)
+        want = bound_report(_example_from_constructors(name, 16, 3), cfg)
+
+        def built(*args):
+            raise AssertionError("a summand was built")
+
+        for constructor in ("ScalarSeries", "ScaledBasisRademacher", "CenteredBernoulliBasis",
+                            "RademacherEntry", "ParetoDiagonal"):
+            monkeypatch.setattr(f"matcon.models.{constructor}", built)
+        assert bound_report(make_example(name, d=16, n=3), cfg) == want
+
+
+def _bincount_twin(plan):
+    """A copy of `plan` whose identity cell maps are explicit arrays, so
+    that its scatters run the bincount."""
+    if not hasattr(plan, "groups"):  # a row plan builds its tables on demand
+        plan._build_tables()
+    twin = copy.copy(plan)
+    d1, d2 = plan.model.d1, plan.model.d2
+    if plan.rows is None:
+        twin.rows = np.arange(d1)
+    if plan.cells is None:
+        twin.cells = np.arange(d1 * d2)
+    return twin
+
+
+class TestIdentityCellMap:
+    """A cell map that is the identity is recorded as None and skips the
+    scatter; the draws plus 0.0 equal the bincount bit for bit."""
+
+    IDX = np.arange(5, dtype=np.uint64)
+
+    @pytest.mark.parametrize("name,d,table", [("sec73", 6, "cells"), ("sec74", 9, "rows")])
+    def test_examples_record_identity(self, name, d, table):
+        plan = SamplerPlan(make_example(name, d=d))
+        assert getattr(plan, table) is None
+        twin = _bincount_twin(plan)
+        got, want = plan.realize(7, self.IDX), twin.realize(7, self.IDX)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        if plan.diagonal:
+            got, want = plan.realize_diagonal(7, self.IDX), twin.realize_diagonal(7, self.IDX)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_negative_zero_weights(self):
+        # scale -0.0: every term is a signed zero, and both routes give +0.0
+        diag = SamplerPlan(make_model([ScaledBasisRademacher(i, -0.0, 4) for i in range(4)]))
+        one = SamplerPlan(make_model([ScaledBasisRademacher(0, -0.0, 1)]))
+        terms = diag._draw(7, self.IDX, False)[0] * diag.values
+        assert np.signbit(terms).any()
+        for got, want in ((diag.realize_diagonal(7, self.IDX)[0],
+                           _bincount_twin(diag).realize_diagonal(7, self.IDX)[0]),
+                          (one.realize(7, self.IDX)[0],
+                           _bincount_twin(one).realize(7, self.IDX)[0])):
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got).any()
+        assert diag.rows is None and one.cells is None

@@ -788,6 +788,21 @@ class TestBoundReport:
         assert rep.mc_sqnorm.mean == 0.0
         assert rep.sandwich_ok
 
+    @pytest.mark.parametrize("shift,scale", [(2.0, 1.0), (0.5, 4.0)])
+    def test_envelope_lower_end(self, shift, scale):
+        # E R = diag(shift, 0) plus a +-scale*I coin: v = scale^2, L = scale,
+        # so lower = scale/2 + scale/4.  The envelope's lower end is
+        # max(||E R||, lower - ||E R||), never below the older
+        # max(0, ||E R|| - upper)
+        mean = np.diag([shift, 0.0])
+        coin = scale * np.eye(2)
+        model = make_model([FiniteSummand([(0.5, mean + coin), (0.5, mean - coin)])])
+        rep = bound_report(model, MCConfig(samples=64, seed=16))
+        assert (rep.mean_norm, rep.lower) == (shift, 0.75 * scale)
+        assert rep.envelope_lower == max(shift, 0.75 * scale - shift)
+        assert rep.envelope_lower >= max(0.0, shift - rep.upper)
+        assert rep.envelope_upper == shift + rep.upper
+
     def test_uncentered_model_reports_mean_norm(self):
         shift = np.diag([2.0, 0.0])
         summand = FiniteSummand([(0.5, shift + np.eye(2)), (0.5, shift - np.eye(2))])
@@ -796,6 +811,8 @@ class TestBoundReport:
         assert rep.mean_norm == pytest.approx(2.0)
         assert rep.envelope_upper >= rep.mean_norm
         assert rep.envelope_lower >= 0.0
+        # lower = sqrt(1)/2 + 1/4 = 0.75 < ||E R||: Jensen's end, ||E R||
+        assert rep.envelope_lower == 2.0
         # centered part is a +-I coin: v = L = 1
         assert rep.v == pytest.approx(1.0)
         assert rep.L == pytest.approx(1.0)

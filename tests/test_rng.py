@@ -162,3 +162,48 @@ def test_signs_are_the_top_bit_of_counter_words(key):
     got = np.asarray(rng.signs(*args))
     assert got.shape == want.shape and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+# gaussians and the Pareto law finish their two slot words from one counter
+# prefix; they must keep the bits of the one-slot-at-a-time expressions
+TWO_SLOT_KEYS = {
+    "scalar": (21, 3, 17, 0),
+    "broadcast": (1901, np.arange(9, dtype=np.uint64)[:, None],
+                  np.arange(130, dtype=np.uint64)[None, :], 0),
+    "oracle_slots": (9, 4, np.arange(3)[:, None, None, None],
+                     16 + 4 * np.arange(12, dtype=np.uint64).reshape(2, 3, 2)),
+    "seed_2^63": ((1 << 63) + 12345, np.arange(4, dtype=np.uint64)[:, None],
+                  np.arange(6, dtype=np.uint64)[None, :], 0),
+    "seed_2^64-1": ((1 << 64) - 1, 0, 1 << 40, 2),
+}
+
+
+def _next_slot(slot):
+    return np.asarray(slot, dtype=np.uint64) + np.uint64(1)
+
+
+def _same_bits(got, want):
+    assert np.ndim(got) == np.ndim(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("key", list(TWO_SLOT_KEYS))
+def test_gaussians_equal_one_slot_expression(key):
+    seed, index, position, slot = TWO_SLOT_KEYS[key]
+    radius = rng.uniform_positive(seed, index, position, slot)
+    angle = rng.uniform_halfopen(seed, index, position, _next_slot(slot))
+    want = np.sqrt(np.log(radius) * -2.0) * np.cos(angle * (2.0 * math.pi))
+    _same_bits(rng.gaussians(seed, index, position, slot), want)
+
+
+@pytest.mark.parametrize("key", list(TWO_SLOT_KEYS))
+def test_pareto_equals_one_slot_expression(key):
+    from matcon.models import PARETO
+
+    seed, index, position, slot = TWO_SLOT_KEYS[key]
+    sign = rng.signs(seed, index, position, _next_slot(slot))
+    want = sign * rng.uniform_positive(seed, index, position, slot) ** -0.25
+    _same_bits(rng.paretos(seed, index, position, slot), want)
+    if np.ndim(slot) == 0 and slot == 0:
+        _same_bits(PARETO.draw(seed, index, position), want)
