@@ -74,18 +74,12 @@ class ScalarLaw:
     two_point: tuple | None = field(default=None, compare=False)
 
 
-def _pareto_draw(seed, index, position):
-    """P = s * u^(-1/4) for u uniform on (0, 1] at slot 0 and a fair sign s
-    at slot 1, both words finished from one counter prefix; the bits of
-    rng.signs(..., 1) * rng.uniform_positive(..., 0) ** -0.25."""
-    return rng.paretos(seed, index, position, 0)
-
-
 SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
                  two_point=(-1.0, 1.0, 0.5))
 GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
 # P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
-PARETO = ScalarLaw("pareto", 2.0, None, _pareto_draw, heavy_tail=True)
+PARETO = ScalarLaw("pareto", 2.0, None, lambda s, i, pos: rng.paretos(s, i, pos, 0),
+                   heavy_tail=True)
 
 
 def bernoulli_law(p: float) -> ScalarLaw:
@@ -565,11 +559,11 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
         raise ValueError("d must be >= 1")
     if key in ("sec71", "sec72") and n < 1:
         raise ValueError("n must be >= 1")
+    if key not in EXAMPLE_NAMES:
+        raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
     positions = {"sec71": d * n, "sec72": d * n, "sec73": d * d}.get(key, d)
     row_law = key in ("sec71", "sec72") and n <= _ROW_ATOMS
     _check_positions(key, positions, _INDEX_BYTES if row_law else _POSITION_BYTES)
-    if key not in EXAMPLE_NAMES:
-        raise ValueError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
     _check_cell(0, 0, d, "index out of range")
     if key == "sec71":
         scale = 1.0 / math.sqrt(n)
@@ -630,11 +624,15 @@ def _cell_sums(model: IndependentSumModel, objects: np.ndarray):
     """The diagonals that the one-entry summand objects `objects`, one per
     position, add to E[ZZ*] and E[Z*Z], summed by cell in position order."""
     c = model._columns
-    weights = c.weight[objects]
-    return (
-        np.bincount(c.row[objects], weights=weights, minlength=model.d1),
-        np.bincount(c.col[objects], weights=weights, minlength=model.d2),
-    )
+    rows, cols = np.zeros(model.d1), np.zeros(model.d2)
+    # unbuffered adds, in position order from +0.0 as bincount adds, over
+    # blocks of positions so that no gather spans them all
+    for start in range(0, len(objects), _POSITION_BLOCK):
+        block = objects[start:start + _POSITION_BLOCK]
+        weights = c.weight[block]
+        np.add.at(rows, c.row[block], weights)
+        np.add.at(cols, c.col[block], weights)
+    return rows, cols
 
 
 def _hermitian_means(left: np.ndarray, right: np.ndarray):
@@ -797,21 +795,34 @@ def center(model: IndependentSumModel):
 # The same budget bounds the summand positions of a built-in example, whose
 # per-term tables are six 8-byte arrays over them (codes, positions, norms,
 # rows, cells, real values) and whose row plan reads only the 8-byte
-# position index; make_example checks it before building anything, and a
-# row plan again before it builds per-term tables.  It also bounds the two
-# dense complex second-moment matrices.
+# position index; make_example checks it before building anything.  It
+# also bounds the two dense complex second-moment matrices.
 _STACK_BYTES = 1 << 27
 _ENTRY_BYTES = 40
 _POSITION_BYTES = 48
 _INDEX_BYTES = 8
 # most entries per cell for which the row law is tabulated (m + 1 atoms)
 _ROW_ATOMS = 1 << 16
+# positions that a pass over all of them reads at a time
+_POSITION_BLOCK = 1 << 16
 
 
 class SamplerPlan:
-    """Precompiled vectorized sampler for one model.
+    """Precompiled vectorized sampler for one model.  `realize` takes one of
+    three routes, fixed when the plan is built: the row law, the per-term
+    diagonal scatter, or Z.
 
-    The ScalarSeries summands are grouped by law, and each law draws the
+    `row` is decided first, from the columns and the position index alone
+    (_row_law).  It is set when the model is square, has one two-point law
+    and no FiniteSummand, every summand holds one real diagonal entry of
+    one value, and every cell holds the same m <= _ROW_ATOMS entries: each
+    z_ii is then a sum of m independent copies, with an exact law on m + 1
+    atoms, and `row` holds (first summand position of each cell, atoms,
+    CDF).  Such a plan is diagonal and real, builds no per-position array,
+    and `terms` counts its positions.
+
+    Any other plan builds its per-term tables once (_build_tables).  The
+    ScalarSeries summands are grouped by law, and each law draws the
     coefficients of all its summands at once (a draw depends only on the
     position, so the grouping does not change it).  Every coefficient then
     multiplies the COO values of its matrix in one scatter over all cells,
@@ -823,21 +834,9 @@ class SamplerPlan:
     is no FiniteSummand, and every COO entry is real and on the diagonal.
     `real` is true when every COO value and every FiniteSummand outcome is
     real; `realize` then returns real Z.  `terms` counts the scattered
-    entries and FiniteSummand choices of one sample.  The realize methods
-    return samples of max_i ||S_i||^2 when `sampled_max_sq`
-    (_sampled_max_sq), and None otherwise.  The per-position arrays are
-    gathered from the model's columns; Python reads only fixed matrices and
-    FiniteSummands, once per object.
-
-    `row` is decided first, from the columns and the position index alone
-    (_row_law).  It is set when the model is square, has one two-point law
-    and no FiniteSummand, every summand holds one real diagonal entry of
-    one value, and every cell holds the same m <= _ROW_ATOMS entries: each
-    z_ii is then a sum of m independent copies, with an exact law on m + 1
-    atoms, and `row` holds (first summand position of each cell, atoms,
-    CDF).  Such a plan is diagonal and real, and builds its per-position
-    arrays only when `realize`, `realize_diagonal` or `realize_max_sq`
-    first needs them, within the plan budget (_check_positions).
+    entries and FiniteSummand choices of one sample.  The per-position
+    arrays are gathered from the model's columns; Python reads only fixed
+    matrices and FiniteSummands, once per object.
     """
 
     def __init__(self, model: IndependentSumModel):
@@ -854,13 +853,10 @@ class SamplerPlan:
     def _build_tables(self) -> None:
         """The per-position tables of the per-term route: rows, cells,
         values, imag, owner, norms, groups and finite, with `diagonal`,
-        `real` and `terms`.  `groups` is set last, so that a plan that has
-        it has them all.  Summand objects are read only for FiniteSummands
-        and fixed matrices."""
+        `real` and `terms`.  Summand objects are read only for
+        FiniteSummands and fixed matrices."""
         model = self.model
         inverse, c = model._inverse, model._columns
-        if self.row is not None:
-            _check_positions(model.name, len(inverse), _POSITION_BYTES)
         finite = c.code < 0
         # per FiniteSummand object: outcome CDF, matrices (real when all are)
         # and norms, shared by its positions
@@ -966,8 +962,6 @@ class SamplerPlan:
         FiniteSummand's outcome matrices with the (k,) outcome indices drawn,
         and max_i ||S_i||^2 (None unless `max_sq`), all from one draw of the
         coefficients.  The counter RNG reduces the seed mod 2^64."""
-        if not hasattr(self, "groups"):  # a row plan builds them on first use
-            self._build_tables()
         idx = np.asarray(indices, dtype=np.uint64)
         coef = self._coefficients(seed, idx)
         sq = self._max_sq(coef) if max_sq else None
@@ -981,14 +975,32 @@ class SamplerPlan:
         return (coef if self.owner is None else coef[:, self.owner]), choices, sq
 
     def realize(self, seed, indices):
-        """Realizations Z, real when the plan is, and max_i ||S_i||^2 (None
-        unless `sampled_max_sq`) for a batch of sample indices."""
+        """Realizations for a batch of sample indices, and max_i ||S_i||^2
+        (None unless `sampled_max_sq`): the real diagonals (k, d1) on a
+        diagonal plan, Z (real when the plan is) otherwise.  A row plan
+        draws one uniform u per (sample, cell), keyed on the cell's first
+        summand position at slot 2, which no per-term law uses, and inverts
+        the CDF as np.searchsorted(cdf, u, side="right") does, through the
+        guide table (_guide_table); any other diagonal plan sums its terms
+        by cell."""
+        if self.row is not None:
+            first, atoms, cdf = self.row
+            u = rng.uniform_halfopen(seed, np.asarray(indices)[:, None], first, 2)
+            # B is a power of two, so u * B is exact, and u < 1 keeps it below B
+            z = self._guide[(u * len(self._guide)).astype(np.intp)]
+            ambiguous = np.isnan(z)
+            # cdf[-1] is exactly 1 > u, so the index stays within the atoms
+            z[ambiguous] = atoms[np.searchsorted(cdf, u[ambiguous], side="right")]
+            return z, None
         terms, choices, sq = self._draw(seed, indices, self.sampled_max_sq)
+        if self.diagonal:
+            terms *= self.values  # in place: the draws are not read again
+            return self._scatter(terms, self.rows, self.model.d1), sq
         shape = (terms.shape[0], self.model.d1, self.model.d2)
         width = self.model.d1 * self.model.d2
         if self.imag is not None:
             imag = self._scatter(terms * self.imag, self.cells, width).reshape(shape)
-        terms *= self.values  # in place: the draws are not read again
+        terms *= self.values
         # bincount of no entries counts in integers; a complex z starts
         # with imaginary part +0.0
         z = self._scatter(terms, self.cells, width).reshape(shape)
@@ -1002,35 +1014,18 @@ class SamplerPlan:
     def realize_max_sq(self, seed, indices) -> np.ndarray:
         """max_i ||S_i||^2 alone for a batch of sample indices, drawn on any
         plan; identical to the second output of `realize` where that is
-        drawn, without building Z."""
-        return self._draw(seed, indices, True)[2]
-
-    def realize_diagonal(self, seed, indices):
-        """For a diagonal plan: the real diagonals (k, d) of the realizations
-        and max_i ||S_i||^2 as `realize` returns it.  Each entry sums the same
-        terms in the same order as the matching entry of `realize`, so the
-        values are identical."""
-        if not self.diagonal:
-            raise ValueError("realize_diagonal needs a diagonal plan")
-        terms, _, sq = self._draw(seed, indices, self.sampled_max_sq)
-        terms *= self.values  # in place: the draws are not read again
-        return self._scatter(terms, self.rows, self.model.d1), sq
-
-    def realize_rows(self, seed, indices):
-        """`realize_diagonal`'s law by another stream, for a row-law plan:
-        one uniform u per (sample, cell), keyed on the cell's first summand
-        position at slot 2, which no per-term law uses, and inverted on the
-        CDF as np.searchsorted(cdf, u, side="right") gives it, through the
-        guide table (_guide_table).  A row law is two-point, so
-        max_i ||S_i||^2 is exact and not drawn: the second output is None."""
-        first, atoms, cdf = self.row
-        u = rng.uniform_halfopen(seed, np.asarray(indices)[:, None], first, 2)
-        # B is a power of two, so u * B is exact, and u < 1 keeps it below B
-        z = self._guide[(u * len(self._guide)).astype(np.intp)]
-        ambiguous = np.isnan(z)
-        # cdf[-1] is exactly 1 > u, so the index stays within the atoms
-        z[ambiguous] = atoms[np.searchsorted(cdf, u[ambiguous], side="right")]
-        return z, None
+        drawn, without realizing Z.  A row plan draws its one law at every
+        position, a block of positions at a time (the maximum does not
+        depend on the order)."""
+        if self.row is None:
+            return self._draw(seed, indices, True)[2]
+        c, n = self.model._columns, len(self.model._inverse)
+        col, sq = np.asarray(indices, dtype=np.uint64)[:, None], 0.0
+        for start in range(0, n, _POSITION_BLOCK):
+            positions = np.arange(start, min(n, start + _POSITION_BLOCK), dtype=np.uint64)
+            coef = c.laws[0].draw(seed, col, positions[None]) * c.norm[0]
+            sq = np.maximum(sq, (coef**2).max(axis=1))
+        return sq
 
 
 def _unless_identity(cells: np.ndarray, width: int) -> np.ndarray | None:

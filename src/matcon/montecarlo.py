@@ -128,9 +128,9 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig):
     Gaussian or Pareto law, SamplerPlan.sampled_max_sq), and is None
     otherwise: large_dev_param gives that L.
 
-    ||Z|| is max_i |z_ii| when every realization is diagonal, with the z_ii
-    drawn from their row law on a row-law plan, and the root of the top
-    eigenvalue of the Gram matrix of the smaller side otherwise.
+    ||Z|| is max_i |z_ii| of the diagonals SamplerPlan.realize returns on a
+    diagonal plan, and the root of the top eigenvalue of the Gram matrix of
+    the smaller side of Z otherwise.
     """
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
@@ -138,14 +138,8 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig):
     sq = np.empty(cfg.samples) if plan.sampled_max_sq else None
 
     def run(start: int, stop: int) -> None:
-        idx = np.arange(start, stop, dtype=np.uint64)
-        if plan.diagonal:
-            realize = plan.realize_diagonal if plan.row is None else plan.realize_rows
-            diag, m = realize(seed, idx)
-            norms[start:stop] = np.abs(diag).max(axis=1)
-        else:
-            z, m = plan.realize(seed, idx)
-            norms[start:stop] = spectral_norms(z)
+        sample, m = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
+        norms[start:stop] = np.abs(sample).max(axis=1) if plan.diagonal else spectral_norms(sample)
         if sq is not None:
             sq[start:stop] = m
 
@@ -198,7 +192,8 @@ def _median(values: np.ndarray) -> float:
 
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:
     """Estimate of E max_i ||S_i||^2, the square of the large-deviation
-    parameter; samples max_i ||S_i||^2 alone, never Z."""
+    parameter; samples max_i ||S_i||^2 alone (SamplerPlan.realize_max_sq),
+    never Z, and builds no per-term table for a row-law plan."""
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     max_sq = np.empty(cfg.samples)

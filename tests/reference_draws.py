@@ -61,3 +61,14 @@ def sample_summands(model, seed, index: int) -> list[np.ndarray]:
     """
     seed = seed_value(seed)
     return [sample_summand(s, seed, index, pos) for pos, s in enumerate(model.summands)]
+
+
+def as_matrices(plan, sample: np.ndarray) -> np.ndarray:
+    """Z from what `plan.realize` returns: a diagonal plan's (k, d) real
+    diagonals set into zero d x d matrices, any other sample as it is."""
+    if not plan.diagonal:
+        return sample
+    d = sample.shape[1]
+    z = np.zeros((len(sample), d, d))
+    z[:, np.arange(d), np.arange(d)] = sample
+    return z

@@ -419,6 +419,16 @@ class TestMemoryGuard:
         assert "110 summand positions of sec71 take 880 bytes" in err
         assert "800-byte plan budget" in err
 
+    def test_unknown_example_named_before_the_budget(self, tmp_path, capsys):
+        f = tmp_path / "nope.json"
+        f.write_text(json.dumps({"name": "nope", "d": 1_000_000_000}))
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "8", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown example 'nope'" in err and "bytes" not in err
+
 
     @pytest.mark.parametrize("command", ["report", "experiment"])
     def test_sample_count_over_budget_exit_2(self, monkeypatch, capsys, command):

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from matcon.bounds import large_dev_param, variance_param
 from matcon.linalg import hermitian_stack, spectral_norm, spectral_norms
 from matcon.models import (
     _ROW_ATOMS,
+    GAUSSIAN,
     PARETO,
     SIGN,
     IndependentSumModel,
@@ -42,7 +44,7 @@ from matcon.models import (
     moment_diagonals,
 )
 from matcon.montecarlo import MCConfig, bound_report
-from reference_draws import pareto_sample, sample_summands
+from reference_draws import as_matrices, pareto_sample, sample_summands
 
 
 def rand_hermitian(rng, d):
@@ -89,6 +91,13 @@ class TestExamples:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_example("sec99", d=2)
+
+    def test_unknown_name_rejected_before_the_budget(self):
+        # a size past the plan budget does not hide the unknown name
+        for build in (lambda: make_example("nope", d=10**9),
+                      lambda: model_from_json({"name": "nope", "d": 10**9})):
+            with pytest.raises(ValueError, match="unknown example 'nope'"):
+                build()
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +156,7 @@ class TestSampling:
         model = make_example("sec71", d=1, n=1)
         plan = SamplerPlan(model)
         z, _ = plan.realize(11, np.arange(10_000, dtype=np.uint64))
-        plus = int(np.sum(np.real(z[:, 0, 0]) > 0))
+        plus = int(np.sum(z[:, 0] > 0))
         sigma = 0.5 * math.sqrt(10_000)
         assert abs(plus - 5_000) <= 3 * sigma
 
@@ -434,6 +443,7 @@ class TestLargeSampleConsistency:
         chunk = 20_000
         for start in range(0, self.SAMPLES, chunk):
             z, _ = plan.realize(77, np.arange(start, start + chunk, dtype=np.uint64))
+            z = as_matrices(plan, z)
             acc += z.sum(axis=0)
             sq += np.einsum("kab,kcb->ac", z, z.conj())
         return acc / self.SAMPLES, sq / self.SAMPLES
@@ -462,11 +472,8 @@ class TestLargeSampleConsistency:
         per = 6_250
         block_means = []
         for b in range(blocks):
-            z, _ = plan.realize(
-                78, np.arange(b * per, (b + 1) * per, dtype=np.uint64)
-            )
-            diag = np.real(z[:, 0, 0])
-            block_means.append(float(np.mean(diag**2)))
+            z, _ = plan.realize(78, np.arange(b * per, (b + 1) * per, dtype=np.uint64))
+            block_means.append(float(np.mean(z[:, 0] ** 2)))
         est = float(np.median(block_means))
         assert 1.6 <= est <= 2.4
 
@@ -689,9 +696,8 @@ GOLDEN_ROWS_SHA256 = {
 
 
 class TestGoldenDiagonalKernels:
-    """The raw diagonals and max_i ||S_i||^2 of the two diagonal kernels,
-    pinned across versions: TestDiagonalKernel compares realize_diagonal
-    with realize, which share their draws."""
+    """The raw diagonals and max_i ||S_i||^2 that `realize` returns on the
+    two diagonal routes, per-term and row law, pinned across versions."""
 
     IDX = np.arange(64, dtype=np.uint64)
 
@@ -703,16 +709,45 @@ class TestGoldenDiagonalKernels:
             model = model_from_json(json.loads(json.dumps(GOLDEN_DIAGONAL_DOC)))
         plan = SamplerPlan(model)
         assert plan.diagonal and plan.row is None
-        diag, max_sq = plan.realize_diagonal(GOLDEN_SEED, self.IDX)
+        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
         assert _sha256(diag, max_sq) == GOLDEN_DIAGONAL_SHA256[key]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_ROWS_SHA256))
     def test_realize_rows(self, name):
         plan = SamplerPlan(make_example(name, d=8, n=5))
         assert plan.row is not None
-        diag, max_sq = plan.realize_rows(GOLDEN_SEED, self.IDX)
+        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
         assert max_sq is None
         assert _sha256(diag) == GOLDEN_ROWS_SHA256[name]
+
+
+# a sign and Bernoulli diagonal model file without a row law: two laws,
+# scales whose sums round, and 3, 4, 2 and 1 summands on the four cells
+UNEQUAL_CELLS_DOC = {"summands": [
+    {"family": "scaled_basis_rademacher", "index": i, "scale": s, "dim": 4}
+    for i, s in ((0, 0.1), (1, -1.3), (0, 0.2), (2, 0.7), (1, 0.1), (1, 3.1))
+] + [
+    {"family": "centered_bernoulli_basis", "index": i, "prob": p, "dim": 4}
+    for i, p in ((3, 0.3), (0, 0.5), (2, 0.9), (1, 0.25))
+]}
+
+
+class TestDiagonalRealize:
+    """`realize` of a diagonal plan without a row law returns, sample by
+    sample, the diagonal of the sum of the reference draws bit for bit."""
+
+    @pytest.mark.parametrize("key", ["sec74", "fixed_diagonal", "unequal_cells"])
+    def test_equals_reference_draws(self, key):
+        doc = {"fixed_diagonal": GOLDEN_DIAGONAL_DOC, "unequal_cells": UNEQUAL_CELLS_DOC}
+        model = make_example("sec74", d=8) if key == "sec74" else model_from_json(doc[key])
+        plan = SamplerPlan(model)
+        assert plan.diagonal and plan.row is None
+        idx = np.arange(40, 72, dtype=np.uint64)
+        diag, _ = plan.realize(GOLDEN_SEED, idx)
+        assert diag.dtype == np.float64 and diag.shape == (32, model.d1)
+        for got, index in zip(diag, idx.tolist()):
+            want = np.diagonal(sum(sample_summands(model, GOLDEN_SEED, index))).real
+            assert got.tobytes() == want.tobytes()
 
 
 def _mixed_summands(shared: bool) -> list:
@@ -774,9 +809,6 @@ class TestSharedSummands:
             assert np.array_equal(a, b)
         assert np.array_equal(shared.realize_max_sq(13, idx), unshared.realize_max_sq(13, idx))
         assert shared.diagonal == unshared.diagonal
-        if shared.diagonal:
-            for a, b in zip(shared.realize_diagonal(13, idx), unshared.realize_diagonal(13, idx)):
-                assert np.array_equal(a, b)
 
     def test_mixed_plan_matches_reference_summands(self):
         model = make_model(_mixed_summands(True))
@@ -883,7 +915,7 @@ class TestRowLaw:
         idx = np.arange(40, 72, dtype=np.uint64)
         u = rng.uniform_halfopen(5, idx[:, None], np.arange(d, dtype=np.uint64)[None, :], 2)
         want = atoms[np.searchsorted(cdf, u, side="right")]
-        diag, max_sq = plan.realize_rows(5, idx)
+        diag, max_sq = plan.realize(5, idx)
         assert np.array_equal(diag, want)
         assert max_sq is None
 
@@ -910,7 +942,7 @@ class TestRowLaw:
 
 
 class TestGuideTable:
-    """realize_rows inverts the row CDF through its guide table exactly as
+    """A row plan's `realize` inverts the row CDF through its guide table exactly as
     np.searchsorted(cdf, u, side="right") does."""
 
     @staticmethod
@@ -930,7 +962,7 @@ class TestGuideTable:
         assert size == min(1 << 16, next(1 << k for k in range(40) if 1 << k >= 16 * (m + 1)))
         u = self.keys(cdf, size)
         monkeypatch.setattr(rng, "uniform_halfopen", lambda seed, index, position, slot: u[:, None])
-        diag, _ = plan.realize_rows(0, np.arange(len(u), dtype=np.uint64))
+        diag, _ = plan.realize(0, np.arange(len(u), dtype=np.uint64))
         assert np.array_equal(diag[:, 0], atoms[np.searchsorted(cdf, u, side="right")])
 
     def test_degenerate_bernoulli_row(self):
@@ -938,7 +970,7 @@ class TestGuideTable:
         plan = SamplerPlan(make_example("sec72", d=3, n=1))
         _, atoms, cdf = plan.row
         assert np.array_equal(cdf, [0.0, 1.0]) and not np.isnan(plan._guide).any()
-        diag, _ = plan.realize_rows(4, np.arange(50, dtype=np.uint64))
+        diag, _ = plan.realize(4, np.arange(50, dtype=np.uint64))
         assert np.array_equal(diag, np.full((50, 3), atoms[1]))
 
 
@@ -1042,6 +1074,18 @@ class TestFixedMatrixStacks:
             assert str(err.value) == str(first.value)
 
 
+# (d, n, hex of the estimate (mean, std_error, spread) at 64 samples and
+# seed 5, sha256 of realize_max_sq over samples 0..63 at seed 5) of row-law
+# examples, recorded when a row plan built per-term tables to draw them;
+# sec72 at d = 2, n = 40,000 has more than one block of positions
+ROW_MAX_SQ_PINS = {
+    "sec71": (10, 10, ("0x1.999999999999ap-4", "0x0.0p+0", "0x0.0p+0"),
+              "ac83190f81c578ca36fd592fe0d11ce13e21b4f5f8467fb372f262fa6e488798"),
+    "sec72": (2, 40_000, ("0x1.c7fa29ccd80a6p-1", "0x1.421c33a32f0fdp-5", "0x1.421c33a32f0fdp-5"),
+              "e6f248eefc60ec1cbd1f1666a1f1e24d2fe6c480a240921b9d2ca0dc4d2c8668"),
+}
+
+
 class TestPositionGuard:
     @pytest.mark.parametrize(
         "name,d,n,positions",
@@ -1063,20 +1107,63 @@ class TestPositionGuard:
         assert make_example("sec71", d=10, n=10).n_summands == 100
         assert make_example("sec73", d=10).n_summands == 100
 
-    def test_row_plan_tables_refused_past_budget(self, monkeypatch):
-        # a row plan holds only the 8-byte position index; asked for its
-        # per-term tables, it is refused as make_example refuses a per-term
-        # example: 48 bytes a position
+    def test_row_plan_max_sq_builds_no_table(self, monkeypatch):
+        # a row plan holds only the 8-byte position index, and draws
+        # max_i ||S_i||^2 from its one law with no per-term table, within
+        # that budget and with the bytes recorded when it built the tables
         from matcon.montecarlo import estimate_max_summand_sq
 
-        monkeypatch.setattr("matcon.models._STACK_BYTES", 800)
-        model = make_example("sec71", d=10, n=10)
-        assert SamplerPlan(model).row is not None
-        with pytest.raises(ValueError) as err:
-            estimate_max_summand_sq(model, MCConfig(samples=8, seed=1))
-        message = str(err.value)
-        assert "100 summand positions of sec71 take 4800 bytes" in message
-        assert "800-byte plan budget" in message
+        def refuse(self):
+            raise AssertionError("per-term tables were built")
+
+        monkeypatch.setattr(SamplerPlan, "_build_tables", refuse)
+        # made before the budget is lowered: it checks its per-sample arrays
+        cfg = MCConfig(samples=64, seed=5)
+        for key, (d, n, estimate, digest) in ROW_MAX_SQ_PINS.items():
+            monkeypatch.setattr("matcon.models._STACK_BYTES", 8 * d * n)
+            model = make_example(key, d=d, n=n)
+            plan = SamplerPlan(model)
+            assert plan.row is not None
+            assert _sha256(plan.realize_max_sq(5, np.arange(64, dtype=np.uint64))) == digest
+            got = estimate_max_summand_sq(model, cfg)
+            assert (got.mean.hex(), got.std_error.hex(), got.spread.hex()) == estimate
+
+    def test_row_plan_max_sq_in_bounded_memory(self):
+        # the one law is drawn a block of positions at a time: under the 8
+        # bytes a position the example is admitted at, where drawing all
+        # positions at once holds about 24 bytes a position for each sample
+        model = make_example("sec71", d=16, n=1 << 16)
+        plan = SamplerPlan(model)
+        idx = np.arange(2, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            got = plan.realize_max_sq(3, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.full(2, 2.0**-16))  # |c| = 1, a^2 = 1/n
+        assert peak < 8 * model.n_summands
+
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "sec73", "sec74"])
+    def test_index_charged_examples_have_row_plans(self, monkeypatch, name):
+        # make_example charges 8 bytes a position only where the plan has a
+        # row law, which never builds per-term tables: an example admitted
+        # within 8 bytes a position has a row plan, and one refused there
+        # (charged 48) has none
+        charged = []
+        for n in (_ROW_ATOMS, _ROW_ATOMS + 1):
+            positions = {"sec73": 4, "sec74": 2}.get(name, 2 * n)
+            monkeypatch.setattr("matcon.models._STACK_BYTES", 8 * positions)
+            try:
+                make_example(name, d=2, n=n)
+                charged.append(8)
+            except ValueError as err:
+                assert f"take {48 * positions} bytes" in str(err)
+                charged.append(48)
+            monkeypatch.undo()
+            row = SamplerPlan(make_example(name, d=2, n=n)).row
+            assert (charged[-1] == 8) == (row is not None)
+        assert charged == ([8, 48] if name in ("sec71", "sec72") else [48, 48])
 
     def test_huge_n_refused_without_allocating(self):
         with pytest.raises(ValueError, match="2560000000 summand positions"):
@@ -1242,6 +1329,19 @@ class TestMomentPins:
                _hex_digest(np.diagonal(left).real), _hex_digest(np.diagonal(right).real))
         assert got == MOMENT_PINS[key]
 
+    def test_cell_sums_in_bounded_memory(self):
+        # the moments are summed a block of positions at a time: no gather
+        # over all 409,600 positions (16 bytes each)
+        model = make_example("sec71", d=4096, n=100)
+        want = variance_param(model)
+        tracemalloc.start()
+        try:
+            got = variance_param(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < 4 * model.n_summands
+
     @pytest.mark.parametrize("key", sorted(MOMENT_PINS))
     def test_diagonal_route_equals_dense_route(self, key):
         model = _pin_model(key)
@@ -1402,8 +1502,6 @@ class TestColumnBuild:
 def _bincount_twin(plan):
     """A copy of `plan` whose identity cell maps are explicit arrays, so
     that its scatters run the bincount."""
-    if not hasattr(plan, "groups"):  # a row plan builds its tables on demand
-        plan._build_tables()
     twin = copy.copy(plan)
     d1, d2 = plan.model.d1, plan.model.d2
     if plan.rows is None:
@@ -1423,24 +1521,28 @@ class TestIdentityCellMap:
     def test_examples_record_identity(self, name, d, table):
         plan = SamplerPlan(make_example(name, d=d))
         assert getattr(plan, table) is None
-        twin = _bincount_twin(plan)
-        got, want = plan.realize(7, self.IDX), twin.realize(7, self.IDX)
-        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
-        if plan.diagonal:
-            got, want = plan.realize_diagonal(7, self.IDX), twin.realize_diagonal(7, self.IDX)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+        (z, max_sq), (want_z, want_max_sq) = (
+            plan.realize(7, self.IDX), _bincount_twin(plan).realize(7, self.IDX)
+        )
+        assert z.dtype == want_z.dtype and z.tobytes() == want_z.tobytes()
+        assert (max_sq is None) == (want_max_sq is None) == (name == "sec73")
+        if max_sq is not None:
+            assert max_sq.tobytes() == want_max_sq.tobytes()
 
     def test_negative_zero_weights(self):
-        # scale -0.0: every term is a signed zero, and both routes give +0.0
-        diag = SamplerPlan(make_model([ScaledBasisRademacher(i, -0.0, 4) for i in range(4)]))
-        one = SamplerPlan(make_model([ScaledBasisRademacher(0, -0.0, 1)]))
+        # Gaussian coefficients times -0.0: every term is a signed zero, and
+        # the diagonal route (rows) and the route to Z (cells) give +0.0
+        def zeros(shape, cells):
+            return SamplerPlan(make_model(
+                [ScalarSeries(GAUSSIAN, shape, (i,), (j,), (-0.0,), 0.0) for i, j in cells]
+            ))
+
+        diag, wide = zeros((4, 4), [(i, i) for i in range(4)]), zeros((1, 2), [(0, 0), (0, 1)])
+        assert diag.diagonal and diag.row is None and not wide.diagonal
         terms = diag._draw(7, self.IDX, False)[0] * diag.values
         assert np.signbit(terms).any()
-        for got, want in ((diag.realize_diagonal(7, self.IDX)[0],
-                           _bincount_twin(diag).realize_diagonal(7, self.IDX)[0]),
-                          (one.realize(7, self.IDX)[0],
-                           _bincount_twin(one).realize(7, self.IDX)[0])):
+        for plan in (diag, wide):
+            got, want = plan.realize(7, self.IDX)[0], _bincount_twin(plan).realize(7, self.IDX)[0]
             assert got.tobytes() == want.tobytes()
             assert not np.signbit(got).any()
-        assert diag.rows is None and one.cells is None
+        assert diag.rows is None and wide.cells is None

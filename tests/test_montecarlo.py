@@ -33,6 +33,7 @@ from matcon.montecarlo import (
     _median,
     default_blocks,
 )
+from reference_draws import as_matrices
 
 
 # Monte Carlo cross-checks of exact quantities, used only by these tests.
@@ -58,6 +59,7 @@ def empirical_second_moments(model, cfg: MCConfig):
 
     def run(start: int, stop: int) -> None:
         z, _ = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
+        z = as_matrices(plan, z)
         left = np.einsum("kab,kcb->ac", z, z.conj(), optimize=False)
         right = np.einsum("kba,kbc->ac", z.conj(), z, optimize=False)
         partials[start // chunk] = (left, right)
@@ -267,8 +269,7 @@ class TestMaxSummandSqSamplesOnlyMaxSq:
             raise AssertionError("Z was realized")
 
         monkeypatch.setattr(SamplerPlan, "realize", refuse)
-        monkeypatch.setattr(SamplerPlan, "realize_diagonal", refuse)
-        for model in self.models().values():
+        for model in (*self.models().values(), make_example("sec72", d=4, n=5)):
             estimate_max_summand_sq(model, MCConfig(samples=64, seed=42))
 
 
@@ -358,9 +359,12 @@ class TestMaxSqSampledByLaw:
 
 
 def dense_route(model, cfg):
-    """(||Z||, max_sq) from the dense realizations: top eigenvalue of the
-    Gram matrix of the smaller side."""
-    z, max_sq = SamplerPlan(model).realize(cfg.seed, np.arange(cfg.samples, dtype=np.uint64))
+    """(||Z||, max_sq) from the realizations as matrices (a diagonal plan's
+    diagonals set into d x d matrices): top eigenvalue of the Gram matrix of
+    the smaller side."""
+    plan = SamplerPlan(model)
+    z, max_sq = plan.realize(cfg.seed, np.arange(cfg.samples, dtype=np.uint64))
+    z = as_matrices(plan, z)
     if model.d1 <= model.d2:
         gram = z @ z.conj().transpose(0, 2, 1)
     else:
@@ -374,22 +378,20 @@ class TestDiagonalKernel:
     @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74"])
     @pytest.mark.parametrize("d", [1, 3, 16])
     def test_matches_dense_route_bitwise(self, name, d):
-        # the per-term diagonal route realizes the same terms as the dense
-        # route; collect_samples takes it unless the plan has a row law, and
-        # reads the same max_i ||S_i||^2 either way
+        # max_i |z_ii| of the diagonals realize returns, on the row-law and
+        # the per-term route, is the Gram route's norm of the same
+        # realizations as matrices, and max_i ||S_i||^2 is the one realize
+        # draws
         model = make_example(name, d=d, n=5)
         plan = SamplerPlan(model)
         assert plan.diagonal and (plan.row is None) == (name == "sec74")
         for seed in (0, 1, 2):
             cfg = MCConfig(samples=150, seed=seed)
-            diag, max_sq = plan.realize_diagonal(seed, np.arange(150, dtype=np.uint64))
-            want_norms, want_max_sq = dense_route(model, cfg)
-            assert np.array_equal(np.abs(diag).max(axis=1), want_norms)
-            assert np.array_equal(max_sq, want_max_sq)
             norms, max_sq = collect_samples(model, cfg)
+            want_norms, want_max_sq = dense_route(model, cfg)
+            assert np.array_equal(norms, want_norms)
             assert np.array_equal(max_sq, want_max_sq)
-            if plan.row is None:
-                assert np.array_equal(norms, want_norms)
+            assert (max_sq is None) == (plan.row is not None)
 
     def test_diagonal_fixed_matrices_match_dense_route_bitwise(self):
         # a fixed matrix with only diagonal entries is a diagonal summand too
@@ -435,22 +437,23 @@ class TestDiagonalKernel:
             assert np.array_equal(norms, want_norms)
             assert np.array_equal(max_sq, want_max_sq)
 
-    def test_realize_diagonal_rejects_dense_plan(self):
-        plan = SamplerPlan(make_example("sec73", d=2))
-        with pytest.raises(ValueError):
-            plan.realize_diagonal(0, np.arange(2, dtype=np.uint64))
-
 
 def per_term_norms(model, cfg: MCConfig) -> np.ndarray:
-    """||Z|| = max_i |z_ii| of a diagonal model from the per-term stream,
-    one coefficient per summand position."""
-    plan = SamplerPlan(model)
+    """||Z|| = max_i |z_ii| of a one-law diagonal model of one-entry
+    summands from the per-term stream: the law's coefficient at every
+    summand position times its value, summed by cell in position order."""
+    c = model._columns
+    (law,) = c.laws
+    rows, values = c.row[model._inverse], c.value.real[model._inverse]
+    positions = np.arange(model.n_summands, dtype=np.uint64)[None, :]
     norms = np.empty(cfg.samples)
-    step = max(1, montecarlo._CHUNK_BUDGET // plan.terms)  # chunks of cache size
+    step = max(1, montecarlo._CHUNK_BUDGET // model.n_summands)  # chunks of cache size
     for start in range(0, cfg.samples, step):
         idx = np.arange(start, min(start + step, cfg.samples), dtype=np.uint64)
-        diag, _ = plan.realize_diagonal(cfg.seed, idx)
-        norms[start:start + len(idx)] = np.abs(diag).max(axis=1)
+        terms = law.draw(cfg.seed, idx[:, None], positions) * values
+        cells = (np.arange(len(idx))[:, None] * model.d1 + rows).ravel()
+        diag = np.bincount(cells, weights=terms.ravel(), minlength=len(idx) * model.d1)
+        norms[start:start + len(idx)] = np.abs(diag.reshape(len(idx), -1)).max(axis=1)
     return norms
 
 
@@ -530,7 +533,8 @@ ORACLE_SEEDS = (1, 2, 3, 4, 5)
 
 class TestExactSqNormOracle:
     """The Monte Carlo E||Z||^2 of sec71 and sec72 against its exact value,
-    on the row-law stream and on the per-term stream."""
+    on the row-law stream that collect_samples draws and on the per-term
+    stream of the sign and Bernoulli laws (per_term_norms)."""
 
     @pytest.mark.parametrize("name,d", sorted(EXACT_SQ_NORM))
     def test_exact_values(self, name, d):
