@@ -792,6 +792,75 @@ class TestPinnedOutput:
         assert err == f"error: --n is required for {label}\n"
 
 
+SEC73 = ["report", "--model", "sec73", "--d", "3"]
+REPORT_OPTIONS = ("--model", "--model-file", "--d", "--n", "--samples", "--seed", "--format",
+                  "--out", "--estimator")
+VERIFY_OPTIONS = ("--suite", "--cases", "--seed", "--inject-fault")
+EXPERIMENT_OPTIONS = ("--model", "--d", "--n", "--samples", "--seed", "--out", "--svg",
+                      "--estimator")
+USAGE = "usage: matcon"
+
+# argv -> (exit code, the stream written, fragments it holds)
+PARSE_CASES = [
+    (["report", "--model=sec73", "--d=3", "--samples=16", "--seed=5"],
+     0, "out", ("sec73,3,3,", ",16,5,")),
+    ([*SEC73, "--sam", "16", "--se", "5", "--form", "json"], 0, "out", ('"samples": 16',)),
+    ([*SEC73, "--samples", "16", "--seed", "1", "--seed", "5", "--format", "json",
+      "--format", "csv"], 0, "out", ("model,", ",16,5,")),
+    ([*SEC73, "--samples", "16", "--seed", "5", "--out", "-"], 0, "out", ("sec73,3,3,",)),
+    (["report", "--mod", "sec73", "--d", "3", "--samples", "16", "--seed", "5"], 2, "err",
+     (USAGE, "matcon report: error: ambiguous option: --mod could match --model, --model-file")),
+    ([*SEC73, "--samples", "16", "--seed", "5", "--bogus", "1"], 2, "err",
+     (USAGE, "error: unrecognized arguments: --bogus 1")),
+    ([*SEC73, "--samples", "16", "--seed"], 2, "err",
+     (USAGE, "matcon report: error: argument --seed: expected one argument")),
+    ([*SEC73, "--samples", "--seed", "5"], 2, "err",
+     ("error: argument --samples: expected one argument",)),
+    (["experiment", "--model", "sec73", "--d", "-4,8", "--samples", "16", "--seed", "5"], 2,
+     "err", ("matcon experiment: error: argument --d: expected one argument",)),
+    ([*SEC73, "--samples", "many", "--seed", "5"], 2, "err",
+     (USAGE, "matcon report: error: argument --samples: invalid int value: 'many'")),
+    ([*SEC73, "--samples", "16", "--seed", "5", "--format", "xml"], 2, "err",
+     ("matcon report: error: argument --format: invalid choice: 'xml' (choose from 'csv', "
+      "'json')",)),
+    (["verify", "--seed", "1", "--suite", "everything"], 2, "err",
+     ("error: argument --suite: invalid choice: 'everything'",)),
+    (SEC73, 2, "err",
+     (USAGE, "matcon report: error: the following arguments are required: --samples, --seed")),
+    (["report", "--model", "sec73", "--model-file", "m.json", "--samples", "8", "--seed", "1"],
+     2, "err", (USAGE, "error: report needs exactly one of --model / --model-file")),
+    (["verify", "--cases", "-3", "--seed", "1"], 2, "err",
+     ("error: --cases must be >= 1, got -3",)),
+    (["verify", "--seed", "1", "--inject-fault=yes"], 2, "err",
+     ("error: argument --inject-fault: ignored explicit argument 'yes'",)),
+    ([], 2, "err", (USAGE, "matcon: error: the following arguments are required: command")),
+    (["frob"], 2, "err", (USAGE, "matcon: error: argument command: invalid choice: 'frob'")),
+    (["--version"], 0, "out", (f"matcon {__version__}\n",)),
+    (["--vers"], 0, "out", (f"matcon {__version__}\n",)),
+    (["-h"], 0, "out", (USAGE, "--version", "report", "verify", "experiment")),
+    (["--help"], 0, "out", (USAGE, "--version", "report", "verify", "experiment")),
+    (["report", "-h"], 0, "out", (USAGE, *REPORT_OPTIONS)),
+    (["report", "--model", "sec73", "--help"], 0, "out", (USAGE, *REPORT_OPTIONS)),
+    (["verify", "-h"], 0, "out", (USAGE, *VERIFY_OPTIONS)),
+    (["experiment", "-h"], 0, "out", (USAGE, *EXPERIMENT_OPTIONS)),
+]
+
+
+class TestParsing:
+    """The command-line rules, as argv -> exit code and output: `--opt value`
+    and `--opt=value`, unique prefixes, last occurrence wins, `-` and
+    negative numbers as values, usage errors on stderr with exit code 2."""
+
+    @pytest.mark.parametrize("argv, want_code, stream, fragments", PARSE_CASES)
+    def test_argv(self, capsys, argv, want_code, stream, fragments):
+        code, out, err = run_cli(argv, capsys)
+        assert code == want_code
+        written, other = (out, err) if stream == "out" else (err, out)
+        assert other == ""
+        for fragment in fragments:
+            assert fragment in written
+
+
 class TestParserReuse:
     """main builds its parser once per process; no call may see another's
     arguments, defaults or errors."""
