@@ -1,10 +1,13 @@
-"""Command-line surface.
-
-Subcommands:
+"""Command-line surface: three subcommands and one option table.
 
   report      one bound-report row for a built-in or JSON-described model
   verify      oracle sweeps: fact checks, symmetrization, sign-series domination
   experiment  grid runs over d reproducing the optimality examples
+
+OPTIONS holds each command's options with converter, default and help.
+main parses argv against it by argparse's rules: `--opt value` or
+`--opt=value`, an option named by a prefix no other option has, the last
+of a repeated option winning, `-` and negative numbers taken as values.
 
 Exit codes: 0 success, 1 mathematical-check failure (sandwich violation or a
 failed oracle case), 2 usage/parse/I-O failure.  All randomness flows from
@@ -14,11 +17,11 @@ invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import sys
+import types
 
 import numpy as np
 
@@ -331,71 +334,128 @@ def cmd_experiment(args) -> int:
     return 0 if all_ok else 1
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call: parse_args
-    keeps no state between calls, so main can reuse it."""
-    parser = argparse.ArgumentParser(
-        prog="matcon",
-        description=(
-            "Matrix concentration bounds: matched upper/lower estimates for "
-            "E||sum of independent random matrices||, oracle-tested matrix "
-            "inequalities, and reproducible experiments."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"matcon {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    rep = sub.add_parser("report", help="compute one bound report row")
-    rep.add_argument("--model", help=f"built-in model: one of {', '.join(EXAMPLE_NAMES)}")
-    rep.add_argument("--model-file", help="JSON model description file")
-    rep.add_argument("--d", help="dimension (built-in models)")
-    rep.add_argument("--n", type=int, help="repetition count (sec71/sec72)")
-    rep.add_argument("--samples", type=int, required=True, help="Monte Carlo samples")
-    rep.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    rep.add_argument("--format", choices=("csv", "json"), default="csv")
-    rep.add_argument("--out", help="output path (default stdout)")
-    rep.add_argument(
-        "--estimator",
-        choices=("mean", "mom"),
-        help="mean or median-of-means (default: mom for heavy-tailed models)",
-    )
+# command -> (help line, {option: (converter, default, help)}), with the top
+# level as command None.  A converter is int, str, a tuple of choices, or bool
+# for a flag that takes no value.
+OPTIONS = {
+    None: ("Matrix concentration bounds: matched upper/lower estimates for E||sum of "
+           "independent random matrices||, oracle-tested matrix inequalities, and "
+           "reproducible experiments.",
+           {"--version": (bool, False, "show program's version number and exit")}),
+    "report": ("compute one bound report row", {
+        "--model": (str, None, f"built-in model: one of {', '.join(EXAMPLE_NAMES)}"),
+        "--model-file": (str, None, "JSON model description file"),
+        "--d": (str, None, "dimension (built-in models)"),
+        "--n": (int, None, "repetition count (sec71/sec72)"),
+        "--samples": (int, REQUIRED, "Monte Carlo samples"),
+        "--seed": (int, REQUIRED, "RNG seed (required)"),
+        "--format": (("csv", "json"), "csv", ""),
+        "--out": (str, None, "output path (default stdout)"),
+        "--estimator": (("mean", "mom"), None,
+                        "mean or median-of-means (default: mom for heavy-tailed models)"),
+    }),
+    "verify": ("run the oracle sweeps", {
+        "--suite": (("facts", "symmetrization", "rademacher", "all"), "all", ""),
+        "--cases": (int, 10000, "cases per sweep"),
+        "--seed": (int, REQUIRED, "RNG seed (required)"),
+        "--inject-fault": (bool, False,
+                           "test-only: plant a known violation to confirm the harness fails"),
+    }),
+    "experiment": ("reproduce an optimality experiment", {
+        "--model": (str, REQUIRED, f"experiment id: one of {', '.join(EXPERIMENTS)}"),
+        "--d": (str, REQUIRED, "comma-separated d grid, e.g. 16,64,256"),
+        "--n": (int, None, "repetition count (sec71/sec72/sharpness)"),
+        "--samples": (int, REQUIRED, "Monte Carlo samples"),
+        "--seed": (int, REQUIRED, "RNG seed (required)"),
+        "--out": (str, None, "output CSV path (default stdout)"),
+        "--svg": (str, None, "optional SVG line-plot path"),
+        "--estimator": (("mean", "mom"), None, ""),
+    }),
+}
+COMMANDS = ("report", "verify", "experiment")
+_DASH_VALUE = re.compile(r"-|-\d+|-\d*\.\d+")  # taken as values, as argparse does
 
-    ver = sub.add_parser("verify", help="run the oracle sweeps")
-    ver.add_argument(
-        "--suite",
-        choices=("facts", "symmetrization", "rademacher", "all"),
-        default="all",
-    )
-    ver.add_argument("--cases", type=int, default=10000, help="cases per sweep")
-    ver.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    ver.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="test-only: plant a known violation to confirm the harness fails",
-    )
 
-    exp = sub.add_parser("experiment", help="reproduce an optimality experiment")
-    exp.add_argument(
-        "--model",
-        required=True,
-        help=f"experiment id: one of {', '.join(EXPERIMENTS)}",
-    )
-    exp.add_argument("--d", required=True, help="comma-separated d grid, e.g. 16,64,256")
-    exp.add_argument("--n", type=int, help="repetition count (sec71/sec72/sharpness)")
-    exp.add_argument("--samples", type=int, required=True, help="Monte Carlo samples")
-    exp.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    exp.add_argument("--out", help="output CSV path (default stdout)")
-    exp.add_argument("--svg", help="optional SVG line-plot path")
-    exp.add_argument("--estimator", choices=("mean", "mom"))
-    return parser
+def _usage(command, error: str = ""):
+    """Exit 2 on a usage error: the usage line and `error` on stderr.  With
+    no error, --help: exit 0 after the usage line and every option with its
+    help on stdout."""
+    prog = f"matcon {command}" if command else "matcon"
+    text, options = OPTIONS[command]
+    required = [f"{o} {o[2:].upper()}" for o, entry in options.items() if entry[1] is REQUIRED]
+    commands = [] if command else ["{%s} ..." % ",".join(COMMANDS)]
+    usage = " ".join([f"usage: {prog} [-h]", *required, "[options]", *commands])
+    if error:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(2)
+    rows = [("-h, --help", "show this help message and exit")]
+    for option, (convert, _, help) in options.items():
+        choices = " {%s}" % ",".join(convert) if isinstance(convert, tuple) else ""
+        rows.append((option + choices, help))
+    rows += [] if command else [(c, OPTIONS[c][0]) for c in COMMANDS]
+    print(f"{usage}\n\n{text}\n")
+    print("\n".join(f"  {row:24}{help}".rstrip() for row, help in rows))
+    raise SystemExit(0)
+
+
+def _parse(argv: list) -> types.SimpleNamespace:
+    """The command named in argv, with its option values by attribute name."""
+    command, values, extras, tokens = None, {}, [], list(argv)
+    while tokens:
+        token, options = tokens.pop(0), OPTIONS[command][1]
+        name, eq, value = ("--help", "", "") if token == "-h" else token.partition("=")
+        # an option is named in full or by a prefix that no other option has;
+        # "-" and "--" name none
+        hits = [o for o in ("--help", *options) if len(name) > 2 and o.startswith(name)]
+        hits = [name] if name in options else hits
+        if len(hits) > 1:
+            _usage(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if command is None and token[:1] != "-":  # the first other token names the command
+            option, convert, value = "command", COMMANDS, token
+        elif not hits:
+            extras.append(token)
+            continue
+        elif hits[0] == "--help":
+            _usage(command)
+        elif hits[0] == "--version":
+            print(f"matcon {__version__}")
+            raise SystemExit(0)
+        else:
+            option, convert = hits[0], options[hits[0]][0]
+            if convert is bool and eq:
+                _usage(command, f"argument {option}: ignored explicit argument {value!r}")
+            if convert is not bool and not eq:
+                if not tokens or tokens[0][:1] == "-" and not _DASH_VALUE.fullmatch(tokens[0]):
+                    _usage(command, f"argument {option}: expected one argument")
+                value = tokens.pop(0)
+        if isinstance(convert, tuple) and value not in convert:
+            choices = ", ".join(map(repr, convert))
+            _usage(command, f"argument {option}: invalid choice: {value!r} "
+                            f"(choose from {choices})")
+        try:
+            values[option] = True if convert is bool else int(value) if convert is int else value
+        except ValueError:
+            _usage(command, f"argument {option}: invalid int value: {value!r}")
+        command = values.pop("command", command)
+    if command is None:
+        _usage(None, "the following arguments are required: command")
+    options = OPTIONS[command][1]
+    missing = [o for o, entry in options.items() if entry[1] is REQUIRED and o not in values]
+    if missing:
+        _usage(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage(None, f"unrecognized arguments: {' '.join(extras)}")
+    attributes = {o[2:].replace("-", "_"): values.get(o, d) for o, (_, d, _) in options.items()}
+    return types.SimpleNamespace(command=command, **attributes)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: 0 success, 1 a failed check, 2 a usage or input error."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.command == "report" and bool(args.model) == bool(args.model_file):
-        parser.error("report needs exactly one of --model / --model-file")
+        _usage(None, "report needs exactly one of --model / --model-file")
     command = {"report": cmd_report, "verify": cmd_verify, "experiment": cmd_experiment}
     try:
         return command[args.command](args)

@@ -463,7 +463,8 @@ class IndependentSumModel:
     every summand has zero mean (always for a ScalarSeries, computed from the
     support for a FiniteSummand).  `n` is the reported model size: the
     repetition count for the built-in examples, the summand count otherwise.
-    Models compare by d1, d2, name, n and their summands' values.
+    Models compare by d1, d2, name, n and their summands' values, position
+    by position.
     """
 
     d1: int
@@ -497,9 +498,14 @@ class IndependentSumModel:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.d1, self.d2, self.name, self.n, self.summands) == (
-            other.d1, other.d2, other.name, other.n, other.summands
-        )
+        if (self.d1, self.d2, self.name, self.n, self.n_summands) != (
+            other.d1, other.d2, other.name, other.n, other.n_summands
+        ):
+            return False
+        # each pair of objects that some position lines up, compared once
+        mine, theirs = self._distinct, other._distinct
+        pairs = np.divmod(np.unique(self._inverse * len(theirs) + other._inverse), len(theirs))
+        return all(mine[i] is theirs[j] or mine[i] == theirs[j] for i, j in zip(*pairs))
 
     __hash__ = None
 

@@ -15,7 +15,7 @@ import pytest
 
 from matcon import FiniteSummand, FixedRademacher, __version__, make_model, model_to_json
 from matcon import oracles
-from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, _build_parser, main
+from matcon.cli import EXPERIMENT_COLUMNS, REPORT_COLUMNS, main
 from matcon.linalg import HermitianMatrix
 from matcon.models import _matrix_from_json
 
@@ -30,7 +30,7 @@ SUMMANDS = "field 'summands' must be a list of summand objects"
 def run_cli(argv, capsys):
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse errors
+    except SystemExit as exc:  # usage errors, --help and --version
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
@@ -862,7 +862,7 @@ class TestParsing:
 
 
 class TestParserReuse:
-    """main builds its parser once per process; no call may see another's
+    """main may run many commands in one process; no call may see another's
     arguments, defaults or errors."""
 
     # each call's (exit code, stdout, stderr, --out file bytes)
@@ -921,9 +921,6 @@ class TestParserReuse:
         assert "envelope" in together[1][2]
         assert "the following arguments are required: --seed" in together[2][2]
 
-    def test_parser_built_once(self):
-        assert _build_parser() is _build_parser()
-
     def test_version_after_other_calls(self, capsys):
         run_cli(["report", "--model", "sec73", "--d", "2", "--samples", "8", "--seed", "1"],
                 capsys)
@@ -955,11 +952,13 @@ class TestEntryPoints:
          "--seed", "1"],
         ["verify", "--suite", "all", "--cases", "5", "--seed", "1"],
     ]
-    UNIMPORTED = ("numpy.ma", "numpy.random", "concurrent.futures")
+    UNIMPORTED = ("numpy.ma", "numpy.random", "concurrent.futures", "argparse", "gettext",
+                  "locale")
 
     def test_commands_leave_heavy_modules_unimported(self):
-        # numpy.ma (np.median's first call), numpy.random and the thread pool
-        # cost milliseconds to import; no default single-thread run needs them
+        # numpy.ma (np.median's first call), numpy.random, the thread pool and
+        # argparse with the gettext and locale it loads cost milliseconds to
+        # import; no default single-thread run needs them
         script = (
             "import contextlib, io, sys\n"
             "import matcon.cli\n"

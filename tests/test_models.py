@@ -857,6 +857,20 @@ class TestSingleLayout:
         assert make_model([a, a]) != make_model([a, a], name="other")
         assert make_model([a, a]) != make_model([a, RademacherEntry(1, 0, 2)])
 
+    def test_equality_is_by_value_whatever_the_sharing(self):
+        rows = [0, 1, 0, 1, 0, 0]
+        a, b = RademacherEntry(0, 0, 2), RademacherEntry(1, 0, 2)
+        shared = make_model([(a, b)[r] for r in rows])  # two objects
+        fresh = make_model([RademacherEntry(r, 0, 2) for r in rows])  # six
+        assert shared == fresh and fresh == shared
+        for position in range(len(rows)):
+            changed = list(rows)
+            changed[position] = 1 - changed[position]
+            other = make_model([RademacherEntry(r, 0, 2) for r in changed])
+            assert shared != other and other != shared
+        longer = make_model([RademacherEntry(r, 0, 2) for r in rows + [0]])
+        assert shared != longer
+
     def test_center_keeps_the_position_index(self):
         model = _uncentered_mixed_model()
         assert not model.centered
