@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 import types
@@ -452,14 +453,20 @@ def _parse(argv: list) -> types.SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    """Run one command: 0 success, 1 a failed check, 2 a usage or input error."""
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if args.command == "report" and bool(args.model) == bool(args.model_file):
-        _usage(None, "report needs exactly one of --model / --model-file")
+    """Run one command: 0 success, 1 a failed check, 2 a usage or input error.
+    A stdout whose reader is gone is an I/O error, under any buffering."""
     command = {"report": cmd_report, "verify": cmd_verify, "experiment": cmd_experiment}
     try:
-        return command[args.command](args)
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+            if args.command == "report" and bool(args.model) == bool(args.model_file):
+                _usage(None, "report needs exactly one of --model / --model-file")
+            return command[args.command](args)
+        finally:  # --help and --version end in SystemExit, so flush here
+            sys.stdout.flush()
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # nor may the flush at exit write there
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Callable
@@ -450,44 +450,37 @@ class IndependentSumModel:
     """Z = sum of independent summands, all of shape (d1, d2).
 
     The summand objects may repeat (make_example shares one object among the
-    n repetitions of an entry), so the model holds its distinct objects in
-    order of first appearance and, for each position, the index of its
-    object among them; `summands` lists the positions.  Built by make_model
-    and make_example, which check the shapes.  Set-up reads the objects'
-    columns (_Columns), so per-summand work runs once per object.  A model
-    given its columns is given, in place of the objects, a function that
-    builds them; they are built when first read (`summands`, model_to_json,
-    ==), and set-up never reads a ScalarSeries object.
+    n repetitions of an entry), so the model holds one row of columns
+    (_Columns) per distinct object, in order of first appearance, and for
+    each position the index of its object; `summands` lists the positions.
+    Every builder (make_model, make_example, center) hands it the columns,
+    the read-only position index and `_build`, a function returning the
+    distinct objects, which are built when first read (`summands`,
+    model_to_json, ==).  Set-up reads the columns alone, so per-summand work
+    runs once per object and never asks a ScalarSeries object.
 
     `centered` is computed, never trusted from the caller: it is true iff
     every summand has zero mean (always for a ScalarSeries, computed from the
     support for a FiniteSummand).  `n` is the reported model size: the
     repetition count for the built-in examples, the summand count otherwise.
-    Models compare by d1, d2, name, n and their summands' values, position
-    by position.
+    Models compare by d1, d2, name, n and their summands' values, each pair
+    of objects that the positions line up compared once.
     """
 
     d1: int
     d2: int
-    distinct: InitVar[tuple | Callable]
+    _columns: _Columns = field(repr=False)
     _inverse: np.ndarray = field(repr=False)
+    _build: Callable = field(repr=False)
     name: str = "custom"
     n: int | None = None
-    columns: InitVar[_Columns | None] = None
     centered: bool = field(init=False, default=False)
-    _columns: _Columns | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self, distinct, columns):
-        if columns is None:
-            columns = _columns_of(distinct)
-            self.__dict__["_distinct"] = distinct
-        else:
-            self.__dict__["_build"] = distinct
+    def __post_init__(self):
         self._inverse.setflags(write=False)
         if self.n is None:
             object.__setattr__(self, "n", len(self._inverse))
-        object.__setattr__(self, "_columns", columns)
-        finite = np.flatnonzero(columns.code < 0).tolist()
+        finite = np.flatnonzero(self._columns.code < 0).tolist()
         object.__setattr__(self, "centered", all(self._distinct[i].zero_mean for i in finite))
 
     @cached_property
@@ -539,7 +532,7 @@ def make_model(summands, name: str = "custom", n: int | None = None) -> Independ
     for s in distinct:
         if s.shape != (d1, d2):
             raise ValueError(f"summand shape {s.shape} != model shape ({d1}, {d2})")
-    return IndependentSumModel(d1, d2, distinct, inverse, name, n)
+    return IndependentSumModel(d1, d2, _columns_of(distinct), inverse, lambda: distinct, name, n)
 
 
 EXAMPLE_NAMES = ("sec71", "sec72", "sec73", "sec74")
@@ -598,7 +591,7 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     # so the n repetitions of sec71 and sec72 share one summand object
     inverse = np.repeat(np.arange(k), positions // k)
     return IndependentSumModel(
-        d, d, lambda: tuple(map(family, rows.tolist(), cols.tolist())), inverse, key, n, columns
+        d, d, columns, inverse, lambda: tuple(map(family, rows.tolist(), cols.tolist())), key, n
     )
 
 
@@ -768,8 +761,9 @@ def center(model: IndependentSumModel):
 
     E R = sum of summand means is the quantity the triangle-inequality
     envelope needs for uncentered reporting; a ScalarSeries has mean zero,
-    so only FiniteSummand means are taken.  Each distinct summand object is
-    centered once, so the centered model keeps the model's position index.
+    so only FiniteSummand means are taken.  Each FiniteSummand object is
+    centered once; the centered model shares the model's position index and
+    columns, since a FiniteSummand's column row does not depend on it.
     """
     mean_sum = np.zeros((model.d1, model.d2), dtype=np.complex128)
     nonzero, means = np.zeros(len(model._columns.code), dtype=bool), {}
@@ -786,7 +780,7 @@ def center(model: IndependentSumModel):
         return model, mean_sum
     distinct = tuple(s if s.zero_mean else s.centered() for s in model._distinct)
     centered = IndependentSumModel(
-        model.d1, model.d2, distinct, model._inverse, name=model.name, n=model.n
+        model.d1, model.d2, model._columns, model._inverse, lambda: distinct, model.name, model.n
     )
     return centered, mean_sum
 

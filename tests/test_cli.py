@@ -984,3 +984,27 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("model,")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--model", "sec73", "--d", "3", "--samples", "8", "--seed", "1"],
+         ["experiment", "-h"],
+         ["--version"]],
+        ids=["report", "experiment-help", "version"],
+    )
+    def test_closed_stdout_is_an_io_error(self, argv, unbuffered):
+        # whether the first write or the flush at exit meets the closed pipe:
+        # one error line and exit 2, with no traceback or "Exception ignored"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child starts
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "matcon", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")

@@ -847,9 +847,28 @@ class TestSingleLayout:
         assert model.n_summands == len(model._inverse)
         assert model.summands == tuple(model._distinct[i] for i in model._inverse)
         rebuilt = IndependentSumModel(
-            model.d1, model.d2, model._distinct, model._inverse, model.name, model.n
+            model.d1, model.d2, model._columns, model._inverse, lambda: model._distinct,
+            model.name, model.n,
         )
         assert rebuilt == model and rebuilt.centered == model.centered
+
+    def test_center_keeps_the_columns(self, monkeypatch):
+        model = _uncentered_mixed_model()
+
+        def derived(distinct):
+            raise AssertionError("columns derived again")
+
+        monkeypatch.setattr("matcon.models._columns_of", derived)
+        centered, _ = center(model)
+        assert centered._columns is model._columns
+        # the bytes of the report and of the centered model file, as recorded
+        # when center derived the columns of its centered objects again
+        report = repr(bound_report(model, MCConfig(samples=64, seed=5)))
+        doc = json.dumps(model_to_json(centered))
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in (report, doc)] == [
+            "f414faae9f0d269ca8130c250a5a2463c9471bc2662a37b74636800d1378f2d1",
+            "3c93370b4b3e0e21127e54b677d2d06d0e9c122d65e5188efae41728d2b99fa5",
+        ]
 
     def test_equality_compares_summand_values(self):
         a, b = RademacherEntry(0, 1, 2), RademacherEntry(0, 1, 2)
@@ -1495,9 +1514,10 @@ class TestColumnBuild:
         analytic_max_sq(fast)
         assert center(fast)[0] is fast
         assert "_distinct" not in vars(fast)
-        assert fast.summands == slow.summands
-        assert model_to_json(fast) == model_to_json(slow)
-        assert fast == slow
+        assert fast == slow  # each pair of objects that the positions line up, once
+        if n < 1 << 16:  # and position by position, but for the 262,144 of sec72
+            assert fast.summands == slow.summands
+            assert model_to_json(fast) == model_to_json(slow)
 
     @pytest.mark.parametrize("name", ["sec71", "sec72", "sec73", "sec74"])
     def test_report_builds_no_summand(self, monkeypatch, name):
