@@ -19,7 +19,7 @@ Bernoulli diagonal, the full sign matrix, and the heavy-tailed diagonal.
 
 Sampling is driven by the counter RNG: every coefficient is a pure function
 of (seed, sample index, summand position, slot), so realizations are
-independent of evaluation order and worker count.
+independent of evaluation order and chunking.
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
 """Seeded Monte Carlo estimation of norm moments and report assembly.
 
 Determinism contract: every estimate is a pure function of (model, config).
-Sample values come from the counter RNG, so they do not depend on how the
-index range is chunked; chunk size is fixed by the model and the outputs
-read, partial results are written back by index, and reductions run in
-index order.  The MATCON_THREADS environment variable caps the worker count
-and affects speed only, never results.
+Sample values come from the counter RNG, so they depend on the sample index
+and never on chunking; chunks run in index order on one thread, and
+reductions run in index order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +75,6 @@ class Estimate:
     spread: float
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MATCON_THREADS")
-    if raw is None:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError("MATCON_THREADS must be a positive integer")
-    return count
-
-
 def _chunk_size(plan: SamplerPlan) -> int:
     """Samples per chunk, within the budget of draws (per sample: one per
     cell on the row route, one per COO entry and FiniteSummand choice
@@ -108,20 +95,6 @@ def _chunk_size(plan: SamplerPlan) -> int:
     return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
 
 
-def _for_chunks(samples: int, chunk: int, run) -> None:
-    """Call run(start, stop) for each chunk of the sample range, on up to
-    MATCON_THREADS threads; every call writes only its own slice."""
-    starts = range(0, samples, chunk)
-    threads = _thread_count()
-    if threads <= 1:
-        for s in starts:
-            run(s, min(s + chunk, samples))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # milliseconds to import
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: run(s, min(s + chunk, samples)), starts))
-
-
 def collect_samples(model: IndependentSumModel, cfg: MCConfig):
     """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order.  The
     second is drawn only when E max_i ||S_i||^2 has no exact value (a
@@ -136,14 +109,13 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig):
     seed = seed_value(cfg.seed)
     norms = np.empty(cfg.samples)
     sq = np.empty(cfg.samples) if plan.sampled_max_sq else None
-
-    def run(start: int, stop: int) -> None:
+    chunk = _chunk_size(plan)
+    for start in range(0, cfg.samples, chunk):
+        stop = min(start + chunk, cfg.samples)
         sample, m = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
         norms[start:stop] = np.abs(sample).max(axis=1) if plan.diagonal else spectral_norms(sample)
         if sq is not None:
             sq[start:stop] = m
-
-    _for_chunks(cfg.samples, _chunk_size(plan), run)
     return norms, sq
 
 
@@ -197,14 +169,11 @@ def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estima
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     max_sq = np.empty(cfg.samples)
-
-    def run(start: int, stop: int) -> None:
-        idx = np.arange(start, stop, dtype=np.uint64)
-        max_sq[start:stop] = plan.realize_max_sq(seed, idx)
-
     # realize_max_sq draws every coefficient, also on a row-law plan
     chunk = min(_chunk_size(plan), max(1, _CHUNK_BUDGET // max(1, plan.terms)))
-    _for_chunks(cfg.samples, chunk, run)
+    for start in range(0, cfg.samples, chunk):
+        stop = min(start + chunk, cfg.samples)
+        max_sq[start:stop] = plan.realize_max_sq(seed, np.arange(start, stop, dtype=np.uint64))
     return _estimate(max_sq, cfg)
 
 

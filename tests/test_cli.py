@@ -956,9 +956,9 @@ class TestEntryPoints:
                   "locale")
 
     def test_commands_leave_heavy_modules_unimported(self):
-        # numpy.ma (np.median's first call), numpy.random, the thread pool and
+        # numpy.ma (np.median's first call), numpy.random, a thread pool and
         # argparse with the gettext and locale it loads cost milliseconds to
-        # import; no default single-thread run needs them
+        # import; no command needs them
         script = (
             "import contextlib, io, sys\n"
             "import matcon.cli\n"
@@ -967,10 +967,7 @@ class TestEntryPoints:
             "        assert matcon.cli.main(argv) == 0, argv\n"
             f"print(' '.join(m for m in {self.UNIMPORTED!r} if m in sys.modules))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "MATCON_THREADS"}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         for name in proc.stdout.split():
             pytest.fail(f"{name} was imported by the guarded commands")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +32,6 @@ from matcon.models import SamplerPlan, _row_sq_norm, seed_value
 from matcon.montecarlo import (
     _chunk_size,
     _estimate,
-    _for_chunks,
     _median,
     default_blocks,
 )
@@ -54,23 +56,14 @@ def empirical_second_moments(model, cfg: MCConfig):
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     chunk = _chunk_size(plan)
-    starts = range(0, cfg.samples, chunk)
-    partials: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(starts)
-
-    def run(start: int, stop: int) -> None:
-        z, _ = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
-        z = as_matrices(plan, z)
-        left = np.einsum("kab,kcb->ac", z, z.conj(), optimize=False)
-        right = np.einsum("kba,kbc->ac", z.conj(), z, optimize=False)
-        partials[start // chunk] = (left, right)
-
-    _for_chunks(cfg.samples, chunk, run)
-
     left = np.zeros((model.d1, model.d1), dtype=np.complex128)
     right = np.zeros((model.d2, model.d2), dtype=np.complex128)
-    for part in partials:
-        left += part[0]
-        right += part[1]
+    for start in range(0, cfg.samples, chunk):
+        stop = min(start + chunk, cfg.samples)
+        z, _ = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
+        z = as_matrices(plan, z)
+        left += np.einsum("kab,kcb->ac", z, z.conj(), optimize=False)
+        right += np.einsum("kba,kbc->ac", z.conj(), z, optimize=False)
     left /= cfg.samples
     right /= cfg.samples
     left = (left + left.conj().T) / 2.0
@@ -501,14 +494,10 @@ class TestRowLawRoute:
         assert held < 1 << 20 and peak < 24 * model.n_summands
 
     @pytest.mark.parametrize("name", ["sec71", "sec72"])
-    def test_chunks_and_threads_do_not_change_output(self, monkeypatch, name):
+    def test_chunks_do_not_change_output(self, monkeypatch, name):
         model = make_example(name, d=16, n=100)
         cfg = MCConfig(samples=300, seed=12)
         want = collect_samples(model, cfg)
-        monkeypatch.setenv("MATCON_THREADS", "2")
-        got = collect_samples(model, cfg)
-        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
-        monkeypatch.delenv("MATCON_THREADS")
         monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", 1)
         assert _chunk_size(SamplerPlan(model)) == 1
         got = collect_samples(model, cfg)
@@ -601,22 +590,37 @@ class TestSec73EnumerationOracle:
 
 
 class TestThreading:
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        self.check_worker_counts(monkeypatch, make_example("sec73", d=4))
+    """Sampling runs on one thread, chunk after chunk in index order; no
+    setting, of the chunk size or of the environment, changes a value."""
 
-    @pytest.mark.parametrize("name", ["sec71", "sec74"])
-    def test_worker_count_does_not_change_diagonal_route(self, monkeypatch, name):
-        self.check_worker_counts(monkeypatch, make_example(name, d=8, n=3))
+    GUARD_RUNS = (
+        ["report", "--model", "sec73", "--d", "8", "--samples", "256", "--seed", "3"],
+        ["experiment", "--model", "sec74", "--d", "8,32", "--samples", "256", "--seed", "3"],
+    )
+    GUARD_SCRIPT = (
+        "import sys\n"
+        "import matcon.cli\n"
+        "code = matcon.cli.main(sys.argv[1:])\n"
+        "print('concurrent.futures' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
 
-    @staticmethod
-    def check_worker_counts(monkeypatch, model):
-        cfg = MCConfig(samples=1000, seed=8)
-        monkeypatch.setenv("MATCON_THREADS", "1")
-        n1, m1 = collect_samples(model, cfg)
-        monkeypatch.setenv("MATCON_THREADS", "4")
-        n4, m4 = collect_samples(model, cfg)
-        assert np.array_equal(n1, n4)
-        assert np.array_equal(m1, m4)
+    def test_thread_variable_changes_nothing(self):
+        # sampling reads no worker count from the environment: MATCON_THREADS
+        # at 2 or at 0 gives the bytes of an unset variable and imports no pool
+        for argv in self.GUARD_RUNS:
+            outputs = []
+            for value in (None, "2", "0"):
+                env = {k: v for k, v in os.environ.items() if k != "MATCON_THREADS"}
+                if value is not None:
+                    env["MATCON_THREADS"] = value
+                proc = subprocess.run(
+                    [sys.executable, "-c", self.GUARD_SCRIPT, *argv], capture_output=True, env=env
+                )
+                assert (proc.returncode, proc.stderr) == (0, b"False\n"), (value, proc.stderr)
+                outputs.append(proc.stdout)
+            assert outputs[0].count(b"\n") >= 2  # a header and a row at least
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], argv
 
     @pytest.mark.parametrize("name", ["sec73", "sec71", "sec74"])
     def test_prefix_and_chunking_do_not_change_output(self, monkeypatch, name):
@@ -633,12 +637,6 @@ class TestThreading:
         assert np.array_equal(n_all, n_7)
         assert np.array_equal(m_all, m_7)
 
-    def test_bad_thread_count_rejected(self, monkeypatch):
-        model = make_example("sec73", d=2)
-        monkeypatch.setenv("MATCON_THREADS", "0")
-        with pytest.raises(ValueError):
-            collect_samples(model, MCConfig(samples=10, seed=0))
-
 
 # the earlier memory-sized terms budget
 _OLD_CHUNK_BUDGET = 1 << 21
@@ -652,8 +650,7 @@ class TestChunkBudgetAtModelScale:
     """The terms budget sets how many samples a chunk holds, never what they
     are: the trend grid's largest model, a dense sign matrix and the Pareto
     grid's largest model (whose max_i ||S_i||^2 is sampled) give the same
-    bits under the old budget, the current one, a one-sample budget and two
-    worker threads."""
+    bits under the old budget, the current one and a one-sample budget."""
 
     @pytest.fixture(
         scope="class",
@@ -683,13 +680,6 @@ class TestChunkBudgetAtModelScale:
         model, cfg, want = case
         if budget != "current":
             monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", budget)
-        got = collect_samples(model, cfg)
-        assert np.array_equal(want[0], got[0])
-        assert np.array_equal(want[1], got[1])
-
-    def test_two_threads_do_not_change_output(self, monkeypatch, case):
-        model, cfg, want = case
-        monkeypatch.setenv("MATCON_THREADS", "2")
         got = collect_samples(model, cfg)
         assert np.array_equal(want[0], got[0])
         assert np.array_equal(want[1], got[1])
