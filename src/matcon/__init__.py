@@ -38,10 +38,8 @@ from .models import (
     model_to_json,
 )
 from .bounds import (
-    BoundInputs,
     BoundInterval,
     dimensional_constant,
-    hermitian_case_interval,
     large_dev_param,
     main_interval,
     psd_case_interval,
@@ -88,10 +86,8 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     # bounds
-    "BoundInputs",
     "BoundInterval",
     "dimensional_constant",
-    "hermitian_case_interval",
     "large_dev_param",
     "main_interval",
     "psd_case_interval",

@@ -1,16 +1,18 @@
 """Closed-form bound quantities for sums of independent random matrices.
 
-For a centered sum Z with variance parameter v = max(||E ZZ*||, ||E Z*Z||)
-and large-deviation parameter L = (E max_i ||S_i||^2)^(1/2), the matched
-second-moment estimates are
+For a centered Hermitian sum X = sum Y_i of dimension dim, with variance
+parameter v = ||E X^2|| and large-deviation parameter
+L = (E max_i ||Y_i||^2)^(1/2), the matched second-moment estimates are
 
-    sqrt(v/4) + L/4  <=  (E||Z||^2)^(1/2)  <=  sqrt(C v) + C L,
+    sqrt(v/4) + L/4  <=  (E||X||^2)^(1/2)  <=  sqrt(C v) + C L,
 
-with the dimensional constant C = 4 (1 + 2 ceil(log(d1 + d2))), natural log.
-The first-moment lower bound replaces both 1/4 factors by 1/8.  Also provided:
-the sign-series bound sqrt(1 + 2 ceil(log d)) ||sum H_i^2||^(1/2), the
-trace-moment bound it derives from, and the PSD and Hermitian case
-intervals (the rectangular case is the Hermitian one on the dilation).
+with the dimensional constant C = 4 (1 + 2 ceil(log dim)), natural log.
+A rectangular d1 x d2 sum Z = sum S_i is the Hermitian case on its
+dilation: dim = d1 + d2, v = max(||E ZZ*||, ||E Z*Z||) and
+L = (E max_i ||S_i||^2)^(1/2).  The first-moment lower bound replaces both
+1/4 factors by 1/8.  Also provided: the sign-series bound
+sqrt(1 + 2 ceil(log d)) ||sum H_i^2||^(1/2), the trace-moment bound it
+derives from, and the PSD case interval.
 """
 
 from __future__ import annotations
@@ -37,28 +39,6 @@ FIRST_MOMENT = "first"
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the main interval; L = 0 forces v = 0 (all summands
-    vanish almost surely, so both parameters do)."""
-
-    v: float
-    L: float
-    d1: int
-    d2: int
-    moment: str = SECOND_MOMENT
-
-    def __post_init__(self):
-        if self.v < 0 or self.L < 0:
-            raise ValueError("v and L must be nonnegative")
-        if self.L == 0 and self.v > 0:
-            raise ValueError("L = 0 forces v = 0")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.moment not in (SECOND_MOMENT, FIRST_MOMENT):
-            raise ValueError(f"moment must be {SECOND_MOMENT!r} or {FIRST_MOMENT!r}")
-
-
-@dataclass(frozen=True)
 class BoundInterval:
     lower: float
     upper: float
@@ -69,17 +49,11 @@ class BoundInterval:
             raise ValueError("need 0 <= lower <= upper")
 
 
-def _constant_from_total(total_dim: int) -> float:
-    if total_dim < 1:
+def dimensional_constant(dim: int) -> float:
+    """C(dim) = 4 (1 + 2 ceil(log dim)), natural log, standard ceiling."""
+    if dim < 1:
         raise ValueError("dimension must be >= 1")
-    return 4.0 * (1.0 + 2.0 * math.ceil(math.log(total_dim)))
-
-
-def dimensional_constant(d1: int, d2: int) -> float:
-    """C(d1, d2) = 4 (1 + 2 ceil(log(d1 + d2))), natural log, standard ceiling."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("dimensions must be >= 1")
-    return _constant_from_total(d1 + d2)
+    return 4.0 * (1.0 + 2.0 * math.ceil(math.log(dim)))
 
 
 def variance_param(model: IndependentSumModel) -> float:
@@ -107,15 +81,23 @@ def large_dev_param(model: IndependentSumModel) -> float:
     return math.sqrt(max(value, 0.0))
 
 
-def main_interval(inputs: BoundInputs) -> BoundInterval:
-    """The matched estimates for (E||Z||^2)^(1/2) (or E||Z|| in first-moment
-    form, which only lowers the lower bound)."""
-    C = dimensional_constant(inputs.d1, inputs.d2)
-    if inputs.moment == SECOND_MOMENT:
-        lower = math.sqrt(inputs.v / 4.0) + inputs.L / 4.0
+def main_interval(v: float, L: float, dim: int, moment: str = SECOND_MOMENT) -> BoundInterval:
+    """The matched estimates for (E||X||^2)^(1/2) of a centered Hermitian sum
+    of dimension dim (or E||X|| in first-moment form, which only lowers the
+    lower bound).  A rectangular sum passes its dilation's dim = d1 + d2.
+    L = 0 forces v = 0: all summands vanish almost surely, so both do."""
+    if v < 0 or L < 0:
+        raise ValueError("v and L must be nonnegative")
+    if L == 0 and v > 0:
+        raise ValueError("L = 0 forces v = 0")
+    C = dimensional_constant(dim)
+    if moment not in (SECOND_MOMENT, FIRST_MOMENT):
+        raise ValueError(f"moment must be {SECOND_MOMENT!r} or {FIRST_MOMENT!r}")
+    if moment == SECOND_MOMENT:
+        lower = math.sqrt(v / 4.0) + L / 4.0
     else:
-        lower = math.sqrt(inputs.v / 8.0) + inputs.L / 8.0
-    upper = math.sqrt(C * inputs.v) + C * inputs.L
+        lower = math.sqrt(v / 8.0) + L / 8.0
+    upper = math.sqrt(C * v) + C * L
     return BoundInterval(lower=lower, upper=upper, constant=C)
 
 
@@ -169,39 +151,20 @@ def trace_moment_bound(H_list, p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Case bounds: PSD and Hermitian (rectangular: Hermitian on the dilation)
+# Case bound: PSD (the Hermitian case is main_interval)
 # ---------------------------------------------------------------------------
-
-
-def _case_constant(a: float, b: float, dim: int) -> float:
-    if a < 0 or b < 0:
-        raise ValueError("stats must be nonnegative")
-    return _constant_from_total(dim)
 
 
 def psd_case_interval(mean_norm: float, expected_max_norm: float, dim: int) -> BoundInterval:
     """Estimates of E||W|| for W = sum T_i of independent PSD summands, from
     ||E W|| and E max_i ||T_i||: 1/4 (sqrt(||E W||) + sqrt(E max))^2 below,
     (sqrt(||E W||) + sqrt(C E max))^2 above."""
-    C = _case_constant(mean_norm, expected_max_norm, dim)
+    if mean_norm < 0 or expected_max_norm < 0:
+        raise ValueError("stats must be nonnegative")
+    C = dimensional_constant(dim)
     return BoundInterval(
         lower=0.25 * (math.sqrt(mean_norm) + math.sqrt(expected_max_norm)) ** 2,
         upper=(math.sqrt(mean_norm) + math.sqrt(C * expected_max_norm)) ** 2,
-        constant=C,
-    )
-
-
-def hermitian_case_interval(
-    second_moment_norm: float, expected_max_sq: float, dim: int
-) -> BoundInterval:
-    """Estimates of (E||X||^2)^(1/2) for X = sum Y_i, centered Hermitian,
-    from ||E X^2|| and E max_i ||Y_i||^2: constants 1/2, 1/4 below and
-    sqrt(C), C above.  The rectangular case Z = sum S_i is this one with
-    ||E X^2|| = max(||E ZZ*||, ||E Z*Z||) and dim = d1 + d2."""
-    C = _case_constant(second_moment_norm, expected_max_sq, dim)
-    return BoundInterval(
-        lower=0.5 * math.sqrt(second_moment_norm) + 0.25 * math.sqrt(expected_max_sq),
-        upper=math.sqrt(C * second_moment_norm) + C * math.sqrt(expected_max_sq),
         constant=C,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .bounds import BoundInputs, large_dev_param, main_interval, variance_param
+from .bounds import large_dev_param, main_interval, variance_param
 from .linalg import spectral_norm, spectral_norms
 from .models import (
     IndependentSumModel,
@@ -235,7 +235,7 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         L = math.sqrt(max(_estimate(max_sq, cfg).mean, 0.0))
         L_prov = "montecarlo"
 
-    interval = main_interval(BoundInputs(v=v, L=L, d1=work.d1, d2=work.d2))
+    interval = main_interval(v, L, work.d1 + work.d2)
     mc_norm = _estimate(norms, cfg)
     mc_sqnorm = _estimate(norms**2, cfg)
     root = math.sqrt(max(mc_sqnorm.mean, 0.0))

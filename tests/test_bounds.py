@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from matcon import (
-    BoundInputs,
     BoundInterval,
     FiniteSummand,
     FixedRademacher,
@@ -14,7 +13,6 @@ from matcon import (
     brute_force_expected_norm,
     dimensional_constant,
     estimate_max_summand_sq,
-    hermitian_case_interval,
     large_dev_param,
     main_interval,
     make_example,
@@ -42,19 +40,18 @@ def rand_hermitian(rng, d):
 
 class TestDimensionalConstant:
     def test_minimal(self):
-        assert dimensional_constant(1, 1) == pytest.approx(12.0)
+        assert dimensional_constant(2) == pytest.approx(12.0)
 
     def test_total_eight(self):
-        assert dimensional_constant(4, 4) == pytest.approx(28.0)
-        assert dimensional_constant(5, 3) == pytest.approx(28.0)
+        assert dimensional_constant(8) == pytest.approx(28.0)
 
     def test_nondecreasing(self):
-        values = [dimensional_constant(1, total - 1) for total in range(2, 200)]
+        values = [dimensional_constant(total) for total in range(1, 200)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            dimensional_constant(0, 2)
+            dimensional_constant(0)
 
 
 class TestVarianceParam:
@@ -111,38 +108,38 @@ class TestLargeDevParam:
 
 class TestMainInterval:
     def test_zero_inputs(self):
-        iv = main_interval(BoundInputs(v=0.0, L=0.0, d1=2, d2=2))
+        iv = main_interval(0.0, 0.0, 4)
         assert iv.lower == 0.0 and iv.upper == 0.0
 
     def test_documented_point(self):
-        iv = main_interval(BoundInputs(v=1.0, L=0.1, d1=2, d2=2))
+        iv = main_interval(1.0, 0.1, 4)
         assert iv.lower == pytest.approx(0.525)
         assert iv.constant == pytest.approx(20.0)
         assert iv.upper == pytest.approx(math.sqrt(20.0) + 2.0)
 
     def test_first_moment_constant(self):
-        iv2 = main_interval(BoundInputs(v=1.0, L=0.1, d1=2, d2=2, moment=SECOND_MOMENT))
-        iv1 = main_interval(BoundInputs(v=1.0, L=0.1, d1=2, d2=2, moment=FIRST_MOMENT))
+        iv2 = main_interval(1.0, 0.1, 4, moment=SECOND_MOMENT)
+        iv1 = main_interval(1.0, 0.1, 4, moment=FIRST_MOMENT)
         assert iv1.lower == pytest.approx(math.sqrt(1.0 / 8.0) + 0.1 / 8.0)
         assert iv1.upper == pytest.approx(iv2.upper)
         assert iv1.lower < iv2.lower
 
     def test_monotone_in_v_and_L(self):
-        base = main_interval(BoundInputs(v=1.0, L=0.5, d1=3, d2=3))
-        more_v = main_interval(BoundInputs(v=1.5, L=0.5, d1=3, d2=3))
-        more_l = main_interval(BoundInputs(v=1.0, L=0.8, d1=3, d2=3))
+        base = main_interval(1.0, 0.5, 6)
+        more_v = main_interval(1.5, 0.5, 6)
+        more_l = main_interval(1.0, 0.8, 6)
         assert more_v.lower > base.lower and more_v.upper > base.upper
         assert more_l.lower > base.lower and more_l.upper > base.upper
 
     def test_inputs_validation(self):
         with pytest.raises(ValueError):
-            BoundInputs(v=-1.0, L=1.0, d1=2, d2=2)
+            main_interval(-1.0, 1.0, 4)
         with pytest.raises(ValueError):
-            BoundInputs(v=1.0, L=0.0, d1=2, d2=2)  # L = 0 forces v = 0
+            main_interval(1.0, 0.0, 4)  # L = 0 forces v = 0
         with pytest.raises(ValueError):
-            BoundInputs(v=1.0, L=1.0, d1=0, d2=2)
+            main_interval(1.0, 1.0, 0)
         with pytest.raises(ValueError):
-            BoundInputs(v=1.0, L=1.0, d1=2, d2=2, moment="third")
+            main_interval(1.0, 1.0, 4, moment="third")
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -250,15 +247,15 @@ class TestCaseBounds:
         assert iv.upper == pytest.approx(3.5)
 
     def test_hermitian_upper_documented_point(self):
-        iv = hermitian_case_interval(second_moment_norm=1.0, expected_max_sq=0.0, dim=2)
-        assert iv.upper == pytest.approx(math.sqrt(12.0))
+        iv = main_interval(1.0, 1.0, 2)
+        assert iv.upper == pytest.approx(math.sqrt(12.0) + 12.0)
 
     def test_psd_lower_documented_point(self):
         iv = psd_case_interval(mean_norm=4.0, expected_max_norm=1.0, dim=3)
         assert iv.lower == pytest.approx(2.25)
 
     def test_zero_stats(self):
-        assert hermitian_case_interval(0.0, 0.0, dim=2).lower == 0.0
+        assert main_interval(0.0, 0.0, 2).lower == 0.0
         assert psd_case_interval(0.0, 0.0, dim=2).lower == 0.0
 
     def test_lower_at_most_upper_random_sweep(self):
@@ -268,14 +265,14 @@ class TestCaseBounds:
             d1, d2 = (int(x) for x in rng.integers(1, 50, size=2))
             for iv in (
                 psd_case_interval(a, b, dim=d1),
-                hermitian_case_interval(a, b, dim=d1),
-                hermitian_case_interval(a, b, dim=d1 + d2),
+                main_interval(a, math.sqrt(b), d1),
+                main_interval(a, math.sqrt(b), d1 + d2),
             ):
                 assert iv.lower <= iv.upper
 
     def test_rectangular_equals_dilated_hermitian(self):
         # the rectangular stats of a family B_i (max of the two Gram norms,
-        # max_i ||B_i||^2, d1 + d2) are the Hermitian stats of its dilations
+        # max_i ||B_i||, d1 + d2) are the Hermitian stats of its dilations
         rng = np.random.default_rng(8)
         for _ in range(100):
             d1, d2 = (int(x) for x in rng.integers(1, 6, size=2))
@@ -283,14 +280,14 @@ class TestCaseBounds:
             b = rng.normal(size=(n, d1, d2)) + 1j * rng.normal(size=(n, d1, d2))
             bh = b.conj().transpose(0, 2, 1)
             v = max(spectral_norm(sum(b @ bh)), spectral_norm(sum(bh @ b)))
-            m = max(spectral_norm(x) for x in b) ** 2
+            L = max(spectral_norm(x) for x in b)
             dil = dilation_stack(b)
-            herm = hermitian_case_interval(
+            herm = main_interval(
                 spectral_norm(sum(dil @ dil)),
-                max(spectral_norm(x) for x in dil) ** 2,
-                dim=dil.shape[-1],
+                max(spectral_norm(x) for x in dil),
+                dil.shape[-1],
             )
-            rect = hermitian_case_interval(v, m, dim=d1 + d2)
+            rect = main_interval(v, L, d1 + d2)
             rect_lo, rect_up = rect.lower, rect.upper
             assert abs(rect_lo - herm.lower) <= 1e-12 * max(1.0, rect_lo)
             assert abs(rect_up - herm.upper) <= 1e-12 * max(1.0, rect_up)
@@ -299,9 +296,9 @@ class TestCaseBounds:
         with pytest.raises(ValueError):
             psd_case_interval(-1.0, 0.0, dim=2)
         with pytest.raises(ValueError):
-            hermitian_case_interval(1.0, -2.0, dim=2)
+            main_interval(1.0, -2.0, 2)
         with pytest.raises(ValueError):
-            hermitian_case_interval(1.0, 1.0, dim=0)
+            main_interval(1.0, 1.0, 0)
 
 
 class TestPsdComponentInequalities:

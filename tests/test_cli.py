@@ -708,6 +708,19 @@ SHIFTED_DOC = {
     ],
 }
 
+WIDE_DOC = {
+    "name": "wide",
+    "summands": [
+        {"family": "finite",
+         "outcomes": [{"probability": 0.5, "matrix": [[1.0, 2.0, 0.0, -1.0]]},
+                      {"probability": 0.5, "matrix": [[-1.0, -2.0, 0.0, 1.0]]}]},
+        {"family": "finite",
+         "outcomes": [{"probability": 0.25, "matrix": [[0.0, 3.0, 1.5, 0.75]]},
+                      {"probability": 0.75, "matrix": [[0.0, -1.0, -0.5, -0.25]]}]},
+    ],
+}
+WIDE_PIN = "b4bf3a39da3744759991c51e20449b48482cb68162bb3047c7d5f1bd4f8e8827"
+
 REPORT_PINS = {
     "sec71_csv": "60cc905ce57b86bdfd35344d093e0af0805418d0fd7fac8f511d5184e4fef5b7",
     "sec71_json": "476aae9f31827fe47cb6ad1d422d7c8bfb1342ac06a8c120b4b0c8114ddaed27",
@@ -764,6 +777,19 @@ class TestPinnedOutput:
         assert code == 0
         assert ("envelope" in err) == case.startswith("shifted")
         assert self.digest(out, err) == REPORT_PINS[case]
+
+    def test_rectangular_report_bytes(self, tmp_path, capsys):
+        # a 1 x 4 model, where the dilation's C(d1 + d2) = 20 differs from
+        # C(2 d1) = 12 and C(2 d2) = 28: the square pins cannot tell them apart
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps(WIDE_DOC))
+        code, out, err = run_cli(
+            ["report", "--model-file", str(f), "--samples", "64", "--seed", "5"], capsys
+        )
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert (row["d1"], row["d2"], float(row["C"])) == ("1", "4", 20.0)
+        assert self.digest(out, err) == WIDE_PIN
 
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENT_PINS))
     def test_experiment_bytes(self, capsys, experiment):

@@ -622,6 +622,22 @@ class TestThreading:
             assert outputs[0].count(b"\n") >= 2  # a header and a row at least
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], argv
 
+    def test_blas_thread_count_changes_nothing(self):
+        # OpenBLAS reads its thread count once, at numpy's import, so each
+        # count runs in a fresh interpreter; a d = 64 sign matrix takes its
+        # norms from dense 64 x 64 Gram products and eigenvalue problems
+        argv = ["report", "--model", "sec73", "--d", "64", "--samples", "64", "--seed", "3"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "matcon", *argv], capture_output=True, env=env
+            )
+            assert proc.returncode == 0, (threads, proc.stderr)
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"\n") == 2  # the header and one row
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.parametrize("name", ["sec73", "sec71", "sec74"])
     def test_prefix_and_chunking_do_not_change_output(self, monkeypatch, name):
         model = make_example(name, d=8, n=3)
