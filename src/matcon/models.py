@@ -61,6 +61,7 @@ class ScalarLaw:
     `ec2` is E c^2; `sq_support` the distribution of c^2 as sorted
     (values, probs), None for a continuous law; `draw(seed, index, position)`
     the vectorized draw of c, broadcasting like the counter RNG;
+    `magnitude`, when set, the same draw of |c| alone, with no sign drawn;
     `heavy_tail` makes median-of-means the default estimator; `two_point`
     is (lo, hi, P(c = hi)) for a law with two values, else None.
     """
@@ -72,6 +73,7 @@ class ScalarLaw:
     heavy_tail: bool = field(default=False, compare=False)
     p: float | None = None
     two_point: tuple | None = field(default=None, compare=False)
+    magnitude: Callable | None = field(default=None, compare=False)
 
 
 SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
@@ -79,7 +81,7 @@ SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i
 GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
 # P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
 PARETO = ScalarLaw("pareto", 2.0, None, lambda s, i, pos: rng.paretos(s, i, pos, 0),
-                   heavy_tail=True)
+                   heavy_tail=True, magnitude=lambda *key: rng.pareto_magnitudes(*key, 0))
 
 
 def bernoulli_law(p: float) -> ScalarLaw:
@@ -836,7 +838,8 @@ class SamplerPlan:
     real; `realize` then returns real Z.  `terms` counts the scattered
     entries and FiniteSummand choices of one sample.  The per-position
     arrays are gathered from the model's columns; Python reads only fixed
-    matrices and FiniteSummands, once per object.
+    matrices and FiniteSummands, once per object.  `magnitude` selects
+    the magnitude route of sample_norms.
     """
 
     def __init__(self, model: IndependentSumModel):
@@ -849,6 +852,8 @@ class SamplerPlan:
             self.diagonal = self.real = True
             self.terms = len(model._inverse)
             self._guide = _guide_table(*self.row[1:])
+        self.magnitude = self.row is None and self.diagonal and self.rows is None and (
+            self.owner is None and np.array_equal(self.norms, np.abs(self.values)))
 
     def _build_tables(self) -> None:
         """The per-position tables of the per-term route: rows, cells,
@@ -1011,12 +1016,34 @@ class SamplerPlan:
             z += mats[j]
         return z, sq
 
+    def sample_norms(self, seed, indices):
+        """(||Z||, max_i ||S_i||^2 or None as `realize` gives it) per sample.
+        On the magnitude route (summand i is c_i a_i E_ii, ||A_i|| = |a_i|)
+        they are max_i |c_i| ||A_i|| and its square, bit for bit, with no sign
+        drawn: rounding is symmetric in sign and squaring monotone.  Else
+        ||Z|| is max_i |z_ii| on a diagonal plan, or the root of the top
+        eigenvalue of the Gram matrix of Z's smaller side."""
+        if self.magnitude:
+            # positions down and samples across, so each maximum reduces whole rows
+            row, norms = np.asarray(indices, dtype=np.uint64)[None, :], 0.0
+            for law, columns, positions in self.groups:
+                key = (seed, row, positions.T)
+                mags = law.magnitude(*key) if law.magnitude else np.abs(law.draw(*key))
+                mags *= self.norms[columns, None]
+                norms = np.maximum(norms, mags.max(axis=0))
+            return norms, norms**2 if self.sampled_max_sq else None
+        z, sq = self.realize(seed, indices)
+        return np.abs(z).max(axis=1) if self.diagonal else spectral_norms(z), sq
+
     def realize_max_sq(self, seed, indices) -> np.ndarray:
         """max_i ||S_i||^2 alone for a batch of sample indices, drawn on any
         plan; identical to the second output of `realize` where that is
-        drawn, without realizing Z.  A row plan draws its one law at every
-        position, a block of positions at a time (the maximum does not
-        depend on the order)."""
+        drawn, without realizing Z.  On the magnitude route it is ||Z||^2
+        (sample_norms).  A row plan draws its one law at every position, a
+        block of positions at a time (the maximum does not depend on the
+        order)."""
+        if self.magnitude:
+            return self.sample_norms(seed, indices)[0] ** 2
         if self.row is None:
             return self._draw(seed, indices, True)[2]
         c, n = self.model._columns, len(self.model._inverse)

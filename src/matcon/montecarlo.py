@@ -15,7 +15,7 @@ import numpy as np
 
 from . import models
 from .bounds import large_dev_param, main_interval, variance_param
-from .linalg import spectral_norm, spectral_norms
+from .linalg import spectral_norm
 from .models import (
     IndependentSumModel,
     SamplerPlan,
@@ -27,11 +27,12 @@ from .models import (
 MEAN = "mean"
 MEDIAN_OF_MEANS = "median_of_means"
 
-# draws (samples x draws per sample) alloted to one chunk: about 512 KiB per
-# float64 temporary, so a chunk's draws, weights and scatter indices stay in
-# cache (a sweep over 2^12..2^21 was fastest at 2^16)
-_CHUNK_BUDGET = 1 << 16
-_MAX_CHUNK = 128
+# draws (samples x draws per sample) allotted to one chunk: 128 KiB per
+# float64 temporary, which stays in cache and whose pages the allocator keeps
+# from chunk to chunk (at 2^15 and 2^16 a fresh process faulted them in again
+# for every chunk); a sweep over 2^12..2^16 was fastest at 2^14
+_CHUNK_BUDGET = 1 << 14
+_MAX_CHUNK = 128  # samples in a chunk of dense realizations
 # bytes one chunk of realizations may take
 _CHUNK_BYTES = 1 << 27
 # spreads of the Monte Carlo E||Z||^2 the sandwich check allows on each side
@@ -75,13 +76,14 @@ class Estimate:
     spread: float
 
 
-def _chunk_size(plan: SamplerPlan) -> int:
-    """Samples per chunk, within the budget of draws (per sample: one per
-    cell on the row route, one per COO entry and FiniteSummand choice
-    otherwise) and the byte budget for the realized chunk: d real diagonal
-    entries per sample on the diagonal route, d1*d2 complex entries
-    otherwise (a real plan's half-size Z keeps that chunk).  It depends on
-    the model alone."""
+def _chunk_size(plan: SamplerPlan, draws: int | None = None) -> int:
+    """Samples per chunk, within the budget of `draws` a sample (by default
+    one per cell on the row route, one per COO entry and FiniteSummand
+    choice otherwise, and at least the d cells of a diagonal plan) and the
+    byte budget for the realized chunk: d real diagonal entries per sample
+    on a diagonal plan, d1*d2 complex entries otherwise (a real plan's
+    half-size Z keeps that chunk).  Only a dense plan is also held to
+    _MAX_CHUNK samples.  It depends on the model alone."""
     model = plan.model
     shape, itemsize = ((model.d1,), 8) if plan.diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
@@ -90,21 +92,17 @@ def _chunk_size(plan: SamplerPlan) -> int:
             f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
             f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
         )
-    draws = plan.terms if plan.row is None else model.d1
-    cells = _CHUNK_BUDGET // max(1, draws)
-    return max(1, min(_MAX_CHUNK, cells, _CHUNK_BYTES // sample_bytes))
+    draws = draws or max(plan.terms if plan.row is None else 0, model.d1 if plan.diagonal else 1)
+    chunk = min(_CHUNK_BUDGET // draws, _CHUNK_BYTES // sample_bytes)
+    return max(1, chunk if plan.diagonal else min(_MAX_CHUNK, chunk))
 
 
 def collect_samples(model: IndependentSumModel, cfg: MCConfig):
-    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order.  The
-    second is drawn only when E max_i ||S_i||^2 has no exact value (a
-    Gaussian or Pareto law, SamplerPlan.sampled_max_sq), and is None
-    otherwise: large_dev_param gives that L.
-
-    ||Z|| is max_i |z_ii| of the diagonals SamplerPlan.realize returns on a
-    diagonal plan, and the root of the top eigenvalue of the Gram matrix of
-    the smaller side of Z otherwise.
-    """
+    """Per-sample arrays (||Z||, max_i ||S_i||^2), in sample-index order,
+    from SamplerPlan.sample_norms, chunk by chunk.  The second is drawn
+    only when E max_i ||S_i||^2 has no exact value (a Gaussian or Pareto
+    law, SamplerPlan.sampled_max_sq), and is None otherwise:
+    large_dev_param gives that L."""
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     norms = np.empty(cfg.samples)
@@ -112,8 +110,7 @@ def collect_samples(model: IndependentSumModel, cfg: MCConfig):
     chunk = _chunk_size(plan)
     for start in range(0, cfg.samples, chunk):
         stop = min(start + chunk, cfg.samples)
-        sample, m = plan.realize(seed, np.arange(start, stop, dtype=np.uint64))
-        norms[start:stop] = np.abs(sample).max(axis=1) if plan.diagonal else spectral_norms(sample)
+        norms[start:stop], m = plan.sample_norms(seed, np.arange(start, stop, dtype=np.uint64))
         if sq is not None:
             sq[start:stop] = m
     return norms, sq
@@ -165,12 +162,13 @@ def _median(values: np.ndarray) -> float:
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:
     """Estimate of E max_i ||S_i||^2, the square of the large-deviation
     parameter; samples max_i ||S_i||^2 alone (SamplerPlan.realize_max_sq),
-    never Z, and builds no per-term table for a row-law plan."""
+    never Z, and builds no per-term table for a row-law plan.  Chunks are
+    _chunk_size's with one draw per summand position, since realize_max_sq
+    draws every coefficient, also on a row-law plan."""
     plan = SamplerPlan(model)
     seed = seed_value(cfg.seed)
     max_sq = np.empty(cfg.samples)
-    # realize_max_sq draws every coefficient, also on a row-law plan
-    chunk = min(_chunk_size(plan), max(1, _CHUNK_BUDGET // max(1, plan.terms)))
+    chunk = _chunk_size(plan, max(1, plan.terms))
     for start in range(0, cfg.samples, chunk):
         stop = min(start + chunk, cfg.samples)
         max_sq[start:stop] = plan.realize_max_sq(seed, np.arange(start, stop, dtype=np.uint64))

@@ -175,3 +175,8 @@ def paretos(seed, index, position, slot):
     bits = u.view(np.uint64)
     bits |= sign
     return _scalar_if_0d(u)
+
+
+def pareto_magnitudes(seed, index, position, slot):
+    """|paretos(...)| bit for bit: u^(-1/4) of uniform_positive at `slot`, no sign word."""
+    return np.power(uniform_positive(seed, index, position, slot), -0.25)

@@ -750,6 +750,59 @@ class TestDiagonalRealize:
             assert got.tobytes() == want.tobytes()
 
 
+# pareto_diagonal cells and one-entry fixed_gaussian cells of negative and
+# non-unit values, one summand per diagonal cell, in cell order
+_MAGNITUDE_VALUES = {1: -2.5, 3: 0.75, 4: -0.3, 6: 1e-3}
+MAGNITUDE_DOC = {"summands": [
+    {"family": "fixed_gaussian",
+     "matrix": np.diag([_MAGNITUDE_VALUES[i] if j == i else 0.0 for j in range(7)]).tolist()}
+    if i in _MAGNITUDE_VALUES else {"family": "pareto_diagonal", "index": i, "dim": 7}
+    for i in range(7)
+]}
+
+
+class TestMagnitudeRoute:
+    """When every diagonal cell holds its own one-entry summand, in cell
+    order, ||Z|| and max_i ||S_i||^2 come from |c_i| ||A_i|| with no sign
+    drawn, bit for bit those of the realized diagonals."""
+
+    IDX = np.arange(100, 400, dtype=np.uint64)
+
+    @pytest.mark.parametrize("key", ["sec74_d1", "sec74_d8", "sec74_d128", "mixed_file"])
+    def test_norms_equal_realized_diagonals(self, key):
+        if key == "mixed_file":
+            model = model_from_json(MAGNITUDE_DOC)
+        else:
+            model = make_example("sec74", d=int(key.split("_d")[1]))
+        plan = SamplerPlan(model)
+        assert plan.magnitude
+        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
+        norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
+        assert norms.tobytes() == np.abs(diag).max(axis=1).tobytes()
+        assert max_sq is not None and sq.tobytes() == max_sq.tobytes()
+        assert plan.realize_max_sq(GOLDEN_SEED, self.IDX).tobytes() == max_sq.tobytes()
+
+    def test_route_off_for_other_layouts(self):
+        coin = FiniteSummand([(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, -2.0]))])
+        layouts = {
+            "two summands on one cell": [ParetoDiagonal(0, 2), ParetoDiagonal(1, 2),
+                                         ParetoDiagonal(0, 2)],
+            "off-diagonal entry": [ParetoDiagonal(0, 2), RademacherEntry(0, 1, 2)],
+            "finite": [ParetoDiagonal(0, 2), ParetoDiagonal(1, 2), coin],
+            "2x2 fixed matrix": [FixedGaussian(np.diag([1.0, -2.0]))],
+            "norm not |a|": [ScalarSeries(PARETO, (2, 2), (0,), (0,), (2.0,), np.nextafter(2.0, 3.0)),
+                             ParetoDiagonal(1, 2)],
+        }
+        for label, summands in layouts.items():
+            plan = SamplerPlan(make_model(summands))
+            assert not plan.magnitude, label
+            z, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
+            norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
+            want = np.abs(z).max(axis=1) if plan.diagonal else spectral_norms(z)
+            assert norms.tobytes() == want.tobytes(), label
+            assert sq.tobytes() == max_sq.tobytes(), label
+
+
 def _mixed_summands(shared: bool) -> list:
     """Finite-support, fixed-matrix and one-entry summands interleaved; with shared
     true each repeated summand is one object, otherwise an equal copy."""

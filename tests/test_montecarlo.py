@@ -281,11 +281,18 @@ class TestMaxSqDrawnWhenRead:
         report = bound_report(make_example(name, d=4, n=3), MCConfig(samples=32, seed=3))
         assert report.L_provenance == "analytic"
 
-    def test_continuous_laws_still_draw_it(self, refuse_max_sq):
+    def test_continuous_laws_still_draw_it(self):
+        # sec74 takes max_i ||S_i||^2 from the magnitude route, the Gaussian
+        # 2 x 2 model from realize; both draw it, with realize's values
         h = rand_hermitian(np.random.default_rng(5), 2)
+        cfg = MCConfig(samples=32, seed=3)
         for model in (make_example("sec74", d=4), make_model([FixedGaussian(h)])):
-            with pytest.raises(AssertionError, match="was sampled"):
-                bound_report(model, MCConfig(samples=32, seed=3))
+            _, max_sq = collect_samples(model, cfg)
+            _, want = SamplerPlan(model).realize(cfg.seed, np.arange(32, dtype=np.uint64))
+            assert max_sq is not None and np.array_equal(max_sq, want)
+            report = bound_report(model, cfg)
+            assert report.L_provenance == "montecarlo"
+            assert report.L == math.sqrt(_estimate(want, cfg).mean)
 
     def test_collect_samples_keyword(self, refuse_max_sq):
         # the laws decide: there is no switch, and exact models draw none
@@ -657,9 +664,10 @@ class TestThreading:
 # the earlier memory-sized terms budget
 _OLD_CHUNK_BUDGET = 1 << 21
 # chunk sizes under the old budget, the current one and a one-sample budget:
-# sec71 draws 256 cell uniforms a sample and sec74 128 Pareto terms, so the
-# first two both give _MAX_CHUNK; sec73 draws 4,096 signs
-_BUDGET_CHUNKS = {"sec71": [128, 128, 1], "sec73": [128, 16, 1], "sec74": [128, 128, 1]}
+# sec71 draws 256 cell uniforms a sample and sec74 128 Pareto terms, and
+# their diagonal plans are held to the budget alone; sec73 draws 4,096
+# signs, and its dense chunks hold at most _MAX_CHUNK samples
+_BUDGET_CHUNKS = {"sec71": [8192, 64, 1], "sec73": [128, 4, 1], "sec74": [16384, 128, 1]}
 
 
 class TestChunkBudgetAtModelScale:

@@ -207,3 +207,23 @@ def test_pareto_equals_one_slot_expression(key):
     _same_bits(rng.paretos(seed, index, position, slot), want)
     if np.ndim(slot) == 0 and slot == 0:
         _same_bits(PARETO.draw(seed, index, position), want)
+
+
+# pareto_magnitudes draws |paretos| from the first slot word alone
+MAGNITUDE_KEYS = dict(
+    TWO_SLOT_KEYS,
+    grid=(3301, np.arange(257, dtype=np.uint64)[:, None],
+          np.arange(129, dtype=np.uint64)[None, :], 0),
+    scalar_slot_5=(7, 1 << 63, 2, 5),
+)
+
+
+@pytest.mark.parametrize("key", list(MAGNITUDE_KEYS))
+def test_pareto_magnitudes_equal_abs_paretos(key):
+    from matcon.models import PARETO
+
+    seed, index, position, slot = MAGNITUDE_KEYS[key]
+    want = np.abs(rng.paretos(seed, index, position, slot))
+    _same_bits(rng.pareto_magnitudes(seed, index, position, slot), want)
+    if np.ndim(slot) == 0 and slot == 0:
+        _same_bits(PARETO.magnitude(seed, index, position), want)
