@@ -80,8 +80,10 @@ SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i
                  two_point=(-1.0, 1.0, 0.5))
 GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
 # P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
-PARETO = ScalarLaw("pareto", 2.0, None, lambda s, i, pos: rng.paretos(s, i, pos, 0),
-                   heavy_tail=True, magnitude=lambda *key: rng.pareto_magnitudes(*key, 0))
+PARETO = ScalarLaw(
+    "pareto", 2.0, None,
+    lambda s, i, pos: rng.signs(s, i, pos, 1) * rng.pareto_magnitudes(s, i, pos, 0),
+    heavy_tail=True, magnitude=lambda *key: rng.pareto_magnitudes(*key, 0))
 
 
 def bernoulli_law(p: float) -> ScalarLaw:
@@ -746,15 +748,16 @@ def _expected_max(values: np.ndarray, log_cdf: np.ndarray) -> float:
     return float(values[0] + np.dot(np.diff(values), -np.expm1(log_cdf[:-1])))
 
 
-def _row_sq_norm(plan: "SamplerPlan") -> float | None:
-    """Exact E||Z||^2 = E max_i z_ii^2 of a row-law plan, whose d cells are
-    independent with one law; None for any other plan."""
-    if plan.row is None:
+def _row_sq_norm(model: IndependentSumModel) -> float | None:
+    """Exact E||Z||^2 = E max_i z_ii^2 of a model with a row law (_row_law),
+    whose d cells are independent with one law; None for any other model."""
+    row = _row_law(model)
+    if row is None:
         return None
-    _, atoms, cdf = plan.row
+    _, atoms, cdf = row
     order = np.argsort(atoms**2, kind="stable")
     with np.errstate(divide="ignore"):
-        log_cdf = plan.model.d1 * np.log(np.cumsum(np.diff(cdf, prepend=0.0)[order]))
+        log_cdf = model.d1 * np.log(np.cumsum(np.diff(cdf, prepend=0.0)[order]))
     return _expected_max(atoms[order] ** 2, log_cdf)
 
 
@@ -960,21 +963,21 @@ class SamplerPlan:
     def _max_sq(self, coef: np.ndarray) -> np.ndarray:
         return ((coef * self.norms) ** 2).max(axis=1, initial=0.0)
 
-    def _draw(self, seed, indices, max_sq: bool):
+    def _draw(self, seed, indices):
         """The draws of a batch of sample indices: the (k, entries)
         coefficient of the series each COO entry belongs to (the draws
         themselves, not a copy, when entry e belongs to series e), each
         FiniteSummand's outcome matrices with the (k,) outcome indices drawn,
-        and max_i ||S_i||^2 (None unless `max_sq`), all from one draw of the
-        coefficients.  The counter RNG reduces the seed mod 2^64."""
+        and max_i ||S_i||^2 (None unless `sampled_max_sq`), all from one
+        draw of the coefficients.  The counter RNG reduces the seed mod 2^64."""
         idx = np.asarray(indices, dtype=np.uint64)
         coef = self._coefficients(seed, idx)
-        sq = self._max_sq(coef) if max_sq else None
+        sq = self._max_sq(coef) if self.sampled_max_sq else None
         choices = []
         for pos, cums, mats, norms in self.finite:
             u = rng.uniform_halfopen(seed, idx, pos, 0)
             j = np.minimum(np.searchsorted(cums, u, side="right"), len(cums) - 1)
-            if max_sq:
+            if sq is not None:
                 np.maximum(sq, norms[j] ** 2, out=sq)
             choices.append((mats, j))
         return (coef if self.owner is None else coef[:, self.owner]), choices, sq
@@ -997,7 +1000,7 @@ class SamplerPlan:
             # cdf[-1] is exactly 1 > u, so the index stays within the atoms
             z[ambiguous] = atoms[np.searchsorted(cdf, u[ambiguous], side="right")]
             return z, None
-        terms, choices, sq = self._draw(seed, indices, self.sampled_max_sq)
+        terms, choices, sq = self._draw(seed, indices)
         if self.diagonal:
             terms *= self.values  # in place: the draws are not read again
             return self._scatter(terms, self.rows, self.model.d1), sq
@@ -1034,25 +1037,6 @@ class SamplerPlan:
             return norms, norms**2 if self.sampled_max_sq else None
         z, sq = self.realize(seed, indices)
         return np.abs(z).max(axis=1) if self.diagonal else spectral_norms(z), sq
-
-    def realize_max_sq(self, seed, indices) -> np.ndarray:
-        """max_i ||S_i||^2 alone for a batch of sample indices, drawn on any
-        plan; identical to the second output of `realize` where that is
-        drawn, without realizing Z.  On the magnitude route it is ||Z||^2
-        (sample_norms).  A row plan draws its one law at every position, a
-        block of positions at a time (the maximum does not depend on the
-        order)."""
-        if self.magnitude:
-            return self.sample_norms(seed, indices)[0] ** 2
-        if self.row is None:
-            return self._draw(seed, indices, True)[2]
-        c, n = self.model._columns, len(self.model._inverse)
-        col, sq = np.asarray(indices, dtype=np.uint64)[:, None], 0.0
-        for start in range(0, n, _POSITION_BLOCK):
-            positions = np.arange(start, min(n, start + _POSITION_BLOCK), dtype=np.uint64)
-            coef = c.laws[0].draw(seed, col, positions[None]) * c.norm[0]
-            sq = np.maximum(sq, (coef**2).max(axis=1))
-        return sq
 
 
 def _unless_identity(cells: np.ndarray, width: int) -> np.ndarray | None:

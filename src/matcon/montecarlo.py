@@ -76,14 +76,14 @@ class Estimate:
     spread: float
 
 
-def _chunk_size(plan: SamplerPlan, draws: int | None = None) -> int:
-    """Samples per chunk, within the budget of `draws` a sample (by default
-    one per cell on the row route, one per COO entry and FiniteSummand
-    choice otherwise, and at least the d cells of a diagonal plan) and the
-    byte budget for the realized chunk: d real diagonal entries per sample
-    on a diagonal plan, d1*d2 complex entries otherwise (a real plan's
-    half-size Z keeps that chunk).  Only a dense plan is also held to
-    _MAX_CHUNK samples.  It depends on the model alone."""
+def _chunk_size(plan: SamplerPlan) -> int:
+    """Samples per chunk, within the budget of draws a sample (one per cell
+    on the row route, one per COO entry and FiniteSummand choice otherwise,
+    and at least the d cells of a diagonal plan) and the byte budget for
+    the realized chunk: d real diagonal entries per sample on a diagonal
+    plan, d1*d2 complex entries otherwise (a real plan's half-size Z keeps
+    that chunk).  Only a dense plan is also held to _MAX_CHUNK samples.
+    It depends on the model alone."""
     model = plan.model
     shape, itemsize = ((model.d1,), 8) if plan.diagonal else ((model.d1, model.d2), 16)
     sample_bytes = math.prod(shape) * itemsize
@@ -92,7 +92,7 @@ def _chunk_size(plan: SamplerPlan, draws: int | None = None) -> int:
             f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
             f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
         )
-    draws = draws or max(plan.terms if plan.row is None else 0, model.d1 if plan.diagonal else 1)
+    draws = max(plan.terms if plan.row is None else 0, model.d1 if plan.diagonal else 1)
     chunk = min(_CHUNK_BUDGET // draws, _CHUNK_BYTES // sample_bytes)
     return max(1, chunk if plan.diagonal else min(_MAX_CHUNK, chunk))
 
@@ -161,17 +161,14 @@ def _median(values: np.ndarray) -> float:
 
 def estimate_max_summand_sq(model: IndependentSumModel, cfg: MCConfig) -> Estimate:
     """Estimate of E max_i ||S_i||^2, the square of the large-deviation
-    parameter; samples max_i ||S_i||^2 alone (SamplerPlan.realize_max_sq),
-    never Z, and builds no per-term table for a row-law plan.  Chunks are
-    _chunk_size's with one draw per summand position, since realize_max_sq
-    draws every coefficient, also on a row-law plan."""
-    plan = SamplerPlan(model)
-    seed = seed_value(cfg.seed)
-    max_sq = np.empty(cfg.samples)
-    chunk = _chunk_size(plan, max(1, plan.terms))
-    for start in range(0, cfg.samples, chunk):
-        stop = min(start + chunk, cfg.samples)
-        max_sq[start:stop] = plan.realize_max_sq(seed, np.arange(start, stop, dtype=np.uint64))
+    parameter, from the samples collect_samples draws; refused when they are
+    not drawn, since large_dev_param then gives the exact value."""
+    max_sq = collect_samples(model, cfg)[1]
+    if max_sq is None:
+        raise ValueError(
+            "E max ||S_i||^2 is exact for this model (finite ||S_i||^2 supports); "
+            "use large_dev_param"
+        )
     return _estimate(max_sq, cfg)
 
 

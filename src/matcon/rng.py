@@ -9,9 +9,8 @@ applied to a chained key: the seed is chained with the index and then the
 position, a finalizer round after each (the prefix), and the prefix with the
 slot in one more round (the slot finish).  A word is keyed on the whole
 counter either way, so a law that reads two slots of one (seed, index,
-position) finishes both from one computed prefix (gaussians,
-paretos): three full-size rounds for a sampler's (k, 1) x (1, N) key
-instead of four.
+position) finishes both from one computed prefix (gaussians): three
+full-size rounds for a sampler's (k, 1) x (1, N) key instead of four.
 """
 
 from __future__ import annotations
@@ -97,14 +96,13 @@ def _words(seed, index, position, slot, sign_only: bool = False) -> np.ndarray:
         return _chain(z, tmp, slot, last=not sign_only)[0]
 
 
-def _word_pair(seed, index, position, slot, sign_only: bool = False):
+def _word_pair(seed, index, position, slot):
     """The words of slots `slot` and `slot + 1`, finished from one prefix:
-    the first on a fresh array, the second in the prefix's own buffer.
-    With sign_only, only bit 63 of the second word is exact."""
+    the first on a fresh array, the second in the prefix's own buffer."""
     with np.errstate(over="ignore"):
         z, tmp = _prefix(seed, index, position)
         first = _chain(z, None, slot)[0]
-        second = _chain(z, tmp, _as_u64(slot) + _ONE, last=not sign_only)[0]
+        second = _chain(z, tmp, _as_u64(slot) + _ONE)[0]
     return first, second
 
 
@@ -163,20 +161,7 @@ def gaussians(seed, index, position, slot):
     return _scalar_if_0d(radius)
 
 
-def paretos(seed, index, position, slot):
-    """Symmetric Pareto variates s * u^(-1/4), P(|P| >= t) = t^-4 for
-    t >= 1: u as uniform_positive draws it at `slot` and s as signs draws
-    it at `slot+1`.  u^(-1/4) is positive and finite, so setting its sign
-    bit from the second word gives the bits of the product."""
-    u, sign = _word_pair(seed, index, position, slot, sign_only=True)
-    u = _units(u, 1)
-    np.power(u, -0.25, out=u)
-    sign &= _SIGN_BIT
-    bits = u.view(np.uint64)
-    bits |= sign
-    return _scalar_if_0d(u)
-
-
 def pareto_magnitudes(seed, index, position, slot):
-    """|paretos(...)| bit for bit: u^(-1/4) of uniform_positive at `slot`, no sign word."""
+    """Magnitudes u^(-1/4) of a symmetric Pareto law, P(|P| >= t) = t^-4 for
+    t >= 1, with u as uniform_positive draws it at `slot`."""
     return np.power(uniform_positive(seed, index, position, slot), -0.25)

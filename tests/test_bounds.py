@@ -146,6 +146,67 @@ class TestMainInterval:
             BoundInterval(lower=2.0, upper=1.0, constant=12.0)
 
 
+# the main theorem on exact E||Z||^2: the seed was fixed before the check
+# was first run; a failing case is a finding, not a reason to pick another
+THEOREM_SEED = 1506
+THEOREM_CASES = 200
+
+
+def _theorem_cases():
+    """(d1 + d2, v, L, exact E||Z||^2) of THEOREM_CASES random centered
+    finite models: d1, d2 <= 3, square in every other case, and n <= 4
+    summands of 2 or 3 complex outcomes each, enumerated exactly."""
+    rng = np.random.default_rng(THEOREM_SEED)
+    cases = []
+    for i in range(THEOREM_CASES):
+        d1 = int(rng.integers(1, 4))
+        d2 = d1 if i % 2 == 0 else int(rng.choice([d for d in (1, 2, 3) if d != d1]))
+        summands = []
+        for _ in range(int(rng.integers(1, 5))):
+            c = int(rng.integers(2, 4))
+            probs = rng.uniform(0.1, 1.0, size=c)
+            probs /= probs.sum()
+            mats = rng.normal(size=(c, d1, d2)) + 1j * rng.normal(size=(c, d1, d2))
+            summands.append(FiniteSummand(zip(probs, mats)).centered())
+        model = make_model(summands)
+        exact = brute_force_expected_norm(summands, r=2)
+        cases.append((d1 + d2, variance_param(model), large_dev_param(model), exact))
+    return cases
+
+
+class TestMainTheoremExact:
+    """lower <= (E||Z||^2)^(1/2) <= upper of main_interval(v, L, d1 + d2)
+    and E||Z||^2 >= v, on exact enumeration with no slack; each failure
+    message gives the tightest ratio."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _theorem_cases()
+
+    def test_interval_holds(self, cases):
+        bad, lows, highs = [], [], []
+        for i, (dim, v, L, exact) in enumerate(cases):
+            iv, root = main_interval(v, L, dim), math.sqrt(exact)
+            if not iv.lower <= root <= iv.upper:
+                bad.append(i)
+            lows.append(root / iv.lower)
+            highs.append(iv.upper / root)
+        assert not bad, (
+            f"{len(bad)} of {len(cases)} cases break the interval, first {bad[:5]}; "
+            f"tightest exact/lower {min(lows):.6g}, upper/exact {min(highs):.6g}"
+        )
+
+    def test_second_moment_at_least_v(self, cases):
+        # E||Z||^2 >= ||E ZZ*|| by Jensen, an equality for one rank-one summand
+        ratios = [exact / v for _, v, _, exact in cases]
+        assert min(ratios) >= 1.0 - 1e-12, f"tightest E||Z||^2 / v {min(ratios)!r}"
+
+    def test_planted_fault_is_caught(self, cases):
+        # sqrt(v) + L/4 in place of sqrt(v)/2 + L/4 is no lower bound
+        caught = sum(math.sqrt(exact) < math.sqrt(v) + L / 4.0 for _, v, L, exact in cases)
+        assert caught > 0, f"the planted lower end sqrt(v) + L/4 held on all {len(cases)} cases"
+
+
 class TestRademacherBound:
     def test_single_summand(self):
         rng = np.random.default_rng(1)

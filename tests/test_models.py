@@ -43,7 +43,7 @@ from matcon.models import (
     _summands_from_json,
     moment_diagonals,
 )
-from matcon.montecarlo import MCConfig, bound_report
+from matcon.montecarlo import MCConfig, bound_report, collect_samples
 from reference_draws import as_matrices, pareto_sample, sample_summands
 
 
@@ -648,9 +648,7 @@ class TestGoldenSamples:
         assert _sha256(z, max_sq) == GOLDEN_REALIZE_SHA256
 
     def test_realize_max_sq(self):
-        max_sq = SamplerPlan(self.model()).realize_max_sq(
-            GOLDEN_SEED, np.arange(64, dtype=np.uint64)
-        )
+        _, max_sq = collect_samples(self.model(), MCConfig(samples=64, seed=GOLDEN_SEED))
         assert _sha256(max_sq) == GOLDEN_MAX_SQ_SHA256
 
     def test_analytic_second_moments(self):
@@ -780,7 +778,8 @@ class TestMagnitudeRoute:
         norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
         assert norms.tobytes() == np.abs(diag).max(axis=1).tobytes()
         assert max_sq is not None and sq.tobytes() == max_sq.tobytes()
-        assert plan.realize_max_sq(GOLDEN_SEED, self.IDX).tobytes() == max_sq.tobytes()
+        _, collected = collect_samples(model, MCConfig(samples=400, seed=GOLDEN_SEED))
+        assert collected[100:].tobytes() == max_sq.tobytes()
 
     def test_route_off_for_other_layouts(self):
         coin = FiniteSummand([(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, -2.0]))])
@@ -860,7 +859,9 @@ class TestSharedSummands:
         idx = np.arange(5, 9, dtype=np.uint64)
         for a, b in zip(shared.realize(13, idx), unshared.realize(13, idx)):
             assert np.array_equal(a, b)
-        assert np.array_equal(shared.realize_max_sq(13, idx), unshared.realize_max_sq(13, idx))
+        cfg = MCConfig(samples=9, seed=13)
+        for a, b in zip(*(collect_samples(model, cfg) for model in pair)):
+            assert (a is None and b is None) or np.array_equal(a, b)
         assert shared.diagonal == unshared.diagonal
 
     def test_mixed_plan_matches_reference_summands(self):
@@ -1160,18 +1161,6 @@ class TestFixedMatrixStacks:
             assert str(err.value) == str(first.value)
 
 
-# (d, n, hex of the estimate (mean, std_error, spread) at 64 samples and
-# seed 5, sha256 of realize_max_sq over samples 0..63 at seed 5) of row-law
-# examples, recorded when a row plan built per-term tables to draw them;
-# sec72 at d = 2, n = 40,000 has more than one block of positions
-ROW_MAX_SQ_PINS = {
-    "sec71": (10, 10, ("0x1.999999999999ap-4", "0x0.0p+0", "0x0.0p+0"),
-              "ac83190f81c578ca36fd592fe0d11ce13e21b4f5f8467fb372f262fa6e488798"),
-    "sec72": (2, 40_000, ("0x1.c7fa29ccd80a6p-1", "0x1.421c33a32f0fdp-5", "0x1.421c33a32f0fdp-5"),
-              "e6f248eefc60ec1cbd1f1666a1f1e24d2fe6c480a240921b9d2ca0dc4d2c8668"),
-}
-
-
 class TestPositionGuard:
     @pytest.mark.parametrize(
         "name,d,n,positions",
@@ -1192,43 +1181,6 @@ class TestPositionGuard:
         monkeypatch.setattr("matcon.models._STACK_BYTES", 4800)
         assert make_example("sec71", d=10, n=10).n_summands == 100
         assert make_example("sec73", d=10).n_summands == 100
-
-    def test_row_plan_max_sq_builds_no_table(self, monkeypatch):
-        # a row plan holds only the 8-byte position index, and draws
-        # max_i ||S_i||^2 from its one law with no per-term table, within
-        # that budget and with the bytes recorded when it built the tables
-        from matcon.montecarlo import estimate_max_summand_sq
-
-        def refuse(self):
-            raise AssertionError("per-term tables were built")
-
-        monkeypatch.setattr(SamplerPlan, "_build_tables", refuse)
-        # made before the budget is lowered: it checks its per-sample arrays
-        cfg = MCConfig(samples=64, seed=5)
-        for key, (d, n, estimate, digest) in ROW_MAX_SQ_PINS.items():
-            monkeypatch.setattr("matcon.models._STACK_BYTES", 8 * d * n)
-            model = make_example(key, d=d, n=n)
-            plan = SamplerPlan(model)
-            assert plan.row is not None
-            assert _sha256(plan.realize_max_sq(5, np.arange(64, dtype=np.uint64))) == digest
-            got = estimate_max_summand_sq(model, cfg)
-            assert (got.mean.hex(), got.std_error.hex(), got.spread.hex()) == estimate
-
-    def test_row_plan_max_sq_in_bounded_memory(self):
-        # the one law is drawn a block of positions at a time: under the 8
-        # bytes a position the example is admitted at, where drawing all
-        # positions at once holds about 24 bytes a position for each sample
-        model = make_example("sec71", d=16, n=1 << 16)
-        plan = SamplerPlan(model)
-        idx = np.arange(2, dtype=np.uint64)
-        tracemalloc.start()
-        try:
-            got = plan.realize_max_sq(3, idx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, np.full(2, 2.0**-16))  # |c| = 1, a^2 = 1/n
-        assert peak < 8 * model.n_summands
 
     @pytest.mark.parametrize("name", ["sec71", "sec72", "sec73", "sec74"])
     def test_index_charged_examples_have_row_plans(self, monkeypatch, name):
@@ -1626,7 +1578,7 @@ class TestIdentityCellMap:
 
         diag, wide = zeros((4, 4), [(i, i) for i in range(4)]), zeros((1, 2), [(0, 0), (0, 1)])
         assert diag.diagonal and diag.row is None and not wide.diagonal
-        terms = diag._draw(7, self.IDX, False)[0] * diag.values
+        terms = diag._draw(7, self.IDX)[0] * diag.values
         assert np.signbit(terms).any()
         for plan in (diag, wide):
             got, want = plan.realize(7, self.IDX)[0], _bincount_twin(plan).realize(7, self.IDX)[0]

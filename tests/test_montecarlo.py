@@ -25,7 +25,6 @@ from matcon import (
     make_example,
     make_model,
     model_from_json,
-    spectral_norm,
 )
 from matcon import montecarlo
 from matcon.models import SamplerPlan, _row_sq_norm, seed_value
@@ -199,20 +198,20 @@ class TestNormMoment:
 
 
 class TestMaxSummandSq:
-    def test_fixed_rademacher_exact(self):
+    def test_refuses_models_with_exact_L(self):
+        # finite ||S_i||^2 supports give L exactly (large_dev_param), and
+        # no max_i ||S_i||^2 is sampled to estimate it from
         rng = np.random.default_rng(4)
-        hs = [rand_hermitian(rng, 3) for _ in range(4)]
-        model = make_model([FixedRademacher(h) for h in hs])
-        est = estimate_max_summand_sq(model, cfg=MCConfig(samples=64, seed=5))
-        want = max(spectral_norm(h) for h in hs) ** 2
-        assert est.mean == pytest.approx(want)
-        assert est.std_error == 0.0
-
-    def test_sec71_constant(self):
-        model = make_example("sec71", d=3, n=5)
-        est = estimate_max_summand_sq(model, cfg=MCConfig(samples=64, seed=6))
-        assert est.mean == pytest.approx(0.2)
-        assert est.std_error == 0.0
+        coin = FiniteSummand([(0.25, np.eye(3)), (0.75, -np.eye(3) / 3.0)])
+        for model in (
+            make_example("sec71", d=3, n=5),
+            make_example("sec73", d=3),
+            make_model([FixedRademacher(rand_hermitian(rng, 3)) for _ in range(4)]),
+            make_model([coin, coin]),
+        ):
+            with pytest.raises(ValueError) as err:
+                estimate_max_summand_sq(model, cfg=MCConfig(samples=64, seed=5))
+            assert "use large_dev_param" in str(err.value)
 
     def test_sec74_median_of_means(self):
         model = make_example("sec74", d=4)
@@ -225,8 +224,9 @@ class TestMaxSummandSq:
 
 
 class TestMaxSummandSqSamplesOnlyMaxSq:
-    """estimate_max_summand_sq reads max_i ||S_i||^2 without building Z; its
-    output equals the estimate from the full collect_samples route."""
+    """estimate_max_summand_sq is the estimate of collect_samples' max_i
+    ||S_i||^2, which equals realize's; on sec74's magnitude route it builds
+    no Z."""
 
     @staticmethod
     def models():
@@ -239,31 +239,34 @@ class TestMaxSummandSqSamplesOnlyMaxSq:
             ),
             "sec74": make_example("sec74", d=32),
             "mixed_finite": make_model([FixedRademacher(rand_hermitian(rng, 3)), coin]),
+            "mixed_gaussian": make_model([FixedGaussian(rand_hermitian(rng, 3)), coin]),
         }
 
-    @pytest.mark.parametrize("name", ["sec73", "fixed_rademacher", "sec74", "mixed_finite"])
+    @pytest.mark.parametrize(
+        "name", ["sec73", "fixed_rademacher", "sec74", "mixed_finite", "mixed_gaussian"]
+    )
     @pytest.mark.parametrize("estimator", [MEAN, MEDIAN_OF_MEANS])
     def test_equals_collect_samples_route(self, name, estimator):
         model = self.models()[name]
         cfg = MCConfig(samples=320, seed=41, estimator=estimator)
-        got = estimate_max_summand_sq(model, cfg)
         plan = SamplerPlan(model)
-        assert got == _estimate(plan.realize_max_sq(41, np.arange(320, dtype=np.uint64)), cfg)
-        # the other routes draw max_i ||S_i||^2 only where L is sampled
+        # max_i ||S_i||^2 is drawn only where L is sampled
         sampled = collect_samples(model, cfg)[1]
-        assert (sampled is not None) == plan.sampled_max_sq == (name == "sec74")
-        if sampled is not None:
-            assert got == _estimate(sampled, cfg)
-            idx = np.arange(200, 330, dtype=np.uint64)
-            assert np.array_equal(plan.realize_max_sq(41, idx), plan.realize(41, idx)[1])
+        assert (sampled is not None) == plan.sampled_max_sq == (name in ("sec74", "mixed_gaussian"))
+        if sampled is None:
+            with pytest.raises(ValueError):
+                estimate_max_summand_sq(model, cfg)
+            return
+        assert estimate_max_summand_sq(model, cfg) == _estimate(sampled, cfg)
+        idx = np.arange(200, 320, dtype=np.uint64)
+        assert np.array_equal(sampled[200:], plan.realize(41, idx)[1])
 
     def test_builds_no_realization(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Z was realized")
 
         monkeypatch.setattr(SamplerPlan, "realize", refuse)
-        for model in (*self.models().values(), make_example("sec72", d=4, n=5)):
-            estimate_max_summand_sq(model, MCConfig(samples=64, seed=42))
+        estimate_max_summand_sq(self.models()["sec74"], MCConfig(samples=64, seed=42))
 
 
 class TestMaxSqDrawnWhenRead:
@@ -308,8 +311,8 @@ class TestMaxSqDrawnWhenRead:
 
 class TestMaxSqSampledByLaw:
     """collect_samples draws max_i ||S_i||^2 exactly when some law has no
-    finite ||S||^2 support (Gaussian, Pareto), and then as realize_max_sq
-    draws it; a row-law plan draws no summand coefficient at all."""
+    finite ||S||^2 support (Gaussian, Pareto), and then as realize draws it;
+    a row-law plan draws no summand coefficient at all."""
 
     @staticmethod
     def models():
@@ -354,7 +357,7 @@ class TestMaxSqSampledByLaw:
         _, max_sq = collect_samples(model, cfg)
         assert (max_sq is not None) == sampled == (analytic_max_sq(model) is None)
         if sampled:
-            want = SamplerPlan(model).realize_max_sq(cfg.seed, np.arange(150, dtype=np.uint64))
+            _, want = SamplerPlan(model).realize(cfg.seed, np.arange(150, dtype=np.uint64))
             assert np.array_equal(max_sq, want)
 
 
@@ -534,7 +537,7 @@ class TestExactSqNormOracle:
 
     @pytest.mark.parametrize("name,d", sorted(EXACT_SQ_NORM))
     def test_exact_values(self, name, d):
-        exact = _row_sq_norm(SamplerPlan(make_example(name, d=d, n=100)))
+        exact = _row_sq_norm(make_example(name, d=d, n=100))
         assert round(exact, 4) == EXACT_SQ_NORM[name, d]
 
     @pytest.mark.parametrize("name,d,n", [("sec71", 2, 3), ("sec72", 3, 2), ("sec72", 2, 1)])
@@ -546,11 +549,20 @@ class TestExactSqNormOracle:
             outcomes = [(1.0 - q, lo * a), (q, hi * a)] if q < 1 else [(1.0, hi * a)]
             supports.append(FiniteSummand(outcomes))
         want = brute_force_expected_norm(supports, r=2)
-        assert _row_sq_norm(SamplerPlan(model)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert _row_sq_norm(model) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_builds_no_plan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a plan or guide table was built")
+
+        monkeypatch.setattr(SamplerPlan, "__init__", refuse)
+        monkeypatch.setattr("matcon.models._guide_table", refuse)
+        exact = _row_sq_norm(make_example("sec71", d=16, n=100))
+        assert round(exact, 4) == EXACT_SQ_NORM["sec71", 16]
 
     def test_other_plans_have_none(self):
         for name in ("sec73", "sec74"):
-            assert _row_sq_norm(SamplerPlan(make_example(name, d=4))) is None
+            assert _row_sq_norm(make_example(name, d=4)) is None
 
     @pytest.mark.parametrize("stream", ["row_law", "per_term"])
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -563,7 +575,7 @@ class TestExactSqNormOracle:
         else:
             norms = per_term_norms(model, cfg)
         est = _estimate(norms**2, cfg)
-        exact = _row_sq_norm(SamplerPlan(model))
+        exact = _row_sq_norm(model)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 

@@ -164,8 +164,8 @@ def test_signs_are_the_top_bit_of_counter_words(key):
     assert got.tobytes() == want.tobytes()
 
 
-# gaussians and the Pareto law finish their two slot words from one counter
-# prefix; they must keep the bits of the one-slot-at-a-time expressions
+# gaussians finish their two slot words from one counter prefix; they must
+# keep the bits of the one-slot-at-a-time expression
 TWO_SLOT_KEYS = {
     "scalar": (21, 3, 17, 0),
     "broadcast": (1901, np.arange(9, dtype=np.uint64)[:, None],
@@ -197,19 +197,33 @@ def test_gaussians_equal_one_slot_expression(key):
     _same_bits(rng.gaussians(seed, index, position, slot), want)
 
 
+# sha256 of the Pareto law's draw at each key's (seed, index, position),
+# recorded from the two-slot Pareto draw that finished both slot words from
+# one counter prefix before the law was written as sign times magnitude
+PARETO_PINS = {
+    "scalar": "62d7daa69bf09ba2f95a327982a8ba09d994f68f93af94bd56d110656e9ca955",
+    "broadcast": "d961b44bdb249ab571fe8d45ff6d6bc9f62ffa0f3d0e43f4f51071e547277926",
+    "oracle_slots": "197e3bda90e62922cfe9a13ca6b31cd40dbc2063f4b821f196d372a3ebfa43ed",
+    "seed_2^63": "4589daf5447a1b3290e1a3ae53fb18a7a590af97c183f804caaf796b7545b94f",
+    "seed_2^64-1": "ab9ed364ae6e6a614cf35d0fa2ff9ab9483ea969c014e0825685aeb963dceac1",
+}
+
+
 @pytest.mark.parametrize("key", list(TWO_SLOT_KEYS))
 def test_pareto_equals_one_slot_expression(key):
     from matcon.models import PARETO
 
-    seed, index, position, slot = TWO_SLOT_KEYS[key]
-    sign = rng.signs(seed, index, position, _next_slot(slot))
-    want = sign * rng.uniform_positive(seed, index, position, slot) ** -0.25
-    _same_bits(rng.paretos(seed, index, position, slot), want)
-    if np.ndim(slot) == 0 and slot == 0:
-        _same_bits(PARETO.draw(seed, index, position), want)
+    seed, index, position, _ = TWO_SLOT_KEYS[key]
+    # u^(-1/4) of uniform_positive at slot 0, signed by signs at slot 1
+    sign = rng.signs(seed, index, position, 1)
+    want = sign * rng.uniform_positive(seed, index, position, 0) ** -0.25
+    got = PARETO.draw(seed, index, position)
+    _same_bits(got, want)
+    digest = hashlib.sha256(np.ascontiguousarray(got).tobytes()).hexdigest()
+    assert digest == PARETO_PINS[key]
 
 
-# pareto_magnitudes draws |paretos| from the first slot word alone
+# pareto_magnitudes draws |PARETO.draw| from the slot-0 word alone
 MAGNITUDE_KEYS = dict(
     TWO_SLOT_KEYS,
     grid=(3301, np.arange(257, dtype=np.uint64)[:, None],
@@ -222,8 +236,7 @@ MAGNITUDE_KEYS = dict(
 def test_pareto_magnitudes_equal_abs_paretos(key):
     from matcon.models import PARETO
 
-    seed, index, position, slot = MAGNITUDE_KEYS[key]
-    want = np.abs(rng.paretos(seed, index, position, slot))
-    _same_bits(rng.pareto_magnitudes(seed, index, position, slot), want)
-    if np.ndim(slot) == 0 and slot == 0:
-        _same_bits(PARETO.magnitude(seed, index, position), want)
+    seed, index, position, _ = MAGNITUDE_KEYS[key]
+    want = np.abs(PARETO.draw(seed, index, position))
+    _same_bits(PARETO.magnitude(seed, index, position), want)
+    _same_bits(rng.pareto_magnitudes(seed, index, position, 0), want)
