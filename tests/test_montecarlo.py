@@ -22,9 +22,11 @@ from matcon import (
     brute_force_expected_norm,
     collect_samples,
     estimate_max_summand_sq,
+    large_dev_param,
     make_example,
     make_model,
     model_from_json,
+    spectral_norm,
 )
 from matcon import montecarlo
 from matcon.models import SamplerPlan, _row_sq_norm, seed_value
@@ -198,6 +200,21 @@ class TestNormMoment:
 
 
 class TestMaxSummandSq:
+    def test_fixed_rademacher_exact(self):
+        rng = np.random.default_rng(4)
+        hs = [rand_hermitian(rng, 3) for _ in range(4)]
+        model = make_model([FixedRademacher(h) for h in hs])
+        want = max(spectral_norm(h) for h in hs) ** 2
+        assert large_dev_param(model) ** 2 == pytest.approx(want)
+        with pytest.raises(ValueError, match="use large_dev_param"):
+            estimate_max_summand_sq(model, cfg=MCConfig(samples=64, seed=5))
+
+    def test_sec71_constant(self):
+        model = make_example("sec71", d=3, n=5)
+        assert large_dev_param(model) ** 2 == pytest.approx(0.2)
+        with pytest.raises(ValueError, match="use large_dev_param"):
+            estimate_max_summand_sq(model, cfg=MCConfig(samples=64, seed=6))
+
     def test_refuses_models_with_exact_L(self):
         # finite ||S_i||^2 supports give L exactly (large_dev_param), and
         # no max_i ||S_i||^2 is sampled to estimate it from
