@@ -61,7 +61,8 @@ class ScalarLaw:
     `ec2` is E c^2; `sq_support` the distribution of c^2 as sorted
     (values, probs), None for a continuous law; `draw(seed, index, position)`
     the vectorized draw of c, broadcasting like the counter RNG;
-    `magnitude`, when set, the same draw of |c| alone, with no sign drawn;
+    `word_magnitude`, when set, maps the slot-0 counter words of a key to
+    |c|, with no sign drawn, and is non-increasing in the word;
     `heavy_tail` makes median-of-means the default estimator; `two_point`
     is (lo, hi, P(c = hi)) for a law with two values, else None.
     """
@@ -73,17 +74,28 @@ class ScalarLaw:
     heavy_tail: bool = field(default=False, compare=False)
     p: float | None = None
     two_point: tuple | None = field(default=None, compare=False)
-    magnitude: Callable | None = field(default=None, compare=False)
+    word_magnitude: Callable | None = field(default=None, compare=False)
+
+    def magnitude(self, seed, index, position):
+        """The draw of |c| alone, for a law with a `word_magnitude`."""
+        return self.word_magnitude(rng.counter_words(seed, index, position, 0))
 
 
 SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
                  two_point=(-1.0, 1.0, 0.5))
 GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
-# P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
-PARETO = ScalarLaw(
-    "pareto", 2.0, None,
-    lambda s, i, pos: rng.signs(s, i, pos, 1) * rng.pareto_magnitudes(s, i, pos, 0),
-    heavy_tail=True, magnitude=lambda *key: rng.pareto_magnitudes(*key, 0))
+
+
+def _pareto(seed, index, position):
+    """P = s * u^(-1/4), P(|P| >= t) = t^-4 and E P^2 = 2: |P| from the slot-0
+    word and s, the top bit, from the slot-1 word read as int64; both words
+    are finished from one counter prefix."""
+    magnitude, sign = rng._word_pair(seed, index, position, 0)
+    return np.copysign(rng.pareto_word_magnitudes(magnitude), sign.view(np.int64))
+
+
+PARETO = ScalarLaw("pareto", 2.0, None, _pareto, heavy_tail=True,
+                   word_magnitude=rng.pareto_word_magnitudes)
 
 
 def bernoulli_law(p: float) -> ScalarLaw:
@@ -842,7 +854,8 @@ class SamplerPlan:
     entries and FiniteSummand choices of one sample.  The per-position
     arrays are gathered from the model's columns; Python reads only fixed
     matrices and FiniteSummands, once per object.  `magnitude` selects
-    the magnitude route of sample_norms.
+    the magnitude route of sample_norms, and `runs` holds its table
+    (_magnitude_runs).
     """
 
     def __init__(self, model: IndependentSumModel):
@@ -857,6 +870,19 @@ class SamplerPlan:
             self._guide = _guide_table(*self.row[1:])
         self.magnitude = self.row is None and self.diagonal and self.rows is None and (
             self.owner is None and np.array_equal(self.norms, np.abs(self.values)))
+        if self.magnitude:
+            self.runs = [self._magnitude_runs(*group) for group in self.groups]
+
+    def _magnitude_runs(self, law, columns, positions):
+        """(law, positions down, run starts or None, norms down) of one law
+        group on the magnitude route.  A law with a `word_magnitude` takes
+        its positions sorted by norm and one norm per run of equal norms."""
+        norms, starts = self.norms[columns], None
+        if law.word_magnitude:
+            order = np.argsort(norms)
+            positions, norms = positions[:, order], norms[order]
+            norms, starts = np.unique(norms, return_index=True)
+        return law, positions.T, starts, norms[:, None]
 
     def _build_tables(self) -> None:
         """The per-position tables of the per-term route: rows, cells,
@@ -1023,16 +1049,25 @@ class SamplerPlan:
         """(||Z||, max_i ||S_i||^2 or None as `realize` gives it) per sample.
         On the magnitude route (summand i is c_i a_i E_ii, ||A_i|| = |a_i|)
         they are max_i |c_i| ||A_i|| and its square, bit for bit, with no sign
-        drawn: rounding is symmetric in sign and squaring monotone.  Else
-        ||Z|| is max_i |z_ii| on a diagonal plan, or the root of the top
+        drawn: rounding is symmetric in sign and squaring monotone.  A law
+        with a `word_magnitude` maps only the smallest slot-0 word of each
+        run of equal norms: the map is non-increasing (README, "One summand
+        per cell") and rounded scaling by a norm >= 0 monotone.  Else ||Z||
+        is max_i |z_ii| on a diagonal plan, or the root of the top
         eigenvalue of the Gram matrix of Z's smaller side."""
         if self.magnitude:
-            # positions down and samples across, so each maximum reduces whole rows
+            # positions down and samples across, so each reduction runs along whole rows
             row, norms = np.asarray(indices, dtype=np.uint64)[None, :], 0.0
-            for law, columns, positions in self.groups:
-                key = (seed, row, positions.T)
-                mags = law.magnitude(*key) if law.magnitude else np.abs(law.draw(*key))
-                mags *= self.norms[columns, None]
+            for law, positions, starts, scale in self.runs:
+                if starts is None:
+                    mags = np.abs(law.draw(seed, row, positions))
+                else:
+                    words = rng.counter_words(seed, row, positions, 0)
+                    # reduceat walks column by column; min takes whole rows
+                    words = (words.min(axis=0, keepdims=True) if len(starts) == 1
+                             else np.minimum.reduceat(words, starts, axis=0))
+                    mags = law.word_magnitude(words)
+                mags *= scale
                 norms = np.maximum(norms, mags.max(axis=0))
             return norms, norms**2 if self.sampled_max_sq else None
         z, sq = self.realize(seed, indices)

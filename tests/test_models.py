@@ -781,6 +781,24 @@ class TestMagnitudeRoute:
         _, collected = collect_samples(model, MCConfig(samples=400, seed=GOLDEN_SEED))
         assert collected[100:].tobytes() == max_sq.tobytes()
 
+    def test_runs_of_equal_norms(self):
+        # one-entry Pareto cells of unsorted, repeated and negative values,
+        # with pareto_diagonal cells (norm 1) among them
+        values = {0: -2.5, 1: 0.75, 3: 2.5, 4: -0.75, 5: 3.0, 7: 2.5, 8: 1e-3, 9: -1.0}
+        summands = [
+            ScalarSeries(PARETO, (11, 11), (i,), (i,), (values[i],), abs(values[i]))
+            if i in values else ParetoDiagonal(i, 11)
+            for i in range(11)
+        ]
+        plan = SamplerPlan(make_model(summands))
+        assert plan.magnitude and len(plan.runs) == 1
+        _, _, starts, scale = plan.runs[0]
+        assert len(starts) == 5 and scale.ravel().tolist() == [1e-3, 0.75, 1.0, 2.5, 3.0]
+        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
+        norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
+        assert norms.tobytes() == np.abs(diag).max(axis=1).tobytes()
+        assert sq.tobytes() == max_sq.tobytes()
+
     def test_route_off_for_other_layouts(self):
         coin = FiniteSummand([(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, -2.0]))])
         layouts = {

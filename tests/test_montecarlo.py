@@ -520,7 +520,8 @@ class TestRowLawRoute:
         assert plan.row is not None
         assert held < 1 << 20 and peak < 24 * model.n_summands
 
-    @pytest.mark.parametrize("name", ["sec71", "sec72"])
+    # sec74 takes the magnitude route, where max_i ||S_i||^2 is sampled too
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74"])
     def test_chunks_do_not_change_output(self, monkeypatch, name):
         model = make_example(name, d=16, n=100)
         cfg = MCConfig(samples=300, seed=12)

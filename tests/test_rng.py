@@ -240,3 +240,10 @@ def test_pareto_magnitudes_equal_abs_paretos(key):
     want = np.abs(PARETO.draw(seed, index, position))
     _same_bits(PARETO.magnitude(seed, index, position), want)
     _same_bits(rng.pareto_magnitudes(seed, index, position, 0), want)
+
+
+def test_largest_pareto_magnitude_is_of_the_smallest_word():
+    seed, index, position, slot = MAGNITUDE_KEYS["grid"]
+    smallest = rng.counter_words(seed, index, position, slot).min(axis=0)
+    want = rng.pareto_magnitudes(seed, index, position, slot).max(axis=0)
+    _same_bits(rng.pareto_word_magnitudes(smallest), want)
