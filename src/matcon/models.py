@@ -76,26 +76,16 @@ class ScalarLaw:
     two_point: tuple | None = field(default=None, compare=False)
     word_magnitude: Callable | None = field(default=None, compare=False)
 
-    def magnitude(self, seed, index, position):
-        """The draw of |c| alone, for a law with a `word_magnitude`."""
-        return self.word_magnitude(rng.counter_words(seed, index, position, 0))
-
 
 SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
                  two_point=(-1.0, 1.0, 0.5))
 GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i, pos, 0))
-
-
-def _pareto(seed, index, position):
-    """P = s * u^(-1/4), P(|P| >= t) = t^-4 and E P^2 = 2: |P| from the slot-0
-    word and s, the top bit, from the slot-1 word read as int64; both words
-    are finished from one counter prefix."""
-    magnitude, sign = rng._word_pair(seed, index, position, 0)
-    return np.copysign(rng.pareto_word_magnitudes(magnitude), sign.view(np.int64))
-
-
-PARETO = ScalarLaw("pareto", 2.0, None, _pareto, heavy_tail=True,
-                   word_magnitude=rng.pareto_word_magnitudes)
+# P = s * u^(-1/4): P(|P| >= t) = t^-4, E P^2 = integral of 4 t^-3 from 1 = 2
+PARETO = ScalarLaw(
+    "pareto", 2.0, None,
+    lambda s, i, pos: rng.signs(s, i, pos, 1)
+    * rng.pareto_word_magnitudes(rng.counter_words(s, i, pos, 0)),
+    heavy_tail=True, word_magnitude=rng.pareto_word_magnitudes)
 
 
 def bernoulli_law(p: float) -> ScalarLaw:
@@ -854,8 +844,7 @@ class SamplerPlan:
     entries and FiniteSummand choices of one sample.  The per-position
     arrays are gathered from the model's columns; Python reads only fixed
     matrices and FiniteSummands, once per object.  `magnitude` selects
-    the magnitude route of sample_norms, and `runs` holds its table
-    (_magnitude_runs).
+    the magnitude route of sample_norms, and `scaled_groups` its law groups.
     """
 
     def __init__(self, model: IndependentSumModel):
@@ -871,18 +860,12 @@ class SamplerPlan:
         self.magnitude = self.row is None and self.diagonal and self.rows is None and (
             self.owner is None and np.array_equal(self.norms, np.abs(self.values)))
         if self.magnitude:
-            self.runs = [self._magnitude_runs(*group) for group in self.groups]
-
-    def _magnitude_runs(self, law, columns, positions):
-        """(law, positions down, run starts or None, norms down) of one law
-        group on the magnitude route.  A law with a `word_magnitude` takes
-        its positions sorted by norm and one norm per run of equal norms."""
-        norms, starts = self.norms[columns], None
-        if law.word_magnitude:
-            order = np.argsort(norms)
-            positions, norms = positions[:, order], norms[order]
-            norms, starts = np.unique(norms, return_index=True)
-        return law, positions.T, starts, norms[:, None]
+            # (law, positions down, norms down, or the norm when they are all equal)
+            self.scaled_groups = []
+            for law, columns, positions in self.groups:
+                norms = self.norms[columns]
+                scale = norms[0] if np.all(norms == norms[0]) else norms[:, None]
+                self.scaled_groups.append((law, positions.T, scale))
 
     def _build_tables(self) -> None:
         """The per-position tables of the per-term route: rows, cells,
@@ -1050,23 +1033,23 @@ class SamplerPlan:
         On the magnitude route (summand i is c_i a_i E_ii, ||A_i|| = |a_i|)
         they are max_i |c_i| ||A_i|| and its square, bit for bit, with no sign
         drawn: rounding is symmetric in sign and squaring monotone.  A law
-        with a `word_magnitude` maps only the smallest slot-0 word of each
-        run of equal norms: the map is non-increasing (README, "One summand
-        per cell") and rounded scaling by a norm >= 0 monotone.  Else ||Z||
-        is max_i |z_ii| on a diagonal plan, or the root of the top
+        with a `word_magnitude` whose summands share one norm maps only the
+        smallest of their slot-0 words: the map is non-increasing (README,
+        "One summand per cell") and rounded scaling by a norm >= 0 monotone.
+        Else ||Z|| is max_i |z_ii| on a diagonal plan, or the root of the top
         eigenvalue of the Gram matrix of Z's smaller side."""
         if self.magnitude:
             # positions down and samples across, so each reduction runs along whole rows
             row, norms = np.asarray(indices, dtype=np.uint64)[None, :], 0.0
-            for law, positions, starts, scale in self.runs:
-                if starts is None:
-                    mags = np.abs(law.draw(seed, row, positions))
-                else:
+            for law, positions, scale in self.scaled_groups:
+                if law.word_magnitude:
                     words = rng.counter_words(seed, row, positions, 0)
-                    # reduceat walks column by column; min takes whole rows
-                    words = (words.min(axis=0, keepdims=True) if len(starts) == 1
-                             else np.minimum.reduceat(words, starts, axis=0))
+                    if np.ndim(scale) == 0:
+                        # one norm: the largest magnitude is the smallest word's
+                        words = words.min(axis=0, keepdims=True)
                     mags = law.word_magnitude(words)
+                else:
+                    mags = np.abs(law.draw(seed, row, positions))
                 mags *= scale
                 norms = np.maximum(norms, mags.max(axis=0))
             return norms, norms**2 if self.sampled_max_sq else None

@@ -9,9 +9,8 @@ applied to a chained key: the seed is chained with the index and then the
 position, a finalizer round after each (the prefix), and the prefix with the
 slot in one more round (the slot finish).  A word is keyed on the whole
 counter either way, so a law that reads two slots of one (seed, index,
-position) finishes both from one computed prefix (gaussians, and the Pareto
-law's magnitude and sign): three full-size rounds for a sampler's
-(k, 1) x (1, N) key instead of four.
+position) finishes both from one computed prefix (gaussians): three
+full-size rounds for a sampler's (k, 1) x (1, N) key instead of four.
 """
 
 from __future__ import annotations
@@ -164,13 +163,6 @@ def gaussians(seed, index, position, slot):
 
 def pareto_word_magnitudes(w):
     """Magnitudes u^(-1/4) of a symmetric Pareto law, P(|P| >= t) = t^-4 for
-    t >= 1, of counter words w, with u = ((w >> 11) + 1) 2^-53 as
-    uniform_positive maps them; w is overwritten.  The map is non-increasing
-    in w (SamplerPlan.sample_norms relies on it), so the largest magnitude
-    of some words is that of the smallest word."""
+    t >= 1, of counter words w (overwritten), with u as uniform_positive maps
+    them; non-increasing in w, as SamplerPlan.sample_norms needs."""
     return np.power(_units(w, 1), -0.25)
-
-
-def pareto_magnitudes(seed, index, position, slot):
-    """Pareto magnitudes of the words at `slot`."""
-    return pareto_word_magnitudes(_words(seed, index, position, slot))

@@ -781,19 +781,24 @@ class TestMagnitudeRoute:
         _, collected = collect_samples(model, MCConfig(samples=400, seed=GOLDEN_SEED))
         assert collected[100:].tobytes() == max_sq.tobytes()
 
-    def test_runs_of_equal_norms(self):
+    @pytest.mark.parametrize("values", [
+        [-2.5, 0.75, None, 2.5, -0.75, 3.0, None, 2.5, 1e-3, -1.0, None],
+        [-2.5, 2.5, 2.5, -2.5, 2.5],
+    ], ids=["distinct_norms", "one_norm"])
+    def test_scaled_pareto_cells(self, values):
         # one-entry Pareto cells of unsorted, repeated and negative values,
-        # with pareto_diagonal cells (norm 1) among them
-        values = {0: -2.5, 1: 0.75, 3: 2.5, 4: -0.75, 5: 3.0, 7: 2.5, 8: 1e-3, 9: -1.0}
+        # with pareto_diagonal cells (None, norm 1) among them, or of one norm
+        d = len(values)
         summands = [
-            ScalarSeries(PARETO, (11, 11), (i,), (i,), (values[i],), abs(values[i]))
-            if i in values else ParetoDiagonal(i, 11)
-            for i in range(11)
+            ParetoDiagonal(i, d) if a is None
+            else ScalarSeries(PARETO, (d, d), (i,), (i,), (a,), abs(a))
+            for i, a in enumerate(values)
         ]
         plan = SamplerPlan(make_model(summands))
-        assert plan.magnitude and len(plan.runs) == 1
-        _, _, starts, scale = plan.runs[0]
-        assert len(starts) == 5 and scale.ravel().tolist() == [1e-3, 0.75, 1.0, 2.5, 3.0]
+        assert plan.magnitude
+        ((_, _, scale),) = plan.scaled_groups
+        # the words are reduced before the map only when the norms are equal
+        assert (np.ndim(scale) == 0) == (None not in values and len(set(map(abs, values))) == 1)
         diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
         norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
         assert norms.tobytes() == np.abs(diag).max(axis=1).tobytes()

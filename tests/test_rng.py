@@ -223,7 +223,7 @@ def test_pareto_equals_one_slot_expression(key):
     assert digest == PARETO_PINS[key]
 
 
-# pareto_magnitudes draws |PARETO.draw| from the slot-0 word alone
+# the Pareto word map gives |PARETO.draw| from the slot-0 word alone
 MAGNITUDE_KEYS = dict(
     TWO_SLOT_KEYS,
     grid=(3301, np.arange(257, dtype=np.uint64)[:, None],
@@ -238,12 +238,13 @@ def test_pareto_magnitudes_equal_abs_paretos(key):
 
     seed, index, position, _ = MAGNITUDE_KEYS[key]
     want = np.abs(PARETO.draw(seed, index, position))
-    _same_bits(PARETO.magnitude(seed, index, position), want)
-    _same_bits(rng.pareto_magnitudes(seed, index, position, 0), want)
+    words = rng.counter_words(seed, index, position, 0)
+    _same_bits(rng.pareto_word_magnitudes(words), want)
 
 
 def test_largest_pareto_magnitude_is_of_the_smallest_word():
     seed, index, position, slot = MAGNITUDE_KEYS["grid"]
-    smallest = rng.counter_words(seed, index, position, slot).min(axis=0)
-    want = rng.pareto_magnitudes(seed, index, position, slot).max(axis=0)
+    words = rng.counter_words(seed, index, position, slot)
+    smallest = words.min(axis=0)
+    want = rng.pareto_word_magnitudes(words).max(axis=0)
     _same_bits(rng.pareto_word_magnitudes(smallest), want)
