@@ -49,7 +49,8 @@ def seed_value(seed) -> int:
 # Scalar laws.  Draw slots per summand position: slot 0 is the primary
 # variate (sign, uniform, or first Box-Muller word), slot 1 the secondary one
 # (Gaussian second word, Pareto sign).  Positions are unique, so slots never
-# collide across summands.
+# collide across summands.  Slot 2 of position 0, which no law reads, keys the
+# one draw of ||Z|| a sample on a plan with a law of the maximum (_max_law).
 # ---------------------------------------------------------------------------
 
 
@@ -61,8 +62,6 @@ class ScalarLaw:
     `ec2` is E c^2; `sq_support` the distribution of c^2 as sorted
     (values, probs), None for a continuous law; `draw(seed, index, position)`
     the vectorized draw of c, broadcasting like the counter RNG;
-    `word_magnitude`, when set, maps the slot-0 counter words of a key to
-    |c|, with no sign drawn, and is non-increasing in the word;
     `heavy_tail` makes median-of-means the default estimator; `two_point`
     is (lo, hi, P(c = hi)) for a law with two values, else None.
     """
@@ -74,7 +73,6 @@ class ScalarLaw:
     heavy_tail: bool = field(default=False, compare=False)
     p: float | None = None
     two_point: tuple | None = field(default=None, compare=False)
-    word_magnitude: Callable | None = field(default=None, compare=False)
 
 
 SIGN = ScalarLaw("sign", 1.0, ((1.0,), (1.0,)), lambda s, i, pos: rng.signs(s, i, pos, 0),
@@ -84,8 +82,8 @@ GAUSSIAN = ScalarLaw("gaussian", 1.0, None, lambda s, i, pos: rng.gaussians(s, i
 PARETO = ScalarLaw(
     "pareto", 2.0, None,
     lambda s, i, pos: rng.signs(s, i, pos, 1)
-    * rng.pareto_word_magnitudes(rng.counter_words(s, i, pos, 0)),
-    heavy_tail=True, word_magnitude=rng.pareto_word_magnitudes)
+    * np.power(rng.uniform_positive(s, i, pos, 0), -0.25),
+    heavy_tail=True)
 
 
 def bernoulli_law(p: float) -> ScalarLaw:
@@ -556,8 +554,9 @@ def make_example(name: str, d: int, n: int = 1) -> IndependentSumModel:
     arrays, so set-up runs no Python per summand; the summand objects come
     from the family constructors when first read.  The positions are
     checked against the plan budget before anything is built: 8 bytes each,
-    for the position index, when the plan has a row law (sec71 and sec72
-    with n <= _ROW_ATOMS), else _POSITION_BYTES for the per-term tables.
+    for the position index, when the plan tabulates the law of a cell
+    (sec71 and sec72 with n <= _ROW_ATOMS), else _POSITION_BYTES for the
+    per-term tables.
     """
     key = str(name).lower()
     if d < 1:
@@ -751,16 +750,13 @@ def _expected_max(values: np.ndarray, log_cdf: np.ndarray) -> float:
 
 
 def _row_sq_norm(model: IndependentSumModel) -> float | None:
-    """Exact E||Z||^2 = E max_i z_ii^2 of a model with a row law (_row_law),
-    whose d cells are independent with one law; None for any other model."""
-    row = _row_law(model)
-    if row is None:
+    """Exact E||Z||^2 = E max_i z_ii^2 of a model whose d independent cells
+    share one tabulated law (_max_law); None for any other model."""
+    law = _max_law(model)
+    if law is None or law[1] is None:
         return None
-    _, atoms, cdf = row
-    order = np.argsort(atoms**2, kind="stable")
-    with np.errstate(divide="ignore"):
-        log_cdf = model.d1 * np.log(np.cumsum(np.diff(cdf, prepend=0.0)[order]))
-    return _expected_max(atoms[order] ** 2, log_cdf)
+    mags, log_cdf = law
+    return _expected_max(mags**2, model.d1 * log_cdf)
 
 
 def center(model: IndependentSumModel):
@@ -801,7 +797,7 @@ def center(model: IndependentSumModel):
 # entry takes: row, owner and cell indices, the real and the imaginary part.
 # The same budget bounds the summand positions of a built-in example, whose
 # per-term tables are six 8-byte arrays over them (codes, positions, norms,
-# rows, cells, real values) and whose row plan reads only the 8-byte
+# rows, cells, real values) and whose tabulated cell law reads only the 8-byte
 # position index; make_example checks it before building anything.  It
 # also bounds the two dense complex second-moment matrices.
 _STACK_BYTES = 1 << 27
@@ -815,18 +811,12 @@ _POSITION_BLOCK = 1 << 16
 
 
 class SamplerPlan:
-    """Precompiled vectorized sampler for one model.  `realize` takes one of
-    three routes, fixed when the plan is built: the row law, the per-term
-    diagonal scatter, or Z.
+    """Precompiled vectorized sampler for one model.
 
-    `row` is decided first, from the columns and the position index alone
-    (_row_law).  It is set when the model is square, has one two-point law
-    and no FiniteSummand, every summand holds one real diagonal entry of
-    one value, and every cell holds the same m <= _ROW_ATOMS entries: each
-    z_ii is then a sum of m independent copies, with an exact law on m + 1
-    atoms, and `row` holds (first summand position of each cell, atoms,
-    CDF).  Such a plan is diagonal and real, builds no per-position array,
-    and `terms` counts its positions.
+    `max_law` is decided first, from the columns and the position index
+    alone (_max_law).  When it is set, the d cells of Z are independent with
+    one law F, and sample_norms draws ||Z|| from F^d, one uniform a sample.
+    Such a plan is diagonal, builds no per-term table and realizes nothing.
 
     Any other plan builds its per-term tables once (_build_tables).  The
     ScalarSeries summands are grouped by law, and each law draws the
@@ -843,29 +833,17 @@ class SamplerPlan:
     real; `realize` then returns real Z.  `terms` counts the scattered
     entries and FiniteSummand choices of one sample.  The per-position
     arrays are gathered from the model's columns; Python reads only fixed
-    matrices and FiniteSummands, once per object.  `magnitude` selects
-    the magnitude route of sample_norms, and `scaled_groups` its law groups.
+    matrices and FiniteSummands, once per object.
     """
 
     def __init__(self, model: IndependentSumModel):
         self.model = model
         self.sampled_max_sq = _sampled_max_sq(model)
-        self.row = _row_law(model)
-        if self.row is None:
+        self.max_law = _max_law(model)
+        if self.max_law is None:
             self._build_tables()
         else:
-            self.diagonal = self.real = True
-            self.terms = len(model._inverse)
-            self._guide = _guide_table(*self.row[1:])
-        self.magnitude = self.row is None and self.diagonal and self.rows is None and (
-            self.owner is None and np.array_equal(self.norms, np.abs(self.values)))
-        if self.magnitude:
-            # (law, positions down, norms down, or the norm when they are all equal)
-            self.scaled_groups = []
-            for law, columns, positions in self.groups:
-                norms = self.norms[columns]
-                scale = norms[0] if np.all(norms == norms[0]) else norms[:, None]
-                self.scaled_groups.append((law, positions.T, scale))
+            self.diagonal = True
 
     def _build_tables(self) -> None:
         """The per-position tables of the per-term route: rows, cells,
@@ -993,22 +971,9 @@ class SamplerPlan:
 
     def realize(self, seed, indices):
         """Realizations for a batch of sample indices, and max_i ||S_i||^2
-        (None unless `sampled_max_sq`): the real diagonals (k, d1) on a
-        diagonal plan, Z (real when the plan is) otherwise.  A row plan
-        draws one uniform u per (sample, cell), keyed on the cell's first
-        summand position at slot 2, which no per-term law uses, and inverts
-        the CDF as np.searchsorted(cdf, u, side="right") does, through the
-        guide table (_guide_table); any other diagonal plan sums its terms
-        by cell."""
-        if self.row is not None:
-            first, atoms, cdf = self.row
-            u = rng.uniform_halfopen(seed, np.asarray(indices)[:, None], first, 2)
-            # B is a power of two, so u * B is exact, and u < 1 keeps it below B
-            z = self._guide[(u * len(self._guide)).astype(np.intp)]
-            ambiguous = np.isnan(z)
-            # cdf[-1] is exactly 1 > u, so the index stays within the atoms
-            z[ambiguous] = atoms[np.searchsorted(cdf, u[ambiguous], side="right")]
-            return z, None
+        (None unless `sampled_max_sq`), from the per-term tables: the real
+        diagonals (k, d1), each cell's terms summed, on a diagonal plan, Z
+        (real when the plan is) otherwise."""
         terms, choices, sq = self._draw(seed, indices)
         if self.diagonal:
             terms *= self.values  # in place: the draws are not read again
@@ -1030,28 +995,22 @@ class SamplerPlan:
 
     def sample_norms(self, seed, indices):
         """(||Z||, max_i ||S_i||^2 or None as `realize` gives it) per sample.
-        On the magnitude route (summand i is c_i a_i E_ii, ||A_i|| = |a_i|)
-        they are max_i |c_i| ||A_i|| and its square, bit for bit, with no sign
-        drawn: rounding is symmetric in sign and squaring monotone.  A law
-        with a `word_magnitude` whose summands share one norm maps only the
-        smallest of their slot-0 words: the map is non-increasing (README,
-        "One summand per cell") and rounded scaling by a norm >= 0 monotone.
-        Else ||Z|| is max_i |z_ii| on a diagonal plan, or the root of the top
-        eigenvalue of the Gram matrix of Z's smaller side."""
-        if self.magnitude:
-            # positions down and samples across, so each reduction runs along whole rows
-            row, norms = np.asarray(indices, dtype=np.uint64)[None, :], 0.0
-            for law, positions, scale in self.scaled_groups:
-                if law.word_magnitude:
-                    words = rng.counter_words(seed, row, positions, 0)
-                    if np.ndim(scale) == 0:
-                        # one norm: the largest magnitude is the smallest word's
-                        words = words.min(axis=0, keepdims=True)
-                    mags = law.word_magnitude(words)
-                else:
-                    mags = np.abs(law.draw(seed, row, positions))
-                mags *= scale
-                norms = np.maximum(norms, mags.max(axis=0))
+        With a law of the maximum, ||Z|| inverts F^d at 1 - u for one
+        uniform u in (0, 1] a sample, keyed on position 0 at slot 2: it is
+        the smallest tabulated |z| whose d log F is >= log(1 - u), or for the
+        Pareto law |a| (-expm1(log1p(-u) / d))^(-1/4), which stays finite;
+        max_i ||S_i||^2 is then ||Z||^2.  Else ||Z|| is max_i |z_ii| on a
+        diagonal plan, or the root of the top eigenvalue of the Gram matrix
+        of Z's smaller side."""
+        if self.max_law is not None:
+            with np.errstate(divide="ignore"):  # u = 1: log 0 = -inf, the least norm
+                log_v = np.log1p(-rng.uniform_positive(seed, indices, 0, 2))
+            mags, log_cdf = self.max_law
+            d = self.model.d1
+            if log_cdf is None:
+                norms = mags * np.power(-np.expm1(log_v / d), -0.25)
+            else:
+                norms = mags[np.searchsorted(d * log_cdf, log_v)]
             return norms, norms**2 if self.sampled_max_sq else None
         z, sq = self.realize(seed, indices)
         return np.abs(z).max(axis=1) if self.diagonal else spectral_norms(z), sq
@@ -1063,20 +1022,26 @@ def _unless_identity(cells: np.ndarray, width: int) -> np.ndarray | None:
     return None if identity else cells
 
 
-def _row_law(model: IndependentSumModel):
-    """SamplerPlan.row of a model, read from its columns and position
-    index, or None when the model has no row law.
+def _max_law(model: IndependentSumModel):
+    """SamplerPlan.max_law of a model, read from its columns and position
+    index, or None when ||Z|| is taken from realized terms.
 
-    z_ii sums m independent c * a, for the one value a of every entry and
-    c = hi with probability q and lo otherwise: atom k is
-    (k hi + (m - k) lo) a with binomial probability from lgamma, and the
-    CDF is scaled so that its last entry is exactly 1."""
+    It is set when the model is square, has one law and no FiniteSummand,
+    every summand holds one real diagonal entry of one value a, and every
+    cell holds the same m entries: the d cells are then independent with
+    one law F, and P(||Z|| <= t) = F(t)^d.  For the Pareto law with m = 1
+    it is (|a|, None), since F^d inverts in closed form.  For a two-point
+    law with m <= _ROW_ATOMS, z_ii sums m independent c a, c = hi with
+    probability q and lo otherwise, so atom k is (k hi + (m - k) lo) a with
+    binomial probability from lgamma; it is then the atoms folded to
+    |atom|, equal values merged, ascending, and log F at each: log1p of
+    minus the survival, summed from the top so that upper atoms keep their
+    mass."""
     c, inverse = model._columns, model._inverse
-    two_point = c.laws[0].two_point if len(c.laws) == 1 else None
     value = c.value[inverse[0]].real
     if (
         model.d1 != model.d2
-        or two_point is None
+        or len(c.laws) != 1
         or (c.row < 0).any()  # a FiniteSummand or a fixed matrix
         or (c.row != c.col).any()
         or (c.value != value).any()  # also where a value is not real
@@ -1084,38 +1049,26 @@ def _row_law(model: IndependentSumModel):
         return None
     per_object = np.bincount(inverse, minlength=len(c.row))
     per_cell = np.bincount(c.row, weights=per_object, minlength=model.d1)
-    m = int(per_cell[0])
-    if not ((per_cell == m).all() and m <= _ROW_ATOMS):
+    m, law = int(per_cell[0]), c.laws[0]
+    if not (per_cell == m).all():
         return None
-    # objects are numbered in order of first appearance, so the running
-    # maximum of the position index first reaches object j at j's first
-    # position; the lowest object of a cell holds the cell's first position
-    _, lowest = np.unique(c.row, return_index=True)
-    first = np.searchsorted(np.maximum.accumulate(inverse), lowest).astype(np.uint64)
-    lo, hi, q = two_point
+    if law == PARETO and m == 1:
+        return abs(value), None
+    if law.two_point is None or m > _ROW_ATOMS:
+        return None
+    lo, hi, q = law.two_point
     k = np.arange(m + 1.0)
-    atoms = (k * hi + (m - k) * lo) * value
     if q < 1.0:
         log_fact = np.array([math.lgamma(j + 1.0) for j in range(m + 1)])
         log_pmf = log_fact[m] - log_fact - log_fact[::-1]
         log_pmf += k * math.log(q) + (m - k) * math.log1p(-q)
-        cdf = np.cumsum(np.exp(log_pmf))
+        pmf = np.exp(log_pmf)
     else:  # c = hi always
-        cdf = (k == m).astype(np.float64)
-    return first[None, :], atoms, cdf / cdf[-1]
-
-
-def _guide_table(atoms: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Guide table of a CDF (Chen and Asau, 1974): entry b of B buckets is
-    atoms[searchsorted(cdf, u, "right")], the same for every u in
-    [b/B, (b + 1)/B), and NaN where that index is not the same for all of
-    them.  B is the least power of two >= 16 (m + 1), at most 2^16, so a
-    key falls in an ambiguous bucket with probability at most 1/16 for
-    m < 4096."""
-    size = min(1 << 16, 1 << (16 * len(atoms) - 1).bit_length())
-    grid = np.arange(size + 1) / size  # exact: size is a power of two
-    lo = np.searchsorted(cdf, grid[:-1], side="right")
-    return np.where(lo == np.searchsorted(cdf, grid[1:], side="left"), atoms[lo], np.nan)
+        pmf = (k == m).astype(np.float64)
+    mags, at = np.unique(np.abs((k * hi + (m - k) * lo) * value), return_inverse=True)
+    upper = np.cumsum(np.bincount(at, weights=pmf)[::-1])[::-1]  # P(|z| >= mags[j]), unscaled
+    with np.errstate(divide="ignore"):  # log F = -inf where F is 0
+        return mags, np.log1p(-np.append(upper[1:], 0.0) / upper[0])
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ class Estimate:
 
 
 def _chunk_size(plan: SamplerPlan) -> int:
-    """Samples per chunk, within the budget of draws a sample (one per cell
-    on the row route, one per COO entry and FiniteSummand choice otherwise,
+    """Samples per chunk, within the budget of draws a sample (one with a
+    law of the maximum, else one per COO entry and FiniteSummand choice,
     and at least the d cells of a diagonal plan) and the byte budget for
     the realized chunk: d real diagonal entries per sample on a diagonal
     plan, d1*d2 complex entries otherwise (a real plan's half-size Z keeps
@@ -92,7 +92,7 @@ def _chunk_size(plan: SamplerPlan) -> int:
             f"one {'x'.join(map(str, shape))} realization takes {sample_bytes} "
             f"bytes, over the {_CHUNK_BYTES}-byte chunk budget"
         )
-    draws = max(plan.terms if plan.row is None else 0, model.d1 if plan.diagonal else 1)
+    draws = 1 if plan.max_law is not None else max(plan.terms, model.d1 if plan.diagonal else 1)
     chunk = min(_CHUNK_BUDGET // draws, _CHUNK_BYTES // sample_bytes)
     return max(1, chunk if plan.diagonal else min(_MAX_CHUNK, chunk))
 
@@ -196,7 +196,6 @@ class BoundReport:
     C: float
     lower: float
     upper: float
-    mc_norm: Estimate
     mc_sqnorm: Estimate
     sandwich_ok: bool
     k: float
@@ -231,7 +230,6 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         L_prov = "montecarlo"
 
     interval = main_interval(v, L, work.d1 + work.d2)
-    mc_norm = _estimate(norms, cfg)
     mc_sqnorm = _estimate(norms**2, cfg)
     root = math.sqrt(max(mc_sqnorm.mean, 0.0))
     slack = _K * mc_sqnorm.spread
@@ -254,7 +252,6 @@ def bound_report(model: IndependentSumModel, cfg: MCConfig) -> BoundReport:
         C=interval.constant,
         lower=interval.lower,
         upper=interval.upper,
-        mc_norm=mc_norm,
         mc_sqnorm=mc_sqnorm,
         sandwich_ok=bool(ok),
         k=_K,

@@ -2,15 +2,18 @@
 
 Every variate is a pure function of a 64-bit key tuple
 (seed, sample index, summand position, draw slot); the oracle sweeps use
-(seed, stream, case index, slot).  No stream state exists,
-so draws can be produced in any order, in parallel, and one at a time, with
-bit-identical results.  The mixer is a splitmix-style 64-bit finalizer
-applied to a chained key: the seed is chained with the index and then the
-position, a finalizer round after each (the prefix), and the prefix with the
-slot in one more round (the slot finish).  A word is keyed on the whole
-counter either way, so a law that reads two slots of one (seed, index,
-position) finishes both from one computed prefix (gaussians): three
-full-size rounds for a sampler's (k, 1) x (1, N) key instead of four.
+(seed, stream, case index, slot).  The scalar laws draw at slots 0 and 1
+of their summand's position; slot 2 of position 0 keys the one draw of
+||Z|| a sample on a sampler plan with a law of the maximum
+(models._max_law).  No stream state exists, so draws can be produced in
+any order, in parallel, and one at a time, with bit-identical results.
+The mixer is a splitmix-style 64-bit finalizer applied to a chained key:
+the seed is chained with the index and then the position, a finalizer
+round after each (the prefix), and the prefix with the slot in one more
+round (the slot finish).  A word is keyed on the whole counter either way,
+so a law that reads two slots of one (seed, index, position) finishes both
+from one computed prefix (gaussians): three full-size rounds for a
+sampler's (k, 1) x (1, N) key instead of four.
 """
 
 from __future__ import annotations
@@ -160,9 +163,3 @@ def gaussians(seed, index, position, slot):
     radius *= angle
     return _scalar_if_0d(radius)
 
-
-def pareto_word_magnitudes(w):
-    """Magnitudes u^(-1/4) of a symmetric Pareto law, P(|P| >= t) = t^-4 for
-    t >= 1, of counter words w (overwritten), with u as uniform_positive maps
-    them; non-increasing in w, as SamplerPlan.sample_norms needs."""
-    return np.power(_units(w, 1), -0.25)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from matcon import rng
-from matcon.models import FiniteSummand, ScalarLaw, seed_value
+from matcon.models import FiniteSummand, SamplerPlan, ScalarLaw, seed_value
 
 
 def pareto_sample(u, s):
@@ -61,6 +61,18 @@ def sample_summands(model, seed, index: int) -> list[np.ndarray]:
     """
     seed = seed_value(seed)
     return [sample_summand(s, seed, index, pos) for pos, s in enumerate(model.summands)]
+
+
+def per_term_plan(model) -> SamplerPlan:
+    """A plan of `model` on the per-term route: where the plan would draw
+    ||Z|| from the law of its maximum, which realizes nothing, it builds the
+    per-term tables instead, so that `realize` and `sample_norms` sum every
+    summand."""
+    plan = SamplerPlan(model)
+    if plan.max_law is not None:
+        plan.max_law = None
+        plan._build_tables()
+    return plan
 
 
 def as_matrices(plan, sample: np.ndarray) -> np.ndarray:

@@ -6,21 +6,24 @@ tolerances were pinned from pilot runs at the canonical seed (2028)
 before the assertions were frozen:
 
 * diagonal sign-series trend ratios (d = 16/64/256, n = 400, 200 samples):
-  0.8081, 0.8141, 0.8321 against the band [0.6, 1.4], re-derived when the
-  diagonal examples moved to row-law sampling (0.7931, 0.8315, 0.8512 on
-  the per-term stream before)
+  0.8107, 0.8213, 0.8383 against the band [0.6, 1.4], re-derived when the
+  diagonal examples moved to one draw from the law of the maximum
+  (0.8081, 0.8141, 0.8321 on the row-law stream and 0.7931, 0.8315,
+  0.8512 on the per-term stream before)
 * full sign-matrix scale ratio at d = 64: 1.9191 against [1.2, 2.3]
 * pareto second moment, median of 16 block means over 1e6 draws: 1.9931
   against [1.8, 2.2]
 * fitted growth exponent of E max_i P_i^2 over d in {8, 32, 128} at
-  20000 samples: 0.4997 (asserted positive only; the value is logged)
+  20000 samples: 0.4947 (0.4997 before the law of the maximum; asserted
+  positive only; the value is logged)
 
 The trend check at d = 16/64/256 asserts that |ratio - 1| is
 non-increasing, which is a statement about one seeded run: the exact
 ratios, from the row law of each diagonal entry, rise 0.8190 -> 0.8290 ->
 0.8448 while single-run noise is about 0.02 per point, so the refinement
-holds for the pinned seed but not for every seed.  The band holds for every
-seed tried (2020-2035) on both streams.
+holds for the pinned seed but not for every seed (13 of the seeds
+2020-2035 on the law of the maximum).  The band holds for every seed tried
+(2020-2035) on each stream.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from matcon.montecarlo import (
     MCConfig,
     MEAN,
     MEDIAN_OF_MEANS,
+    _estimate,
     bound_report,
+    collect_samples,
     estimate_max_summand_sq,
 )
 from matcon.oracles import KINDS, sweep_fact_kind, sweep_symmetrization
@@ -99,17 +104,18 @@ def desk_models() -> list[tuple[str, object]]:
     return entries
 
 
+def desk_config(model) -> MCConfig:
+    return MCConfig(
+        samples=DESK_SAMPLES,
+        seed=SEED,
+        estimator=MEDIAN_OF_MEANS if model.heavy_tail else MEAN,
+    )
+
+
 @pytest.fixture(scope="module")
 def desk_reports():
     t0 = time.monotonic()
-    reports = []
-    for label, model in desk_models():
-        cfg = MCConfig(
-            samples=DESK_SAMPLES,
-            seed=SEED,
-            estimator=MEDIAN_OF_MEANS if model.heavy_tail else MEAN,
-        )
-        reports.append((label, bound_report(model, cfg)))
+    reports = [(label, bound_report(model, desk_config(model))) for label, model in desk_models()]
     return reports, time.monotonic() - t0
 
 
@@ -274,14 +280,17 @@ def test_08_first_moment_consistency(desk_reports, capsys):
     failures = []
     jensen_margins = []
     lower_margins = []
-    for label, rep in reports:
+    for (label, rep), (_, model) in zip(reports, desk_models()):
+        # E||Z|| from the samples the report drew E||Z||^2 from
+        cfg = desk_config(model)
+        mc_norm = _estimate(collect_samples(model, cfg)[0], cfg)
         root = math.sqrt(max(rep.mc_sqnorm.mean, 0.0))
-        slack = 3.0 * (rep.mc_norm.spread + rep.mc_sqnorm.spread)
-        jensen = rep.mc_norm.mean <= root + slack
+        slack = 3.0 * (mc_norm.spread + rep.mc_sqnorm.spread)
+        jensen = mc_norm.mean <= root + slack
         floor = math.sqrt(rep.v) / 8.0 + rep.L / 8.0
-        lower = rep.mc_norm.mean >= floor - 3.0 * rep.mc_norm.spread
-        jensen_margins.append(root + slack - rep.mc_norm.mean)
-        lower_margins.append(rep.mc_norm.mean - floor + 3.0 * rep.mc_norm.spread)
+        lower = mc_norm.mean >= floor - 3.0 * mc_norm.spread
+        jensen_margins.append(root + slack - mc_norm.mean)
+        lower_margins.append(mc_norm.mean - floor + 3.0 * mc_norm.spread)
         if not (jensen and lower):
             failures.append(label)
     ok = not failures

@@ -722,31 +722,31 @@ WIDE_DOC = {
 WIDE_PIN = "b4bf3a39da3744759991c51e20449b48482cb68162bb3047c7d5f1bd4f8e8827"
 
 REPORT_PINS = {
-    "sec71_csv": "60cc905ce57b86bdfd35344d093e0af0805418d0fd7fac8f511d5184e4fef5b7",
-    "sec71_json": "476aae9f31827fe47cb6ad1d422d7c8bfb1342ac06a8c120b4b0c8114ddaed27",
-    "sec72_csv": "e9c4f3b2fa7083de1ec9f1ae9498cf27144a3ec995f5b9b7777e1c19da2a151e",
-    "sec72_json": "53142b442028aca07b6b5d8890dda0795d30fbf6b3e881afd30f4259cf1100bc",
+    "sec71_csv": "b2505347458d38ccfbfb48b5ca28f24f78d795f7cefc79c165cb3aea1c8ca4bf",
+    "sec71_json": "3ba2517e229afe6215f3a451493c401032af3999fcf493c09f60a8d313c21cdd",
+    "sec72_csv": "8d697d0ca51f20703ea0161cab4fbcfd4f3863d379630336e7f7cf7464fe3520",
+    "sec72_json": "677e11d50b2258fb3f529cb501756e18d33985cc7d3dbde377c5e11f297061cf",
     "sec73_csv": "3b1bef0ad23a13b74136f754a7252c15c1680ff2eca44988d58b8ec569e1093c",
     "sec73_json": "255bd5bc5e521cc11321966a0d7989ad52a0dac5a578f051f820a11b1c82e263",
-    "sec74_csv": "6594425a18bd8de76822067f91cc7eb4820f9a74fa4867899107873c6c78a205",
-    "sec74_json": "e37df439736b7b3190ed4b08669ca3d9c906618c921ff2b3f96b9bad020998f4",
-    "sec71_mom_csv": "96bc8e247126c9bf030f9eb09b3f9f311260a800d336b0183de5e696446f7605",
-    "sec74_mean_json": "ddef8931d88cb3f4bb1983ecf1e53ffa2f2cf6613a8d9bbd354e22bb13ec0111",
+    "sec74_csv": "a86973b1426725dc0a47337f4988f985884b7c519854d66d70d8ea5973119f1c",
+    "sec74_json": "63b9d462e3bb47144250e2391678230b1029c6902828d273b79306ac7cb7c9e6",
+    "sec71_mom_csv": "70bffe6fd8febc7492d21f392d013e154d7d82adcadf8be1f90bc3e420cd1aad",
+    "sec74_mean_json": "c61f324b184296d52667df06bd12ef8f4735126d1a4a47fd863376fae0fd6525",
     "shifted_csv": "1ad8f3341a28b8c88f67259beeb9aa9087bc4430f3f0d17d8bfd684f71d1f1a1",
     "shifted_json": "86f4715f37dcdf9f40e82ed3ee37a663e24677bf55ec4d77b6acaf46b862563b",
 }
 
 EXPERIMENT_PINS = {
     "sec71": (["--d", "1,4,8", "--n", "10"],
-              "0fd14c203ef25f2f5b054003045dc8128c851a908fe9181baf64b7144c9b07f9"),
+              "bdcef0979716d42c008665951c3b5bd92cd23fa8258e42c58fbd167fbca1b6d8"),
     "sec72": (["--d", "4,8", "--n", "10"],
-              "fc001152878430c2b0034f3eeb73922edd65ea353b8965267f3b40727b708816"),
+              "2acb9ed77c7c51cf3f0792a920ba01dd8372292a330d24e80a950df7eca4222a"),
     "sec73": (["--d", "3,5"],
               "4c88b23d0b63a58ff2c27173188e0ba9c1bbecccd22b11a86d23c7e07f17f29d"),
     "sec74": (["--d", "4,8,16"],
-              "afb894232402336cb3785fb3d2924fe2acd292148063104af6a9fa3f1f7afbf6"),
+              "a3ce7d902e8751c115a05be750758d24a53cc05581a4cd67c7916db17f3b4397"),
     "rademacher_sharpness": (["--d", "4,8", "--n", "10"],
-              "4b86100361532fb0e9e7f1ca0384a2d289c7aa132742a139c558861e63843f75"),
+              "c54e4b919cba095a702265854a1b5431e87aff6b7932e3718d545fc098b7b44c"),
 }
 
 

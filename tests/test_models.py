@@ -44,7 +44,7 @@ from matcon.models import (
     moment_diagonals,
 )
 from matcon.montecarlo import MCConfig, bound_report, collect_samples
-from reference_draws import as_matrices, pareto_sample, sample_summands
+from reference_draws import as_matrices, pareto_sample, per_term_plan, sample_summands
 
 
 def rand_hermitian(rng, d):
@@ -154,7 +154,7 @@ class TestSampling:
     def test_sign_frequency(self):
         # the 1x1 scaled-basis model is a bare Rademacher sign
         model = make_example("sec71", d=1, n=1)
-        plan = SamplerPlan(model)
+        plan = per_term_plan(model)
         z, _ = plan.realize(11, np.arange(10_000, dtype=np.uint64))
         plus = int(np.sum(z[:, 0] > 0))
         sigma = 0.5 * math.sqrt(10_000)
@@ -437,7 +437,7 @@ class TestLargeSampleConsistency:
     SAMPLES = 100_000
 
     def _zbar_and_moment(self, model):
-        plan = SamplerPlan(model)
+        plan = per_term_plan(model)
         acc = np.zeros((model.d1, model.d2), dtype=complex)
         sq = np.zeros((model.d1, model.d1), dtype=complex)
         chunk = 20_000
@@ -467,7 +467,7 @@ class TestLargeSampleConsistency:
 
     def test_sec74_median_of_means_moment(self):
         model = make_example("sec74", d=2)
-        plan = SamplerPlan(model)
+        plan = per_term_plan(model)
         blocks = 16
         per = 6_250
         block_means = []
@@ -686,16 +686,25 @@ GOLDEN_DIAGONAL_SHA256 = {
     "sec74": "7ef376e14e7ed2cef343bcd5694bf940e4607c1ad27374790fbb711313658f40",
     "fixed_gaussian": "6e829ece1ce65736b71252cc436abc49169546d3d12da710483af159de4e07a7",
 }
-# sha256 of the row-law diagonals alone (their max_sq is exact, not drawn)
+# sha256 of the per-term diagonals of sec71 and sec72 alone (their max_sq is
+# exact, not drawn)
 GOLDEN_ROWS_SHA256 = {
-    "sec71": "8df5419f8b8c12255a7531d4adfed72f24696677f155f09eefc02967ea5bf4d4",
-    "sec72": "09fda4396280574f88e4987e383356f1646334b75a56020e8e23ffe77ca4317f",
+    "sec71": "86fda6e397eb9c2bdc3a03e1511133e88646ea9c20c1e32bd5c25e4e84573b40",
+    "sec72": "db35169a2df4f3270510c3cd047320ff27d00c0611179769a6d49fa37c3c9677",
+}
+# sha256 of (||Z||, and max_sq where it is drawn) from the law of the maximum
+GOLDEN_MAX_LAW_SHA256 = {
+    "sec71": "64ffdb63b60e50d9988b72f509a2dc35308530bb4108d6e13683e618fde77244",
+    "sec72": "a71e1e2aa2f234a63ec41bfa3835b16654bd51cc52284ba7ff8a29f084defef3",
+    "sec74": "b330fcf9ae16db419c70491d6de0c5e5de34ba0f2185e633f99ac3cc62134577",
 }
 
 
 class TestGoldenDiagonalKernels:
     """The raw diagonals and max_i ||S_i||^2 that `realize` returns on the
-    two diagonal routes, per-term and row law, pinned across versions."""
+    per-term diagonal route, which the diagonal examples take only through
+    per_term_plan, and the norms drawn from the law of the maximum, pinned
+    across versions."""
 
     IDX = np.arange(64, dtype=np.uint64)
 
@@ -705,18 +714,24 @@ class TestGoldenDiagonalKernels:
             model = make_example("sec74", d=8)
         else:
             model = model_from_json(json.loads(json.dumps(GOLDEN_DIAGONAL_DOC)))
-        plan = SamplerPlan(model)
-        assert plan.diagonal and plan.row is None
+        plan = per_term_plan(model)
+        assert plan.diagonal
         diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
         assert _sha256(diag, max_sq) == GOLDEN_DIAGONAL_SHA256[key]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_ROWS_SHA256))
     def test_realize_rows(self, name):
-        plan = SamplerPlan(make_example(name, d=8, n=5))
-        assert plan.row is not None
-        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
+        diag, max_sq = per_term_plan(make_example(name, d=8, n=5)).realize(GOLDEN_SEED, self.IDX)
         assert max_sq is None
         assert _sha256(diag) == GOLDEN_ROWS_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MAX_LAW_SHA256))
+    def test_max_law_norms(self, name):
+        plan = SamplerPlan(make_example(name, d=8, n=5))
+        assert plan.max_law is not None
+        norms, max_sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
+        assert (max_sq is None) == (name != "sec74")
+        assert _sha256(norms, *([] if max_sq is None else [max_sq])) == GOLDEN_MAX_LAW_SHA256[name]
 
 
 # a sign and Bernoulli diagonal model file without a row law: two laws,
@@ -731,98 +746,21 @@ UNEQUAL_CELLS_DOC = {"summands": [
 
 
 class TestDiagonalRealize:
-    """`realize` of a diagonal plan without a row law returns, sample by
+    """`realize` of a diagonal plan on the per-term route returns, sample by
     sample, the diagonal of the sum of the reference draws bit for bit."""
 
     @pytest.mark.parametrize("key", ["sec74", "fixed_diagonal", "unequal_cells"])
     def test_equals_reference_draws(self, key):
         doc = {"fixed_diagonal": GOLDEN_DIAGONAL_DOC, "unequal_cells": UNEQUAL_CELLS_DOC}
         model = make_example("sec74", d=8) if key == "sec74" else model_from_json(doc[key])
-        plan = SamplerPlan(model)
-        assert plan.diagonal and plan.row is None
+        plan = per_term_plan(model)
+        assert plan.diagonal
         idx = np.arange(40, 72, dtype=np.uint64)
         diag, _ = plan.realize(GOLDEN_SEED, idx)
         assert diag.dtype == np.float64 and diag.shape == (32, model.d1)
         for got, index in zip(diag, idx.tolist()):
             want = np.diagonal(sum(sample_summands(model, GOLDEN_SEED, index))).real
             assert got.tobytes() == want.tobytes()
-
-
-# pareto_diagonal cells and one-entry fixed_gaussian cells of negative and
-# non-unit values, one summand per diagonal cell, in cell order
-_MAGNITUDE_VALUES = {1: -2.5, 3: 0.75, 4: -0.3, 6: 1e-3}
-MAGNITUDE_DOC = {"summands": [
-    {"family": "fixed_gaussian",
-     "matrix": np.diag([_MAGNITUDE_VALUES[i] if j == i else 0.0 for j in range(7)]).tolist()}
-    if i in _MAGNITUDE_VALUES else {"family": "pareto_diagonal", "index": i, "dim": 7}
-    for i in range(7)
-]}
-
-
-class TestMagnitudeRoute:
-    """When every diagonal cell holds its own one-entry summand, in cell
-    order, ||Z|| and max_i ||S_i||^2 come from |c_i| ||A_i|| with no sign
-    drawn, bit for bit those of the realized diagonals."""
-
-    IDX = np.arange(100, 400, dtype=np.uint64)
-
-    @pytest.mark.parametrize("key", ["sec74_d1", "sec74_d8", "sec74_d128", "mixed_file"])
-    def test_norms_equal_realized_diagonals(self, key):
-        if key == "mixed_file":
-            model = model_from_json(MAGNITUDE_DOC)
-        else:
-            model = make_example("sec74", d=int(key.split("_d")[1]))
-        plan = SamplerPlan(model)
-        assert plan.magnitude
-        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
-        norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
-        assert norms.tobytes() == np.abs(diag).max(axis=1).tobytes()
-        assert max_sq is not None and sq.tobytes() == max_sq.tobytes()
-        _, collected = collect_samples(model, MCConfig(samples=400, seed=GOLDEN_SEED))
-        assert collected[100:].tobytes() == max_sq.tobytes()
-
-    @pytest.mark.parametrize("values", [
-        [-2.5, 0.75, None, 2.5, -0.75, 3.0, None, 2.5, 1e-3, -1.0, None],
-        [-2.5, 2.5, 2.5, -2.5, 2.5],
-    ], ids=["distinct_norms", "one_norm"])
-    def test_scaled_pareto_cells(self, values):
-        # one-entry Pareto cells of unsorted, repeated and negative values,
-        # with pareto_diagonal cells (None, norm 1) among them, or of one norm
-        d = len(values)
-        summands = [
-            ParetoDiagonal(i, d) if a is None
-            else ScalarSeries(PARETO, (d, d), (i,), (i,), (a,), abs(a))
-            for i, a in enumerate(values)
-        ]
-        plan = SamplerPlan(make_model(summands))
-        assert plan.magnitude
-        ((_, _, scale),) = plan.scaled_groups
-        # the words are reduced before the map only when the norms are equal
-        assert (np.ndim(scale) == 0) == (None not in values and len(set(map(abs, values))) == 1)
-        diag, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
-        norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
-        assert norms.tobytes() == np.abs(diag).max(axis=1).tobytes()
-        assert sq.tobytes() == max_sq.tobytes()
-
-    def test_route_off_for_other_layouts(self):
-        coin = FiniteSummand([(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, -2.0]))])
-        layouts = {
-            "two summands on one cell": [ParetoDiagonal(0, 2), ParetoDiagonal(1, 2),
-                                         ParetoDiagonal(0, 2)],
-            "off-diagonal entry": [ParetoDiagonal(0, 2), RademacherEntry(0, 1, 2)],
-            "finite": [ParetoDiagonal(0, 2), ParetoDiagonal(1, 2), coin],
-            "2x2 fixed matrix": [FixedGaussian(np.diag([1.0, -2.0]))],
-            "norm not |a|": [ScalarSeries(PARETO, (2, 2), (0,), (0,), (2.0,), np.nextafter(2.0, 3.0)),
-                             ParetoDiagonal(1, 2)],
-        }
-        for label, summands in layouts.items():
-            plan = SamplerPlan(make_model(summands))
-            assert not plan.magnitude, label
-            z, max_sq = plan.realize(GOLDEN_SEED, self.IDX)
-            norms, sq = plan.sample_norms(GOLDEN_SEED, self.IDX)
-            want = np.abs(z).max(axis=1) if plan.diagonal else spectral_norms(z)
-            assert norms.tobytes() == want.tobytes(), label
-            assert sq.tobytes() == max_sq.tobytes(), label
 
 
 def _mixed_summands(shared: bool) -> list:
@@ -878,7 +816,7 @@ class TestSharedSummands:
         assert analytic_max_sq(shared) == analytic_max_sq(unshared)
 
     def test_plan_draws(self, pair):
-        shared, unshared = map(SamplerPlan, pair)
+        shared, unshared = map(per_term_plan, pair)
         idx = np.arange(5, 9, dtype=np.uint64)
         for a, b in zip(shared.realize(13, idx), unshared.realize(13, idx)):
             assert np.array_equal(a, b)
@@ -939,11 +877,12 @@ class TestSingleLayout:
         centered, _ = center(model)
         assert centered._columns is model._columns
         # the bytes of the report and of the centered model file, as recorded
-        # when center derived the columns of its centered objects again
+        # when center derived the columns of its centered objects again (the
+        # report's without the mc_norm field that BoundReport no longer has)
         report = repr(bound_report(model, MCConfig(samples=64, seed=5)))
         doc = json.dumps(model_to_json(centered))
         assert [hashlib.sha256(text.encode()).hexdigest() for text in (report, doc)] == [
-            "f414faae9f0d269ca8130c250a5a2463c9471bc2662a37b74636800d1378f2d1",
+            "895c4fc4811f519083351007d493387a7d3550c90ae8a9e447e77a56c40a8685",
             "3c93370b4b3e0e21127e54b677d2d06d0e9c122d65e5188efae41728d2b99fa5",
         ]
 
@@ -994,22 +933,33 @@ class TestSingleLayout:
 
 class TestRowLaw:
     """A diagonal plan whose cells each hold m one-entry summands of one
-    two-point law and one value tabulates the law of z_ii once."""
+    two-point law and one value tabulates the law of |z_ii| once, for the
+    law of the maximum."""
 
     @pytest.mark.parametrize(
         "name,n", [("sec71", 1), ("sec71", 7), ("sec71", 100), ("sec71", 400),
                    ("sec72", 1), ("sec72", 3), ("sec72", 100)],
     )
     def test_table_mean_and_variance(self, name, n):
+        # the law of z_ii, a sum of n independent c a, from math.comb: its
+        # mean and variance, and its fold to |z_ii| against the table
         model = make_example(name, d=3, n=n)
-        _, atoms, cdf = SamplerPlan(model).row
         s = model.summands[0]
-        pmf = np.diff(cdf, prepend=0.0)
-        assert cdf[-1] == 1.0 and (pmf >= 0.0).all()
-        mean = float(np.dot(pmf, atoms))
-        var = float(np.dot(pmf, atoms**2)) - mean**2
+        (lo, hi, q), a = s.law.two_point, s.values[0]
+        atoms = [(k * hi + (n - k) * lo) * a for k in range(n + 1)]
+        pmf = [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
+        mean = math.fsum(p * z for p, z in zip(pmf, atoms))
+        var = math.fsum(p * z * z for p, z in zip(pmf, atoms)) - mean**2
         assert mean == pytest.approx(0.0, abs=1e-12)  # m E[c] a with E[c] = 0
-        assert var == pytest.approx(n * s.law.ec2 * s.values[0] ** 2, rel=1e-12, abs=1e-12)
+        assert var == pytest.approx(n * s.law.ec2 * a**2, rel=1e-12, abs=1e-12)
+        folded: dict = {}
+        for p, z in zip(pmf, atoms):
+            folded[abs(z)] = folded.get(abs(z), 0.0) + p
+        mags, log_cdf = SamplerPlan(model).max_law
+        assert mags.tolist() == sorted(folded)
+        cdf = np.cumsum([folded[m] for m in sorted(folded)])
+        assert log_cdf[-1] == 0.0
+        assert np.allclose(np.exp(log_cdf), cdf, rtol=0.0, atol=1e-12)
 
     def test_model_file_of_repeated_basis_signs(self):
         d, m = 6, 12
@@ -1018,26 +968,25 @@ class TestRowLaw:
             for i in range(d * m)
         ]}
         plan = SamplerPlan(model_from_json(doc))
-        first, atoms, cdf = plan.row
-        # cells listed cyclically: cell i first appears at position i
-        assert np.array_equal(first[0], np.arange(d))
-        assert np.allclose(atoms, 0.3 * (2.0 * np.arange(m + 1) - m), rtol=0, atol=1e-15)
+        mags, log_cdf = plan.max_law
+        assert np.allclose(mags, 0.3 * np.arange(0, m + 1, 2), rtol=0, atol=1e-15)
+        # one uniform a sample, keyed on position 0 at slot 2, inverts F^d at 1 - u
         idx = np.arange(40, 72, dtype=np.uint64)
-        u = rng.uniform_halfopen(5, idx[:, None], np.arange(d, dtype=np.uint64)[None, :], 2)
-        want = atoms[np.searchsorted(cdf, u, side="right")]
-        diag, max_sq = plan.realize(5, idx)
-        assert np.array_equal(diag, want)
+        u = rng.uniform_positive(5, idx, 0, 2)
+        want = mags[np.searchsorted(d * log_cdf, np.log1p(-u))]
+        norms, max_sq = plan.sample_norms(5, idx)
+        assert np.array_equal(norms, want)
         assert max_sq is None
 
     def test_atom_cap(self):
-        assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS)).row is not None
-        assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS + 1)).row is None
+        assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS)).max_law is not None
+        assert SamplerPlan(make_example("sec71", d=1, n=_ROW_ATOMS + 1)).max_law is None
 
     def test_other_layouts_keep_the_per_term_route(self):
         d = 3
+        coin = FiniteSummand([(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, -2.0]))])
         layouts = {
             "sec73": make_example("sec73", d=d),
-            "pareto": make_example("sec74", d=d),
             "two values": make_model(
                 [ScaledBasisRademacher(i, 0.5 + (k % 2), d) for i in range(d) for k in range(4)]
             ),
@@ -1046,42 +995,22 @@ class TestRowLaw:
             ),
             "unbalanced": make_model([ScaledBasisRademacher(i % 2, 1.0, d) for i in range(4)]),
             "one summand, many cells": make_model([FixedRademacher(np.eye(d))] * 2),
+            "Gaussian cells": make_model(
+                [ScalarSeries(GAUSSIAN, (2, 2), (i,), (i,), (1.0,), 1.0) for i in range(2)]
+            ),
+            "two Pareto summands on one cell": make_model(
+                [ParetoDiagonal(0, 2), ParetoDiagonal(1, 2), ParetoDiagonal(0, 2)]
+            ),
+            "Pareto cell not covered": make_model([ParetoDiagonal(0, 2)]),
+            "two Pareto norms": make_model(
+                [ScalarSeries(PARETO, (2, 2), (0,), (0,), (2.0,), 2.0), ParetoDiagonal(1, 2)]
+            ),
+            "off-diagonal entry": make_model([ParetoDiagonal(0, 2), RademacherEntry(0, 1, 2)]),
+            "finite": make_model([ParetoDiagonal(0, 2), ParetoDiagonal(1, 2), coin]),
+            "2x2 fixed matrix": make_model([FixedGaussian(np.diag([1.0, -2.0]))]),
         }
         for label, model in layouts.items():
-            assert SamplerPlan(model).row is None, label
-
-
-class TestGuideTable:
-    """A row plan's `realize` inverts the row CDF through its guide table exactly as
-    np.searchsorted(cdf, u, side="right") does."""
-
-    @staticmethod
-    def keys(cdf, size):
-        """u = 0, the largest u below 1, every bucket edge b / size, every
-        CDF value, and the neighbours of each within [0, 1)."""
-        points = np.concatenate([[0.0, 1.0 - 2.0**-53], np.arange(size + 1) / size, cdf])
-        keys = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
-        return np.unique(keys[(keys >= 0.0) & (keys < 1.0)])
-
-    @pytest.mark.parametrize("m", [1, 7, 100, 400, 1 << 16])
-    @pytest.mark.parametrize("name", ["sec71", "sec72"])  # sign; Bernoulli(1/m)
-    def test_equals_searchsorted(self, monkeypatch, name, m):
-        plan = SamplerPlan(make_example(name, d=1, n=m))
-        _, atoms, cdf = plan.row
-        size = len(plan._guide)
-        assert size == min(1 << 16, next(1 << k for k in range(40) if 1 << k >= 16 * (m + 1)))
-        u = self.keys(cdf, size)
-        monkeypatch.setattr(rng, "uniform_halfopen", lambda seed, index, position, slot: u[:, None])
-        diag, _ = plan.realize(0, np.arange(len(u), dtype=np.uint64))
-        assert np.array_equal(diag[:, 0], atoms[np.searchsorted(cdf, u, side="right")])
-
-    def test_degenerate_bernoulli_row(self):
-        # sec72 at n = 1: p = 1, so c = 0 always and the CDF is [0, 1]
-        plan = SamplerPlan(make_example("sec72", d=3, n=1))
-        _, atoms, cdf = plan.row
-        assert np.array_equal(cdf, [0.0, 1.0]) and not np.isnan(plan._guide).any()
-        diag, _ = plan.realize(4, np.arange(50, dtype=np.uint64))
-        assert np.array_equal(diag, np.full((50, 3), atoms[1]))
+            assert SamplerPlan(model).max_law is None, label
 
 
 class TestRealRealizations:
@@ -1207,10 +1136,11 @@ class TestPositionGuard:
 
     @pytest.mark.parametrize("name", ["sec71", "sec72", "sec73", "sec74"])
     def test_index_charged_examples_have_row_plans(self, monkeypatch, name):
-        # make_example charges 8 bytes a position only where the plan has a
-        # row law, which never builds per-term tables: an example admitted
-        # within 8 bytes a position has a row plan, and one refused there
-        # (charged 48) has none
+        # make_example charges 8 bytes a position only where the plan
+        # tabulates the law of a cell, which never builds per-term tables: an
+        # example admitted within 8 bytes a position has that table, and one
+        # refused there (charged 48) has none; sec74's closed-form law of the
+        # maximum is charged 48 too
         charged = []
         for n in (_ROW_ATOMS, _ROW_ATOMS + 1):
             positions = {"sec73": 4, "sec74": 2}.get(name, 2 * n)
@@ -1222,8 +1152,8 @@ class TestPositionGuard:
                 assert f"take {48 * positions} bytes" in str(err)
                 charged.append(48)
             monkeypatch.undo()
-            row = SamplerPlan(make_example(name, d=2, n=n)).row
-            assert (charged[-1] == 8) == (row is not None)
+            max_law = SamplerPlan(make_example(name, d=2, n=n)).max_law
+            assert (charged[-1] == 8) == (max_law is not None and max_law[1] is not None)
         assert charged == ([8, 48] if name in ("sec71", "sec72") else [48, 48])
 
     def test_huge_n_refused_without_allocating(self):
@@ -1581,7 +1511,7 @@ class TestIdentityCellMap:
 
     @pytest.mark.parametrize("name,d,table", [("sec73", 6, "cells"), ("sec74", 9, "rows")])
     def test_examples_record_identity(self, name, d, table):
-        plan = SamplerPlan(make_example(name, d=d))
+        plan = per_term_plan(make_example(name, d=d))
         assert getattr(plan, table) is None
         (z, max_sq), (want_z, want_max_sq) = (
             plan.realize(7, self.IDX), _bincount_twin(plan).realize(7, self.IDX)
@@ -1600,7 +1530,7 @@ class TestIdentityCellMap:
             ))
 
         diag, wide = zeros((4, 4), [(i, i) for i in range(4)]), zeros((1, 2), [(0, 0), (0, 1)])
-        assert diag.diagonal and diag.row is None and not wide.diagonal
+        assert diag.diagonal and diag.max_law is None and not wide.diagonal
         terms = diag._draw(7, self.IDX)[0] * diag.values
         assert np.signbit(terms).any()
         for plan in (diag, wide):

@@ -29,14 +29,14 @@ from matcon import (
     spectral_norm,
 )
 from matcon import montecarlo
-from matcon.models import SamplerPlan, _row_sq_norm, seed_value
+from matcon.models import PARETO, SamplerPlan, ScalarSeries, _max_law, _row_sq_norm, seed_value
 from matcon.montecarlo import (
     _chunk_size,
     _estimate,
     _median,
     default_blocks,
 )
-from reference_draws import as_matrices
+from reference_draws import as_matrices, per_term_plan
 
 
 # Monte Carlo cross-checks of exact quantities, used only by these tests.
@@ -242,8 +242,8 @@ class TestMaxSummandSq:
 
 class TestMaxSummandSqSamplesOnlyMaxSq:
     """estimate_max_summand_sq is the estimate of collect_samples' max_i
-    ||S_i||^2, which equals realize's; on sec74's magnitude route it builds
-    no Z."""
+    ||S_i||^2, which equals sample_norms'; sec74 draws it from the law of
+    the maximum and builds no Z."""
 
     @staticmethod
     def models():
@@ -276,7 +276,7 @@ class TestMaxSummandSqSamplesOnlyMaxSq:
             return
         assert estimate_max_summand_sq(model, cfg) == _estimate(sampled, cfg)
         idx = np.arange(200, 320, dtype=np.uint64)
-        assert np.array_equal(sampled[200:], plan.realize(41, idx)[1])
+        assert np.array_equal(sampled[200:], plan.sample_norms(41, idx)[1])
 
     def test_builds_no_realization(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -302,13 +302,13 @@ class TestMaxSqDrawnWhenRead:
         assert report.L_provenance == "analytic"
 
     def test_continuous_laws_still_draw_it(self):
-        # sec74 takes max_i ||S_i||^2 from the magnitude route, the Gaussian
-        # 2 x 2 model from realize; both draw it, with realize's values
+        # sec74 takes max_i ||S_i||^2 from the law of the maximum, the
+        # Gaussian 2 x 2 model from realize; both draw it, as sample_norms does
         h = rand_hermitian(np.random.default_rng(5), 2)
         cfg = MCConfig(samples=32, seed=3)
         for model in (make_example("sec74", d=4), make_model([FixedGaussian(h)])):
             _, max_sq = collect_samples(model, cfg)
-            _, want = SamplerPlan(model).realize(cfg.seed, np.arange(32, dtype=np.uint64))
+            _, want = SamplerPlan(model).sample_norms(cfg.seed, np.arange(32, dtype=np.uint64))
             assert max_sq is not None and np.array_equal(max_sq, want)
             report = bound_report(model, cfg)
             assert report.L_provenance == "montecarlo"
@@ -328,8 +328,9 @@ class TestMaxSqDrawnWhenRead:
 
 class TestMaxSqSampledByLaw:
     """collect_samples draws max_i ||S_i||^2 exactly when some law has no
-    finite ||S||^2 support (Gaussian, Pareto), and then as realize draws it;
-    a row-law plan draws no summand coefficient at all."""
+    finite ||S||^2 support (Gaussian, Pareto), and then as sample_norms
+    draws it; a plan with a law of the maximum draws no summand coefficient
+    at all."""
 
     @staticmethod
     def models():
@@ -352,17 +353,17 @@ class TestMaxSqSampledByLaw:
             "finite_and_gaussian": (make_model([coin, FixedGaussian(h), coin]), True),
         }
 
-    @pytest.mark.parametrize("name", ["sec71", "sec72", "basis_signs_file"])
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "basis_signs_file", "sec74"])
     def test_row_law_draws_no_coefficient(self, monkeypatch, name):
-        model, _ = self.models()[name]
-        assert SamplerPlan(model).row is not None
+        model, sampled = self.models()[name]
+        assert SamplerPlan(model).max_law is not None
 
         def refuse(self, seed, idx):
             raise AssertionError("summand coefficients were drawn")
 
         monkeypatch.setattr(SamplerPlan, "_coefficients", refuse)
         norms, max_sq = collect_samples(model, MCConfig(samples=300, seed=4))
-        assert norms.shape == (300,) and max_sq is None
+        assert norms.shape == (300,) and (max_sq is not None) == sampled
 
     @pytest.mark.parametrize("name", [
         "sec71", "sec72", "basis_signs_file", "sec73", "fixed_rademacher", "finite",
@@ -374,18 +375,17 @@ class TestMaxSqSampledByLaw:
         _, max_sq = collect_samples(model, cfg)
         assert (max_sq is not None) == sampled == (analytic_max_sq(model) is None)
         if sampled:
-            _, want = SamplerPlan(model).realize(cfg.seed, np.arange(150, dtype=np.uint64))
+            _, want = SamplerPlan(model).sample_norms(cfg.seed, np.arange(150, dtype=np.uint64))
             assert np.array_equal(max_sq, want)
 
 
-def dense_route(model, cfg):
-    """(||Z||, max_sq) from the realizations as matrices (a diagonal plan's
-    diagonals set into d x d matrices): top eigenvalue of the Gram matrix of
-    the smaller side."""
-    plan = SamplerPlan(model)
+def dense_route(plan, cfg):
+    """(||Z||, max_sq) from the plan's realizations as matrices (a diagonal
+    plan's diagonals set into d x d matrices): top eigenvalue of the Gram
+    matrix of the smaller side."""
     z, max_sq = plan.realize(cfg.seed, np.arange(cfg.samples, dtype=np.uint64))
     z = as_matrices(plan, z)
-    if model.d1 <= model.d2:
+    if plan.model.d1 <= plan.model.d2:
         gram = z @ z.conj().transpose(0, 2, 1)
     else:
         gram = z.conj().transpose(0, 2, 1) @ z
@@ -398,20 +398,19 @@ class TestDiagonalKernel:
     @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74"])
     @pytest.mark.parametrize("d", [1, 3, 16])
     def test_matches_dense_route_bitwise(self, name, d):
-        # max_i |z_ii| of the diagonals realize returns, on the row-law and
-        # the per-term route, is the Gram route's norm of the same
-        # realizations as matrices, and max_i ||S_i||^2 is the one realize
-        # draws
-        model = make_example(name, d=d, n=5)
-        plan = SamplerPlan(model)
-        assert plan.diagonal and (plan.row is None) == (name == "sec74")
+        # max_i |z_ii| of the diagonals that realize returns on the per-term
+        # route (collect_samples draws these models from the law of the
+        # maximum instead) is the Gram route's norm of the same realizations
+        # as matrices, and max_i ||S_i||^2 is the one realize draws
+        plan = per_term_plan(make_example(name, d=d, n=5))
+        assert plan.diagonal
         for seed in (0, 1, 2):
             cfg = MCConfig(samples=150, seed=seed)
-            norms, max_sq = collect_samples(model, cfg)
-            want_norms, want_max_sq = dense_route(model, cfg)
+            norms, max_sq = plan.sample_norms(seed, np.arange(150, dtype=np.uint64))
+            want_norms, want_max_sq = dense_route(plan, cfg)
             assert np.array_equal(norms, want_norms)
             assert np.array_equal(max_sq, want_max_sq)
-            assert (max_sq is None) == (plan.row is not None)
+            assert (max_sq is None) == (name != "sec74")
 
     def test_diagonal_fixed_matrices_match_dense_route_bitwise(self):
         # a fixed matrix with only diagonal entries is a diagonal summand too
@@ -427,7 +426,7 @@ class TestDiagonalKernel:
             assert SamplerPlan(model).diagonal
             cfg = MCConfig(samples=150, seed=45)
             norms, max_sq = collect_samples(model, cfg)
-            want_norms, want_max_sq = dense_route(model, cfg)
+            want_norms, want_max_sq = dense_route(SamplerPlan(model), cfg)
             assert np.array_equal(norms, want_norms)
             assert np.array_equal(max_sq, want_max_sq)
 
@@ -453,7 +452,7 @@ class TestDiagonalKernel:
         for model in (make_example("sec73", d=6), wide, tall):
             cfg = MCConfig(samples=150, seed=44)
             norms, max_sq = collect_samples(model, cfg)
-            want_norms, want_max_sq = dense_route(model, cfg)
+            want_norms, want_max_sq = dense_route(SamplerPlan(model), cfg)
             assert np.array_equal(norms, want_norms)
             assert np.array_equal(max_sq, want_max_sq)
 
@@ -478,20 +477,21 @@ def per_term_norms(model, cfg: MCConfig) -> np.ndarray:
 
 
 class TestRowLawRoute:
-    """sec71 and sec72 draw each z_ii from its exact law, one uniform per
-    (sample, cell)."""
+    """sec71 and sec72 draw ||Z|| from the law of the maximum of their d
+    independent cells, whose row law is tabulated, and sec74 from its
+    closed form: one uniform a sample."""
 
     def test_degenerate_rows_match_per_term_route(self):
         # at n = 1 every sample has |z_ii| = 1 (sec71) or z = 0 (sec72, p = 1)
         # on either stream
         for name in ("sec71", "sec72"):
             model = make_example(name, d=5, n=1)
-            assert SamplerPlan(model).row is not None
+            assert SamplerPlan(model).max_law is not None
             cfg = MCConfig(samples=300, seed=3)
             norms, _ = collect_samples(model, cfg)
             assert np.array_equal(norms, per_term_norms(model, cfg))
 
-    @pytest.mark.parametrize("name", ["sec71", "sec72", "basis_signs_file"])
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "basis_signs_file", "sec74"])
     def test_builds_no_per_position_table(self, monkeypatch, name):
         if name == "basis_signs_file":
             model = model_from_json({"summands": [
@@ -506,7 +506,7 @@ class TestRowLawRoute:
 
         monkeypatch.setattr(SamplerPlan, "_build_tables", refuse)
         norms, max_sq = collect_samples(model, MCConfig(samples=200, seed=9))
-        assert norms.shape == (200,) and max_sq is None
+        assert norms.shape == (200,) and (max_sq is None) == (name != "sec74")
 
     def test_plan_memory_is_per_cell(self):
         # the per-term tables of this model take about 19 MiB
@@ -517,25 +517,34 @@ class TestRowLawRoute:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert plan.row is not None
+        assert plan.max_law is not None
         assert held < 1 << 20 and peak < 24 * model.n_summands
 
-    # sec74 takes the magnitude route, where max_i ||S_i||^2 is sampled too
-    @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74"])
+    # sec74 samples max_i ||S_i||^2 too; scaled_pareto has |a| = 2.5
+    @pytest.mark.parametrize("name", ["sec71", "sec72", "sec74", "scaled_pareto"])
     def test_chunks_do_not_change_output(self, monkeypatch, name):
-        model = make_example(name, d=16, n=100)
+        if name == "scaled_pareto":
+            model = make_model(
+                [ScalarSeries(PARETO, (16, 16), (i,), (i,), (-2.5,), 2.5) for i in range(16)]
+            )
+        else:
+            model = make_example(name, d=16, n=100)
+        assert SamplerPlan(model).max_law is not None
         cfg = MCConfig(samples=300, seed=12)
         want = collect_samples(model, cfg)
         monkeypatch.setattr("matcon.montecarlo._CHUNK_BUDGET", 1)
         assert _chunk_size(SamplerPlan(model)) == 1
         got = collect_samples(model, cfg)
         assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+        if name == "scaled_pareto":  # |a| scales the norm of sec74's law
+            unit, _ = collect_samples(make_example("sec74", d=16), cfg)
+            assert np.array_equal(want[0], 2.5 * unit)
 
     def test_chunk_size_counts_cell_draws(self):
         plan = SamplerPlan(make_example("sec71", d=256, n=100))
-        # 256 uniforms per sample; max_i ||S_i||^2 is exact, so no coefficient
+        # one uniform a sample; the byte budget still counts the 256 cells
         budget = montecarlo._CHUNK_BUDGET
-        assert _chunk_size(plan) == min(montecarlo._MAX_CHUNK, budget // 256)
+        assert _chunk_size(plan) == min(budget, montecarlo._CHUNK_BYTES // (8 * 256)) == budget
 
 
 # E||Z||^2 = E max_i z_ii^2 of the paper's diagonal examples at n = 100
@@ -549,9 +558,10 @@ ORACLE_SEEDS = (1, 2, 3, 4, 5)
 
 
 class TestExactSqNormOracle:
-    """The Monte Carlo E||Z||^2 of sec71 and sec72 against its exact value,
-    on the row-law stream that collect_samples draws and on the per-term
-    stream of the sign and Bernoulli laws (per_term_norms)."""
+    """The Monte Carlo E||Z||^2 and P(||Z|| <= t) of sec71 and sec72 against
+    their exact values, on the stream that collect_samples draws from the
+    law of the maximum of the tabulated row law (row_law) and on the
+    per-term stream of the sign and Bernoulli laws (per_term_norms)."""
 
     @pytest.mark.parametrize("name,d", sorted(EXACT_SQ_NORM))
     def test_exact_values(self, name, d):
@@ -571,10 +581,9 @@ class TestExactSqNormOracle:
 
     def test_builds_no_plan(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a plan or guide table was built")
+            raise AssertionError("a plan was built")
 
         monkeypatch.setattr(SamplerPlan, "__init__", refuse)
-        monkeypatch.setattr("matcon.models._guide_table", refuse)
         exact = _row_sq_norm(make_example("sec71", d=16, n=100))
         assert round(exact, 4) == EXACT_SQ_NORM["sec71", 16]
 
@@ -595,6 +604,43 @@ class TestExactSqNormOracle:
         est = _estimate(norms**2, cfg)
         exact = _row_sq_norm(model)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
+        # P(||Z|| <= t) = F(t)^d at t = (E||Z||^2)^(1/2), F from the table
+        t = math.sqrt(EXACT_SQ_NORM[name, d])
+        mags, log_cdf = _max_law(model)
+        p = math.exp(d * log_cdf[np.searchsorted(mags, t, side="right") - 1])
+        assert abs(np.mean(norms <= t) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / cfg.samples)
+
+
+def _pareto_mean_norm(d: int) -> float:
+    """E||Z|| of sec74: ||Z|| is (min of d uniforms)^(-1/4), and that
+    minimum has the law Beta(1, d), so E||Z|| = Gamma(3/4) Gamma(d+1) /
+    Gamma(d+3/4)."""
+    return math.exp(math.lgamma(0.75) + math.lgamma(d + 1.0) - math.lgamma(d + 0.75))
+
+
+class TestParetoNormOracle:
+    """The Monte Carlo E||Z|| and P(||Z|| <= t) of sec74 against their
+    closed forms, on the stream that collect_samples draws from the law of
+    the maximum (max_law) and on the per-term stream of the Pareto law
+    (per_term_norms).  E||Z||^2 is not checked: ||Z||^2 has infinite
+    variance, so no standard error of it converges."""
+
+    @pytest.mark.parametrize("stream", ["max_law", "per_term"])
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("d", [2, 8, 32, 128])
+    def test_monte_carlo_within_4se(self, d, seed, stream):
+        model = make_example("sec74", d=d)
+        cfg = MCConfig(samples=2000, seed=seed)
+        if stream == "max_law":
+            norms, _ = collect_samples(model, cfg)
+        else:
+            norms = per_term_norms(model, cfg)
+        est = _estimate(norms, cfg)
+        exact = _pareto_mean_norm(d)
+        assert abs(est.mean - exact) <= 4.0 * est.std_error
+        # P(||Z|| <= t) = (1 - t^-4)^d at t = E||Z||
+        p = (1.0 - exact**-4) ** d
+        assert abs(np.mean(norms <= exact) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / cfg.samples)
 
 
 # E||Z||^2 of sec73 by enumerating its d^2 signs: 16, 512 and 65,536
@@ -694,10 +740,10 @@ class TestThreading:
 # the earlier memory-sized terms budget
 _OLD_CHUNK_BUDGET = 1 << 21
 # chunk sizes under the old budget, the current one and a one-sample budget:
-# sec71 draws 256 cell uniforms a sample and sec74 128 Pareto terms, and
-# their diagonal plans are held to the budget alone; sec73 draws 4,096
-# signs, and its dense chunks hold at most _MAX_CHUNK samples
-_BUDGET_CHUNKS = {"sec71": [8192, 64, 1], "sec73": [128, 4, 1], "sec74": [16384, 128, 1]}
+# sec71 and sec74 draw one uniform a sample, and their diagonal plans are
+# held to the draw budget and the bytes of their 256 and 128 cells; sec73
+# draws 4,096 signs, and its dense chunks hold at most _MAX_CHUNK samples
+_BUDGET_CHUNKS = {"sec71": [65536, 16384, 1], "sec73": [128, 4, 1], "sec74": [131072, 16384, 1]}
 
 
 class TestChunkBudgetAtModelScale:
@@ -871,8 +917,11 @@ class TestBoundReport:
         assert rep.mean_norm is None
 
     def test_jensen_inequality_exact_on_shared_samples(self):
-        rep = bound_report(make_example("sec73", d=5), MCConfig(samples=300, seed=18))
-        assert rep.mc_norm.mean <= math.sqrt(rep.mc_sqnorm.mean) + 1e-12
+        model, cfg = make_example("sec73", d=5), MCConfig(samples=300, seed=18)
+        rep = bound_report(model, cfg)
+        norms, _ = collect_samples(model, cfg)
+        assert rep.mc_sqnorm == _estimate(norms**2, cfg)
+        assert _estimate(norms, cfg).mean <= math.sqrt(rep.mc_sqnorm.mean) + 1e-12
 
     def test_sandwich_definition(self):
         rep = bound_report(make_example("sec72", d=4, n=20), MCConfig(samples=250, seed=19))
